@@ -69,7 +69,7 @@ print("associativity defect constant equals the cobar defect:",
 # -- reconstruction from (cocycle, logarithm) ---------------------------------
 
 banner("reconstruct from c = 2(t x t) and g = x + t x^2")
-g = parse_element("t", alg).as_tensor()  # coefficient for the x^2 term
+g = parse_element("t", alg)  # coefficient for the x^2 term
 glog = Series(alg, 1, 1,
               {(1,): TensorElement.unit(alg, 1), (2,): g}, INF, ("x",))
 F2 = reconstruct(alg, c, glog, order=6)

@@ -28,16 +28,8 @@ from .hopf import (
     HopfElement,
     TensorElement,
     algebra_description,
-    antipode,
-    apply_slot,
     build_hopf_algebra,
     builtin_algebra,
-    comul,
-    contract_mul,
-    counit,
-    embed,
-    mul,
-    tensor_mul,
     verify_hopf_axioms,
 )
 from .fgl import (
@@ -59,20 +51,9 @@ from .fgl import (
     symmetry_defect,
     unit_defects,
 )
-from .report import Report, StageReport, Violation
+from .report import Report, Violation
 from .scalars import HAVE_GMPY2, Q, format_rational, parse_rational, rational
-from .series import (
-    INF,
-    Series,
-    comp_inverse,
-    derivative,
-    integrate,
-    map_coefficients,
-    mul_inverse,
-    series_add,
-    series_mul,
-    substitute,
-)
+from .series import INF, Series
 
 __version__ = "0.1.0"
 

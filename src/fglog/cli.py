@@ -116,7 +116,7 @@ def _element_arg(ref, algebra):
             raise ParseError(
                 f"{ref} holds an arity-{tensor.arity} tensor; expected a "
                 "plain algebra element")
-        return tensor.as_element()
+        return tensor
     return parse_element(ref, algebra)
 
 

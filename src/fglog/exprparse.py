@@ -17,9 +17,13 @@ be juxtaposed (`3t^2`), rationals are `p` or `p/q`. Examples:
     1/2 t (x) t^2 - t^2 (x) t
     (t + t^2) (x) (t - t^2)
 
-Tensor factors of a term must agree in arity; `parse_element` insists on
-arity one and returns a HopfElement, `parse_tensor` returns a
-TensorElement of the inferred arity.
+Every value is a TensorElement (an element of H is one of arity one) or
+a bare rational. Tensor factors of a term must agree in arity;
+`parse_element` insists on arity one, `parse_tensor` returns the inferred
+arity. A term whose value reaches above the algebra's degree bound is a
+ParseError naming that term: the parser starts from generators, so only a
+product or a tensor sign that dropped data can set a term's `truncated`
+flag.
 """
 
 import re
@@ -56,6 +60,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, algebra):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.algebra = algebra
@@ -104,43 +109,40 @@ class _Parser:
         return acc
 
     def _combine(self, lhs, rhs, op):
-        lhs, rhs = self._promote(lhs, rhs), self._promote(rhs, lhs)
+        # a bare rational operand is that multiple of the other's unit
         try:
             return lhs + rhs if op == "+" else lhs - rhs
         except (ArityMismatch, TypeError) as exc:
             raise ParseError(
                 f"cannot combine incompatible terms: {exc}") from exc
 
-    def _promote(self, value, like):
-        """Lift a bare rational to match the shape of the other operand."""
-        if isinstance(value, (HopfElement, TensorElement)):
-            return value
-        if isinstance(like, HopfElement):
-            return HopfElement.one(self.algebra) * value
-        if isinstance(like, TensorElement):
-            return TensorElement.unit(self.algebra, like.arity) * value
-        return value
-
     def term(self):
+        start = self.peek()[2]
         slots = [self.product()]
         while self.peek()[0] == "tensor":
             self.next()
             slots.append(self.product())
         if len(slots) == 1:
-            return slots[0]
-        return TensorElement.from_slots(
-            *[self._slot_element(s) for s in slots])
+            value = slots[0]
+        else:
+            value = TensorElement.from_slots(
+                *[self._slot_element(s) for s in slots])
+        if isinstance(value, TensorElement) and value.truncated:
+            _, text, pos = self.tokens[self.pos - 1]
+            raise ParseError(
+                f"term {self.text[start:pos + len(text)]!r} at position "
+                f"{start} reaches above the degree bound "
+                f"{self.algebra.degree_bound}")
+        return value
 
     def _slot_element(self, value):
-        if isinstance(value, HopfElement):
-            return value
-        if isinstance(value, TensorElement):
-            if value.arity == 1:
-                return value.as_element()
+        if not isinstance(value, TensorElement):
+            return TensorElement.from_scalar(self.algebra, 1, value)
+        if value.arity != 1:
             raise ParseError(
                 "tensor slots cannot themselves be tensors; write "
                 "a (x) b (x) c without nesting")
-        return HopfElement.one(self.algebra) * value
+        return value
 
     def product(self):
         acc = self.factor()
@@ -191,22 +193,15 @@ class _Parser:
             if kind is not None else "unexpected end of expression")
 
 
-def _as_tensor(value, algebra, arity=None):
-    if isinstance(value, TensorElement):
-        return value
-    if isinstance(value, HopfElement):
-        return value.as_tensor()
-    # bare rational: multiple of the unit, at whatever arity was asked for
-    return TensorElement.unit(algebra, 1 if arity is None else arity) * value
-
-
 def parse_tensor(text, algebra, arity=None):
     """Parse an inline expression to a TensorElement; with `arity` given,
     a mismatching expression is a ParseError.  A pure scalar (no tensor
     sign, no generators) is read as that multiple of the arity-wide unit,
     so "0" denotes the zero tensor at any requested arity."""
-    value = _Parser(text, algebra).parse()
-    tensor = _as_tensor(value, algebra, arity)
+    tensor = _Parser(text, algebra).parse()
+    if not isinstance(tensor, TensorElement):
+        tensor = TensorElement.from_scalar(
+            algebra, 1 if arity is None else arity, tensor)
     if arity is not None and tensor.arity != arity:
         raise ParseError(
             f"expected a tensor of arity {arity} but parsed arity "
@@ -215,14 +210,13 @@ def parse_tensor(text, algebra, arity=None):
 
 
 def parse_element(text, algebra):
-    """Parse an inline expression to a HopfElement (arity one only)."""
+    """Parse an inline expression to an element of H, an arity-1
+    TensorElement."""
     value = _Parser(text, algebra).parse()
-    if isinstance(value, TensorElement):
-        if value.arity != 1:
-            raise ParseError(
-                f"expected a plain algebra element but parsed a tensor "
-                f"of arity {value.arity}: {text!r}")
-        return value.as_element()
-    if isinstance(value, HopfElement):
-        return value
-    return HopfElement.one(algebra) * value
+    if not isinstance(value, TensorElement):
+        return TensorElement.from_scalar(algebra, 1, value)
+    if value.arity != 1:
+        raise ParseError(
+            f"expected a plain algebra element but parsed a tensor "
+            f"of arity {value.arity}: {text!r}")
+    return value

@@ -33,7 +33,7 @@ from .errors import (
     ResidualNonConstant,
     TruncationInsufficient,
 )
-from .hopf import HopfElement, TensorElement
+from .hopf import TensorElement
 from .report import Report, Violation
 from .series import Series
 
@@ -181,7 +181,7 @@ def invariant_differential(F):
     partial = F.derivative(1).set_variable_zero(1)
     collapsed = partial.map_coefficients(
         lambda A: A.apply_slot(1, "counit"), arity=1)
-    return collapsed.drop_variable(1).rename(("x",))
+    return collapsed.drop_variable(1).with_names(("x",))
 
 
 def logarithm(F, order=None):
@@ -278,8 +278,7 @@ def coboundary(h):
     if h.counit() != 0:
         raise NotAugmented(
             "coboundary input must have counit zero")
-    tensor = h.as_tensor()
-    return (h.comul() - tensor.embed(2, (0,)) - tensor.embed(2, (1,)))
+    return h.comul() - h.embed(2, (0,)) - h.embed(2, (1,))
 
 
 def extract_cocycle(F, g=None, order=None):

@@ -6,7 +6,7 @@ inspect every defect; raising is reserved for operations whose output would
 be meaningless on failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,6 @@ class Report:
     def __bool__(self):
         return self.passed
 
-    def merged(self, other):
-        return Report(
-            self.passed and other.passed,
-            self.violations + other.violations,
-            _min_order(self.certified_order, other.certified_order),
-            self.checks + other.checks,
-        )
-
     def __str__(self):
         if self.passed:
             extra = ""
@@ -59,23 +51,3 @@ class Report:
         lines = ["fail"]
         lines += [f"  - {v}" for v in self.violations]
         return "\n".join(lines)
-
-
-def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-@dataclass(frozen=True)
-class StageReport:
-    """Named pipeline stage result, used by the round-trip driver."""
-
-    stage: str
-    report: Report
-    payload: object = None
-
-    def __str__(self):
-        return f"{self.stage}: {self.report}"

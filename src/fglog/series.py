@@ -603,11 +603,6 @@ class Series:
         return Series(self.algebra, self.arity, self.nvars, acc, self.order,
                       self.names, self.truncated, _normalize=False)
 
-    def rename(self, names):
-        return Series(self.algebra, self.arity, self.nvars, dict(self.terms),
-                      self.order, tuple(names), self.truncated,
-                      _normalize=False)
-
     # -- comparison --------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -934,40 +929,6 @@ def _horner(consts, assigns, cap):
         codec, packed = result._packed
         result = codec.view(packed.truncate(cap))
     return result
-
-
-# -- functional aliases --------------------------------------------------------
-
-def series_add(f, g):
-    return f + g
-
-
-def series_mul(f, g):
-    return f * g
-
-
-def substitute(f, assignments):
-    return f.substitute(assignments)
-
-
-def derivative(f, var=0):
-    return f.derivative(var)
-
-
-def integrate(f, var=0):
-    return f.integrate(var)
-
-
-def mul_inverse(f, order=None):
-    return f.mul_inverse(order)
-
-
-def comp_inverse(f, order=None):
-    return f.comp_inverse(order)
-
-
-def map_coefficients(f, fn, arity=None):
-    return f.map_coefficients(fn, arity)
 
 
 # -- pretty printing -------------------------------------------------------------

@@ -110,7 +110,7 @@ def _passing_suite():
     g = Series(qt2, 1, 1, {
         (1,): TensorElement.unit(qt2, 1),
         (2,): TensorElement.unit(qt2, 1) * rational("1/2"),
-        (3,): parse_element("t", qt2).as_tensor(),
+        (3,): parse_element("t", qt2),
     }, INF, ("x",))
     F = reconstruct(qt2, TensorElement.zero(qt2, 2), g, order=7)
     entries.append(("reconstructed, c = 0", F, 6, TensorElement.zero(qt2, 2)))
@@ -294,7 +294,7 @@ def test_criterion_07_inverse_series_closed_form():
         assert all(theta.coeff((n,)).is_zero() for n in range(2, 9)), label
     # c = 2(t x t) folds to -2 t^2, so the inverse is 2 t^2 - x exactly
     witness = inverse_series(lemma_law(qt2, tt * 2), order=8)
-    assert witness.coeff((0,)) == (t2 * 2).as_tensor()
+    assert witness.coeff((0,)) == t2 * 2
 
     mult, _ = _trivial_laws()
     theta = inverse_series(mult, order=10)

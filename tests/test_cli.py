@@ -1,9 +1,12 @@
 """End-to-end tests of the command line front end, run in process."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglog.cli import main
 from fglog.fgl import check_axioms, logarithm
@@ -243,7 +246,7 @@ class TestInverse:
         qt2 = builtin_algebra("qt2")
         theta = series_from_json(doc["inverse"], qt2)
         t = HopfElement.generator(qt2, "t")
-        assert theta.coeff((0,)) == (t * t).as_tensor() * 2
+        assert theta.coeff((0,)) == (t * t) * 2
         assert theta.coeff((1,)) == -TensorElement.unit(qt2, 1)
 
 
@@ -271,7 +274,7 @@ class TestReconstruct:
         g = logarithm(F, order=4)
         qt2 = builtin_algebra("qt2")
         t = HopfElement.generator(qt2, "t")
-        assert g.coeff((2,)) == t.as_tensor()
+        assert g.coeff((2,)) == t
 
     def test_asymmetric_cocycle_rejected(self, capsys):
         code, out, err = run(capsys, "reconstruct", "--hopf", "qt1",
@@ -380,6 +383,25 @@ class TestErrorHandling:
         assert code == 2
         assert "arity" in err
 
+    @pytest.mark.parametrize("argv, term", [
+        (("check-cocycle", "--hopf", "qt2", "--cocycle", "t^9 (x) t"),
+         "t^9 (x) t"),
+        (("check-cocycle", "--hopf", "qt2", "--cocycle",
+          "t^3 (x) t^2 + t (x) t"), "t^3 (x) t^2"),
+        (("check-cocycle", "--hopf", "qt2", "--hdeg", "4", "--cocycle",
+          "t (x) t + t^2 (x) t"), "t^2 (x) t"),
+        (("reconstruct", "--hopf", "qt1", "--cocycle", "t^5 (x) t^4"),
+         "t^5 (x) t^4"),
+        (("coboundary", "--hopf", "qt2", "--element", "t^3 - t^5"), "t^5"),
+    ])
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_inline_term_above_degree_bound(self, capsys, argv, term, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert repr(term) in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag(self, capsys):
         code, out, err = run(capsys, "verify")
         assert code == 2
@@ -414,3 +436,43 @@ class TestDeterminism:
                              "--order", "4")
         assert code == 0
         assert "\x1b[32mpass\x1b[0m" in out
+
+
+_TOKENS = ("t", "u", "0", "1", "2", "3", "1/2", "+", "-", "*", "/", "^",
+           "(", ")", "(x)", "⊗", "x", "@")
+
+
+def _expressions(inner):
+    factor = st.tuples(st.one_of(inner, inner.map("({})".format)),
+                       st.sampled_from(["", "^2", "^5", "^9"])).map("".join)
+    product = st.lists(factor, min_size=1, max_size=2).map(" ".join)
+    term = st.lists(product, min_size=1, max_size=2).map(" (x) ".join)
+    return st.tuples(st.sampled_from([" + ", " - "]),
+                     st.lists(term, min_size=1, max_size=3)).map(
+        lambda p: p[0].join(p[1]))
+
+
+# Token soup joined by spaces, so a number (an exponent too) is one digit,
+# and well-formed expressions over t and u, some of them above the bound.
+_INLINE_TEXT = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=14).map(" ".join),
+    st.recursive(st.sampled_from(["t", "u", "1", "2", "1/2"]), _expressions,
+                 max_leaves=6))
+
+
+class TestInlineFuzz:
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["check-cocycle", "coboundary",
+                                    "reconstruct"]),
+           hopf=st.sampled_from(["trivial", "qt1", "qt2", "qtu"]),
+           text=_INLINE_TEXT)
+    def test_inline_value_ends_in_an_exit_code(self, command, hopf, text):
+        flag = "--element" if command == "coboundary" else "--cocycle"
+        argv = [command, "--hopf", hopf, flag, text]
+        if command == "reconstruct":
+            argv += ["--order", "3"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

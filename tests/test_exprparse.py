@@ -110,3 +110,33 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_tensor("u (x) u", qt1)
         assert "t" in str(exc.value)
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("algebra, text, term", [
+        ("qt2", "t^9 (x) t", "t^9 (x) t"),
+        ("qt2", "t^3 (x) t^2 + t (x) t", "t^3 (x) t^2"),
+        ("qt2", "t (x) t - 2 t^2 (x) t^3", "2 t^2 (x) t^3"),
+        ("qt2", "t + (t^4 + t^5)", "t^5"),
+        ("qt1", "t^5 * t^4", "t^5 * t^4"),
+        ("qt1", "-(1 + t)^9", "(1 + t)^9"),
+    ])
+    def test_term_above_bound_is_named(self, request, algebra, text, term):
+        with pytest.raises(ParseError) as exc:
+            parse_tensor(text, request.getfixturevalue(algebra))
+        assert repr(term) in str(exc.value)
+        assert f"position {text.index(term)}" in str(exc.value)
+
+    def test_element_above_bound_rejected(self, qt1):
+        with pytest.raises(ParseError) as exc:
+            parse_element("t^2 + t^9", qt1)
+        assert "'t^9'" in str(exc.value)
+
+    def test_terms_at_the_bound_accepted(self, qt1, qt2):
+        t = HopfElement.generator(qt2, "t")
+        got = parse_tensor("t^2 (x) t^2 + t^4 (x) 1", qt2)
+        assert not got.truncated
+        assert got == (TensorElement.from_slots(t * t, t * t)
+                       + TensorElement.from_slots(t ** 4, HopfElement.one(qt2)))
+        assert parse_element("(1 + t)^8", qt1) == (
+            HopfElement.one(qt1) + HopfElement.generator(qt1, "t")) ** 8

@@ -330,7 +330,7 @@ class TestVariablePlumbing:
         Y = var(qt1, 1, 2, 1)
         F = X + Y + X * Y
         assert F.set_variable_zero(1) == X
-        reduced = F.set_variable_zero(1).drop_variable(1).rename(("x",))
+        reduced = F.set_variable_zero(1).drop_variable(1).with_names(("x",))
         assert reduced == var(qt1, 1, 1, 0)
 
     def test_permute_vars(self, qt1):
