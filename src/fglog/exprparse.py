@@ -24,15 +24,37 @@ arity. A term whose value reaches above the algebra's degree bound is a
 ParseError naming that term: the parser starts from generators, so only a
 product or a tensor sign that dropped data can set a term's `truncated`
 flag.
+
+Sizes are bounded so that parsing ends quickly and every parsed value
+can be printed. An exponent above MAX_EXPONENT is a ParseError. So is a
+number, power, term or sum with a numerator or denominator of more than
+`sys.get_int_max_str_digits()` digits, the interpreter's limit for
+int-to-str conversion (4300 by default); a power is refused before it is
+formed when its scalar part alone would be too long.
 """
 
+import math
 import re
+import sys
 
 from .errors import ArityMismatch, ParseError
 from .hopf import HopfElement, TensorElement
 from .scalars import rational
 
-__all__ = ["parse_element", "parse_tensor"]
+__all__ = ["MAX_EXPONENT", "parse_element", "parse_tensor"]
+
+MAX_EXPONENT = 10 ** 6
+
+
+def _digit_limit():
+    """Most digits an inline numerator or denominator may have: the
+    interpreter's int-to-str limit, or its default when that is off."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
+def _abbreviated(text):
+    return text if len(text) <= 40 else f"{text[:20]}...({len(text)} chars)"
 
 _TOKEN_RE = re.compile(r"""
     (?P<tensor>\(\s*x\s*\)|⊗)
@@ -64,6 +86,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.algebra = algebra
+        self.digits = _digit_limit()
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -98,6 +121,7 @@ class _Parser:
         return value
 
     def expr(self):
+        start = self.peek()[2]
         if self.peek()[0] == "-":
             self.next()
             acc = -self.term()
@@ -106,7 +130,30 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             acc = self._combine(acc, self.term(), op)
+        self._check_length(acc, "sum", start)
         return acc
+
+    def _span(self, start):
+        """Input text from position `start` through the last token read."""
+        _, text, pos = self.tokens[self.pos - 1]
+        return self.text[start:pos + len(text)]
+
+    def _too_long(self, what, start):
+        return ParseError(
+            f"{what} {_abbreviated(self._span(start))!r} at position "
+            f"{start} has a numerator or denominator of more than "
+            f"{self.digits} digits")
+
+    def _check_length(self, value, what, start):
+        # an int of at most `safe` bits is below 10^digits, so only longer
+        # ones are compared with that power
+        safe = int(self.digits * math.log2(10))
+        scalars = (value.terms.values() if isinstance(value, TensorElement)
+                   else (value,))
+        for q in scalars:
+            for n in (abs(q.numerator), q.denominator):
+                if n.bit_length() > safe and n >= 10 ** self.digits:
+                    raise self._too_long(what, start)
 
     def _combine(self, lhs, rhs, op):
         # a bare rational operand is that multiple of the other's unit
@@ -128,11 +175,11 @@ class _Parser:
             value = TensorElement.from_slots(
                 *[self._slot_element(s) for s in slots])
         if isinstance(value, TensorElement) and value.truncated:
-            _, text, pos = self.tokens[self.pos - 1]
             raise ParseError(
-                f"term {self.text[start:pos + len(text)]!r} at position "
+                f"term {self._span(start)!r} at position "
                 f"{start} reaches above the degree bound "
                 f"{self.algebra.degree_bound}")
+        self._check_length(value, "term", start)
         return value
 
     def _slot_element(self, value):
@@ -159,11 +206,30 @@ class _Parser:
                     f"cannot multiply incompatible factors: {exc}") from exc
 
     def factor(self):
+        start = self.peek()[2]
         base = self.atom()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("number")
-            base = base ** int(tok[1])
+            _, text, pos = self.expect("number")
+            digits = text.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise ParseError(
+                    f"exponent {_abbreviated(text)} at position {pos} is "
+                    f"above the limit {MAX_EXPONENT}")
+            n = int(digits)
+            # the scalar part of a power is the power of the scalar part;
+            # one digit of slack leaves the borderline cases to the exact
+            # check of the term
+            scalar = base
+            if isinstance(base, TensorElement):
+                unit_key = (self.algebra.unit_mono,) * base.arity
+                scalar = base.terms.get(unit_key, 0)
+            if scalar and n * math.log10(max(
+                    abs(scalar.numerator), scalar.denominator)) > (
+                        self.digits + 1):
+                raise self._too_long("power", start)
+            base = base ** n
         return base
 
     def atom(self):
@@ -172,8 +238,9 @@ class _Parser:
             self.next()
             if self.peek()[0] == "/":
                 self.next()
-                den = self.expect("number")[1]
-                return rational(f"{text}/{den}")
+                text = f"{text}/{self.expect('number')[1]}"
+            if max(len(part) for part in text.split("/")) > self.digits:
+                raise self._too_long("number", pos)
             return rational(text)
         if kind == "name":
             self.next()

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .hopf import TensorElement
 from .report import Report, Violation
-from .series import Series
+from .series import Series, _doubling_orders, _solved_terms
 
 INF = math.inf
 
@@ -365,8 +365,9 @@ def reconstruct(algebra, c, g, order):
 def inverse_series(F, order=None):
     """Series iota with (mu . (id (x) S))F (x, iota(x)) = 0, the inverse of
     the group law. The constant part is solved by Newton iteration in the
-    nilpotent ideal, the rest order by order; NoInverse when the data is
-    inconsistent or the linearization is not invertible."""
+    nilpotent ideal, the rest by Newton iteration in x, which doubles the
+    certified order at each step; NoInverse when the data is inconsistent
+    or the linearization is not invertible."""
     algebra = F.algebra
     folded = F.map_coefficients(
         lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)), arity=1)
@@ -427,16 +428,28 @@ def inverse_series(F, order=None):
             "stored data certifies no order of the inverse at all",
             certified=cert, requested=order)
 
+    # the rest by Newton iteration iota <- iota - folded(x, iota) u with
+    # u = 1 / d_Y folded(x, iota): through precision q it takes iota to
+    # 2q + 1, and u only has to be right through q
     x_var = Series.variable(algebra, 1, 1, 0, cert, ("x",))
-    iota = Series.constant(theta, 1, cert, ("x",))
-    for k in range(1, cert + 1):
-        residual = folded.substitute([x_var, iota])
-        r_k = residual.coeff((k,))
-        if r_k.is_zero():
+    d_folded = folded.derivative(1)
+    iota = Series.constant(theta, 1, 0, ("x",))
+    for p in _doubling_orders(0, cert, extra=1):
+        q = iota.order
+        # the substitution reads iota as the complete polynomial it
+        # stores, so x cut at p caps it at order p; terms of folded above
+        # p + slack cannot reach order p, because theta^(slack + 1) = 0
+        poly = iota.with_order(INF)
+        err = folded.truncate(p + slack).substitute([x_var.truncate(p), poly])
+        if err.is_zero():
+            iota = poly.truncate(p)
             continue
-        step = -(slope_inv * r_k)
-        iota = iota + Series(algebra, 1, 1, {(k,): step}, cert, ("x",),
-                             _normalize=False)
+        d = d_folded.truncate(q + slack).substitute(
+            [x_var.truncate(q), iota])
+        u = d.scale_tensor(slope_inv).mul_inverse(q).scale_tensor(slope_inv)
+        iota = poly - err * u
+    iota = Series(algebra, 1, 1, _solved_terms(iota, slope, slope_inv), cert,
+                  ("x",), theta.truncated, _normalize=False)
 
     residual = folded.substitute([x_var, iota])
     if not residual.truncate(cert).is_zero():

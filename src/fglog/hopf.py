@@ -538,11 +538,19 @@ class TensorElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Power by repeated squaring, which stops once the value is zero,
+        so a power that the degree bound kills costs a few products
+        whatever the exponent."""
         if n < 0:
             raise ValueError("negative tensor powers are not defined")
         result = TensorElement.unit(self.algebra, self.arity)
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n and not result.is_zero():
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __eq__(self, other):

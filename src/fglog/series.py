@@ -12,7 +12,8 @@ group laws, coboundary data). The bookkeeping rules:
   derivative         r - 1
   integrate          r + 1
   mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k)
-  comp_inverse       r (same triangularity)
+  comp_inverse       r (each Newton step h - (f(h) - x) h' is certified
+                     through the precision it doubles to)
   substitute         min(min_v r_v, r_f - sum_v slack_v)
 
 where slack_v is the nilpotency index of the constant term of the series
@@ -29,6 +30,7 @@ flag.
 """
 
 import math
+import operator
 
 from .errors import (
     AlgebraMismatch,
@@ -407,7 +409,11 @@ class Series:
         """Compositional inverse of a one-variable series with f(0) = 0 and
         linear coefficient of full counit 1. The inverse of a complete
         polynomial is an infinite series, so an explicit target order is
-        required when this series has order inf."""
+        required when this series has order inf; below order 1 the
+        inverse is the zero series.
+
+        Newton iteration from b0^-1 x doubles the certified order at each
+        step, so order N takes about log2 N substitutions."""
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
         if not self.constant_term().is_zero():
@@ -429,18 +435,28 @@ class Series:
                 f"input through that order (certified {self.order})",
                 certified=self.order, requested=order)
         b0_inv = b0.mul_inverse()
+        if order < 1:
+            return Series(self.algebra, self.arity, 1, {}, order, self.names,
+                          self.truncated, _normalize=False)
         f = self.truncate(order)
-        h = Series(self.algebra, self.arity, 1, {(1,): b0_inv}, order,
-                   self.names, self.truncated, _normalize=False)
-        for k in range(2, order + 1):
-            comp = f.substitute([h])
-            residue = comp.coeff((k,))
-            if residue.is_zero():
-                continue
-            correction = -(b0_inv * residue)
-            h = h + Series(self.algebra, self.arity, 1, {(k,): correction},
-                           order, self.names, _normalize=False)
-        return h
+        x = Series.variable(self.algebra, self.arity, 1, 0, INF, self.names)
+        h = Series(self.algebra, self.arity, 1, {(1,): b0_inv}, 1,
+                   self.names, _normalize=False)
+        for p in _doubling_orders(1, order):
+            # h is the inverse through some q >= p/2, so e = f(h) - x
+            # starts above q and h' = (1 + e') / f'(h) with e' = O(x^q):
+            # h - e h' is the inverse through 2q >= p. The substitution
+            # reads h as the complete polynomial it stores, so f cut at p
+            # caps it, and the step, at order p.
+            poly = h.with_order(INF)
+            err = f.truncate(p).substitute([poly]) - x
+            if err.is_zero():
+                h = poly.truncate(p)
+            else:
+                h = poly - err * poly.derivative()
+        return Series(self.algebra, self.arity, 1,
+                      _solved_terms(h, b0, b0_inv), order, self.names,
+                      self.truncated, _normalize=False)
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -653,6 +669,42 @@ class Series:
         order = "inf" if self.order == INF else self.order
         return (f"<Series[{self.nvars}v/{self.arity}t] order={order} "
                 f"{self}>")
+
+
+# -- Newton iteration ---------------------------------------------------------
+#
+# Series reversion and the group inverse solve for a root by Newton
+# iteration, which doubles the certified order at each step (Brent and
+# Kung, JACM 1978), so reaching order N takes about log2 N substitutions.
+
+def _doubling_orders(start, target, extra=0):
+    """Precisions above `start` up to the int `target` for a Newton
+    iteration that takes precision p to 2p + extra, halved down from the
+    target so that no step computes beyond what the next one needs."""
+    steps = []
+    p = operator.index(target)
+    while p > start:
+        steps.append(p)
+        p = (p + 1 - extra) // 2
+    return steps[::-1]
+
+
+def _solved_terms(root, slope, slope_inv):
+    """Terms of a one-variable root found by Newton iteration, each
+    non-constant coefficient c re-formed as -(slope_inv * r) from its
+    residue r = -(slope * c) with a clear `truncated` flag, as solving for
+    one order at a time forms it. Its flag thus says whether that product
+    overflowed the degree bound, however the root was computed; this
+    matters because substitutions fold the coefficient flags of the outer
+    series into their result."""
+    terms = {}
+    for e, c in root.terms.items():
+        if e != (0,):
+            r = -(slope * c)
+            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms,
+                                            _normalize=False))
+        terms[e] = c
+    return terms
 
 
 # -- packed product engine --------------------------------------------------

@@ -3,12 +3,16 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglog.cli import main
+from fglog.exprparse import MAX_EXPONENT, _digit_limit
 from fglog.fgl import check_axioms, logarithm
 from fglog.hopf import HopfElement, TensorElement, builtin_algebra
 from fglog.jsonio import (
@@ -421,6 +425,57 @@ class TestErrorHandling:
         assert "roundtrip" in out
 
 
+_OVERSIZED = [
+    ("2^20000 t (x) t", "power '2^20000' at position 0"),
+    ("t^200000 (x) t", "term 't^200000 (x) t' at position 0"),
+    (f"t^{MAX_EXPONENT + 1} (x) t",
+     f"exponent {MAX_EXPONENT + 1} at position 2 is above the limit"),
+    ("(1/3 + t)^100000 (x) t", "power '(1/3 + t)^100000' at position 0"),
+    ("9" * 5000 + " t (x) t", "number '99999999999999999999...(5000 chars)'"),
+]
+
+
+class TestSizeLimits:
+    """Oversized inline numbers and exponents end in exit 2 and a message
+    naming them, within a second, in process and from a fresh
+    interpreter."""
+
+    @pytest.mark.parametrize("text, named", _OVERSIZED)
+    def test_in_process(self, capsys, text, named):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-cocycle", "--hopf", "qt2",
+                             "--cocycle", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, named", _OVERSIZED)
+    def test_subprocess(self, text, named):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        env.pop("FGLOG_COLOR", None)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglog", "check-cocycle", "--hopf", "qt2",
+             "--cocycle", text], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sum_above_the_digit_limit(self, capsys):
+        inside = "9" * _digit_limit()
+        code, out, err = run(capsys, "check-cocycle", "--hopf", "qt1",
+                             "--cocycle", f"{inside} t (x) t + t (x) t")
+        assert (code, out) == (2, "")
+        assert "sum '99999999999999999999..." in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
     def test_repeat_runs_byte_identical(self, capsys, fmt):
@@ -439,12 +494,20 @@ class TestDeterminism:
 
 
 _TOKENS = ("t", "u", "0", "1", "2", "3", "1/2", "+", "-", "*", "/", "^",
-           "(", ")", "(x)", "⊗", "x", "@")
+           "(", ")", "(x)", "⊗", "x", "@", "12", "20000", "200000",
+           str(MAX_EXPONENT + 1), "9" * 5000)
+
+
+# Exponents of one to seven digits and beyond, some above MAX_EXPONENT.
+_EXPONENTS = st.one_of(
+    st.sampled_from(["", "^2", "^5", "^9"]),
+    st.integers(0, 3 * MAX_EXPONENT).map("^{}".format),
+    st.integers(8, 40).map(lambda n: "^" + "9" * n))
 
 
 def _expressions(inner):
     factor = st.tuples(st.one_of(inner, inner.map("({})".format)),
-                       st.sampled_from(["", "^2", "^5", "^9"])).map("".join)
+                       _EXPONENTS).map("".join)
     product = st.lists(factor, min_size=1, max_size=2).map(" ".join)
     term = st.lists(product, min_size=1, max_size=2).map(" (x) ".join)
     return st.tuples(st.sampled_from([" + ", " - "]),
@@ -452,8 +515,9 @@ def _expressions(inner):
         lambda p: p[0].join(p[1]))
 
 
-# Token soup joined by spaces, so a number (an exponent too) is one digit,
-# and well-formed expressions over t and u, some of them above the bound.
+# Token soup joined by spaces, with numbers (exponents too) from one digit
+# to beyond the digit limit, and well-formed expressions over t and u, some
+# of them above the degree bound or the size limits.
 _INLINE_TEXT = st.one_of(
     st.lists(st.sampled_from(_TOKENS), max_size=14).map(" ".join),
     st.recursive(st.sampled_from(["t", "u", "1", "2", "1/2"]), _expressions,

@@ -6,7 +6,12 @@ import pytest
 
 from fglog import HopfElement, TensorElement
 from fglog.errors import ParseError
-from fglog.exprparse import parse_element, parse_tensor
+from fglog.exprparse import (
+    MAX_EXPONENT,
+    _digit_limit,
+    parse_element,
+    parse_tensor,
+)
 
 
 class TestParseElement:
@@ -140,3 +145,59 @@ class TestDegreeBound:
                        + TensorElement.from_slots(t ** 4, HopfElement.one(qt2)))
         assert parse_element("(1 + t)^8", qt1) == (
             HopfElement.one(qt1) + HopfElement.generator(qt1, "t")) ** 8
+
+
+class TestSizeLimits:
+    def test_exponent_limit(self, qt1):
+        assert parse_element(f"(-1)^{MAX_EXPONENT} t", qt1) == (
+            HopfElement.generator(qt1, "t"))
+        with pytest.raises(ParseError) as exc:
+            parse_element(f"t + (1 + t)^{MAX_EXPONENT + 1}", qt1)
+        assert str(exc.value) == (
+            f"exponent {MAX_EXPONENT + 1} at position 12 is above the "
+            f"limit {MAX_EXPONENT}")
+
+    def test_exponent_longer_than_the_digit_limit(self, qt1):
+        with pytest.raises(ParseError) as exc:
+            parse_element("t^" + "0" * 4000 + "9" * 1000, qt1)
+        assert "exponent 00000000000000000000...(5000 chars)" in str(exc.value)
+        assert parse_element("t^" + "0" * 5000 + "1", qt1) == (
+            HopfElement.generator(qt1, "t"))
+
+    def test_numbers_up_to_the_digit_limit(self, qt1):
+        limit = _digit_limit()
+        t = HopfElement.generator(qt1, "t")
+        inside = "9" * limit
+        assert parse_element(f"{inside} t", qt1) == t * int(inside)
+        assert parse_element(f"1/{inside}", qt1) == Fraction(1, int(inside))
+        for text, what in [(inside + "9", "number"),
+                           ("1/" + inside + "9", "number"),
+                           (f"{inside} + 1", "sum"),
+                           (f"{inside} t * 10", "term"),
+                           ("10^" + str(limit), "term"),
+                           ("10^" + str(limit + 2), "power"),
+                           (f"(1/10 + t)^{limit + 2}", "power")]:
+            with pytest.raises(ParseError) as exc:
+                parse_element(text, qt1)
+            assert str(exc.value).startswith(what + " ")
+            assert f"more than {limit} digits" in str(exc.value)
+        assert parse_element(f"10^{limit - 1}", qt1) == (
+            HopfElement.one(qt1) * 10 ** (limit - 1))
+
+
+class TestTensorPower:
+    def test_squaring_matches_repeated_products(self, qtu):
+        t = HopfElement.generator(qtu, "t")
+        u = HopfElement.generator(qtu, "u")
+        base = HopfElement.one(qtu) * Fraction(1, 2) + t - u * 3
+        acc = HopfElement.one(qtu)
+        for n in range(12):
+            got = base ** n
+            assert (got, got.truncated) == (acc, acc.truncated)
+            acc = acc * base
+
+    def test_power_killed_by_the_bound_stops_early(self, qt1):
+        t = HopfElement.generator(qt1, "t")
+        got = t ** (10 ** 18)
+        assert got.is_zero() and got.truncated
+        assert not (t ** 8).truncated

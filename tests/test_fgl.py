@@ -12,6 +12,7 @@ from fglog import (
     Series,
     TensorElement,
     additive_law,
+    builtin_algebra,
     associativity_defect,
     check_axioms,
     check_cocycle,
@@ -29,6 +30,7 @@ from fglog import (
     symmetry_defect,
     unit_defects,
 )
+from fglog.fgl import _eval_univariate
 from fglog.errors import (
     AxiomViolation,
     CocycleViolation,
@@ -37,6 +39,17 @@ from fglog.errors import (
     NotAugmented,
     ResidualNonConstant,
     TruncationInsufficient,
+)
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_series import (
+    NEWTON_ALGEBRAS,
+    SELDOM,
+    assert_same_outcome,
+    outcome,
+    requested_orders,
+    tensor_coefficients,
 )
 
 INF = math.inf
@@ -510,6 +523,137 @@ class TestInverseSeries:
         F = lemma_law(qt1, two_t_t(qt1)).truncate(3)
         with pytest.raises(TruncationInsufficient):
             inverse_series(F, order=5)
+
+
+# -- Newton group inverse against the order-by-order loop -----------------------
+
+
+def reference_inverse_series(F, order=None):
+    """Group inverse order by order, the reference for the Newton
+    iteration in x: the constant part by Newton iteration in the nilpotent
+    ideal, then one substitution per order k fixes coefficient k."""
+    algebra = F.algebra
+    folded = F.map_coefficients(
+        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)), arity=1)
+    target = order
+    if target is None:
+        if F.order == INF:
+            raise ValueError(
+                "group law is a complete polynomial; its inverse series "
+                "is generally infinite, pass an explicit order")
+        target = F.order
+    elif target > F.order:
+        raise TruncationInsufficient(
+            f"inverse series requested through order {target} but the "
+            f"group law is certified only through {F.order}",
+            certified=F.order, requested=target)
+    at_zero = folded.set_variable_zero(0).drop_variable(0)
+    d_at_zero = at_zero.derivative()
+    theta = TensorElement.zero(algebra, 1)
+    residue = _eval_univariate(at_zero, theta)
+    for _ in range(2 * algebra.degree_bound + 4):
+        if residue.is_zero():
+            break
+        slope = _eval_univariate(d_at_zero, theta)
+        try:
+            slope_inv = slope.mul_inverse()
+        except NonInvertibleConstantTerm as exc:
+            raise NoInverse(
+                "linearized inverse equation is not invertible") from exc
+        theta = theta - slope_inv * residue
+        residue = _eval_univariate(at_zero, theta)
+    if not residue.is_zero():
+        raise NoInverse("no nilpotent constant term solves the "
+                        "inverse equation")
+    if not theta.is_zero() and theta.full_counit() != 0:
+        raise NoInverse("inverse constant term escapes the "
+                        "augmentation ideal")
+    slope = _eval_univariate(d_at_zero, theta)
+    try:
+        slope_inv = slope.mul_inverse()
+    except NonInvertibleConstantTerm as exc:
+        raise NoInverse(
+            "linearized inverse equation is not invertible") from exc
+    slack = 0 if theta.is_zero() else theta.nilpotency_slack()
+    cert = target if F.order == INF else min(target, F.order - slack)
+    if order is not None and order > cert:
+        raise TruncationInsufficient(
+            f"inverse series requested through order {order}; the constant "
+            f"term's nilpotency slack {slack} leaves only order {cert} "
+            "certified", certified=cert, requested=order)
+    if cert < 0:
+        raise TruncationInsufficient(
+            "stored data certifies no order of the inverse at all",
+            certified=cert, requested=order)
+
+    x_var = Series.variable(algebra, 1, 1, 0, cert, ("x",))
+    iota = Series.constant(theta, 1, cert, ("x",))
+    for k in range(1, cert + 1):
+        r_k = folded.substitute([x_var, iota]).coeff((k,))
+        if r_k.is_zero():
+            continue
+        step = -(slope_inv * r_k)
+        iota = iota + Series(algebra, 1, 1, {(k,): step}, cert, ("x",),
+                             _normalize=False)
+
+    residual = folded.substitute([x_var, iota])
+    if not residual.truncate(cert).is_zero():
+        raise NoInverse("inverse equation has no series solution; "
+                        "is F a group law?")
+    if F.order == INF:
+        exact = iota.with_order(INF)
+        if folded.substitute(
+                [Series.variable(algebra, 1, 1, 0, INF, ("x",)),
+                 exact]).is_zero():
+            return exact
+    return iota
+
+
+@st.composite
+def inverse_inputs(draw):
+    """(F, requested order): F = c + (1 + n1) X + (1 + n2) Y + sparse terms
+    of degree 2-20 over one of four algebras at degree bounds 3-8, with c,
+    n1 and n2 nilpotent (so the constant term costs slack) and orders 0-20;
+    most such F are not group laws, so the no-inverse paths run too."""
+    name, bound = draw(NEWTON_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    c = draw(tensor_coefficients(alg, 2, unit=0))
+    terms = {(1, 0): draw(tensor_coefficients(alg, 2, unit=1)),
+             (0, 1): draw(tensor_coefficients(alg, 2, unit=1))}
+    if not c.is_zero():
+        terms[(0, 0)] = c
+    if draw(SELDOM):
+        terms = {(1, 0): terms[(1, 0)], (0, 1): TensorElement.unit(alg, 2)}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 20))
+        j = draw(st.integers(0 if i >= 2 else 2 - i, 20 - i))
+        terms[(i, j)] = draw(tensor_coefficients(alg, 2))
+    F_order, order = draw(requested_orders(draw(st.sampled_from(range(21)))))
+    F = Series(alg, 2, 2, terms, F_order, XY, truncated=draw(SELDOM))
+    return F, order
+
+
+class TestNewtonInverse:
+    """fgl.inverse_series by Newton doubling gives what the order-by-order
+    loop gives: terms, coefficient flags, certified order, `truncated` and
+    every exception."""
+
+    @settings(max_examples=200)
+    @given(inverse_inputs())
+    def test_matches_order_by_order_loop(self, case):
+        F, order = case
+        assert_same_outcome(outcome(inverse_series, F, order=order),
+                            outcome(reference_inverse_series, F, order=order))
+
+    @pytest.mark.parametrize("name", ["qt1", "qt2", "qtu"])
+    def test_lemma_laws_with_slack(self, name):
+        """c + X + Y with a nilpotent c of slack > 0, at a low bound."""
+        alg = builtin_algebra(name, degree_bound=6)
+        c = two_t_t(alg)
+        F = lemma_law(alg, c, order=12)
+        assert c.nilpotency_slack() > 0
+        assert_same_outcome(outcome(inverse_series, F),
+                            outcome(reference_inverse_series, F))
 
 
 # -- classical specialization ----------------------------------------------------

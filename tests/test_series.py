@@ -292,6 +292,14 @@ class TestCompInverse:
         with pytest.raises(TruncationInsufficient):
             f.comp_inverse(order=5)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_the_zero_series(self, qt1, order):
+        """Nothing above the certified order is stored, not even x."""
+        x = var(qt1)
+        h = (x + x ** 2).comp_inverse(order=order)
+        assert h.is_zero()
+        assert (h.order, h.truncated) == (order, False)
+
 
 class TestCoefficientMaps:
     def test_comul_lift(self, qt1):
@@ -569,3 +577,147 @@ class TestPackedEngine:
         monkeypatch.setattr(series_module, "_series_mul", checked)
         _assert_same(f.substitute([a]), reference_substitute(f, [a]))
         assert len(steps) == 3
+
+
+# -- Newton reversion against the order-by-order loop -------------------------
+
+def reference_comp_inverse(f, order=None):
+    """Compositional inverse order by order, the reference for the Newton
+    iteration: one substitution per order k fixes coefficient k through
+    the linear coefficient b0; below order 1 the zero series."""
+    if f.nvars != 1:
+        raise ShapeMismatch("compositional inverse needs one variable")
+    if not f.constant_term().is_zero():
+        raise NonZeroConstantTerm(
+            "compositional inverse needs zero constant term")
+    b0 = f.coeff((1,))
+    if b0.full_counit() != 1:
+        raise NonInvertibleConstantTerm(
+            "linear coefficient must have full counit 1")
+    if order is None:
+        if f.order == INF:
+            raise ValueError(
+                "series is a complete polynomial; its compositional "
+                "inverse is infinite, pass an explicit order")
+        order = f.order
+    if order > f.order:
+        raise TruncationInsufficient(
+            f"compositional inverse through order {order} needs the "
+            f"input through that order (certified {f.order})",
+            certified=f.order, requested=order)
+    b0_inv = b0.mul_inverse()
+    if order < 1:
+        return Series(f.algebra, f.arity, 1, {}, order, f.names,
+                      f.truncated, _normalize=False)
+    g = f.truncate(order)
+    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv}, order, f.names,
+               f.truncated, _normalize=False)
+    for k in range(2, order + 1):
+        residue = g.substitute([h]).coeff((k,))
+        if residue.is_zero():
+            continue
+        correction = -(b0_inv * residue)
+        h = h + Series(f.algebra, f.arity, 1, {(k,): correction}, order,
+                       f.names, _normalize=False)
+    return h
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of fn, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:  # compared, never swallowed: see callers
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(got, want):
+    """Equal exceptions, or results equal in terms, coefficient flags,
+    certified order, `truncated` and names."""
+    assert got[1] == want[1]
+    if want[1] is None:
+        _assert_same(got[0], want[0])
+
+
+NEWTON_ALGEBRAS = st.tuples(st.sampled_from(["trivial", "qt1", "qt2", "qtu"]),
+                             st.integers(3, 8))
+
+SELDOM = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def tensor_coefficients(draw, algebra, arity, unit=None):
+    """A small random tensor: `unit` (when given) times the unit plus a
+    combination of a few low-degree basis keys (positive degree only when
+    `unit` is given), with a rare `truncated` flag."""
+    monos = algebra.monomials()
+    low = st.sampled_from([m for m in monos if algebra.degree(m) <= 2])
+    mono = st.one_of(low, low, st.sampled_from(monos))
+    raw = {}
+    if unit is not None:
+        raw[(algebra.unit_mono,) * arity] = Q(unit)
+    for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        key = tuple(draw(mono) for _ in range(arity))
+        if unit is not None and algebra.key_degree(key) == 0:
+            continue
+        raw[key] = Q(draw(st.sampled_from([-2, -1, 1, 1, 3])),
+                     draw(st.integers(1, 3)))
+    return TensorElement(algebra, arity, raw, draw(_RARE))
+
+
+@st.composite
+def requested_orders(draw, stored):
+    """(stored order, requested order): mostly a finite stored order and a
+    request up to one above it or none; seldom a complete polynomial, with
+    an explicit request or (raising) none."""
+    if draw(SELDOM):
+        return INF, draw(st.one_of(st.sampled_from(range(21)), st.none()))
+    return stored, draw(st.one_of(st.sampled_from(range(stored + 2)),
+                                  st.none()))
+
+
+@st.composite
+def reversion_inputs(draw):
+    """(f, requested order): f = b0 x + sparse higher terms over one of four
+    algebras at degree bounds 3-8, arity 1 or 2, with b0 of full counit 1
+    and a nilpotent part, orders 0-20; seldom a constant term or a linear
+    coefficient of counit 2."""
+    name, bound = draw(NEWTON_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    arity = draw(st.integers(1, 2))
+    unit = 2 if draw(SELDOM) else 1
+    terms = {(1,): draw(tensor_coefficients(alg, arity, unit=unit))}
+    if draw(SELDOM):
+        terms[(0,)] = TensorElement.unit(alg, arity)
+    for _ in range(draw(st.integers(0, 4))):
+        terms[(draw(st.integers(2, 20)),)] = draw(
+            tensor_coefficients(alg, arity))
+    f_order, order = draw(requested_orders(draw(st.sampled_from(range(21)))))
+    f = Series(alg, arity, 1, terms, f_order, truncated=draw(_RARE))
+    return f, order
+
+
+class TestNewtonReversion:
+    """Series.comp_inverse by Newton doubling gives what the order-by-order
+    loop gives: terms, coefficient flags, certified order, `truncated` and
+    every exception."""
+
+    @settings(max_examples=200)
+    @given(reversion_inputs())
+    def test_matches_order_by_order_loop(self, case):
+        f, order = case
+        assert_same_outcome(outcome(f.comp_inverse, order=order),
+                            outcome(reference_comp_inverse, f, order=order))
+
+    def test_overflowing_coefficients_keep_their_flags(self):
+        """b0 with a nilpotent part at a low degree bound: the solve's
+        products drop terms to the bound, and the coefficients say so."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        one = TensorElement.unit(alg, 1)
+        x = var(alg)
+        f = (Series.constant(one + t * t, 1) * x
+             + Series.constant(t, 1) * x ** 2 + x ** 5)
+        got = f.comp_inverse(order=9)
+        _assert_same(got, reference_comp_inverse(f, order=9))
+        assert any(c.truncated for c in got.terms.values())
+        assert not got.truncated
