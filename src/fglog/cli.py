@@ -348,7 +348,10 @@ def _cmd_roundtrip(args):
             push_value("extract-cocycle", "cocycle", c,
                        jsonio.tensor_to_json(c))
             if push_report("check-cocycle", check_cocycle(c)):
-                g_chk = logarithm(F, order=_cap_order(N + 1, F.order))
+                # substituting F spends the nilpotency slack of F(0, 0)
+                slack = F.constant_term().nilpotency_slack()
+                g_chk = logarithm(F, order=_cap_order(N + 1 + slack,
+                                                      F.order))
                 if push_report("log-equation", check_log(F, g_chk, order=N)):
                     g_full = logarithm(F, order=_cap_order(
                         N + 2 * c.nilpotency_slack(), F.order))

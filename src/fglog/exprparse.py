@@ -35,22 +35,14 @@ formed when its scalar part alone would be too long.
 
 import math
 import re
-import sys
 
 from .errors import ArityMismatch, ParseError
 from .hopf import HopfElement, TensorElement
-from .scalars import rational
+from .scalars import _digit_limit, rational
 
 __all__ = ["MAX_EXPONENT", "parse_element", "parse_tensor"]
 
 MAX_EXPONENT = 10 ** 6
-
-
-def _digit_limit():
-    """Most digits an inline numerator or denominator may have: the
-    interpreter's int-to-str limit, or its default when that is off."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 def _abbreviated(text):

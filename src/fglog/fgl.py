@@ -433,6 +433,7 @@ def inverse_series(F, order=None):
     # 2q + 1, and u only has to be right through q
     x_var = Series.variable(algebra, 1, 1, 0, cert, ("x",))
     d_folded = folded.derivative(1)
+    s = Series.constant(slope_inv, 1, INF, ("x",))
     iota = Series.constant(theta, 1, 0, ("x",))
     for p in _doubling_orders(0, cert, extra=1):
         q = iota.order
@@ -446,7 +447,7 @@ def inverse_series(F, order=None):
             continue
         d = d_folded.truncate(q + slack).substitute(
             [x_var.truncate(q), iota])
-        u = d.scale_tensor(slope_inv).mul_inverse(q).scale_tensor(slope_inv)
+        u = (d * s).mul_inverse(q) * s
         iota = poly - err * u
     iota = Series(algebra, 1, 1, _solved_terms(iota, slope, slope_inv), cert,
                   ("x",), theta.truncated, _normalize=False)

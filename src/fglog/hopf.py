@@ -17,8 +17,10 @@ derived map is defensive about tables that fail the usual axioms.
 
 Elements of H and of its tensor powers are one type, `TensorElement`: an
 element of H is an arity-1 tensor, and `HopfElement` only names its
-constructors. Every product, the antipode derivation included, goes
-through `TensorElement.__mul__`.
+constructors. Tensor powers are truncated by total degree across the
+slots (an ideal and a coideal, see packed.py). Every product, the antipode
+derivation included, runs on packed.py's `_Packed.times` through
+`TensorElement.__mul__`, as every series product does.
 """
 
 from .errors import (
@@ -27,8 +29,10 @@ from .errors import (
     DegreeOverflow,
     NonInvertibleConstantTerm,
     NonNilpotentConstantTerm,
+    ParseError,
     SpecError,
 )
+from .packed import INF, _Codec
 from .report import Report, Violation
 from .scalars import ONE, ZERO, format_rational, rational
 
@@ -59,6 +63,7 @@ class HopfAlgebra:
         "_index",
         "_comul_cache",
         "_antipode_cache",
+        "_codecs",
         "_deg_cache",
         "_kdeg_cache",
         "_monomials",
@@ -88,6 +93,7 @@ class HopfAlgebra:
             gen_antipode if gen_antipode is not None else (None,) * len(names))
         self._comul_cache = {}
         self._antipode_cache = {}
+        self._codecs = {}
         self._deg_cache = {}
         self._kdeg_cache = {}
         self._monomials = None
@@ -188,25 +194,12 @@ class HopfAlgebra:
             self._kdeg_cache[key] = d
         return d
 
-    def mul_key(self, ka, kb):
-        """Slotwise product of tensor keys, or None when the total degree
-        leaves the truncated ring.
-
-        Tensor powers of H are truncated by total degree across the slots:
-        that span is an ideal and, because every structure map is degree
-        preserving, also a coideal, so multiplication, coproduct, counit
-        and antipode all descend exactly to the quotient and the Hopf and
-        group-law identities hold there on the nose. Truncating each slot
-        separately would break this: the coproduct of a discarded
-        high-degree element has components with every leg inside the
-        bound.
-
-        Degrees add slotwise, so the product overflows exactly when
-        key_degree(ka) + key_degree(kb) > degree_bound."""
-        if self.key_degree(ka) + self.key_degree(kb) > self.degree_bound:
-            return None
-        return tuple(tuple(x + y for x, y in zip(ma, mb))
-                     for ma, mb in zip(ka, kb))
+    def _codec(self, arity):
+        """Packed layout of arity-`arity` tensors, as 0-variable terms."""
+        codec = self._codecs.get(arity)
+        if codec is None:
+            codec = self._codecs[arity] = _Codec(self, arity, (), 0)
+        return codec
 
     def monomials(self):
         """All basis monomials of degree <= D in graded-lex order."""
@@ -506,26 +499,16 @@ class TensorElement:
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
+            # a tensor is a 0-variable series to the product kernel
             self._check(other)
             alg = self.algebra
-            bound = alg.degree_bound
-            kdeg = alg.key_degree
-            acc = {}
-            truncated = self.truncated or other.truncated
-            ib = sorted(((kdeg(k), k, q) for k, q in other.terms.items()))
-            db_min = ib[0][0] if ib else 0
-            for dka, ka, qa in sorted(
-                    ((kdeg(k), k, q) for k, q in self.terms.items())):
-                if dka + db_min > bound:
-                    truncated = True
-                    break
-                for dkb, kb, qb in ib:
-                    if dka + dkb > bound:
-                        truncated = True
-                        break
-                    k = alg.mul_key(ka, kb)
-                    acc[k] = acc.get(k, ZERO) + qa * qb
-            return TensorElement(alg, self.arity, acc, truncated)
+            codec = alg._codec(self.arity)
+            prod = codec.pack({(): self.terms}, flag=self.truncated).times(
+                codec.pack({(): other.terms}, flag=other.truncated),
+                INF, alg.degree_bound)
+            return TensorElement(alg, self.arity,
+                                 codec.unpack(prod).get((), {}), prod.flag,
+                                 _normalize=False)
         if _is_rational(other) or isinstance(other, int):
             q = rational(other)
             if q == 0:
@@ -798,6 +781,21 @@ def _join_signed(parts):
 
 # -- algebra construction ----------------------------------------------------
 
+def _as_int(value, what, error=ParseError):
+    """int(value) of a JSON field, or `error` naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_list(value, what, error=ParseError):
+    """A JSON field that must be a list, or `error` naming it."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _decode_monomial(algebra, obj):
     """Monomial from a generator-name list (['t','t'] = t^2, ['1'] = unit),
     an exponent vector, or a bare name string."""
@@ -807,18 +805,23 @@ def _decode_monomial(algebra, obj):
         if obj in algebra._index:
             return algebra.generator_mono(obj)
         raise SpecError(f"unknown generator {obj!r}")
+    if not isinstance(obj, (list, tuple)):
+        raise SpecError(f"monomial {obj!r} is neither a generator name, a "
+                        "name list nor an exponent vector")
     seq = list(obj)
     if all(isinstance(x, int) for x in seq):
         if len(seq) != len(algebra.names):
             raise SpecError(
                 f"exponent vector length {len(seq)} != "
                 f"{len(algebra.names)} generators")
+        if any(x < 0 for x in seq):
+            raise SpecError(f"negative exponent in {seq}")
         return tuple(seq)
     exps = [0] * len(algebra.names)
     for name in seq:
         if name == "1":
             continue
-        idx = algebra._index.get(name)
+        idx = algebra._index.get(name) if isinstance(name, str) else None
         if idx is None:
             raise SpecError(f"unknown generator {name!r}")
         exps[idx] += 1
@@ -838,18 +841,22 @@ def build_hopf_algebra(description, validate=True):
     """
     if not isinstance(description, dict):
         raise SpecError("algebra description must be an object")
-    gens = description.get("generators", [])
+    gens = _as_list(description.get("generators", []), "'generators'",
+                    SpecError)
     names = []
     degrees = []
     for g in gens:
         try:
-            names.append(g["name"])
-            degrees.append(int(g["degree"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            name, degree = g["name"], int(g["degree"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad generator entry {g!r}") from exc
+        if not isinstance(name, str):
+            raise SpecError(f"bad generator entry {g!r}")
+        names.append(name)
+        degrees.append(degree)
     if "degree_bound" not in description:
         raise SpecError("algebra description lacks degree_bound")
-    bound = int(description["degree_bound"])
+    bound = _as_int(description["degree_bound"], "'degree_bound'", SpecError)
     if bound < 1:
         raise SpecError("degree_bound must be >= 1")
 
@@ -860,6 +867,8 @@ def build_hopf_algebra(description, validate=True):
         validate=False)
 
     coproduct = description.get("coproduct", {})
+    if not isinstance(coproduct, dict):
+        raise SpecError(f"'coproduct' must be an object, got {coproduct!r}")
     unknown = set(coproduct) - set(names)
     if unknown:
         raise SpecError(f"coproduct given for unknown generators {unknown}")
@@ -870,7 +879,7 @@ def build_hopf_algebra(description, validate=True):
             tables.append(_primitive_table_raw(len(names), i))
             continue
         table = {}
-        for item in entry:
+        for item in _as_list(entry, f"coproduct of {name}", SpecError):
             try:
                 left, right, coeff = item
             except (TypeError, ValueError) as exc:
@@ -879,7 +888,13 @@ def build_hopf_algebra(description, validate=True):
                     "[left, right, coefficient]") from exc
             key = (_decode_monomial(shell, left),
                    _decode_monomial(shell, right))
-            table[key] = table.get(key, ZERO) + rational(coeff)
+            try:
+                q = rational(coeff)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SpecError(
+                    f"coproduct coefficient {coeff!r} is not a rational"
+                ) from exc
+            table[key] = table.get(key, ZERO) + q
         tables.append(_normalize_terms(table))
     return HopfAlgebra(names, degrees, bound, tables, validate=validate)
 

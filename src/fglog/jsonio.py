@@ -32,6 +32,8 @@ from .errors import ParseError, SpecError
 from .hopf import (
     BUILTIN_ALGEBRAS,
     TensorElement,
+    _as_int,
+    _as_list,
     _decode_monomial,
     _mono_name_list,
     algebra_description,
@@ -64,10 +66,10 @@ def read_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: NUL or bad bytes
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 
 # -- algebras -----------------------------------------------------------------
@@ -114,9 +116,9 @@ def tensor_to_json(tensor):
 def tensor_from_json(obj, algebra):
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ParseError("tensor JSON must be an object with 'terms'")
-    arity = int(obj.get("arity", 0) or 0)
+    arity = _as_int(obj.get("arity", 0) or 0, "tensor 'arity'")
     terms = {}
-    for row in obj["terms"]:
+    for row in _as_list(obj["terms"], "tensor 'terms'"):
         if not isinstance(row, list) or len(row) < 2:
             raise ParseError(f"malformed tensor term {row!r}")
         *monos, q = row
@@ -157,26 +159,32 @@ def series_to_json(series):
 def series_from_json(obj, algebra, fallback_order=None):
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ParseError("series JSON must be an object with 'terms'")
-    names = tuple(obj.get("variables", ()))
+    names = tuple(_as_list(obj.get("variables", []), "series 'variables'"))
+    if not all(isinstance(n, str) for n in names):
+        raise ParseError(f"series variable names {list(names)!r} are not "
+                         "all strings")
     nvars = len(names)
     if nvars == 0:
         raise ParseError("series JSON needs at least one variable")
     order = obj.get("order", None)
     if order is None:
         order = fallback_order if fallback_order is not None else INF
-    arity = int(obj.get("arity", 0) or 0)
+    arity = _as_int(obj.get("arity", 0) or 0, "series 'arity'")
     terms = {}
-    for entry in obj["terms"]:
+    for entry in _as_list(obj["terms"], "series 'terms'"):
         if not isinstance(entry, dict) or "exp" not in entry:
             raise ParseError(f"malformed series term {entry!r}")
-        e = tuple(int(x) for x in entry["exp"])
+        e = tuple(_as_int(x, "series term 'exp'")
+                  for x in _as_list(entry["exp"], "series term 'exp'"))
         if len(e) != nvars:
             raise ParseError(
                 f"exponent {e} does not match {nvars} variables")
         if any(x < 0 for x in e):
             raise ParseError(f"negative exponent in {e}")
         coeff = tensor_from_json(
-            {"arity": arity, "terms": entry.get("coeff", [])}, algebra)
+            {"arity": arity,
+             "terms": _as_list(entry.get("coeff", []),
+                               "series term 'coeff'")}, algebra)
         if arity == 0:
             arity = coeff.arity
         if not coeff.is_zero():
@@ -184,7 +192,7 @@ def series_from_json(obj, algebra, fallback_order=None):
     if arity == 0:
         raise ParseError("series JSON needs 'arity' when it has no terms")
     if order != INF:
-        order = int(order)
+        order = _as_int(order, "series 'order'")
         if order < 0:
             raise ParseError("series order must be non-negative")
     truncated = bool(obj.get("truncated", False))

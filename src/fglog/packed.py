@@ -1,0 +1,222 @@
+"""The product kernel: packed terms of H^(x)k[[X]] and their product.
+
+Every product of coefficient terms runs on `_Packed.times`: series products
+and the Horner steps of a substitution (series.py), and tensor products
+(`TensorElement.__mul__` packs its operands as 0-variable series). A term's
+variable exponents and slot monomials are packed into one int, a field per
+exponent, so the key of a product term is the sum of its factors' keys.
+Coefficients are int numerators over one common denominator per operand.
+Terms are bucketed by (variable degree, Hopf degree), so the order cap and
+the degree bound are decided once per pair of buckets (Monagan and Pearce,
+CASC 2007, on packed monomials; Johnson 1974 on sparse products).
+
+Tensor powers of H are truncated by total degree across the slots. That
+span is an ideal and, since every structure map preserves degree, also a
+coideal, so the structure maps descend exactly to the quotient and the Hopf
+and group-law identities hold there on the nose; the coproduct of a
+high-degree element discarded slot by slot would have components with every
+leg inside the bound. A product of two terms leaves the quotient exactly
+when their Hopf degrees sum above the bound. The `truncated` flag of a
+product is set iff an operand is flagged or some pair of nonzero terms
+within the order cap leaves the quotient.
+"""
+
+import math
+
+from .scalars import Q
+
+INF = math.inf
+
+
+class _Codec:
+    """Packed-key layout for one algebra, arity and variable tuple: every
+    exponent gets `width` bits, tensor slots first, then the variables.
+    Variable exponents up to `vmax` and generator exponents up to the
+    degree bound fit; products are only formed within those limits, so
+    adding two keys never carries from one field into the next."""
+
+    __slots__ = ("algebra", "arity", "nvars", "names", "width", "hopf_bits",
+                 "_codes", "_keys", "_exps")
+
+    def __init__(self, algebra, arity, names, vmax):
+        self.algebra = algebra
+        self.arity = arity
+        self.nvars = len(names)
+        self.names = names
+        self.width = max(vmax, algebra.degree_bound, 1).bit_length()
+        self.hopf_bits = self.width * arity * len(algebra.names)
+        self._codes = {}  # tensor key -> (code, Hopf degree)
+        self._keys = {}  # code -> tensor key
+        self._exps = {}  # code >> hopf_bits -> exponent tuple
+
+    def _key_code(self, key):
+        hit = self._codes.get(key)
+        if hit is None:
+            code = shift = 0
+            for mono in key:
+                for e in mono:
+                    code |= e << shift
+                    shift += self.width
+            hit = self._codes[key] = (code, self.algebra.key_degree(key))
+        return hit
+
+    def _exps_code(self, exps):
+        code = 0
+        shift = self.hopf_bits
+        for e in exps:
+            code |= e << shift
+            shift += self.width
+        return code
+
+    def pack(self, terms, order=INF, flag=False, val=None):
+        """_Packed form of a terms dict {exps: {key: Q}}."""
+        den = math.lcm(*(int(q.denominator) for coeff in terms.values()
+                         for q in coeff.values()))
+        rows = {}
+        for exps, coeff in terms.items():
+            if not coeff:
+                continue
+            base = self._exps_code(exps)
+            row = rows.setdefault(sum(exps), {})
+            for key, q in coeff.items():
+                code, h = self._key_code(key)
+                row.setdefault(h, {})[base | code] = (
+                    int(q.numerator) * (den // int(q.denominator)))
+        return _Packed(rows, den, order, flag, val)
+
+    def unpack(self, packed):
+        """Terms dict {exps: {key: Q}} of a _Packed."""
+        width, hopf_bits = self.width, self.hopf_bits
+        mask = (1 << width) - 1
+        hopf_mask = (1 << hopf_bits) - 1
+        ngens = len(self.algebra.names)
+        keys, exps_of = self._keys, self._exps
+        den = packed.den
+        acc = {}
+        for row in packed.rows.values():
+            for bucket in row.values():
+                for code, num in bucket.items():
+                    vcode = code >> hopf_bits
+                    exps = exps_of.get(vcode)
+                    if exps is None:
+                        exps = exps_of[vcode] = tuple(
+                            (vcode >> (width * i)) & mask
+                            for i in range(self.nvars))
+                    kcode = code & hopf_mask
+                    key = keys.get(kcode)
+                    if key is None:
+                        key = keys[kcode] = tuple(
+                            tuple((kcode >> (width * (s * ngens + i))) & mask
+                                  for i in range(ngens))
+                            for s in range(self.arity))
+                    coeff = acc.get(exps)
+                    if coeff is None:
+                        coeff = acc[exps] = {}
+                    coeff[key] = Q(num, den)
+        return acc
+
+
+class _Packed:
+    """Packed terms rows[variable degree][Hopf degree] = {code: numerator}
+    over the common denominator `den`, with the certified order and the
+    `truncated` flag of the series they stand for. `val` is the valuation
+    (smallest variable degree of a stored term)."""
+
+    __slots__ = ("rows", "den", "order", "flag", "val")
+
+    def __init__(self, rows, den, order, flag, val=None):
+        self.rows = rows
+        self.den = den
+        self.order = order
+        self.flag = flag
+        self.val = val if val is not None else min(rows, default=INF)
+
+    @classmethod
+    def reduced(cls, rows, den, order, flag):
+        """Drop zero numerators and empty buckets, then cancel the common
+        factor of the numerators and the denominator."""
+        clean = {}
+        g = den
+        for d, row in rows.items():
+            kept = {}
+            for h, bucket in row.items():
+                if 0 in bucket.values():
+                    bucket = {k: n for k, n in bucket.items() if n}
+                if bucket:
+                    kept[h] = bucket
+                    if g != 1:
+                        g = math.gcd(g, *bucket.values())
+            if kept:
+                clean[d] = kept
+        if g != 1:
+            den //= g
+            for row in clean.values():
+                for h, bucket in row.items():
+                    row[h] = {k: n // g for k, n in bucket.items()}
+        return cls(clean, den, order, flag)
+
+    def times(self, other, keep, bound):
+        """Product with the series bookkeeping: the order cap is
+        min(r_f + val(g), r_g + val(f)) (inf for two complete polynomials)
+        and any pair of nonzero terms within it whose Hopf degrees overflow
+        the bound sets the flag. Only terms of variable degree <= keep are
+        formed, and the product is certified through min(cap, keep)."""
+        if self.order == INF and other.order == INF:
+            cap = INF
+        else:
+            cap = min(self.order + other.val, other.order + self.val)
+        keep = min(keep, cap)
+        flag = self.flag or other.flag
+        rows = {}
+        other_rows = sorted(other.rows.items())
+        for da, row_a in self.rows.items():
+            for db, row_b in other_rows:
+                d = da + db
+                if d > cap:
+                    break
+                for ha, bucket_a in row_a.items():
+                    for hb, bucket_b in row_b.items():
+                        h = ha + hb
+                        if h > bound:
+                            flag = True
+                            continue
+                        if d > keep:
+                            continue
+                        out = rows.setdefault(d, {}).setdefault(h, {})
+                        get = out.get
+                        # the longer bucket innermost: fewer loop set-ups
+                        if len(bucket_a) > len(bucket_b):
+                            outer, inner = bucket_b, bucket_a
+                        else:
+                            outer, inner = bucket_a, bucket_b
+                        items_b = inner.items()
+                        for ka, na in outer.items():
+                            for kb, nb in items_b:
+                                k = ka + kb
+                                out[k] = get(k, 0) + na * nb
+        return _Packed.reduced(rows, self.den * other.den, keep, flag)
+
+    def plus(self, other):
+        """Sum with the bookkeeping of `Series.__add__`: minimal order,
+        terms above it dropped, flags or-ed."""
+        order = min(self.order, other.order)
+        den = math.lcm(self.den, other.den)
+        rows = {}
+        for src in (self, other):
+            scale = den // src.den
+            for d, row in src.rows.items():
+                if d > order:
+                    continue
+                out_row = rows.setdefault(d, {})
+                for h, bucket in row.items():
+                    out = out_row.get(h)
+                    if out is None:
+                        out_row[h] = {k: n * scale for k, n in bucket.items()}
+                        continue
+                    for k, n in bucket.items():
+                        out[k] = out.get(k, 0) + n * scale
+        return _Packed.reduced(rows, den, order, self.flag or other.flag)
+
+    def truncate(self, cap):
+        return _Packed({d: row for d, row in self.rows.items() if d <= cap},
+                       self.den, min(self.order, cap), self.flag)

@@ -4,11 +4,13 @@ The whole kernel computes over arbitrary-precision rationals. gmpy2.mpq is
 used when available, with fractions.Fraction as the portable fallback; both
 share the numeric protocol the kernel relies on (exact +, *, /, **,
 comparison against int). Series products and substitutions, the bulk of the
-arithmetic, do not run on this type: the packed engine in series.py
-computes with Python int numerators over one common denominator per operand
-and converts back to Q only for the coefficients it returns.
+arithmetic, do not run on this type: every product, of series and of
+tensors alike, runs on the packed kernel in packed.py, which computes with
+Python int numerators over one common denominator per operand and converts
+back to Q only for the coefficients it returns.
 """
 
+import sys
 from fractions import Fraction
 
 try:
@@ -44,9 +46,24 @@ def parse_rational(text):
         raise ParseError(f"invalid rational {text!r}") from exc
 
 
+def _digit_limit():
+    """The interpreter's int-to-str digit limit, or its default when that
+    is off."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 def format_rational(q):
-    """Canonical 'p' or 'p/q' string (q > 0, gcd reduced by construction)."""
+    """Canonical 'p' or 'p/q' string (q > 0, gcd reduced by construction).
+    A numerator or denominator longer than the interpreter's int-to-str
+    digit limit cannot be written: that is a ParseError naming the limit."""
     num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        from .errors import ParseError
+
+        raise ParseError(
+            "a result has a numerator or denominator of more than "
+            f"{_digit_limit()} digits, the interpreter's limit for "
+            "int-to-str conversion") from exc

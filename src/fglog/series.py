@@ -42,6 +42,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement, _is_rational
+from .packed import _Codec
 from .scalars import ONE, Q, format_rational, rational
 
 INF = math.inf
@@ -109,7 +110,8 @@ class Series:
         substitution it is unpacked from the packed form on first use."""
         if self._terms is None:
             codec, packed = self._packed
-            self._terms = codec.unpack(packed)
+            self._terms = _coefficients(self.algebra, self.arity,
+                                        codec.unpack(packed))
         return self._terms
 
     # -- constructors --------------------------------------------------------
@@ -252,18 +254,6 @@ class Series:
                       {e: c * q for e, c in self.terms.items()}, self.order,
                       self.names, self.truncated, _normalize=False)
 
-    def scale_tensor(self, tensor):
-        """Multiply every coefficient by a fixed TensorElement."""
-        acc = {}
-        truncated = self.truncated or tensor.truncated
-        for e, c in self.terms.items():
-            prod = c * tensor
-            truncated = truncated or prod.truncated
-            if not prod.is_zero():
-                acc[e] = prod
-        return Series(self.algebra, self.arity, self.nvars, acc, self.order,
-                      self.names, truncated, _normalize=False)
-
     # -- multiplication ----------------------------------------------------------
 
     def __mul__(self, other):
@@ -383,13 +373,12 @@ class Series:
         vmax = max((a.max_degree() for v, a in enumerate(assigns)
                     if occurring[v]), default=0)
         vmax = max(vmax, cap if cap != INF else self.max_degree() * vmax)
-        codec = _Codec(self.algebra, self.arity, target.nvars, target.names,
-                       vmax)
+        codec = _Codec(self.algebra, self.arity, target.names, vmax)
         zero = (0,) * target.nvars
-        consts = {e: codec.view(codec.pack({zero: c}, truncated=c.truncated),
-                                {zero: c})
+        consts = {e: _view(codec, codec.pack({zero: c.terms},
+                                             flag=c.truncated), {zero: c})
                   for e, c in self.terms.items()}
-        views = [codec.view(codec.pack_series(a), a.terms) if occurring[v]
+        views = [_view(codec, _pack_series(codec, a), a.terms) if occurring[v]
                  else None for v, a in enumerate(assigns)]
         result = _horner(consts, views, cap)
         terms = dict(result.terms)
@@ -707,230 +696,32 @@ def _solved_terms(root, slope, slope_inv):
     return terms
 
 
-# -- packed product engine --------------------------------------------------
+# -- series products on the packed kernel (packed.py) ------------------------
 #
-# Products and substitutions run on a flat form of the terms. The variable
-# exponents and the slot monomials of a term are packed into one int with a
-# fixed-width field per exponent, so the key of a product term is the sum
-# of the keys of its factors. Coefficients are int numerators over one
-# common denominator per operand. Terms are bucketed by (variable degree,
-# Hopf degree), so whether a pair of terms lies within the order cap or
-# overflows the degree bound is decided once per pair of buckets (Monagan
-# and Pearce, CASC 2007, on packed monomials; Johnson 1974 on sparse
-# products). A substitution packs its inputs once and unpacks its result
-# once. Its Horner steps multiply through `_series_mul`, like every other
-# product, but on Series views that carry the packed form and unpack their
-# terms only when these are read.
+# A substitution packs its inputs once and unpacks its result once; its
+# Horner steps are `_series_mul` calls on Series views that carry the packed
+# form and unpack their terms only when these are read.
 
 
-class _Codec:
-    """Packed-key layout for one algebra, arity and variable tuple: every
-    exponent gets `width` bits, tensor slots first, then the variables.
-    Variable exponents up to `vmax` and generator exponents up to the
-    degree bound fit; products are only formed within those limits, so
-    adding two keys never carries from one field into the next."""
-
-    __slots__ = ("algebra", "arity", "nvars", "names", "width", "hopf_bits",
-                 "_codes", "_keys", "_exps")
-
-    def __init__(self, algebra, arity, nvars, names, vmax):
-        self.algebra = algebra
-        self.arity = arity
-        self.nvars = nvars
-        self.names = names
-        self.width = max(vmax, algebra.degree_bound, 1).bit_length()
-        self.hopf_bits = self.width * arity * len(algebra.names)
-        self._codes = {}  # tensor key -> (code, Hopf degree)
-        self._keys = {}  # code -> tensor key
-        self._exps = {}  # code >> hopf_bits -> exponent tuple
-
-    def _key_code(self, key):
-        hit = self._codes.get(key)
-        if hit is None:
-            code = shift = 0
-            for mono in key:
-                for e in mono:
-                    code |= e << shift
-                    shift += self.width
-            hit = self._codes[key] = (code, self.algebra.key_degree(key))
-        return hit
-
-    def _exps_code(self, exps):
-        code = 0
-        shift = self.hopf_bits
-        for e in exps:
-            code |= e << shift
-            shift += self.width
-        return code
-
-    def pack(self, terms, order=INF, truncated=False, val=None):
-        """_Packed form of a terms dict exps -> TensorElement."""
-        den = math.lcm(*(int(q.denominator) for c in terms.values()
-                         for q in c.terms.values()))
-        rows = {}
-        for exps, coeff in terms.items():
-            if not coeff.terms:
-                continue
-            base = self._exps_code(exps)
-            row = rows.setdefault(sum(exps), {})
-            for key, q in coeff.terms.items():
-                code, h = self._key_code(key)
-                row.setdefault(h, {})[base | code] = (
-                    int(q.numerator) * (den // int(q.denominator)))
-        return _Packed(rows, den, order, truncated, val)
-
-    def pack_series(self, series):
-        return self.pack(series.terms, series.order, series.truncated,
-                         series.valuation())
-
-    def view(self, packed, terms=None):
-        """Series standing for a _Packed of this layout. Its terms are
-        `terms` when given (they must equal the packed ones), else they are
-        unpacked on first use."""
-        series = Series(self.algebra, self.arity, self.nvars, terms,
-                        packed.order, self.names, packed.flag,
-                        _normalize=False)
-        series._packed = (self, packed)
-        return series
-
-    def unpack(self, packed):
-        """Terms dict exps -> TensorElement of a _Packed."""
-        width, hopf_bits = self.width, self.hopf_bits
-        mask = (1 << width) - 1
-        hopf_mask = (1 << hopf_bits) - 1
-        ngens = len(self.algebra.names)
-        keys, exps_of = self._keys, self._exps
-        den = packed.den
-        acc = {}
-        for row in packed.rows.values():
-            for bucket in row.values():
-                for code, num in bucket.items():
-                    vcode = code >> hopf_bits
-                    exps = exps_of.get(vcode)
-                    if exps is None:
-                        exps = exps_of[vcode] = tuple(
-                            (vcode >> (width * i)) & mask
-                            for i in range(self.nvars))
-                    kcode = code & hopf_mask
-                    key = keys.get(kcode)
-                    if key is None:
-                        key = keys[kcode] = tuple(
-                            tuple((kcode >> (width * (s * ngens + i))) & mask
-                                  for i in range(ngens))
-                            for s in range(self.arity))
-                    coeff = acc.get(exps)
-                    if coeff is None:
-                        coeff = acc[exps] = {}
-                    coeff[key] = Q(num, den)
-        return {e: TensorElement(self.algebra, self.arity, t,
-                                 _normalize=False)
-                for e, t in acc.items()}
+def _coefficients(algebra, arity, terms):
+    """{exps: TensorElement} from the plain {exps: {key: Q}} of unpack."""
+    return {e: TensorElement(algebra, arity, t, _normalize=False)
+            for e, t in terms.items()}
 
 
-class _Packed:
-    """Packed terms rows[variable degree][Hopf degree] = {code: numerator}
-    over the common denominator `den`, with the certified order and the
-    `truncated` flag of the series they stand for. `val` is the valuation
-    (smallest variable degree of a stored term)."""
+def _pack_series(codec, series):
+    return codec.pack({e: c.terms for e, c in series.terms.items()},
+                      series.order, series.truncated, series.valuation())
 
-    __slots__ = ("rows", "den", "order", "flag", "val")
 
-    def __init__(self, rows, den, order, flag, val=None):
-        self.rows = rows
-        self.den = den
-        self.order = order
-        self.flag = flag
-        self.val = val if val is not None else min(rows, default=INF)
-
-    @classmethod
-    def reduced(cls, rows, den, order, flag):
-        """Drop zero numerators and empty buckets, then cancel the common
-        factor of the numerators and the denominator."""
-        clean = {}
-        g = den
-        for d, row in rows.items():
-            kept = {}
-            for h, bucket in row.items():
-                if 0 in bucket.values():
-                    bucket = {k: n for k, n in bucket.items() if n}
-                if bucket:
-                    kept[h] = bucket
-                    if g != 1:
-                        g = math.gcd(g, *bucket.values())
-            if kept:
-                clean[d] = kept
-        if g != 1:
-            den //= g
-            for row in clean.values():
-                for h, bucket in row.items():
-                    row[h] = {k: n // g for k, n in bucket.items()}
-        return cls(clean, den, order, flag)
-
-    def times(self, other, keep, bound):
-        """Product with the bookkeeping of `_series_mul`: the order cap is
-        min(r_f + val(g), r_g + val(f)) and any pair of nonzero terms
-        within it whose Hopf degrees overflow the bound sets the flag.
-        Only terms of variable degree <= keep are formed, and the product
-        is certified through min(cap, keep)."""
-        if self.order == INF and other.order == INF:
-            cap = INF
-        else:
-            cap = min(self.order + other.val, other.order + self.val)
-        keep = min(keep, cap)
-        flag = self.flag or other.flag
-        rows = {}
-        other_rows = sorted(other.rows.items())
-        for da, row_a in self.rows.items():
-            for db, row_b in other_rows:
-                d = da + db
-                if d > cap:
-                    break
-                for ha, bucket_a in row_a.items():
-                    for hb, bucket_b in row_b.items():
-                        h = ha + hb
-                        if h > bound:
-                            flag = True
-                            continue
-                        if d > keep:
-                            continue
-                        out = rows.setdefault(d, {}).setdefault(h, {})
-                        get = out.get
-                        # the longer bucket innermost: fewer loop set-ups
-                        if len(bucket_a) > len(bucket_b):
-                            outer, inner = bucket_b, bucket_a
-                        else:
-                            outer, inner = bucket_a, bucket_b
-                        items_b = inner.items()
-                        for ka, na in outer.items():
-                            for kb, nb in items_b:
-                                k = ka + kb
-                                out[k] = get(k, 0) + na * nb
-        return _Packed.reduced(rows, self.den * other.den, keep, flag)
-
-    def plus(self, other):
-        """Sum with the bookkeeping of `Series.__add__`: minimal order,
-        terms above it dropped, flags or-ed."""
-        order = min(self.order, other.order)
-        den = math.lcm(self.den, other.den)
-        rows = {}
-        for src in (self, other):
-            scale = den // src.den
-            for d, row in src.rows.items():
-                if d > order:
-                    continue
-                out_row = rows.setdefault(d, {})
-                for h, bucket in row.items():
-                    out = out_row.get(h)
-                    if out is None:
-                        out_row[h] = {k: n * scale for k, n in bucket.items()}
-                        continue
-                    for k, n in bucket.items():
-                        out[k] = out.get(k, 0) + n * scale
-        return _Packed.reduced(rows, den, order, self.flag or other.flag)
-
-    def truncate(self, cap):
-        return _Packed({d: row for d, row in self.rows.items() if d <= cap},
-                       self.den, min(self.order, cap), self.flag)
+def _view(codec, packed, terms=None):
+    """Series standing for a _Packed of the codec's layout. Its terms are
+    `terms` when given (they must equal the packed ones), else they are
+    unpacked on first use."""
+    series = Series(codec.algebra, codec.arity, codec.nvars, terms,
+                    packed.order, codec.names, packed.flag, _normalize=False)
+    series._packed = (codec, packed)
+    return series
 
 
 def _series_mul(f, g, *, keep=INF):
@@ -943,11 +734,12 @@ def _series_mul(f, g, *, keep=INF):
     if f._packed is not None and g._packed is not None \
             and f._packed[0] is g._packed[0]:
         codec = f._packed[0]
-        return codec.view(f._packed[1].times(g._packed[1], keep, bound))
-    codec = _Codec(f.algebra, f.arity, f.nvars, f.names,
+        return _view(codec, f._packed[1].times(g._packed[1], keep, bound))
+    codec = _Codec(f.algebra, f.arity, f.names,
                    f.max_degree() + g.max_degree())
-    prod = codec.pack_series(f).times(codec.pack_series(g), keep, bound)
-    return Series(f.algebra, f.arity, f.nvars, codec.unpack(prod),
+    prod = _pack_series(codec, f).times(_pack_series(codec, g), keep, bound)
+    return Series(f.algebra, f.arity, f.nvars,
+                  _coefficients(f.algebra, f.arity, codec.unpack(prod)),
                   prod.order, f.names, prod.flag, _normalize=False)
 
 
@@ -976,10 +768,10 @@ def _horner(consts, assigns, cap):
         result = _series_mul(result, a0, keep=cap)
         if k in groups:
             codec, packed = result._packed
-            result = codec.view(packed.plus(groups[k]._packed[1]))
+            result = _view(codec, packed.plus(groups[k]._packed[1]))
     if cap != INF:
         codec, packed = result._packed
-        result = codec.view(packed.truncate(cap))
+        result = _view(codec, packed.truncate(cap))
     return result
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end, run in process."""
 
+import copy
 import io
 import json
 import os
@@ -346,6 +347,33 @@ class TestRoundtrip:
         c = tensor_from_json(stages["extract-cocycle"]["cocycle"], qt2)
         assert c == 2 * TensorElement.from_slots(t, t)
 
+    def test_nilpotent_constant_term_spends_slack(self, capsys, tmp_path):
+        # F(0, 0) = t (x) t has nilpotency slack 2 under --hdeg 4, so the
+        # log-equation stage needs the logarithm through N + 1 + 2; the
+        # stored order 10 caps it, so N = 8 certifies only order 7
+        log = tmp_path / "g.json"
+        log.write_text(json.dumps({
+            "variables": ["x"], "arity": 1, "terms": [
+                {"exp": [1], "coeff": [[["1"], "1"]]},
+                {"exp": [2], "coeff": [[["1"], "1/2"], [["t"], "1"]]},
+                {"exp": [3], "coeff": [[["t", "t"], "2"]]}]}))
+        code, out, err = run(capsys, "reconstruct", "--hopf", "qt1",
+                             "--cocycle", "t (x) t", "--log", str(log),
+                             "--order", "10", "--hdeg", "4",
+                             "--format", "json")
+        assert code == 0
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(json.loads(out)["group"]))
+        for order in ("2", "4", "6"):
+            code, out, err = run(capsys, "roundtrip", "--group", str(law),
+                                 "--order", order)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "roundtrip: pass"
+        code, out, err = run(capsys, "roundtrip", "--group", str(law),
+                             "--order", "8")
+        assert (code, out) == (3, "")
+        assert "only order 7 is certified" in err
+
     def test_corrupted_coefficient_fails_at_axioms(self, capsys, tmp_path):
         doc = json.load(open(fx("fg_tanh.json")))
         doc["series"]["terms"].append(
@@ -375,6 +403,31 @@ class TestErrorHandling:
         code, out, err = run(capsys, "verify", "--group", str(bad))
         assert code == 2
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc["series"]["terms"][1].update(exp=[1, "a"]),
+         "series term 'exp' must be an integer, got 'a'"),
+        (lambda doc: doc["series"].update(arity="two"),
+         "series 'arity' must be an integer, got 'two'"),
+        (lambda doc: doc["series"].update(order="x"),
+         "series 'order' must be an integer, got 'x'"),
+        (lambda doc: doc["series"]["terms"][1].update(coeff=7),
+         "series term 'coeff' must be a list, got 7"),
+        (lambda doc: doc["hopf"].update(generators=5),
+         "'generators' must be a list, got 5"),
+        (lambda doc: doc["hopf"].update(degree_bound="x"),
+         "'degree_bound' must be an integer, got 'x'"),
+    ])
+    def test_malformed_group_field(self, capsys, monkeypatch, edit, named):
+        doc = json.load(open(fx("fg_lemma_qt2.json")))
+        doc["hopf"] = {"generators": [{"name": "t", "degree": 2}],
+                       "degree_bound": 8}
+        edit(doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "verify", "--group", "-")
+        assert (code, out) == (2, "")
+        assert named in err
+        assert "Traceback" not in err
 
     def test_bad_inline_expression(self, capsys):
         code, out, err = run(capsys, "check-cocycle", "--hopf", "qt1",
@@ -476,6 +529,18 @@ class TestSizeLimits:
         assert "sum '99999999999999999999..." in err
 
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_result_above_the_digit_limit(self, capsys, fmt):
+        # every input number is within the limit, but the coboundary
+        # 2(10^limit - 1) t (x) t has one digit more
+        nines = "9" * _digit_limit()
+        code, out, err = run(capsys, "coboundary", "--hopf", "qt1",
+                             "--element", f"{nines} t^2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"more than {_digit_limit()} digits" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
     def test_repeat_runs_byte_identical(self, capsys, fmt):
@@ -538,5 +603,95 @@ class TestInlineFuzz:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+
+# -- group JSON documents -----------------------------------------------------
+#
+# Well-formed documents in the formats of jsonio.py, over builtin and inline
+# algebras, of which about half then have one to three fields replaced by
+# junk or deleted, and now and then junk instead of a document. Degree
+# bounds, exponents and orders stay at 12 or below.
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 12),
+                  st.sampled_from(["", "x", "two", "1/0", "\x00", "t"]),
+                  st.sampled_from([0.5, float("inf"), float("nan")]),
+                  st.just([]), st.just({}), st.just([["t"]]),
+                  st.just([1, "a"]))
+_BUILTIN_GENERATORS = {"trivial": [], "qt1": ["t"], "qt2": ["t"],
+                       "qtu": ["t", "u"]}
+
+
+def _places(node):
+    """(container, key) of every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _places(value)
+
+
+@st.composite
+def _group_documents(draw):
+    hopf = draw(st.sampled_from(["trivial", "qt1", "qt2", "qtu", None]))
+    if hopf is None:
+        degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        names = ["t", "u"][:len(degrees)]
+        hopf = {"generators": [{"name": n, "degree": d}
+                               for n, d in zip(names, degrees)],
+                "degree_bound": draw(st.integers(max(degrees), 12)),
+                "coproduct": {"t": "primitive"}}
+    else:
+        names = _BUILTIN_GENERATORS[hopf]
+    mono = st.lists(st.sampled_from(names + ["1"]), max_size=3).map(
+        lambda m: m or ["1"])
+    row = st.tuples(mono, mono, st.sampled_from(
+        ["1", "-1", "1/2", "2", "-3/2"])).map(list)
+    entry = st.fixed_dictionaries({
+        "exp": st.lists(st.one_of(st.integers(0, 3), st.integers(0, 12)),
+                        min_size=2, max_size=2),
+        "coeff": st.lists(row, min_size=1, max_size=3)})
+    unit = [["1"], ["1"], "1"]
+    terms = [{"exp": [1, 0], "coeff": [unit]},
+             {"exp": [0, 1], "coeff": [unit]}]
+    series = {"variables": ["X", "Y"], "arity": 2,
+              "terms": terms + draw(st.lists(entry, max_size=3))}
+    order = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if order is not None:
+        series["order"] = order
+    doc = json.loads(json.dumps({"hopf": hopf, "series": series}))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        places = list(_places(doc))
+        if not places:
+            break
+        node, key = draw(st.sampled_from(places))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(_JUNK))
+    return doc
+
+
+class TestGroupJsonFuzz:
+    @settings(max_examples=300)
+    @given(command=st.sampled_from(["verify", "log", "cocycle", "inverse",
+                                    "specialize", "roundtrip"]),
+           doc=st.one_of(_group_documents(), _JUNK),
+           order=st.integers(1, 12),
+           hdeg=st.one_of(st.none(), st.integers(1, 12)))
+    def test_group_document_ends_in_an_exit_code(self, command, doc, order,
+                                                 hdeg):
+        argv = [command, "--group", "-", "--order", str(order)]
+        if hdeg is not None:
+            argv += ["--hdeg", str(hdeg)]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(doc))
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()

@@ -2,8 +2,11 @@
 operations, axiom verification and its sensitivity to broken tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglog import (
+    AlgebraMismatch,
     ArityMismatch,
     DegreeOverflow,
     HopfAlgebra,
@@ -15,7 +18,7 @@ from fglog import (
     builtin_algebra,
     verify_hopf_axioms,
 )
-from fglog.scalars import Q
+from fglog.scalars import ONE, Q, ZERO
 
 
 def gen(algebra, name):
@@ -289,3 +292,103 @@ class TestElementBasics:
         assert a == b and hash(a) == hash(b)
         c = builtin_algebra("qt1", degree_bound=6)
         assert a != c
+
+
+# -- the tensor product against the sorted-pairs loop it replaced -------------
+
+def reference_tensor_mul(a, b):
+    """Product of two tensors by the sorted-pairs loop over every pair of
+    keys, with the slotwise key product inlined: a pair whose total degree
+    leaves the degree bound is dropped and sets the `truncated` flag."""
+    if a.algebra != b.algebra:
+        raise AlgebraMismatch("tensors over different Hopf algebras")
+    if a.arity != b.arity:
+        raise ArityMismatch(f"tensor arity {a.arity} vs {b.arity}")
+    alg = a.algebra
+    bound = alg.degree_bound
+    kdeg = alg.key_degree
+    acc = {}
+    truncated = a.truncated or b.truncated
+    ib = sorted(((kdeg(k), k, q) for k, q in b.terms.items()))
+    db_min = ib[0][0] if ib else 0
+    for dka, ka, qa in sorted(((kdeg(k), k, q) for k, q in a.terms.items())):
+        if dka + db_min > bound:
+            truncated = True
+            break
+        for dkb, kb, qb in ib:
+            if dka + dkb > bound:
+                truncated = True
+                break
+            k = tuple(tuple(x + y for x, y in zip(ma, mb))
+                      for ma, mb in zip(ka, kb))
+            acc[k] = acc.get(k, ZERO) + qa * qb
+    return TensorElement(alg, a.arity, acc, truncated)
+
+
+_MIN_BOUND = {"trivial": 1, "qt1": 1, "qt2": 2, "qtu": 3}
+_RATIONALS = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _algebras(draw):
+    name = draw(st.sampled_from(sorted(_MIN_BOUND)))
+    return builtin_algebra(name, draw(st.integers(_MIN_BOUND[name], 8)))
+
+
+@st.composite
+def _tensors(draw, algebra, arity):
+    """A zero tensor, a rational multiple of the unit, or a few terms over
+    low-degree monomials (their total degree may pass the bound, which
+    drops them and flags the tensor), with a rare `truncated` flag."""
+    kind = draw(st.sampled_from(["terms", "terms", "terms", "zero",
+                                 "scalar"]))
+    if kind == "zero":
+        return TensorElement.zero(algebra, arity)
+    if kind == "scalar":
+        return TensorElement.from_scalar(algebra, arity, draw(_RATIONALS))
+    monos = st.sampled_from(algebra.monomials())
+    raw = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(draw(monos) for _ in range(arity))
+        raw[key] = draw(_RATIONALS)
+    return TensorElement(algebra, arity, raw,
+                         draw(st.integers(0, 5).map(lambda n: n == 0)))
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return value.arity, value.terms, value.truncated
+
+
+class TestProductReference:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_sorted_pairs_loop(self, data):
+        algebra = data.draw(_algebras())
+        arity = data.draw(st.integers(1, 3))
+        a = data.draw(_tensors(algebra, arity))
+        other_algebra, other_arity = algebra, arity
+        mismatch = data.draw(st.sampled_from([None] * 8 + ["arity",
+                                                          "algebra"]))
+        if mismatch == "arity":
+            other_arity = arity % 3 + 1
+        elif mismatch == "algebra":
+            other_algebra = builtin_algebra(
+                "qtu", 8 if algebra.degree_bound != 8 else 7)
+        b = data.draw(_tensors(other_algebra, other_arity))
+        want = _outcome(reference_tensor_mul, a, b)
+        assert _outcome(lambda x, y: x * y, a, b) == want
+        if mismatch is None:
+            assert _outcome(lambda x, y: x * y, b, a) == _outcome(
+                reference_tensor_mul, b, a)
+
+    def test_dropped_pair_sets_the_flag(self, qt1):
+        t = gen(qt1, "t")
+        high = t ** 5
+        assert not high.truncated
+        prod = high * (t ** 4 + ONE)
+        assert prod == high and prod.truncated
+        assert not (high * HopfElement.zero(qt1)).truncated

@@ -405,7 +405,7 @@ def _frac(q):
 
 
 def reference_mul(f, g):
-    """Series product by pairwise mul_key over Fraction, with the
+    """Series product by pairwise key products over Fraction, with the
     certified-order and `truncated` rules of the module docstring."""
     if f.order == INF and g.order == INF:
         cap = INF
@@ -421,10 +421,12 @@ def reference_mul(f, g):
             tgt = acc.setdefault(tuple(x + y for x, y in zip(ea, eb)), {})
             for ka, qa in ca.terms.items():
                 for kb, qb in cb.terms.items():
-                    k = alg.mul_key(ka, kb)
-                    if k is None:
+                    if (alg.key_degree(ka) + alg.key_degree(kb)
+                            > alg.degree_bound):
                         truncated = True
                         continue
+                    k = tuple(tuple(x + y for x, y in zip(ma, mb))
+                              for ma, mb in zip(ka, kb))
                     tgt[k] = tgt.get(k, Fraction(0)) + _frac(qa) * _frac(qb)
     terms = {}
     for e, raw in acc.items():
