@@ -14,6 +14,20 @@ Lemma-form law c + X + Y it coincides term by term with the cobar defect
 
     (id (x) Delta)c + 1 (x) c - (Delta (x) id)c - c (x) 1.
 
+Associativity from one composite: when H is cocommutative and F equals its
+flip tau F(Y, X) in all its stored terms, the left composite F(F(X, Y), Z)
+is the right one F(X, F(Y, Z)) with X and Z swapped and the tensor slots
+reversed. This is the classical step by which commutativity and one
+associativity composite suffice (Hazewinkel, Formal Groups and
+Applications, 1978). Only the right composite is computed: its Horner
+evaluation runs over the bare X outside and F(Y, Z) inside, so after the
+swap it forms every pair of terms that the left composite's Horner products
+form, and more, because its rows in (Y, Z) are truncated at the full
+substitution cap. Its `truncated` flag is therefore that of both
+composites; the left composite's alone can be clear where theirs is set.
+Any other F, including one whose constant term is outside the augmentation
+ideal, takes the two-composite path.
+
 Truncation bookkeeping: substituting a series whose constant term is a
 nonzero nilpotent (the Lemma-form constant c, or the inverse series'
 constant theta_0) costs its nilpotency slack in certified order, so the
@@ -63,29 +77,47 @@ def _lift_inner(F, slots):
     """F with coefficients embedded into three tensor slots and variables
     placed at the matching positions of (X, Y, Z)."""
     return F.map_coefficients(
-        lambda A: A.embed(3, slots)).embed_vars(3, slots, XYZ)
+        lambda A: A.embed(3, slots), arity=3).embed_vars(3, slots, XYZ)
 
 
 def associativity_defect(F):
     """F(X, F(Y, Z)) - F(F(X, Y), Z) as a three-variable series over
-    H (x) H (x) H."""
-    algebra = F.algebra
-    inner_xy = _lift_inner(F, (0, 1))
-    inner_yz = _lift_inner(F, (1, 2))
-    z_var = Series.variable(algebra, 3, 3, 2, INF, XYZ)
-    x_var = Series.variable(algebra, 3, 3, 0, INF, XYZ)
-    left = F.map_coefficients(
-        lambda A: A.apply_slot(0, "comul")).substitute([inner_xy, z_var])
-    right = F.map_coefficients(
-        lambda A: A.apply_slot(1, "comul")).substitute([x_var, inner_yz])
+    H (x) H (x) H.
+
+    For a law equal to its flip over a cocommutative H the left composite
+    is the right one with X and Z swapped and the tensor slots reversed,
+    so only the right one is computed (see the module docstring)."""
+    if (F.algebra.cocommutative and F.constant_term().full_counit() == 0
+            and _flip(F) == F):
+        right = _right_composite(F)
+        left = right.permute_vars((2, 1, 0)).map_coefficients(
+            lambda A: A.permute((2, 1, 0)))
+    else:
+        z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
+        left = F.map_coefficients(
+            lambda A: A.apply_slot(0, "comul"), arity=3).substitute(
+            [_lift_inner(F, (0, 1)), z_var])
+        right = _right_composite(F)
     return right - left
+
+
+def _right_composite(F):
+    """F(X, F(Y, Z)): Horner over the bare X outside, F(Y, Z) inside."""
+    x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
+    return F.map_coefficients(
+        lambda A: A.apply_slot(1, "comul"), arity=3).substitute(
+        [x_var, _lift_inner(F, (1, 2))])
+
+
+def _flip(F):
+    """tau F(Y, X), swapping variables and tensor slots."""
+    return F.permute_vars((1, 0)).map_coefficients(
+        lambda A: A.permute((1, 0)))
 
 
 def symmetry_defect(F):
     """F(X, Y) - tau F(Y, X), swapping variables and tensor slots."""
-    flipped = F.permute_vars((1, 0)).map_coefficients(
-        lambda A: A.permute((1, 0)))
-    return F - flipped
+    return F - _flip(F)
 
 
 def unit_defects(F):

@@ -57,6 +57,7 @@ class HopfAlgebra:
         "names",
         "degrees",
         "degree_bound",
+        "cocommutative",
         "_gen_comul",
         "_gen_counit",
         "_gen_antipode",
@@ -87,6 +88,11 @@ class HopfAlgebra:
         self._index = {n: i for i, n in enumerate(names)}
         self._gen_comul = tuple(
             _normalize_terms(dict(t)) for t in gen_comul)
+        # H is commutative, so Delta and its flip agree everywhere once
+        # they agree on the generators
+        self.cocommutative = all(
+            table == {(b, a): q for (a, b), q in table.items()}
+            for table in self._gen_comul)
         self._gen_counit = tuple(
             gen_counit if gen_counit is not None else (ZERO,) * len(names))
         self._gen_antipode = tuple(
@@ -492,7 +498,12 @@ class TensorElement:
         other = self._lift(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        acc = dict(self.terms)
+        for k, q in other.terms.items():
+            acc[k] = acc.get(k, ZERO) - q
+        return TensorElement(self.algebra, self.arity, acc,
+                             self.truncated or other.truncated)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -641,11 +652,12 @@ class TensorElement:
         perm = tuple(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ArityMismatch(f"{perm} is not a permutation of the slots")
-        acc = {}
-        for key, q in self.terms.items():
-            k = tuple(key[p] for p in perm)
-            acc[k] = acc.get(k, ZERO) + q
-        return TensorElement(self.algebra, self.arity, acc, self.truncated)
+        # a bijection of keys that keeps their degrees: nothing to merge,
+        # cancel or truncate
+        return TensorElement(self.algebra, self.arity,
+                             {tuple(key[p] for p in perm): q
+                              for key, q in self.terms.items()},
+                             self.truncated, _normalize=False)
 
     def full_counit(self):
         """Counit applied in every slot: the scalar part of the tensor."""
@@ -782,8 +794,12 @@ def _join_signed(parts):
 # -- algebra construction ----------------------------------------------------
 
 def _as_int(value, what, error=ParseError):
-    """int(value) of a JSON field, or `error` naming the field."""
+    """int(value) of a JSON field, or `error` naming the field. Booleans
+    and non-integral numbers are refused, not read as 0 or 1 or floored."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be an integer, got {value!r}") from exc
@@ -809,6 +825,8 @@ def _decode_monomial(algebra, obj):
         raise SpecError(f"monomial {obj!r} is neither a generator name, a "
                         "name list nor an exponent vector")
     seq = list(obj)
+    if any(isinstance(x, bool) for x in seq):
+        raise SpecError(f"monomial {obj!r} holds a boolean")
     if all(isinstance(x, int) for x in seq):
         if len(seq) != len(algebra.names):
             raise SpecError(
@@ -847,11 +865,13 @@ def build_hopf_algebra(description, validate=True):
     degrees = []
     for g in gens:
         try:
-            name, degree = g["name"], int(g["degree"])
+            name, degree = g["name"], g["degree"]
+            int(degree)  # what int() refuses makes a bad entry
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad generator entry {g!r}") from exc
         if not isinstance(name, str):
             raise SpecError(f"bad generator entry {g!r}")
+        degree = _as_int(degree, f"generator {name!r} 'degree'", SpecError)
         names.append(name)
         degrees.append(degree)
     if "degree_bound" not in description:

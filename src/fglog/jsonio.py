@@ -101,6 +101,13 @@ def load_algebra(source, base_dir=None, degree_bound=None):
     return build_hopf_algebra(desc)
 
 
+def _arity(obj, what):
+    """The optional 'arity' field; absent, null and 0 leave it to the
+    terms."""
+    value = obj.get("arity")
+    return _as_int(value if isinstance(value, bool) else value or 0, what)
+
+
 # -- tensors ------------------------------------------------------------------
 
 def tensor_to_json(tensor):
@@ -116,7 +123,7 @@ def tensor_to_json(tensor):
 def tensor_from_json(obj, algebra):
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ParseError("tensor JSON must be an object with 'terms'")
-    arity = _as_int(obj.get("arity", 0) or 0, "tensor 'arity'")
+    arity = _arity(obj, "tensor 'arity'")
     terms = {}
     for row in _as_list(obj["terms"], "tensor 'terms'"):
         if not isinstance(row, list) or len(row) < 2:
@@ -169,7 +176,7 @@ def series_from_json(obj, algebra, fallback_order=None):
     order = obj.get("order", None)
     if order is None:
         order = fallback_order if fallback_order is not None else INF
-    arity = _as_int(obj.get("arity", 0) or 0, "series 'arity'")
+    arity = _arity(obj, "series 'arity'")
     terms = {}
     for entry in _as_list(obj["terms"], "series 'terms'"):
         if not isinstance(entry, dict) or "exp" not in entry:

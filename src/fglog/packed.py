@@ -2,9 +2,11 @@
 
 Every product of coefficient terms runs on `_Packed.times`: series products
 and the Horner steps of a substitution (series.py), and tensor products
-(`TensorElement.__mul__` packs its operands as 0-variable series). A term's
-variable exponents and slot monomials are packed into one int, a field per
-exponent, so the key of a product term is the sum of its factors' keys.
+(`TensorElement.__mul__` packs its operands as 0-variable series). The one
+exception is a Horner step by a bare variable, which is a key shift
+(`_Packed.shifted`). A term's variable exponents and slot monomials are
+packed into one int, a field per exponent, so the key of a product term is
+the sum of its factors' keys.
 Coefficients are int numerators over one common denominator per operand.
 Terms are bucketed by (variable degree, Hopf degree), so the order cap and
 the degree bound are decided once per pair of buckets (Monagan and Pearce,
@@ -195,6 +197,27 @@ class _Packed:
                                 k = ka + kb
                                 out[k] = get(k, 0) + na * nb
         return _Packed.reduced(rows, self.den * other.den, keep, flag)
+
+    def variable_code(self):
+        """The packed key of a bare variable (one complete, unflagged term
+        1 * X_i), None for anything else."""
+        if (self.order != INF or self.flag or self.den != 1
+                or list(self.rows) != [1] or list(self.rows[1]) != [0]
+                or len(self.rows[1][0]) != 1):
+            return None
+        ((code, num),) = self.rows[1][0].items()
+        return code if num == 1 else None
+
+    def shifted(self, code, keep):
+        """Product with the bare variable whose key is `code`, with the
+        bookkeeping of `times`: every key moves up by `code` and the order
+        by one. The variable's unit coefficient has Hopf degree 0, so no
+        pair leaves the bound and the flag stays as it is."""
+        keep = min(keep, self.order + 1)
+        rows = {d + 1: {h: {k + code: n for k, n in bucket.items()}
+                        for h, bucket in row.items()}
+                for d, row in self.rows.items() if d + 1 <= keep}
+        return _Packed(rows, self.den, keep, self.flag)
 
     def plus(self, other):
         """Sum with the bookkeeping of `Series.__add__`: minimal order,

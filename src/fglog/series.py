@@ -210,6 +210,14 @@ class Series:
         return None
 
     def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
+        """self + other or self - other, in one pass over other's terms:
+        minimal order, terms above it and zero coefficients dropped."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -218,7 +226,10 @@ class Series:
         acc = dict(self.terms)
         for e, c in other.terms.items():
             cur = acc.get(e)
-            acc[e] = c if cur is None else cur + c
+            if cur is not None:
+                acc[e] = op(cur, c)
+            else:
+                acc[e] = c if op is operator.add else -c
         terms = {e: c for e, c in acc.items()
                  if sum(e) <= order and not c.is_zero()}
         return Series(self.algebra, self.arity, self.nvars, terms, order,
@@ -232,12 +243,6 @@ class Series:
 
     def __radd__(self, other):
         return self.__add__(other)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -752,7 +757,8 @@ def _horner(consts, assigns, cap):
     one layout whose `vmax` covers every product formed here. Intermediates
     are truncated at cap; the certified order and the flag of each step
     follow the Series operations (product, truncate, sum), and
-    certification of the result is stamped by the caller."""
+    certification of the result is stamped by the caller. A bare-variable
+    assignment multiplies by an exponent shift instead of a product."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
@@ -763,9 +769,14 @@ def _horner(consts, assigns, cap):
                   for k, sub in rows.items()}
     a0 = assigns[0]
     kmax = max(groups)
+    shift = a0._packed[1].variable_code() if kmax else None
     result = groups[kmax]
     for k in range(kmax - 1, -1, -1):
-        result = _series_mul(result, a0, keep=cap)
+        if shift is None:
+            result = _series_mul(result, a0, keep=cap)
+        else:
+            codec, packed = result._packed
+            result = _view(codec, packed.shifted(shift, cap))
         if k in groups:
             codec, packed = result._packed
             result = _view(codec, packed.plus(groups[k]._packed[1]))

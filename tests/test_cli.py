@@ -429,6 +429,65 @@ class TestErrorHandling:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc["series"]["terms"][0].update(exp=[1.9, 0]),
+         "series term 'exp' must be an integer, got 1.9"),
+        (lambda doc: doc["series"]["terms"][0].update(exp=[True, 0]),
+         "series term 'exp' must be an integer, got True"),
+        (lambda doc: doc["series"].update(order=4.5),
+         "series 'order' must be an integer, got 4.5"),
+        (lambda doc: doc["series"].update(order=True),
+         "series 'order' must be an integer, got True"),
+        (lambda doc: doc.update(order=6.5),
+         "series 'order' must be an integer, got 6.5"),
+        (lambda doc: doc["series"].update(arity=2.5),
+         "series 'arity' must be an integer, got 2.5"),
+        (lambda doc: doc["series"].update(arity=True),
+         "series 'arity' must be an integer, got True"),
+        (lambda doc: doc["series"].update(arity=False),
+         "series 'arity' must be an integer, got False"),
+        (lambda doc: doc["hopf"].update(degree_bound=1.5),
+         "'degree_bound' must be an integer, got 1.5"),
+        (lambda doc: doc["hopf"].update(
+            generators=[{"name": "t", "degree": 1.5}]),
+         "generator 't' 'degree' must be an integer, got 1.5"),
+        (lambda doc: doc["series"]["terms"][0]["coeff"][0].__setitem__(
+            0, [True]),
+         "monomial [True] holds a boolean"),
+    ])
+    def test_inexact_number_refused(self, capsys, monkeypatch, edit, named):
+        """A boolean or a non-integral number where an integer belongs is
+        refused with exit 2 and the field named, not read as 0 or 1 or
+        floored into a law the file does not state."""
+        doc = json.load(open(fx("fg_mult.json")))
+        doc["hopf"] = {"generators": [{"name": "t", "degree": 1}],
+                       "degree_bound": 4}
+        edit(doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "verify", "--group", "-", "--order",
+                             "4")
+        assert (code, out) == (2, "")
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: None,
+        lambda doc: doc["series"]["terms"][0].update(exp=[1.0, 0]),
+        lambda doc: doc["series"].update(order=6.0, arity=2.0),
+        lambda doc: doc["hopf"].update(degree_bound=4.0),
+    ])
+    def test_integral_numbers_read_as_before(self, capsys, monkeypatch,
+                                             edit):
+        doc = json.load(open(fx("fg_mult.json")))
+        doc["hopf"] = {"generators": [{"name": "t", "degree": 1}],
+                       "degree_bound": 4}
+        edit(doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "verify", "--group", "-", "--order",
+                             "4")
+        assert (code, err) == (0, "")
+        assert "pass" in out
+
     def test_bad_inline_expression(self, capsys):
         code, out, err = run(capsys, "check-cocycle", "--hopf", "qt1",
                              "--cocycle", "t (x)")

@@ -3,6 +3,7 @@ logarithm, cocycle extraction, reconstruction, group inverse and the
 classical specialization."""
 
 import math
+import random
 
 import pytest
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fglog import (
     Series,
     TensorElement,
     additive_law,
+    build_hopf_algebra,
     builtin_algebra,
     associativity_defect,
     check_axioms,
@@ -30,12 +32,15 @@ from fglog import (
     symmetry_defect,
     unit_defects,
 )
-from fglog.fgl import _eval_univariate
+from fglog import fgl as fgl_module
+from fglog.fgl import XYZ, _eval_univariate, _flip, _lift_inner
+from fglog.generate import random_cocycle, random_logarithm
 from fglog.errors import (
     AxiomViolation,
     CocycleViolation,
     NoInverse,
     NonInvertibleConstantTerm,
+    NonNilpotentConstantTerm,
     NotAugmented,
     ResidualNonConstant,
     TruncationInsufficient,
@@ -46,6 +51,7 @@ from hypothesis import strategies as st
 from test_series import (
     NEWTON_ALGEBRAS,
     SELDOM,
+    _assert_same,
     assert_same_outcome,
     outcome,
     requested_orders,
@@ -654,6 +660,212 @@ class TestNewtonInverse:
         assert c.nilpotency_slack() > 0
         assert_same_outcome(outcome(inverse_series, F),
                             outcome(reference_inverse_series, F))
+
+
+# -- associativity from one composite ------------------------------------------
+
+def composites(F):
+    """(F(F(X, Y), Z), F(X, F(Y, Z))), each from its own substitution."""
+    alg = F.algebra
+    left = F.map_coefficients(lambda A: A.apply_slot(0, "comul"),
+                              arity=3).substitute(
+        [_lift_inner(F, (0, 1)), Series.variable(alg, 3, 3, 2, INF, XYZ)])
+    right = F.map_coefficients(lambda A: A.apply_slot(1, "comul"),
+                               arity=3).substitute(
+        [Series.variable(alg, 3, 3, 0, INF, XYZ), _lift_inner(F, (1, 2))])
+    return left, right
+
+
+def reversed_composite(S):
+    """S with X and Z swapped and the three tensor slots reversed."""
+    return S.permute_vars((2, 1, 0)).map_coefficients(
+        lambda A: A.permute((2, 1, 0)))
+
+
+def reference_associativity_defect(F):
+    """F(X, F(Y, Z)) - F(F(X, Y), Z) from both composites, the reference
+    for the one-composite route of twisted-symmetric laws."""
+    left, right = composites(F)
+    return right - left
+
+
+def reference_check_axioms(F, order=None):
+    """check_axioms with the two-composite associativity defect."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fgl_module, "associativity_defect",
+                      reference_associativity_defect)
+        return check_axioms(F, order=order)
+
+
+def assert_same_report(got, want):
+    """Equal verdicts, certified orders and violations, whose defects are
+    equal in terms, coefficient flags, order and `truncated`."""
+    assert (got.passed, got.certified_order) == (
+        want.passed, want.certified_order)
+    assert [(v.axiom, v.detail) for v in got.violations] == [
+        (v.axiom, v.detail) for v in want.violations]
+    for v, w in zip(got.violations, want.violations):
+        _assert_same(v.defect, w.defect)
+
+
+def composite_count(F, monkeypatch):
+    """How many substitutions associativity_defect(F) makes."""
+    calls = []
+    original = Series.substitute
+
+    def counted(series, assignments):
+        calls.append(series)
+        return original(series, assignments)
+
+    monkeypatch.setattr(Series, "substitute", counted)
+    associativity_defect(F)
+    monkeypatch.setattr(Series, "substitute", original)
+    return len(calls)
+
+
+@st.composite
+def symmetric_laws(draw):
+    """A series equal to its flip over qt1, qt2 or qtu at degree bounds
+    3-6: a law reconstructed from a random cocycle and logarithm, or a
+    Lemma law c + X + Y with c = a + tau a (a cocycle or not), either one
+    seldom plus a symmetric perturbation P + tau P(Y, X) (mostly not a
+    group law; seldom with a constant term outside the augmentation
+    ideal), at a finite or infinite order."""
+    name = draw(st.sampled_from(["qt1", "qt2", "qtu"]))
+    alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        c = random_cocycle(alg, rng)
+        g = random_logarithm(alg, rng, order=draw(st.integers(1, 4)))
+        F = reconstruct(alg, c, g, order=draw(st.integers(1, 4)))
+    else:
+        a = draw(tensor_coefficients(alg, 2, unit=0))
+        order = draw(st.one_of(st.just(INF), st.integers(0, 6)))
+        F = lemma_law(alg, a + a.permute((1, 0)), order)
+    if draw(SELDOM) or draw(SELDOM):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, 4))
+            j = draw(st.integers(0 if i or draw(SELDOM) else 1, 4))
+            terms[(i, j)] = draw(tensor_coefficients(alg, 2))
+        P = Series(alg, 2, 2, terms, F.order, XY, truncated=draw(SELDOM))
+        F = F + P + _flip(P)
+    return F
+
+
+class TestOneComposite:
+    """For a law equal to its flip over a cocommutative H,
+    associativity_defect computes only the right composite and gives what
+    the two composites give: terms, coefficient flags, certified order,
+    `truncated`, every exception, and the same check_axioms report."""
+
+    @settings(max_examples=150)
+    @given(symmetric_laws())
+    def test_matches_two_composites(self, F):
+        assert _flip(F) == F
+        assert_same_outcome(outcome(associativity_defect, F),
+                            outcome(reference_associativity_defect, F))
+        got, want = outcome(check_axioms, F), outcome(
+            reference_check_axioms, F)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert_same_report(got[0], want[0])
+
+    @pytest.mark.parametrize("name", ["qt1", "qt2", "qtu"])
+    def test_takes_one_composite(self, name, monkeypatch):
+        alg = builtin_algebra(name)
+        F = lemma_law(alg, two_t_t(alg), order=8)
+        assert composite_count(F, monkeypatch) == 1
+        assert composite_count(
+            F + Series(alg, 2, 2, {(2, 0): two_t_t(alg)}, 8, XY),
+            monkeypatch) == 2
+
+    def test_flag_comes_from_the_right_composite(self):
+        """The right composite's Horner steps form every overflowing
+        pair the left one's do, and here more: its flag is that of both,
+        the left one's alone would be clear."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = t_elem(alg)
+        one = HopfElement.one(alg)
+        F = additive_law(alg, order=5) + Series(alg, 2, 2, {
+            (3, 2): TensorElement.from_slots(t * t, one) * -2,
+            (2, 3): TensorElement.from_slots(one, t * t) * -2}, 5, XY)
+        left, right = composites(F)
+        assert (left.truncated, right.truncated) == (False, True)
+        assert reversed_composite(right) == left
+        assert_same_outcome(outcome(associativity_defect, F),
+                            outcome(reference_associativity_defect, F))
+        assert associativity_defect(F).truncated
+
+    def test_asymmetric_above_the_requested_order(self, qt1, monkeypatch):
+        """The symmetry defect vanishes through the requested order 3 but
+        not in the stored data, so both composites are computed."""
+        t = t_elem(qt1)
+        bump = Series(qt1, 2, 2, {(3, 1): TensorElement.from_slots(
+            t, HopfElement.one(qt1))}, 8, XY)
+        F = additive_law(qt1, order=8) + bump
+        assert symmetry_defect(F).truncate(3).is_zero()
+        assert not symmetry_defect(F).is_zero()
+        assert composite_count(F, monkeypatch) == 2
+        assert_same_outcome(outcome(associativity_defect, F),
+                            outcome(reference_associativity_defect, F))
+        assert_same_report(check_axioms(F, order=3),
+                           reference_check_axioms(F, order=3))
+        assert check_axioms(F, order=3).passed
+
+    def test_criterion_10_law(self, monkeypatch):
+        """The order-16 law of acceptance criterion 10 equals its flip
+        exactly, so its defect comes from one composite."""
+        alg = builtin_algebra("qt1", degree_bound=10)
+        tm = alg.generator_mono("t")
+        g = Series(alg, 1, 1, {
+            (1,): TensorElement.unit(alg, 1),
+            (2,): TensorElement(alg, 1, {(tm,): Fraction(1)}),
+            (3,): TensorElement(alg, 1, {(alg.mul_mono(tm, tm),):
+                                         Fraction(1, 2)}),
+        }, INF, ("x",))
+        F = reconstruct(alg, TensorElement.zero(alg, 2), g, order=16)
+        assert symmetry_defect(F).is_zero()
+        assert composite_count(F, monkeypatch) == 1
+        defect = associativity_defect(F)
+        assert defect.is_zero() and defect.order == 16
+
+    def test_constant_outside_the_augmentation_ideal(self, qt1,
+                                                     monkeypatch):
+        """F(0, 0) = 1 (x) 1 cannot be substituted; the two-composite
+        path raises, naming the first variable as before."""
+        F = lemma_law(qt1, TensorElement.unit(qt1, 2), order=4)
+        with pytest.raises(NonNilpotentConstantTerm, match="variable X"):
+            associativity_defect(F)
+
+    def test_empty_law(self, qt1):
+        """A law with no stored term has a zero defect of order 0."""
+        F = Series.zero(qt1, 2, 2, 0, XY)
+        defect = associativity_defect(F)
+        assert defect.is_zero() and defect.order == 0
+        assert check_axioms(F).certified_order == 0
+
+    def test_non_cocommutative_algebra_takes_two_composites(
+            self, monkeypatch):
+        """Over a non-cocommutative H the reversed right composite is not
+        the left one, even for a law equal to its flip."""
+        alg = build_hopf_algebra({
+            "generators": [{"name": "t", "degree": 1},
+                           {"name": "s", "degree": 2},
+                           {"name": "u", "degree": 3}],
+            "degree_bound": 6,
+            "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                                [["t"], ["s"], "1"]]}})
+        assert not alg.cocommutative
+        t, u = HopfElement.generator(alg, "t"), HopfElement.generator(alg,
+                                                                       "u")
+        c = TensorElement.from_slots(t, u) + TensorElement.from_slots(u, t)
+        F = lemma_law(alg, c)
+        assert symmetry_defect(F).is_zero()
+        left, right = composites(F)
+        assert reversed_composite(right) != left
+        assert composite_count(F, monkeypatch) == 2
+        assert associativity_defect(F) == right - left
 
 
 # -- classical specialization ----------------------------------------------------

@@ -551,9 +551,19 @@ class TestPackedEngine:
         assigns = []
         for _ in range(nvars):
             if target and data.draw(st.booleans()):
-                assigns.append(Series.variable(
+                # a bare variable (complete, unit coefficient) is placed
+                # by an exponent shift; a finite order, a flag or a
+                # scalar make it an ordinary product again
+                var = Series.variable(
                     alg, arity, target, data.draw(st.integers(0, target - 1)),
-                    data.draw(st.one_of(st.just(INF), st.integers(1, 6)))))
+                    data.draw(st.one_of(st.just(INF), st.just(INF),
+                                        st.integers(1, 6))))
+                if data.draw(_RARE):
+                    var = var.scale(data.draw(st.sampled_from([-1, 2])))
+                if data.draw(_RARE):
+                    var = Series(alg, arity, target, var.terms, var.order,
+                                 truncated=True)
+                assigns.append(var)
             else:
                 assigns.append(data.draw(engine_series(
                     alg, arity, target, nilpotent_constant=True)))
@@ -579,6 +589,27 @@ class TestPackedEngine:
         monkeypatch.setattr(series_module, "_series_mul", checked)
         _assert_same(f.substitute([a]), reference_substitute(f, [a]))
         assert len(steps) == 3
+
+    def test_bare_variables_are_shifts(self, qt1, monkeypatch):
+        """Steps by a bare variable are exponent shifts, not products:
+        substituting (Y, X) into f forms no product at all."""
+        t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
+        one = TensorElement.unit(qt1, 1)
+        f = Series(qt1, 1, 2, {(0, 0): t, (2, 1): one, (1, 3): t * t}, 5,
+                   truncated=True)
+        swap = [Series.variable(qt1, 1, 2, 1), Series.variable(qt1, 1, 2, 0)]
+        original = series_module._series_mul
+        steps = []
+
+        def counted(g, h, **kwargs):
+            steps.append((g, h))
+            return original(g, h, **kwargs)
+
+        monkeypatch.setattr(series_module, "_series_mul", counted)
+        got = f.substitute(swap)
+        _assert_same(got, reference_substitute(f, swap))
+        assert got == f.permute_vars((1, 0))
+        assert steps == []
 
 
 # -- Newton reversion against the order-by-order loop -------------------------
