@@ -52,9 +52,13 @@ from .fgl import (
     unit_defects,
 )
 from .report import Report, Violation
-from .scalars import HAVE_GMPY2, Q, format_rational, parse_rational, rational
+from .scalars import Q, format_rational, parse_rational, rational
 from .series import INF, Series
 
 __version__ = "0.1.0"
+
+# Scalars are always fractions.Fraction. The flag of the former optional
+# gmpy2 backend stays, always False, for code that reports the backend.
+HAVE_GMPY2 = False
 
 __all__ = [name for name in dir() if not name.startswith("_")]

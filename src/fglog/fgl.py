@@ -19,14 +19,20 @@ flip tau F(Y, X) in all its stored terms, the left composite F(F(X, Y), Z)
 is the right one F(X, F(Y, Z)) with X and Z swapped and the tensor slots
 reversed. This is the classical step by which commutativity and one
 associativity composite suffice (Hazewinkel, Formal Groups and
-Applications, 1978). Only the right composite is computed: its Horner
-evaluation runs over the bare X outside and F(Y, Z) inside, so after the
-swap it forms every pair of terms that the left composite's Horner products
-form, and more, because its rows in (Y, Z) are truncated at the full
-substitution cap. Its `truncated` flag is therefore that of both
-composites; the left composite's alone can be clear where theirs is set.
-Any other F, including one whose constant term is outside the augmentation
-ideal, takes the two-composite path.
+Applications, 1978). The defect is then one composite minus its reversal,
+formed on the packed substitution result. The axiom gate of check_axioms
+decides on the left composite, the cheaper one: its Horner steps run over
+F(X, Y) outside and the bare Z inside. Both composites give the same terms
+and certified order, so a gate whose defect vanishes through the checked
+order passes, and a passing report carries no defect. The right composite
+F(X, F(Y, Z)) is computed only by associativity_defect itself, which the
+gate calls for a defect it reports. Its Horner rows in (Y, Z) are
+truncated at the full substitution cap, so after the swap it forms every
+pair of terms that the left composite's Horner products form, and more.
+Its `truncated` flag is therefore that of both composites; the left
+composite's alone can be clear where theirs is set. Any other F, including
+one whose constant term is outside the augmentation ideal, takes the
+two-composite path.
 
 Truncation bookkeeping: substituting a series whose constant term is a
 nonzero nilpotent (the Lemma-form constant c, or the inverse series'
@@ -49,7 +55,7 @@ from .errors import (
 )
 from .hopf import TensorElement
 from .report import Report, Violation
-from .series import Series, _doubling_orders, _solved_terms
+from .series import Series, _doubling_orders, _minus_reversed, _solved_terms
 
 INF = math.inf
 
@@ -87,18 +93,26 @@ def associativity_defect(F):
     For a law equal to its flip over a cocommutative H the left composite
     is the right one with X and Z swapped and the tensor slots reversed,
     so only the right one is computed (see the module docstring)."""
-    if (F.algebra.cocommutative and F.constant_term().full_counit() == 0
-            and _flip(F) == F):
-        right = _right_composite(F)
-        left = right.permute_vars((2, 1, 0)).map_coefficients(
-            lambda A: A.permute((2, 1, 0)))
-    else:
-        z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
-        left = F.map_coefficients(
-            lambda A: A.apply_slot(0, "comul"), arity=3).substitute(
-            [_lift_inner(F, (0, 1)), z_var])
-        right = _right_composite(F)
-    return right - left
+    if _one_composite(F, _flip(F) == F):
+        return _minus_reversed(_right_composite(F))
+    left = _left_composite(F)
+    return _right_composite(F) - left
+
+
+def _one_composite(F, symmetric):
+    """Whether one composite gives the associativity defect of F: H is
+    cocommutative, F(0, 0) lies in the augmentation ideal and F equals its
+    flip (`symmetric`)."""
+    return (F.algebra.cocommutative and F.constant_term().full_counit() == 0
+            and symmetric)
+
+
+def _left_composite(F):
+    """F(F(X, Y), Z): Horner over F(X, Y) outside, the bare Z inside."""
+    z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
+    return F.map_coefficients(
+        lambda A: A.apply_slot(0, "comul"), arity=3).substitute(
+        [_lift_inner(F, (0, 1)), z_var])
 
 
 def _right_composite(F):
@@ -169,10 +183,19 @@ def check_axioms(F, order=None, strict_grading_weight=None):
     through the requested order (default: as far as the stored data
     certifies). Raises TruncationInsufficient when the request exceeds
     what is certifiable. Returns a Report whose violations carry the
-    defect series."""
+    defect series.
+
+    For a law that takes the one-composite route the gate decides on the
+    left composite minus its reversal, which is minus the defect in every
+    term and has its certified order; only a nonzero gate computes the
+    defect it reports (see the module docstring)."""
     sym = symmetry_defect(F)
     unit_left, unit_right = unit_defects(F)
-    assoc = associativity_defect(F)
+    one_composite = _one_composite(F, sym.is_zero())
+    if one_composite:
+        assoc = _minus_reversed(_left_composite(F))
+    else:
+        assoc = associativity_defect(F)
     achievable = min(sym.order, unit_left.order, unit_right.order,
                      assoc.order)
     if order is not None and order > achievable:
@@ -186,6 +209,10 @@ def check_axioms(F, order=None, strict_grading_weight=None):
             "stored data certifies no order at all", certified=cert,
             requested=order)
 
+    assoc = assoc.truncate(cert)
+    if one_composite and not assoc.is_zero():
+        # the reported defect carries the flag of both composites
+        assoc = associativity_defect(F).truncate(cert)
     violations = []
     named = [("symmetry", sym), ("unit", unit_left), ("unit", unit_right),
              ("associativity", assoc)]

@@ -71,6 +71,8 @@ def random_cocycle(algebra, seed_or_rng, max_terms=3):
             if algebra.degrees[i] + algebra.degree(
                     algebra.generator_mono(b)) > bound:
                 continue
+            if not (algebra.is_primitive(a) and algebra.is_primitive(b)):
+                continue
             if rng.random() < 0.5:
                 continue
             q = random_rational(rng)

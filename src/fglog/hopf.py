@@ -180,6 +180,11 @@ class HopfAlgebra:
         exps[self._index[name]] = 1
         return tuple(exps)
 
+    def is_primitive(self, name):
+        """Whether the generator's coproduct is name (x) 1 + 1 (x) name."""
+        i = self._index[name]
+        return self._gen_comul[i] == _primitive_table_raw(len(self.names), i)
+
     def degree(self, mono):
         d = self._deg_cache.get(mono)
         if d is None:
@@ -932,10 +937,10 @@ def algebra_description(algebra):
             for n, d in zip(algebra.names, algebra.degrees)]
     coproduct = {}
     for i, name in enumerate(algebra.names):
-        table = algebra._gen_comul[i]
-        if table == _primitive_table_raw(len(algebra.names), i):
+        if algebra.is_primitive(name):
             coproduct[name] = "primitive"
         else:
+            table = algebra._gen_comul[i]
             entries = []
             for (a, b) in sorted(table):
                 entries.append([_mono_name_list(algebra, a),

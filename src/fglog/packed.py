@@ -6,7 +6,10 @@ and the Horner steps of a substitution (series.py), and tensor products
 exception is a Horner step by a bare variable, which is a key shift
 (`_Packed.shifted`). A term's variable exponents and slot monomials are
 packed into one int, a field per exponent, so the key of a product term is
-the sum of its factors' keys.
+the sum of its factors' keys. The associativity defect of a law equal to
+its flip is one packed composite minus its key-field reversal, which puts
+the tensor slots and the variables in reverse order; the int numerators
+are subtracted in the same layout (`_Codec.minus_reversed`).
 Coefficients are int numerators over one common denominator per operand.
 Terms are bucketed by (variable degree, Hopf degree), so the order cap and
 the degree bound are decided once per pair of buckets (Monagan and Pearce,
@@ -116,6 +119,56 @@ class _Codec:
                         coeff = acc[exps] = {}
                     coeff[key] = Q(num, den)
         return acc
+
+    def minus_reversed(self, packed):
+        """packed minus its image under the key-field reversal, which puts
+        the tensor slots and the variables in reverse order. The reversal
+        is a bijection of keys that keeps both bucket degrees, so the int
+        numerators are subtracted bucket by bucket over the common
+        denominator, and only nonzero differences are stored."""
+        hopf_bits = self.hopf_bits
+        hopf_mask = (1 << hopf_bits) - 1
+        slot_bits = self.width * len(self.algebra.names)
+        reversed_keys, reversed_exps = {}, {}
+        rows = {}
+        for d, row in packed.rows.items():
+            out_row = {}
+            for h, bucket in row.items():
+                out = {}
+                get = bucket.get
+                for code, num in bucket.items():
+                    kcode = code & hopf_mask
+                    rk = reversed_keys.get(kcode)
+                    if rk is None:
+                        rk = reversed_keys[kcode] = _reversed_fields(
+                            kcode, self.arity, slot_bits)
+                    vcode = code >> hopf_bits
+                    rv = reversed_exps.get(vcode)
+                    if rv is None:
+                        rv = reversed_exps[vcode] = _reversed_fields(
+                            vcode, self.nvars, self.width) << hopf_bits
+                    image = rv | rk
+                    mirror = get(image)
+                    if mirror is None:
+                        out[code] = num
+                        out[image] = -num
+                    elif mirror != num:
+                        out[code] = num - mirror
+                if out:
+                    out_row[h] = out
+            if out_row:
+                rows[d] = out_row
+        return _Packed(rows, packed.den, packed.order, packed.flag)
+
+
+def _reversed_fields(code, count, bits):
+    """code with its `count` fields of `bits` bits in reverse order."""
+    mask = (1 << bits) - 1
+    out = 0
+    for _ in range(count):
+        out = (out << bits) | (code & mask)
+        code >>= bits
+    return out
 
 
 class _Packed:

@@ -1,9 +1,7 @@
 """Exact rational scalars.
 
-The whole kernel computes over arbitrary-precision rationals. gmpy2.mpq is
-used when available, with fractions.Fraction as the portable fallback; both
-share the numeric protocol the kernel relies on (exact +, *, /, **,
-comparison against int). Series products and substitutions, the bulk of the
+The whole kernel computes over arbitrary-precision rationals, the stdlib
+fractions.Fraction. Series products and substitutions, the bulk of the
 arithmetic, do not run on this type: every product, of series and of
 tensors alike, runs on the packed kernel in packed.py, which computes with
 Python int numerators over one common denominator per operand and converts
@@ -11,22 +9,14 @@ back to Q only for the coefficients it returns.
 """
 
 import sys
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Q  # type: ignore[import-not-found]
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-    HAVE_GMPY2 = False
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)
 
 
 def rational(value):
-    """Coerce an int, Fraction, mpq or 'p/q' string to the scalar type."""
+    """Coerce an int, Fraction or 'p/q' string to the scalar type."""
     if isinstance(value, str):
         return parse_rational(value)
     return Q(value)

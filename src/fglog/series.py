@@ -42,7 +42,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement, _is_rational
-from .packed import _Codec
+from .packed import _Codec, _Packed
 from .scalars import ONE, Q, format_rational, rational
 
 INF = math.inf
@@ -106,8 +106,9 @@ class Series:
 
     @property
     def terms(self):
-        """{exps: TensorElement}; for the intermediate steps of a
-        substitution it is unpacked from the packed form on first use."""
+        """{exps: TensorElement}; for a substitution's result and its
+        intermediate steps it is unpacked from the packed form on first
+        use."""
         if self._terms is None:
             codec, packed = self._packed
             self._terms = _coefficients(self.algebra, self.arity,
@@ -373,8 +374,9 @@ class Series:
             cap = min(cap, self.order - slack_total)
 
         if not self.terms:
-            return Series(target.algebra, self.arity, target.nvars, {}, cap,
-                          target.names, self.truncated, _normalize=False)
+            codec = _Codec(self.algebra, self.arity, target.names, 0)
+            return _substituted(codec, _Packed({}, 1, cap, self.truncated),
+                                False)
         vmax = max((a.max_degree() for v, a in enumerate(assigns)
                     if occurring[v]), default=0)
         vmax = max(vmax, cap if cap != INF else self.max_degree() * vmax)
@@ -385,19 +387,12 @@ class Series:
                   for e, c in self.terms.items()}
         views = [_view(codec, _pack_series(codec, a), a.terms) if occurring[v]
                  else None for v, a in enumerate(assigns)]
-        result = _horner(consts, views, cap)
-        terms = dict(result.terms)
-        # the constant coefficient of the substituted series is the only
-        # one that reaches the result without passing through a product,
-        # so it alone keeps its own `truncated` flag
+        result = _horner(consts, views, cap)._packed[1]
         const = self.terms.get((0,) * self.nvars)
-        if const is not None and const.truncated and zero in terms:
-            terms[zero] = TensorElement(self.algebra, self.arity,
-                                        terms[zero].terms, True,
-                                        _normalize=False)
-        return Series(target.algebra, self.arity, target.nvars, terms, cap,
-                      target.names, result.truncated or self.truncated,
-                      _normalize=False)
+        return _substituted(
+            codec, _Packed(result.rows, result.den, cap,
+                           result.flag or self.truncated),
+            const is not None and const.truncated)
 
     def comp_inverse(self, order=None):
         """Compositional inverse of a one-variable series with f(0) = 0 and
@@ -703,9 +698,9 @@ def _solved_terms(root, slope, slope_inv):
 
 # -- series products on the packed kernel (packed.py) ------------------------
 #
-# A substitution packs its inputs once and unpacks its result once; its
-# Horner steps are `_series_mul` calls on Series views that carry the packed
-# form and unpack their terms only when these are read.
+# A substitution packs its inputs once; its Horner steps are `_series_mul`
+# calls on Series views that carry the packed form and unpack their terms
+# only when these are read, and so is its result.
 
 
 def _coefficients(algebra, arity, terms):
@@ -729,17 +724,43 @@ def _view(codec, packed, terms=None):
     return series
 
 
-def _series_mul(f, g, *, keep=INF):
+def _substituted(codec, packed, const_flag):
+    """The Series of a substitution's packed result. Unpacked coefficients
+    carry no flag; the constant coefficient is the only one that reaches
+    the result without passing through a product, so it keeps the flag of
+    the substituted series' constant coefficient (`const_flag`)."""
+    terms = None
+    if const_flag and 0 in packed.rows:
+        terms = _coefficients(codec.algebra, codec.arity,
+                              codec.unpack(packed))
+        zero = (0,) * codec.nvars
+        terms[zero] = TensorElement(codec.algebra, codec.arity,
+                                    terms[zero].terms, True,
+                                    _normalize=False)
+    return _view(codec, packed, terms)
+
+
+def _minus_reversed(result):
+    """A substitution's result minus itself with the tensor slots and the
+    variables in reverse order, formed on the packed result; only the
+    nonzero terms of the difference are unpacked. The reversal keeps every
+    term's degrees, so the difference has the flags that `result -
+    reversed` gives: the series flag and the constant coefficient's."""
+    codec, packed = result._packed
+    const = (result._terms or {}).get((0,) * result.nvars)
+    return _substituted(codec, codec.minus_reversed(packed),
+                        const is not None and const.truncated)
+
+
+def _series_mul(f, g, *, keep=INF, layout=None):
     """f * g truncated at `keep`. The `truncated` flag counts every pair of
     terms within the product's own order cap, as (f * g).truncate(keep)
-    would. Two views of one substitution's layout are multiplied packed
-    and give a view; other operands are packed here and the product is
-    unpacked."""
+    would. A Horner step passes its substitution's codec as `layout`: its
+    operands are views of it, multiplied packed into a view. Other
+    operands are packed here and the product is unpacked."""
     bound = f.algebra.degree_bound
-    if f._packed is not None and g._packed is not None \
-            and f._packed[0] is g._packed[0]:
-        codec = f._packed[0]
-        return _view(codec, f._packed[1].times(g._packed[1], keep, bound))
+    if layout is not None:
+        return _view(layout, f._packed[1].times(g._packed[1], keep, bound))
     codec = _Codec(f.algebra, f.arity, f.names,
                    f.max_degree() + g.max_degree())
     prod = _pack_series(codec, f).times(_pack_series(codec, g), keep, bound)
@@ -767,13 +788,15 @@ def _horner(consts, assigns, cap):
             rows.setdefault(e[0], {})[e[1:]] = c
         groups = {k: _horner(sub, assigns[1:], cap)
                   for k, sub in rows.items()}
-    a0 = assigns[0]
     kmax = max(groups)
-    shift = a0._packed[1].variable_code() if kmax else None
     result = groups[kmax]
+    if kmax:
+        a0 = assigns[0]
+        layout = a0._packed[0]
+        shift = a0._packed[1].variable_code()
     for k in range(kmax - 1, -1, -1):
         if shift is None:
-            result = _series_mul(result, a0, keep=cap)
+            result = _series_mul(result, a0, keep=cap, layout=layout)
         else:
             codec, packed = result._packed
             result = _view(codec, packed.shifted(shift, cap))

@@ -100,6 +100,26 @@ class TestVerify:
         assert report["pass"] is False
         assert [v["axiom"] for v in report["violations"]] == ["associativity"]
 
+    def test_one_composite_defect_keeps_its_flag(self, capsys, tmp_path):
+        """A law equal to its flip passes or fails on the left composite,
+        but its reported defect is the right composite's: only that one
+        sets the flag here."""
+        law = {"hopf": "qt2", "series": {
+            "variables": ["X", "Y"], "order": 5, "arity": 2, "terms": [
+                {"exp": [1, 0], "coeff": [[["1"], ["1"], "1"]]},
+                {"exp": [0, 1], "coeff": [[["1"], ["1"], "1"]]},
+                {"exp": [3, 2], "coeff": [[["t", "t"], ["1"], "-2"]]},
+                {"exp": [2, 3], "coeff": [[["1"], ["t", "t"], "-2"]]}]}}
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        code, out, err = run(capsys, "verify", "--group", str(path),
+                             "--order", "5", "--hdeg", "4", "--format",
+                             "json")
+        assert code == 1
+        (violation,) = json.loads(out)["violations"]
+        assert violation["axiom"] == "associativity"
+        assert violation["defect"]["truncated"] is True
+
     def test_strict_grading_weight_announced(self, capsys):
         # deg t = 2, so the constant cocycle 2(t x t) sits in degree 4 and
         # homogeneity holds exactly at weight 4
@@ -719,7 +739,13 @@ def _group_documents(draw):
     order = draw(st.one_of(st.none(), st.integers(0, 12)))
     if order is not None:
         series["order"] = order
-    doc = json.loads(json.dumps({"hopf": hopf, "series": series}))
+    return _junked(draw, {"hopf": hopf, "series": series})
+
+
+def _junked(draw, doc):
+    """A copy of the document with zero to three fields replaced by junk
+    or deleted."""
+    doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
         places = list(_places(doc))
         if not places:
@@ -754,3 +780,98 @@ class TestGroupJsonFuzz:
             sys.stdin = stdin
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+# -- series and tensor JSON files ----------------------------------------------
+#
+# Well-formed `--log` series files and `--cocycle` / `--element` tensor files
+# over the builtin algebras, of which about half then have one to three
+# fields replaced by junk or deleted, and now and then junk or text that is
+# not JSON instead of a document. Exponents and orders stay at 12 or below.
+
+_NOT_JSON = st.sampled_from(["", "{", "[1,", "nul", "\x00"])
+
+
+def _monomials(names):
+    """Name lists, and exponent vectors up to 12."""
+    return st.one_of(
+        st.lists(st.sampled_from(names + ["1"]), max_size=3).map(
+            lambda m: m or ["1"]),
+        st.lists(st.integers(0, 12), min_size=len(names),
+                 max_size=len(names)))
+
+
+_RATIONALS = st.sampled_from(["1", "-1", "1/2", "2", "-3/2", "0"])
+
+
+@st.composite
+def _log_files(draw, hopf):
+    """Text of a one-variable series file x + ... over `hopf`."""
+    row = st.tuples(_monomials(_BUILTIN_GENERATORS[hopf]), _RATIONALS).map(
+        list)
+    entry = st.fixed_dictionaries({
+        "exp": st.lists(st.integers(0, 12), min_size=1, max_size=1),
+        "coeff": st.lists(row, min_size=1, max_size=3)})
+    series = {"variables": ["x"], "arity": 1,
+              "terms": [{"exp": [1], "coeff": [[["1"], "1"]]}]
+              + draw(st.lists(entry, max_size=3))}
+    order = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if order is not None:
+        series["order"] = order
+    if draw(st.booleans()):
+        series["truncated"] = draw(st.booleans())
+    return json.dumps(_junked(draw, series))
+
+
+@st.composite
+def _tensor_files(draw, hopf, arity):
+    """Text of an arity-`arity` tensor file over `hopf`."""
+    mono = _monomials(_BUILTIN_GENERATORS[hopf])
+    row = st.tuples(st.lists(mono, min_size=arity, max_size=arity),
+                    _RATIONALS).map(lambda r: r[0] + [r[1]])
+    tensor = {"terms": draw(st.lists(row, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        tensor["arity"] = arity
+    return json.dumps(_junked(draw, tensor))
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("files") / "input.json"
+
+
+class TestFileFuzz:
+    @settings(max_examples=100)
+    @given(data=st.data(), hopf=st.sampled_from(["qt1", "qt2", "qtu"]),
+           order=st.integers(1, 6))
+    def test_log_file_ends_in_an_exit_code(self, json_path, data, hopf,
+                                           order):
+        json_path.write_text(data.draw(st.one_of(
+            _log_files(hopf), _NOT_JSON, _JUNK.map(json.dumps))))
+        _exit_code(["reconstruct", "--hopf", hopf, "--log", str(json_path),
+                    "--cocycle", data.draw(st.sampled_from(
+                        ["0", "t (x) t"])), "--order", str(order)])
+
+    @settings(max_examples=100)
+    @given(data=st.data(), hopf=st.sampled_from(["qt1", "qt2", "qtu"]),
+           command=st.sampled_from(["check-cocycle", "coboundary",
+                                    "reconstruct"]))
+    def test_tensor_file_ends_in_an_exit_code(self, json_path, data, hopf,
+                                              command):
+        arity = 1 if command == "coboundary" else 2
+        json_path.write_text(data.draw(st.one_of(
+            _tensor_files(hopf, arity), _tensor_files(hopf, 3 - arity),
+            _NOT_JSON, _JUNK.map(json.dumps))))
+        flag = "--element" if command == "coboundary" else "--cocycle"
+        argv = [command, "--hopf", hopf, flag, str(json_path)]
+        if command == "reconstruct":
+            argv += ["--order", "3"]
+        _exit_code(argv)

@@ -690,10 +690,13 @@ def reference_associativity_defect(F):
 
 
 def reference_check_axioms(F, order=None):
-    """check_axioms with the two-composite associativity defect."""
+    """check_axioms with the two-composite associativity defect and no
+    one-composite gate."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fgl_module, "associativity_defect",
                       reference_associativity_defect)
+        patch.setattr(fgl_module, "_one_composite",
+                      lambda F, symmetric: False)
         return check_axioms(F, order=order)
 
 
@@ -723,16 +726,57 @@ def composite_count(F, monkeypatch):
     return len(calls)
 
 
+def defect_calls(F, monkeypatch, order=None):
+    """(check_axioms(F, order), how often it called associativity_defect)."""
+    calls = []
+    original = fgl_module.associativity_defect
+
+    def counted(law):
+        calls.append(law)
+        return original(law)
+
+    monkeypatch.setattr(fgl_module, "associativity_defect", counted)
+    report = check_axioms(F, order=order)
+    monkeypatch.setattr(fgl_module, "associativity_defect", original)
+    return report, len(calls)
+
+
+# Cocommutative, but u is not primitive: the packed composites of its laws
+# have a common denominator other than 1.
+QTU_HALF = {"generators": [{"name": "t", "degree": 1},
+                           {"name": "u", "degree": 2}],
+            "degree_bound": 8,
+            "coproduct": {"t": "primitive",
+                          "u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                                [["t"], ["t"], "1/2"]]}}
+
+
+def qt2_flag_law():
+    """X + Y - 2(t^2 (x) 1)X^3 Y^2 - 2(1 (x) t^2)X^2 Y^3 at order 5 over
+    qt2 with degree bound 4: not associative, and only the right
+    composite's Horner steps see the pairs that flag its defect."""
+    alg = builtin_algebra("qt2", degree_bound=4)
+    t = t_elem(alg)
+    one = HopfElement.one(alg)
+    return additive_law(alg, order=5) + Series(alg, 2, 2, {
+        (3, 2): TensorElement.from_slots(t * t, one) * -2,
+        (2, 3): TensorElement.from_slots(one, t * t) * -2}, 5, XY)
+
+
 @st.composite
 def symmetric_laws(draw):
-    """A series equal to its flip over qt1, qt2 or qtu at degree bounds
-    3-6: a law reconstructed from a random cocycle and logarithm, or a
-    Lemma law c + X + Y with c = a + tau a (a cocycle or not), either one
-    seldom plus a symmetric perturbation P + tau P(Y, X) (mostly not a
+    """A series equal to its flip over qt1, qt2, qtu or QTU_HALF at degree
+    bounds 3-6: a law reconstructed from a random cocycle and logarithm,
+    or a Lemma law c + X + Y with c = a + tau a (a cocycle or not), either
+    one seldom plus a symmetric perturbation P + tau P(Y, X) (mostly not a
     group law; seldom with a constant term outside the augmentation
     ideal), at a finite or infinite order."""
-    name = draw(st.sampled_from(["qt1", "qt2", "qtu"]))
-    alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
+    name = draw(st.sampled_from(["qt1", "qt2", "qtu", "qtu_half"]))
+    bound = draw(st.integers(3, 6))
+    if name == "qtu_half":
+        alg = build_hopf_algebra(dict(QTU_HALF, degree_bound=bound))
+    else:
+        alg = builtin_algebra(name, degree_bound=bound)
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
         c = random_cocycle(alg, rng)
@@ -837,6 +881,40 @@ class TestOneComposite:
         F = lemma_law(qt1, TensorElement.unit(qt1, 2), order=4)
         with pytest.raises(NonNilpotentConstantTerm, match="variable X"):
             associativity_defect(F)
+
+    def test_passing_gate_computes_no_defect(self, monkeypatch):
+        """A law that passes is decided on the left composite alone; a
+        failing one has its defect computed once, from the right
+        composite, with that composite's flag."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = lemma_law(alg, two_t_t(alg), order=8)
+        report, calls = defect_calls(F, monkeypatch)
+        assert report.passed and calls == 0
+        report, calls = defect_calls(qt2_flag_law(), monkeypatch, order=5)
+        assert not report.passed and calls == 1
+        (violation,) = report.violations
+        assert violation.axiom == "associativity"
+        assert violation.defect.truncated
+
+    def test_rational_coproduct(self, monkeypatch):
+        """Over QTU_HALF a law's composites have denominators other than
+        1, and the packed reversal still gives both composites' defect."""
+        alg = build_hopf_algebra(QTU_HALF)
+        assert alg.cocommutative and not alg.is_primitive("u")
+        u = HopfElement.generator(alg, "u")
+        c = coboundary(u * u)
+        F = reconstruct(alg, c, log_x_plus_tx2(alg), order=5)
+        P = Series(alg, 2, 2, {(2, 1): TensorElement.from_slots(u, u)}, 5,
+                   XY)
+        for law in (F, F + P + _flip(P)):
+            assert fgl_module._right_composite(law)._packed[1].den != 1
+            assert composite_count(law, monkeypatch) == 1
+            assert_same_outcome(outcome(associativity_defect, law),
+                                outcome(reference_associativity_defect, law))
+            assert_same_report(check_axioms(law),
+                               reference_check_axioms(law))
+        assert check_axioms(F).passed
+        assert not check_axioms(F + P + _flip(P)).passed
 
     def test_empty_law(self, qt1):
         """A law with no stored term has a zero defect of order 0."""

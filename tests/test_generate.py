@@ -2,13 +2,14 @@
 
 import random
 
-from fglog import check_axioms, check_cocycle, lemma_law
+from fglog import build_hopf_algebra, check_axioms, check_cocycle, lemma_law
 from fglog.generate import (
     random_cocycle,
     random_logarithm,
     random_rational,
     random_symmetric_candidate,
 )
+from test_fgl import QTU_HALF
 
 
 class TestGenerators:
@@ -21,7 +22,9 @@ class TestGenerators:
         assert (ga - gb).is_zero()
 
     def test_cocycles_always_pass(self, qt1, qtu):
-        for algebra in (qt1, qtu):
+        """Also over an algebra with a generator that is not primitive,
+        which takes no part in the symmetric products."""
+        for algebra in (qt1, qtu, build_hopf_algebra(QTU_HALF)):
             rng = random.Random(11)
             for _ in range(20):
                 c = random_cocycle(algebra, rng)
