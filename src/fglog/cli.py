@@ -138,27 +138,17 @@ def _color(word, ok):
     return word
 
 
-def _order_str(order):
-    return "exact" if order == INF else str(order)
-
-
-def _header(command, order=None, hdeg=None):
+def _opening(command, algebra, order=None):
+    """The JSON payload and the pretty lines a command's output opens
+    with: the command, its order when it has one, and the degree bound."""
+    payload = {"command": command}
     bits = []
     if order is not None:
-        bits.append(f"order {_order_str(order)}")
-    if hdeg is not None:
-        bits.append(f"hdeg {hdeg}")
-    tail = f" ({', '.join(bits)})" if bits else ""
-    return f"# fglog {command}{tail}"
-
-
-def _payload(command, order=None, hdeg=None):
-    out = {"command": command}
-    if order is not None:
-        out["order"] = None if order == INF else order
-    if hdeg is not None:
-        out["hdeg"] = hdeg
-    return out
+        payload["order"] = None if order == INF else order
+        bits.append(f"order {'exact' if order == INF else order}")
+    payload["hdeg"] = algebra.degree_bound
+    bits.append(f"hdeg {algebra.degree_bound}")
+    return payload, [f"# fglog {command} ({', '.join(bits)})"]
 
 
 def _algebra_line(algebra):
@@ -181,10 +171,9 @@ def _report_lines(report):
 def _cmd_check_hopf(args):
     algebra = _algebra_arg(args.hopf, args.hdeg)
     report = verify_hopf_axioms(algebra)
-    payload = _payload("check-hopf", hdeg=algebra.degree_bound)
+    payload, lines = _opening("check-hopf", algebra)
     payload.update(jsonio.report_to_json(report))
-    lines = [_header("check-hopf", hdeg=algebra.degree_bound),
-             _algebra_line(algebra)]
+    lines.append(_algebra_line(algebra))
     lines += _report_lines(report)
     return (0 if report.passed else 1), payload, lines
 
@@ -193,53 +182,48 @@ def _cmd_verify(args):
     algebra, F = _group_arg(args.group, args.hdeg)
     weight = args.weight if args.strict_grading else None
     report = check_axioms(F, order=args.order, strict_grading_weight=weight)
-    payload = _payload("verify", order=args.order,
-                       hdeg=algebra.degree_bound)
+    payload, lines = _opening("verify", algebra, args.order)
     if weight is not None:
         payload["strict_grading_weight"] = weight
-    payload.update(jsonio.report_to_json(report))
-    lines = [_header("verify", order=args.order, hdeg=algebra.degree_bound)]
-    if weight is not None:
         lines.append(f"strict grading: weight {weight}")
+    payload.update(jsonio.report_to_json(report))
     lines += _report_lines(report)
     return (0 if report.passed else 1), payload, lines
 
 
-def _strict_grading_report(series, weight):
-    base, offending = strict_grading_defect(series, weight)
-    if offending.is_zero():
-        return Report.ok()
-    return Report.fail([Violation(
-        "strict-grading", offending,
-        f"weight {weight}, expected value {base}")])
-
-
-def _cmd_log(args):
-    algebra, F = _group_arg(args.group, args.hdeg)
-    g = logarithm(F, order=args.order)
-    payload = _payload("log", order=args.order, hdeg=algebra.degree_bound)
-    lines = [_header("log", order=args.order, hdeg=algebra.degree_bound)]
+def _graded_result(args, command, algebra, key, series, rendered):
+    """Output of a command whose result is a series (JSON `rendered`
+    under `key`), with the strict-grading check of --strict-grading."""
+    payload, lines = _opening(command, algebra, args.order)
     code = 0
     if args.strict_grading:
+        base, offending = strict_grading_defect(series, args.weight)
+        report = Report.ok() if offending.is_zero() else Report.fail(
+            [Violation("strict-grading", offending,
+                       f"weight {args.weight}, expected value {base}")])
         payload["strict_grading_weight"] = args.weight
-        report = _strict_grading_report(g, args.weight)
         payload.update(jsonio.report_to_json(report))
         code = 0 if report.passed else 1
-    payload["logarithm"] = jsonio.series_to_json(g)
-    lines.append(str(g))
+    payload[key] = rendered
+    lines.append(str(series))
     if args.strict_grading:
         lines.append("strict-grading: " + "\n".join(_report_lines(report)))
     return code, payload, lines
 
 
+def _cmd_log(args):
+    algebra, F = _group_arg(args.group, args.hdeg)
+    g = logarithm(F, order=args.order)
+    return _graded_result(args, "log", algebra, "logarithm", g,
+                          jsonio.series_to_json(g))
+
+
 def _cmd_cocycle(args):
     algebra, F = _group_arg(args.group, args.hdeg)
     c = extract_cocycle(F, order=args.order)
-    payload = _payload("cocycle", order=args.order,
-                       hdeg=algebra.degree_bound)
+    payload, lines = _opening("cocycle", algebra, args.order)
     payload["cocycle"] = jsonio.tensor_to_json(c)
-    lines = [_header("cocycle", order=args.order,
-                     hdeg=algebra.degree_bound), str(c)]
+    lines.append(str(c))
     return 0, payload, lines
 
 
@@ -247,11 +231,10 @@ def _cmd_check_cocycle(args):
     algebra = _algebra_arg(args.hopf, args.hdeg)
     c = _tensor_arg(args.cocycle, algebra, 2)
     report = check_cocycle(c)
-    payload = _payload("check-cocycle", hdeg=algebra.degree_bound)
+    payload, lines = _opening("check-cocycle", algebra)
     payload["cocycle"] = jsonio.tensor_to_json(c)
     payload.update(jsonio.report_to_json(report))
-    lines = [_header("check-cocycle", hdeg=algebra.degree_bound),
-             f"cocycle: {c}"]
+    lines.append(f"cocycle: {c}")
     lines += _report_lines(report)
     return (0 if report.passed else 1), payload, lines
 
@@ -260,20 +243,18 @@ def _cmd_coboundary(args):
     algebra = _algebra_arg(args.hopf, args.hdeg)
     h = _element_arg(args.element, algebra)
     b = coboundary(h)
-    payload = _payload("coboundary", hdeg=algebra.degree_bound)
+    payload, lines = _opening("coboundary", algebra)
     payload["coboundary"] = jsonio.tensor_to_json(b)
-    lines = [_header("coboundary", hdeg=algebra.degree_bound), str(b)]
+    lines.append(str(b))
     return 0, payload, lines
 
 
 def _cmd_inverse(args):
     algebra, F = _group_arg(args.group, args.hdeg)
     theta = inverse_series(F, order=args.order)
-    payload = _payload("inverse", order=args.order,
-                       hdeg=algebra.degree_bound)
+    payload, lines = _opening("inverse", algebra, args.order)
     payload["inverse"] = jsonio.series_to_json(theta)
-    lines = [_header("inverse", order=args.order,
-                     hdeg=algebra.degree_bound), str(theta)]
+    lines.append(str(theta))
     return 0, payload, lines
 
 
@@ -285,21 +266,8 @@ def _cmd_reconstruct(args):
     else:
         g = Series.variable(algebra, 1, 1, 0, names=("x",))
     F = reconstruct(algebra, c, g, order=args.order)
-    payload = _payload("reconstruct", order=args.order,
-                       hdeg=algebra.degree_bound)
-    lines = [_header("reconstruct", order=args.order,
-                     hdeg=algebra.degree_bound)]
-    code = 0
-    if args.strict_grading:
-        payload["strict_grading_weight"] = args.weight
-        report = _strict_grading_report(F, args.weight)
-        payload.update(jsonio.report_to_json(report))
-        code = 0 if report.passed else 1
-    payload["group"] = jsonio.group_to_json(F)
-    lines.append(str(F))
-    if args.strict_grading:
-        lines.append("strict-grading: " + "\n".join(_report_lines(report)))
-    return code, payload, lines
+    return _graded_result(args, "reconstruct", algebra, "group", F,
+                          jsonio.group_to_json(F))
 
 
 def _cmd_specialize(args):
@@ -307,11 +275,9 @@ def _cmd_specialize(args):
     S = specialize(F)
     if args.order is not None:
         S = S.truncate(args.order)
-    payload = _payload("specialize", order=S.order,
-                       hdeg=algebra.degree_bound)
+    payload, lines = _opening("specialize", algebra, S.order)
     payload["series"] = jsonio.series_to_json(S)
-    lines = [_header("specialize", order=S.order,
-                     hdeg=algebra.degree_bound), str(S)]
+    lines.append(str(S))
     return 0, payload, lines
 
 
@@ -323,7 +289,7 @@ def _cmd_roundtrip(args):
     algebra, F = _group_arg(args.group, args.hdeg)
     N = args.order
     stages = []
-    lines = [_header("roundtrip", order=N, hdeg=algebra.degree_bound)]
+    payload, lines = _opening("roundtrip", algebra, N)
     failed = False
 
     def push_report(name, report):
@@ -370,7 +336,6 @@ def _cmd_roundtrip(args):
         failed = True
 
     overall = not failed and all(s.get("pass") for s in stages)
-    payload = _payload("roundtrip", order=N, hdeg=algebra.degree_bound)
     payload["pass"] = overall
     payload["stages"] = stages
     lines.append(f"roundtrip: {_color('pass' if overall else 'fail', overall)}")
@@ -418,11 +383,10 @@ def build_parser():
         q.add_argument("--group", required=True, metavar="FILE",
                        help="group JSON file, or '-' to read it from stdin")
 
-    def opt_order(q, default=8, help_text=None):
-        q.add_argument("--order", type=_positive_int, default=default,
+    def opt_order(q):
+        q.add_argument("--order", type=_positive_int, default=8,
                        metavar="N",
-                       help=help_text or "variable-adic order to work to "
-                            f"(default {default})")
+                       help="variable-adic order to work to (default 8)")
 
     def opt_strict(q):
         q.add_argument("--strict-grading", action="store_true",

@@ -212,24 +212,30 @@ def check_axioms(F, order=None, strict_grading_weight=None):
     assoc = assoc.truncate(cert)
     if one_composite and not assoc.is_zero():
         # the reported defect carries the flag of both composites
-        assoc = associativity_defect(F).truncate(cert)
+        assoc = associativity_defect(F)
+    grading = []
+    if strict_grading_weight is not None:
+        _, offending = strict_grading_defect(F, strict_grading_weight)
+        if not offending.is_zero():
+            grading.append(Violation(
+                "strict-grading", defect=offending,
+                detail=f"weight {strict_grading_weight}"))
+    return _defect_report([("symmetry", sym), ("unit", unit_left),
+                           ("unit", unit_right), ("associativity", assoc)],
+                          cert, grading)
+
+
+def _defect_report(named, cert, extra=()):
+    """Report certified through `cert`: a violation for every (axiom,
+    defect) whose defect is nonzero through cert, then those of `extra`."""
     violations = []
-    named = [("symmetry", sym), ("unit", unit_left), ("unit", unit_right),
-             ("associativity", assoc)]
     for axiom, defect in named:
         cut = defect.truncate(cert)
         if not cut.is_zero():
             violations.append(Violation(axiom, defect=cut))
-    if strict_grading_weight is not None:
-        _, offending = strict_grading_defect(F, strict_grading_weight)
-        if not offending.is_zero():
-            violations.append(Violation(
-                "strict-grading", defect=offending,
-                detail=f"weight {strict_grading_weight}"))
-    cert_val = None if cert == INF else cert
-    if violations:
-        return Report(False, tuple(violations), certified_order=cert_val)
-    return Report(True, (), certified_order=cert_val)
+    violations += extra
+    return Report(not violations, tuple(violations),
+                  None if cert == INF else cert)
 
 
 # -- invariant differential and logarithm -------------------------------------
@@ -281,15 +287,8 @@ def check_log(F, g, order=None):
             f"order {achievable} is certified",
             certified=achievable, requested=order)
     cert = achievable if order is None else min(order, achievable)
-    violations = []
-    for axiom, defect in (("log-functional", nonconstant),
-                          ("log-invariance", invariance)):
-        cut = defect.truncate(cert)
-        if not cut.is_zero():
-            violations.append(Violation(axiom, defect=cut))
-    cert_val = None if cert == INF else cert
-    return Report(not violations, tuple(violations),
-                  certified_order=cert_val)
+    return _defect_report([("log-functional", nonconstant),
+                           ("log-invariance", invariance)], cert)
 
 
 def _slot_series(g, slot):

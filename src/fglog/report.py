@@ -4,16 +4,21 @@ All verification entry points (Hopf axioms, group axioms, cocycle conditions,
 the logarithm equation) return a Report instead of raising, so callers can
 inspect every defect; raising is reserved for operations whose output would
 be meaningless on failure.
+
+Both types are immutable records, equal when their fields are equal
+(`namedtuple` subclasses, which cost nothing like the import of
+`dataclasses`).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    defect: object = None  # Series, TensorElement or None
-    detail: str = ""
+class Violation(namedtuple("Violation", "axiom defect detail",
+                           defaults=(None, ""))):
+    """One failed axiom: its name, the defect (Series, TensorElement or
+    None) and a detail line."""
+
+    __slots__ = ()
 
     def __str__(self):
         msg = self.axiom
@@ -24,20 +29,20 @@ class Violation:
         return msg
 
 
-@dataclass(frozen=True)
-class Report:
-    passed: bool
-    violations: tuple = ()
-    certified_order: object = None  # int or math.inf when meaningful
-    checks: tuple = ()  # names of the checks that ran
+class Report(namedtuple("Report", "passed violations certified_order",
+                        defaults=((), None))):
+    """Verdict, violations, and the certified order (int or math.inf) when
+    meaningful."""
+
+    __slots__ = ()
 
     @classmethod
-    def ok(cls, certified_order=None, checks=()):
-        return cls(True, (), certified_order, tuple(checks))
+    def ok(cls, certified_order=None):
+        return cls(True, (), certified_order)
 
     @classmethod
-    def fail(cls, violations, certified_order=None, checks=()):
-        return cls(False, tuple(violations), certified_order, tuple(checks))
+    def fail(cls, violations, certified_order=None):
+        return cls(False, tuple(violations), certified_order)
 
     def __bool__(self):
         return self.passed

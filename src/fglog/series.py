@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     TruncationInsufficient,
 )
-from .hopf import TensorElement, _is_rational
+from .hopf import TensorElement, _is_rational, _join_signed
 from .packed import _Codec, _Packed
 from .scalars import ONE, Q, format_rational, rational
 
@@ -142,6 +142,15 @@ class Series:
 
     # -- bookkeeping helpers ---------------------------------------------------
 
+    def _rebuilt(self, terms, order=None, names=None):
+        """Series of this algebra, arity and `truncated` flag from terms
+        that are nonzero and within the order: this series' order and
+        variable names unless given, as many variables as names."""
+        names = self.names if names is None else names
+        return Series(self.algebra, self.arity, len(names), terms,
+                      self.order if order is None else order, names,
+                      self.truncated, _normalize=False)
+
     def _check_shape(self, other):
         if self.algebra != other.algebra:
             raise AlgebraMismatch("series over different Hopf algebras")
@@ -176,9 +185,9 @@ class Series:
     def truncate(self, order):
         """Drop terms above the order; certification shrinks accordingly."""
         new_order = min(self.order, order)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= new_order}
-        return Series(self.algebra, self.arity, self.nvars, terms, new_order,
-                      self.names, self.truncated, _normalize=False)
+        return self._rebuilt(
+            {e: c for e, c in self.terms.items() if sum(e) <= new_order},
+            new_order)
 
     def with_order(self, order):
         """Re-stamp the certified order. Raising it asserts, on the caller's
@@ -187,8 +196,7 @@ class Series:
         lowering it behaves like truncate."""
         if order <= self.order:
             return self.truncate(order)
-        return Series(self.algebra, self.arity, self.nvars, dict(self.terms),
-                      order, self.names, self.truncated, _normalize=False)
+        return self._rebuilt(dict(self.terms), order)
 
     def with_names(self, names):
         """Same series under different display names for the variables."""
@@ -196,8 +204,7 @@ class Series:
         if len(names) != self.nvars:
             raise ShapeMismatch(
                 f"{len(names)} names for {self.nvars} variables")
-        return Series(self.algebra, self.arity, self.nvars, self.terms,
-                      self.order, names, self.truncated, _normalize=False)
+        return self._rebuilt(self.terms, names=names)
 
     # -- linear structure -------------------------------------------------------
 
@@ -238,12 +245,9 @@ class Series:
                       _normalize=False)
 
     def __neg__(self):
-        return Series(self.algebra, self.arity, self.nvars,
-                      {e: -c for e, c in self.terms.items()}, self.order,
-                      self.names, self.truncated, _normalize=False)
+        return self._rebuilt({e: -c for e, c in self.terms.items()})
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -256,9 +260,7 @@ class Series:
         if q == 0:
             return Series.zero(self.algebra, self.arity, self.nvars,
                                self.order, self.names)
-        return Series(self.algebra, self.arity, self.nvars,
-                      {e: c * q for e, c in self.terms.items()}, self.order,
-                      self.names, self.truncated, _normalize=False)
+        return self._rebuilt({e: c * q for e, c in self.terms.items()})
 
     # -- multiplication ----------------------------------------------------------
 
@@ -270,10 +272,7 @@ class Series:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if _is_rational(other) or isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -300,11 +299,9 @@ class Series:
             scaled = c * Q(k)
             prev = acc.get(exps)
             acc[exps] = scaled if prev is None else prev + scaled
-        order = self.order - 1 if self.order != INF else INF
-        terms = {e: c for e, c in acc.items()
-                 if sum(e) <= order and not c.is_zero()}
-        return Series(self.algebra, self.arity, self.nvars, terms, order,
-                      self.names, self.truncated, _normalize=False)
+        order = self.order - 1
+        return self._rebuilt({e: c for e, c in acc.items()
+                              if sum(e) <= order and not c.is_zero()}, order)
 
     def integrate(self, var=0):
         """Term-wise antiderivative with integration constant 0; certified
@@ -315,9 +312,7 @@ class Series:
         for e, c in self.terms.items():
             exps = e[:var] + (e[var] + 1,) + e[var + 1:]
             acc[exps] = c * (ONE / Q(e[var] + 1))
-        order = self.order + 1 if self.order != INF else INF
-        return Series(self.algebra, self.arity, self.nvars, acc, order,
-                      self.names, self.truncated, _normalize=False)
+        return self._rebuilt(acc, self.order + 1)
 
     # -- composition ------------------------------------------------------------------
 
@@ -339,9 +334,7 @@ class Series:
             raise ShapeMismatch(
                 "substitution needs an assignment for every variable")
         if self.nvars == 0:
-            return Series(self.algebra, self.arity, 0, dict(self.terms),
-                          self.order, self.names, self.truncated,
-                          _normalize=False)
+            return self._rebuilt(dict(self.terms))
         target = assigns[0]
         for a in assigns[1:]:
             target._check_shape(a)
@@ -425,8 +418,7 @@ class Series:
                 certified=self.order, requested=order)
         b0_inv = b0.mul_inverse()
         if order < 1:
-            return Series(self.algebra, self.arity, 1, {}, order, self.names,
-                          self.truncated, _normalize=False)
+            return self._rebuilt({}, order)
         f = self.truncate(order)
         x = Series.variable(self.algebra, self.arity, 1, 0, INF, self.names)
         h = Series(self.algebra, self.arity, 1, {(1,): b0_inv}, 1,
@@ -443,9 +435,7 @@ class Series:
                 h = poly.truncate(p)
             else:
                 h = poly - err * poly.derivative()
-        return Series(self.algebra, self.arity, 1,
-                      _solved_terms(h, b0, b0_inv), order, self.names,
-                      self.truncated, _normalize=False)
+        return self._rebuilt(_solved_terms(h, b0, b0_inv), order)
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -574,39 +564,32 @@ class Series:
             for pos, k in zip(positions, e):
                 exps[pos] = k
             acc[tuple(exps)] = c
-        return Series(self.algebra, self.arity, nvars, acc, self.order,
-                      names if names is not None else DEFAULT_NAMES[nvars],
-                      self.truncated, _normalize=False)
+        return self._rebuilt(
+            acc, names=names if names is not None else DEFAULT_NAMES[nvars])
 
     def set_variable_zero(self, var):
         """Substitute 0 for one variable, keeping the variable tuple."""
         if not 0 <= var < self.nvars:
             raise ShapeMismatch(f"variable index {var} outside series")
-        terms = {e: c for e, c in self.terms.items() if e[var] == 0}
-        return Series(self.algebra, self.arity, self.nvars, terms,
-                      self.order, self.names, self.truncated,
-                      _normalize=False)
+        return self._rebuilt(
+            {e: c for e, c in self.terms.items() if e[var] == 0})
 
     def drop_variable(self, var):
         """Remove a variable that occurs in no stored term."""
         if any(e[var] for e in self.terms):
             raise ShapeMismatch(
                 f"variable {self.names[var]} still occurs; cannot drop")
-        acc = {e[:var] + e[var + 1:]: c for e, c in self.terms.items()}
-        names = self.names[:var] + self.names[var + 1:]
-        return Series(self.algebra, self.arity, self.nvars - 1, acc,
-                      self.order, names, self.truncated, _normalize=False)
+        return self._rebuilt(
+            {e[:var] + e[var + 1:]: c for e, c in self.terms.items()},
+            names=self.names[:var] + self.names[var + 1:])
 
     def permute_vars(self, perm):
         """Reorder variables: new variable i is old variable perm[i]."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.nvars)):
             raise ShapeMismatch(f"{perm} is not a permutation")
-        acc = {}
-        for e, c in self.terms.items():
-            acc[tuple(e[p] for p in perm)] = c
-        return Series(self.algebra, self.arity, self.nvars, acc, self.order,
-                      self.names, self.truncated, _normalize=False)
+        return self._rebuilt(
+            {tuple(e[p] for p in perm): c for e, c in self.terms.items()})
 
     # -- comparison --------------------------------------------------------------------
 
@@ -645,14 +628,8 @@ class Series:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = [_term_str(self, e, c) for e, c in self.sorted_terms()]
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += f" - {p[1:]}"
-            else:
-                out += f" + {p}"
-        return out
+        return _join_signed(
+            [_term_str(self, e, c) for e, c in self.sorted_terms()])
 
     def __repr__(self):
         order = "inf" if self.order == INF else self.order

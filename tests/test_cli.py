@@ -567,6 +567,28 @@ _OVERSIZED = [
 ]
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports fglog from src."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    env.pop("FGLOG_COLOR", None)
+    return env
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses(self):
+        """Reports are plain records: importing the CLI does not import
+        dataclasses (nor the inspect module that it pulls in)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import fglog.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            env=_fresh_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 class TestSizeLimits:
     """Oversized inline numbers and exponents end in exit 2 and a message
     naming them, within a second, in process and from a fresh
@@ -584,17 +606,11 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("text, named", _OVERSIZED)
     def test_subprocess(self, text, named):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src")]
-            + [p for p in [env.get("PYTHONPATH")] if p])
-        env.pop("FGLOG_COLOR", None)
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "fglog", "check-cocycle", "--hopf", "qt2",
-             "--cocycle", text], env=env, capture_output=True, text=True,
-            timeout=60)
+             "--cocycle", text], env=_fresh_env(), capture_output=True,
+            text=True, timeout=60)
         assert time.perf_counter() - start < 1
         assert (proc.returncode, proc.stdout) == (2, "")
         assert named in proc.stderr

@@ -16,6 +16,7 @@ from fglog import (
     lemma_law,
 )
 from fglog.errors import ParseError
+from fglog.report import Report, Violation
 from fglog import jsonio as J
 
 INF = math.inf
@@ -163,6 +164,32 @@ class TestGroupJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ParseError):
             J.group_from_json({"hopf": "qt1"})
+
+
+class TestReportRecords:
+    def test_fields_and_defaults(self):
+        assert Report(True) == Report.ok()
+        rep = Report(False, [Violation("unit")], 3)
+        assert (rep.passed, rep.violations, rep.certified_order) == (
+            False, [Violation("unit", None, "")], 3)
+        assert Report.fail([Violation("unit")], certified_order=3) == \
+            Report(False, (Violation("unit"),), 3)
+        assert not Report.fail([]) and Report.ok(4)
+        assert str(Report.ok(4)) == "pass (certified through order 4)"
+
+    def test_equal_and_hashed_by_fields(self):
+        v = Violation("counit", None, "left")
+        assert v == Violation("counit", detail="left")
+        assert v != Violation("counit", detail="right")
+        assert hash(v) == hash(Violation("counit", None, "left"))
+        assert len({Report.ok(2), Report.ok(2), Report.ok(3)}) == 2
+
+    def test_immutable(self):
+        rep = Report.fail([Violation("unit")])
+        for target, field in ((rep, "passed"), (rep, "checks"),
+                              (rep.violations[0], "axiom")):
+            with pytest.raises(AttributeError):
+                setattr(target, field, None)
 
 
 class TestReportJson:
