@@ -55,7 +55,13 @@ from .errors import (
 )
 from .hopf import TensorElement
 from .report import Report, Violation
-from .series import Series, _doubling_orders, _minus_reversed, _solved_terms
+from .series import (
+    Series,
+    _doubling_orders,
+    _minus_reversed,
+    _solved_terms,
+    _substitution_order,
+)
 
 INF = math.inf
 
@@ -95,7 +101,8 @@ def associativity_defect(F):
     so only the right one is computed (see the module docstring)."""
     if _one_composite(F, _flip(F) == F):
         return _minus_reversed(_right_composite(F))
-    left = _left_composite(F)
+    outer, assigns = _left(F)
+    left = outer.substitute(assigns)
     return _right_composite(F) - left
 
 
@@ -107,20 +114,25 @@ def _one_composite(F, symmetric):
             and symmetric)
 
 
-def _left_composite(F):
-    """F(F(X, Y), Z): Horner over F(X, Y) outside, the bare Z inside."""
+def _left(F):
+    """The substitution (outer series, assignments) of the left composite
+    F(F(X, Y), Z): Horner over F(X, Y) outside, the bare Z inside."""
     z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
-    return F.map_coefficients(
-        lambda A: A.apply_slot(0, "comul"), arity=3).substitute(
-        [_lift_inner(F, (0, 1)), z_var])
+    return (F.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=3),
+            [_lift_inner(F, (0, 1)), z_var])
+
+
+def _right(F):
+    """The substitution of the right composite F(X, F(Y, Z)): Horner over
+    the bare X outside, F(Y, Z) inside."""
+    x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
+    return (F.map_coefficients(lambda A: A.apply_slot(1, "comul"), arity=3),
+            [x_var, _lift_inner(F, (1, 2))])
 
 
 def _right_composite(F):
-    """F(X, F(Y, Z)): Horner over the bare X outside, F(Y, Z) inside."""
-    x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
-    return F.map_coefficients(
-        lambda A: A.apply_slot(1, "comul"), arity=3).substitute(
-        [x_var, _lift_inner(F, (1, 2))])
+    outer, assigns = _right(F)
+    return outer.substitute(assigns)
 
 
 def _flip(F):
@@ -188,16 +200,16 @@ def check_axioms(F, order=None, strict_grading_weight=None):
     For a law that takes the one-composite route the gate decides on the
     left composite minus its reversal, which is minus the defect in every
     term and has its certified order; only a nonzero gate computes the
-    defect it reports (see the module docstring)."""
+    defect it reports (see the module docstring). The request is compared
+    with the certified orders, which the substitution's order rule gives,
+    before any composite is formed."""
     sym = symmetry_defect(F)
     unit_left, unit_right = unit_defects(F)
     one_composite = _one_composite(F, sym.is_zero())
-    if one_composite:
-        assoc = _minus_reversed(_left_composite(F))
-    else:
-        assoc = associativity_defect(F)
+    left = _left(F)
+    substitutions = [left] if one_composite else [left, _right(F)]
     achievable = min(sym.order, unit_left.order, unit_right.order,
-                     assoc.order)
+                     *(_substitution_order(*sub)[0] for sub in substitutions))
     if order is not None and order > achievable:
         raise TruncationInsufficient(
             f"axioms requested through order {order} but the data "
@@ -209,9 +221,11 @@ def check_axioms(F, order=None, strict_grading_weight=None):
             "stored data certifies no order at all", certified=cert,
             requested=order)
 
-    assoc = assoc.truncate(cert)
-    if one_composite and not assoc.is_zero():
-        # the reported defect carries the flag of both composites
+    if one_composite:
+        outer, assigns = left
+        assoc = _minus_reversed(outer.substitute(assigns)).truncate(cert)
+    if not one_composite or not assoc.is_zero():
+        # a reported defect carries the flag of both composites
         assoc = associativity_defect(F)
     grading = []
     if strict_grading_weight is not None:
@@ -254,8 +268,17 @@ def logarithm(F, order=None):
 
     When F is a complete polynomial whose differential has nilpotent
     positive part the logarithm is computed exactly; otherwise pass the
-    target order."""
+    target order. A law stored only through order 0 certifies no
+    coefficient of omega, so it gives the zero logarithm through order 0
+    and refuses a higher order with TruncationInsufficient."""
     omega = invariant_differential(F)
+    if omega.order < 0:
+        if order is not None and order > F.order:
+            raise TruncationInsufficient(
+                f"logarithm through order {order} needs the group law "
+                f"through that order (certified {F.order})",
+                certified=F.order, requested=order)
+        return Series.zero(F.algebra, 1, 1, F.order, omega.names)
     if omega.constant_term().full_counit() != 1:
         raise NonInvertibleConstantTerm(
             "invariant differential does not start at 1; "
@@ -276,7 +299,8 @@ def check_log(F, g, order=None):
         residual.constant_term(), 2, residual.order, residual.names)
 
     g_prime = g.derivative()
-    lifted = g_prime.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    lifted = g_prime.map_coefficients(lambda A: A.apply_slot(0, "comul"),
+                                      arity=2)
     invariance = (lifted.substitute([F]) * F.derivative(0)
                   - _slot_series(g_prime, 0).embed_vars(2, (0,), F.names))
 
@@ -294,12 +318,12 @@ def check_log(F, g, order=None):
 def _slot_series(g, slot):
     """One-variable series with coefficients pushed into the given slot of
     H (x) H."""
-    return g.map_coefficients(lambda A: A.embed(2, (slot,)))
+    return g.map_coefficients(lambda A: A.embed(2, (slot,)), arity=2)
 
 
 def _log_residual(F, g):
     """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y)."""
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=2)
     composed = lifted.substitute([F])
     g_x = _slot_series(g, 0).embed_vars(2, (0,), F.names)
     g_y = _slot_series(g, 1).embed_vars(2, (1,), F.names)
@@ -402,7 +426,7 @@ def reconstruct(algebra, c, g, order):
     if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
         raise NoInverse("logarithm must be of the form x + O(x^2)")
 
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=2)
     inverse = lifted.comp_inverse(order=work)
     rhs = (Series.constant(c, 2, INF, XY)
            + _slot_series(g, 0).embed_vars(2, (0,), XY)

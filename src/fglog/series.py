@@ -344,28 +344,7 @@ class Series:
             raise ArityMismatch(
                 "assigned series arity differs from the substituted series")
 
-        occurring = [False] * self.nvars
-        for e in self.terms:
-            for v, k in enumerate(e):
-                if k:
-                    occurring[v] = True
-
-        cap = self.order
-        slack_total = 0
-        for v, a in enumerate(assigns):
-            if not occurring[v]:
-                continue
-            kappa = a.constant_term()
-            if not kappa.is_zero():
-                if kappa.full_counit() != 0:
-                    raise NonNilpotentConstantTerm(
-                        f"assignment for variable {self.names[v]} has "
-                        "constant term with nonzero full counit")
-                slack_total += kappa.nilpotency_slack()
-            cap = min(cap, a.order)
-        if self.order != INF:
-            cap = min(cap, self.order - slack_total)
-
+        cap, occurring = _substitution_order(self, assigns)
         if not self.terms:
             codec = _Codec(self.algebra, self.arity, target.names, 0)
             return _substituted(codec, _Packed({}, 1, cap, self.truncated),
@@ -448,13 +427,19 @@ class Series:
         counit-zero the inverse is again a complete polynomial (degree
         exhaustion) and is computed exactly; otherwise the inverse is an
         infinite series and an explicit target order is required when this
-        series has order inf."""
+        series has order inf. A target order above the certified order
+        raises TruncationInsufficient, for a constant series too."""
         f0 = self.constant_term()
         if f0.full_counit() != 1:
             raise NonInvertibleConstantTerm(
                 "constant term must have full counit 1 "
                 "(rational rescaling is the caller's job)")
         f0_inv = f0.mul_inverse()
+        if order is not None and order > self.order:
+            raise TruncationInsufficient(
+                f"inverse through order {order} needs the input through "
+                f"that order (certified {self.order})",
+                certified=self.order, requested=order)
 
         parts = {}
         for e, c in self.terms.items():
@@ -482,11 +467,6 @@ class Series:
                 # the recursion dies after boundedly many orders
                 order = (self.arity * self.algebra.degree_bound * maxdeg
                          + maxdeg)
-        elif order > self.order:
-            raise TruncationInsufficient(
-                f"inverse through order {order} needs the input through "
-                f"that order (certified {self.order})",
-                certified=self.order, requested=order)
 
         levels = {0: {(0,) * self.nvars: f0_inv}}
         acc_terms = {(0,) * self.nvars: f0_inv}
@@ -635,6 +615,39 @@ class Series:
         order = "inf" if self.order == INF else self.order
         return (f"<Series[{self.nvars}v/{self.arity}t] order={order} "
                 f"{self}>")
+
+
+# -- the order rule of a substitution ------------------------------------------
+
+def _substitution_order(f, assigns):
+    """(certified order, occurring) of f.substitute(assigns), where
+    occurring[v] says whether variable v occurs in a stored term of f:
+    min(min_v order_v, order_f - sum_v slack_v) over the occurring
+    variables, as the module docstring states. It needs no composite, so
+    a caller can compare it with a request first. An occurring variable
+    whose assignment has a constant term of nonzero full counit raises
+    NonNilpotentConstantTerm."""
+    occurring = [False] * f.nvars
+    for e in f.terms:
+        for v, k in enumerate(e):
+            if k:
+                occurring[v] = True
+    cap = f.order
+    slack_total = 0
+    for v, a in enumerate(assigns):
+        if not occurring[v]:
+            continue
+        kappa = a.constant_term()
+        if not kappa.is_zero():
+            if kappa.full_counit() != 0:
+                raise NonNilpotentConstantTerm(
+                    f"assignment for variable {f.names[v]} has "
+                    "constant term with nonzero full counit")
+            slack_total += kappa.nilpotency_slack()
+        cap = min(cap, a.order)
+    if f.order != INF:
+        cap = min(cap, f.order - slack_total)
+    return cap, occurring
 
 
 # -- Newton iteration ---------------------------------------------------------

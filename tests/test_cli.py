@@ -2,6 +2,7 @@
 
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,15 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from fglog.cli import main
 from fglog.exprparse import MAX_EXPONENT, _digit_limit
-from fglog.fgl import check_axioms, logarithm
+from fglog.fgl import check_axioms, lemma_law, logarithm
 from fglog.hopf import HopfElement, TensorElement, builtin_algebra
 from fglog.jsonio import (
     defect_from_json,
+    dumps,
     group_from_json,
+    group_to_json,
     load_group,
     series_from_json,
     tensor_from_json,
 )
+from fglog.series import Series
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -162,6 +166,49 @@ class TestLog:
                              "--strict-grading", "--weight", "2")
         assert code == 0
         assert "strict-grading: pass" in out
+
+
+def _law_file(tmp_path, F):
+    path = tmp_path / "law.json"
+    path.write_text(dumps(group_to_json(F)))
+    return str(path)
+
+
+def _qt2_lemma_law(order):
+    """2(t (x) t) + X + Y over qt2: its differential is the constant 1."""
+    alg = builtin_algebra("qt2")
+    t = HopfElement.generator(alg, "t")
+    return lemma_law(alg, TensorElement.from_slots(t, t) * 2, order)
+
+
+class TestOverRequest:
+    """A logarithm or cocycle beyond what the stored law certifies exits
+    3, whatever the shape of the differential."""
+
+    @pytest.mark.parametrize("order, code", [("5", 0), ("8", 3)])
+    def test_constant_differential(self, capsys, tmp_path, order, code):
+        path = _law_file(tmp_path, _qt2_lemma_law(5))
+        got, out, err = run(capsys, "log", "--group", path, "--order", order)
+        assert got == code
+        if code == 3:
+            assert (out, err) == ("", "error: inverse through order 7 needs "
+                                  "the input through that order (certified "
+                                  "4)\n")
+
+    def test_nonconstant_differential(self, capsys, tmp_path):
+        F = _qt2_lemma_law(5)
+        F = F + Series.variable(F.algebra, 2, 2, 0, 5, F.names) * \
+            Series.variable(F.algebra, 2, 2, 1, 5, F.names)
+        code, out, err = run(capsys, "log", "--group", _law_file(tmp_path, F),
+                             "--order", "8")
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("argv", [["log", "--order", "1"], ["cocycle"]])
+    def test_law_stored_at_order_zero(self, capsys, tmp_path, argv):
+        path = _law_file(tmp_path, _qt2_lemma_law(0))
+        code, out, err = run(capsys, argv[0], "--group", path, *argv[1:])
+        assert (code, out) == (3, "")
+        assert "differential" not in err
 
 
 class TestCocycleCommands:
@@ -890,4 +937,77 @@ class TestFileFuzz:
         argv = [command, "--hopf", hopf, flag, str(json_path)]
         if command == "reconstruct":
             argv += ["--order", "3"]
+        _exit_code(argv)
+
+
+# -- algebra JSON documents ----------------------------------------------------
+#
+# Inline `--hopf` descriptions with one or two generators and coproduct
+# tables that are primitive or not: the counital rows g (x) 1 + 1 (x) g or
+# not, and rows of monomial pairs whose degrees add up to the generator's
+# (homogeneous) or not. About half then have one to three fields replaced
+# by junk or deleted. Degrees, bounds and exponents stay at 12 or below.
+
+@st.composite
+def _algebra_documents(draw):
+    degrees = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1,
+                            max_size=2))
+    names = ["t", "u"][:len(degrees)]
+    monos = [["1"]] + [list(m) for k in (1, 2, 3)
+                       for m in itertools.combinations_with_replacement(
+                           names, k)]
+
+    def degree(mono):
+        return sum(degrees[names.index(m)] for m in mono if m != "1")
+
+    coproduct = {}
+    for name, gdeg in zip(names, degrees):
+        kind = draw(st.sampled_from(["primitive", "table", "table",
+                                     "omitted"]))
+        if kind != "table":
+            if kind == "primitive":
+                coproduct[name] = kind
+            continue
+        rows = []
+        if draw(st.integers(0, 4)):  # mostly counital
+            rows += [[[name], ["1"], "1"], [["1"], [name], "1"]]
+        # mostly rows of two positive-degree legs that add up to the
+        # generator's degree, which keep the table counital
+        inner = [[a, b] for a in monos for b in monos
+                 if degree(a) + degree(b) == gdeg and "1" not in a + b]
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.integers(0, 3)):
+                if not inner:
+                    continue
+                pair = draw(st.sampled_from(inner))
+            else:
+                pair = [draw(st.sampled_from(monos)) for _ in "lr"]
+            rows.append(pair + [draw(st.sampled_from(
+                ["1", "-1", "1/2", "2", "0"]))])
+        coproduct[name] = rows
+    doc = {"generators": [{"name": n, "degree": d}
+                          for n, d in zip(names, degrees)],
+           "degree_bound": draw(st.integers(max(degrees), 12)),
+           "coproduct": coproduct}
+    return json.dumps(_junked(draw, doc))
+
+
+class TestAlgebraJsonFuzz:
+    @settings(max_examples=200)
+    @given(data=st.data(), command=st.sampled_from(
+        ["check-hopf", "check-cocycle", "coboundary", "reconstruct"]),
+        hdeg=st.one_of(st.none(), st.integers(1, 12)))
+    def test_algebra_document_ends_in_an_exit_code(self, data, command,
+                                                   hdeg):
+        argv = [command, "--hopf", data.draw(_algebra_documents())]
+        if command == "coboundary":
+            argv += ["--element", data.draw(st.sampled_from(
+                ["t", "t^2", "t u - u t"]))]
+        elif command != "check-hopf":
+            argv += ["--cocycle", data.draw(st.sampled_from(
+                ["0", "t (x) t", "t (x) u + u (x) t"]))]
+        if command == "reconstruct":
+            argv += ["--order", "3"]
+        if hdeg is not None:
+            argv += ["--hdeg", str(hdeg)]
         _exit_code(argv)

@@ -172,6 +172,42 @@ class TestCheckAxioms:
         assoc = [v for v in rep.violations if v.axiom == "associativity"]
         assert assoc and not assoc[0].defect.is_zero()
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_over_request_forms_no_composite(self, monkeypatch, symmetric):
+        """The composites' certified order follows from the substitution's
+        order rule, so a request beyond what the data certifies raises
+        before any substitution, with the order that the composites would
+        have had. A law reconstructed at order 9 over qt1 with D = 6 has
+        constant 2(t x t) of slack 3."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = reconstruct(alg, two_t_t(alg), log_x_plus_tx2(alg), order=9)
+        if not symmetric:  # the two-composite path
+            F = F + Series(alg, 2, 2, {(2, 1): two_t_t(alg)}, 9, XY)
+        calls = []
+        original = Series.substitute
+
+        def counted(series, assignments):
+            calls.append(series)
+            return original(series, assignments)
+
+        monkeypatch.setattr(Series, "substitute", counted)
+        with pytest.raises(TruncationInsufficient) as exc:
+            check_axioms(F, order=9)
+        assert str(exc.value) == ("axioms requested through order 9 but "
+                                  "the data certifies only order 6")
+        assert (exc.value.certified, exc.value.requested) == (6, 9)
+        assert calls == []
+        assert check_axioms(F, order=6).passed == symmetric
+        assert calls
+
+    def test_non_nilpotent_constant_wins_over_the_order(self, qt1):
+        F = additive_law(qt1, order=3) + Series.constant(
+            TensorElement.unit(qt1, 2), 2, 3, XY)
+        with pytest.raises(NonNilpotentConstantTerm) as exc:
+            check_axioms(F, order=9)
+        assert str(exc.value) == ("assignment for variable X has constant "
+                                  "term with nonzero full counit")
+
 
 class TestDefects:
     def test_additive_defects_all_zero(self, qt1):
@@ -298,6 +334,38 @@ class TestLogarithm:
         x = Series.variable(qt1, 1, 1, 0, 4, ("x",))
         with pytest.raises(TruncationInsufficient):
             check_log(F, x, order=10)
+
+    def test_constant_differential_over_request_raises(self, qt2):
+        """A Lemma law stored through order 5 has the differential 1
+        through order 4; a logarithm beyond order 5 is not certified."""
+        F = lemma_law(qt2, two_t_t(qt2), order=5)
+        assert logarithm(F, order=5) == Series.variable(
+            qt2, 1, 1, 0, 5, ("x",))
+        with pytest.raises(TruncationInsufficient) as exc:
+            logarithm(F, order=8)
+        assert (exc.value.certified, exc.value.requested) == (4, 7)
+
+    def test_order_zero_law(self, qt2):
+        """A law stored through order 0 certifies no coefficient of its
+        differential: the logarithm is 0 through order 0, and any higher
+        request is refused, not read as a differential without unit."""
+        F = additive_law(qt2, order=0)
+        assert logarithm(F, order=0) == Series.zero(qt2, 1, 1, 0, ("x",))
+        with pytest.raises(TruncationInsufficient) as exc:
+            logarithm(F, order=1)
+        assert (exc.value.certified, exc.value.requested) == (0, 1)
+        with pytest.raises(TruncationInsufficient):
+            extract_cocycle(F, order=1)
+
+    def test_zero_logarithm_keeps_the_arity(self, qt1):
+        """An empty logarithm has no term that shows the arity of its
+        lifts to H (x) H, so they are given it."""
+        F = additive_law(qt1, order=3)
+        zero = Series.zero(qt1, 1, 1, 3, ("x",))
+        rep = check_log(F, zero)
+        assert rep.passed and rep.certified_order == 2
+        c = extract_cocycle(F, g=zero)
+        assert c.arity == 2 and c.is_zero()
 
 
 # -- cocycles -------------------------------------------------------------------

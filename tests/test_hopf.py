@@ -19,6 +19,7 @@ from fglog import (
     verify_hopf_axioms,
 )
 from fglog.scalars import ONE, Q, ZERO
+from test_fgl import QTU_HALF
 
 
 def gen(algebra, name):
@@ -392,3 +393,147 @@ class TestProductReference:
         prod = high * (t ** 4 + ONE)
         assert prod == high and prod.truncated
         assert not (high * HopfElement.zero(qt1)).truncated
+
+
+# -- the slot maps against the per-map loops they replaced ---------------------
+
+def reference_antipode_mono(alg, mono):
+    """Antipode of a monomial as the product of its generators' antipodes,
+    formed one generator at a time."""
+    result = TensorElement.unit(alg, 1)
+    if mono != alg.unit_mono:
+        for i, e in enumerate(mono):
+            gen_s = alg._antipode_gen(i, set())
+            for _ in range(e):
+                result = result * gen_s
+    return result
+
+
+def reference_apply_slot(el, slot, op):
+    """A structure map in one slot by one loop per map."""
+    if op not in ("comul", "counit", "antipode", "id"):
+        raise ValueError(f"unknown structure map {op!r}")
+    if not 0 <= slot < el.arity:
+        raise ArityMismatch(
+            f"slot {slot} outside arity {el.arity}")
+    alg = el.algebra
+    if op == "id":
+        return el
+    if op == "comul":
+        if el.arity + 1 > 3:
+            raise ArityMismatch("comul would exceed arity 3")
+        acc = {}
+        for key, q in el.terms.items():
+            for (a, b), qq in alg.comul_mono(key[slot]).items():
+                k = key[:slot] + (a, b) + key[slot + 1:]
+                acc[k] = acc.get(k, ZERO) + q * qq
+        return TensorElement(alg, el.arity + 1, acc, el.truncated)
+    if op == "counit":
+        if el.arity - 1 < 1:
+            raise ArityMismatch(
+                "counit on arity 1 yields a scalar; use full_counit")
+        acc = {}
+        for key, q in el.terms.items():
+            c = alg.counit_mono(key[slot])
+            if c == 0:
+                continue
+            k = key[:slot] + key[slot + 1:]
+            acc[k] = acc.get(k, ZERO) + q * c
+        return TensorElement(alg, el.arity - 1, acc, el.truncated)
+    acc = {}
+    for key, q in el.terms.items():
+        for (m,), qq in reference_antipode_mono(alg, key[slot]).terms.items():
+            k = key[:slot] + (m,) + key[slot + 1:]
+            acc[k] = acc.get(k, ZERO) + q * qq
+    return TensorElement(alg, el.arity, acc, el.truncated)
+
+
+def reference_contract_mul(el, slots=(0, 1)):
+    """mu on two adjacent slots; a product above the bound sets the flag."""
+    i, j = slots
+    if j != i + 1 or not 0 <= i < j < el.arity:
+        raise ArityMismatch(
+            f"slots {slots} are not an adjacent pair in arity "
+            f"{el.arity}")
+    if el.arity - 1 < 1:
+        raise ArityMismatch("contraction below arity 1")
+    alg = el.algebra
+    acc = {}
+    truncated = el.truncated
+    for key, q in el.terms.items():
+        m = alg.mul_mono(key[i], key[j])
+        if m is None:
+            truncated = True
+            continue
+        k = key[:i] + (m,) + key[j + 1:]
+        acc[k] = acc.get(k, ZERO) + q
+    return TensorElement(alg, el.arity - 1, acc, truncated)
+
+
+@st.composite
+def _slot_algebras(draw):
+    name = draw(st.sampled_from(sorted(_MIN_BOUND) + ["qtu_half"]))
+    if name == "qtu_half":
+        return build_hopf_algebra(dict(QTU_HALF, degree_bound=draw(
+            st.integers(2, 8))))
+    return builtin_algebra(name, draw(st.integers(_MIN_BOUND[name], 8)))
+
+
+@st.composite
+def _raw_tensors(draw, algebra, arity):
+    """A tensor from _tensors, or one stored without normalizing: one to
+    six keys of basis monomials and of monomials up to twice the bound,
+    so that a key's total degree and a product of two slots often pass
+    the bound, some coefficients zero, and a rare `truncated` flag."""
+    if draw(st.booleans()):
+        return draw(_tensors(algebra, arity))
+    above = st.tuples(*[st.integers(0, 2 * algebra.degree_bound // d)
+                        for d in algebra.degrees])
+    monos = st.one_of(st.sampled_from(algebra.monomials()), above)
+    raw = {}
+    for _ in range(draw(st.integers(1, 6))):
+        raw[tuple(draw(monos) for _ in range(arity))] = draw(_RATIONALS)
+    return TensorElement(algebra, arity, raw,
+                         draw(st.integers(0, 5).map(lambda n: n == 0)),
+                         _normalize=False)
+
+
+class TestSlotMapReference:
+    """apply_slot and contract_mul run one loop over per-monomial images;
+    they give what the loop per map gave: terms, arity, flag, and every
+    exception with its message."""
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_apply_slot_matches(self, data):
+        algebra = data.draw(_slot_algebras())
+        arity = data.draw(st.integers(1, 3))
+        el = data.draw(_raw_tensors(algebra, arity))
+        slot = data.draw(st.integers(-1, arity))
+        op = data.draw(st.sampled_from(
+            ["comul", "counit", "antipode", "id", "flip"]))
+        assert _outcome(el.apply_slot, slot, op) == _outcome(
+            reference_apply_slot, el, slot, op)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_contract_mul_matches(self, data):
+        algebra = data.draw(_slot_algebras())
+        arity = data.draw(st.integers(1, 3))
+        el = data.draw(_raw_tensors(algebra, arity))
+        i = data.draw(st.integers(-1, arity))
+        slots = (i, data.draw(st.sampled_from([i, i + 1, i + 1, i + 2])))
+        assert _outcome(el.contract_mul, slots) == _outcome(
+            reference_contract_mul, el, slots)
+
+    @pytest.mark.parametrize("key", [((5,), (4,)), ((2,), (3,), (5,))])
+    def test_contract_above_the_bound_sets_the_flag(self, qt1, key):
+        """A product slot of degree 9, or a contracted key of total degree
+        10, leaves the bound 8."""
+        low = ((1,),) * len(key)
+        el = TensorElement(qt1, len(key), {key: ONE, low: ONE},
+                           _normalize=False)
+        out = el.contract_mul()
+        assert out.terms == {((2,),) + low[2:]: ONE} and out.truncated
+        assert _outcome(el.contract_mul) == _outcome(
+            reference_contract_mul, el)
