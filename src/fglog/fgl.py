@@ -21,18 +21,18 @@ reversed. This is the classical step by which commutativity and one
 associativity composite suffice (Hazewinkel, Formal Groups and
 Applications, 1978). The defect is then one composite minus its reversal,
 formed on the packed substitution result. The axiom gate of check_axioms
-decides on the left composite, the cheaper one: its Horner steps run over
-F(X, Y) outside and the bare Z inside. Both composites give the same terms
-and certified order, so a gate whose defect vanishes through the checked
-order passes, and a passing report carries no defect. The right composite
-F(X, F(Y, Z)) is computed only by associativity_defect itself, which the
-gate calls for a defect it reports. Its Horner rows in (Y, Z) are
-truncated at the full substitution cap, so after the swap it forms every
-pair of terms that the left composite's Horner products form, and more.
-Its `truncated` flag is therefore that of both composites; the left
-composite's alone can be clear where theirs is set. Any other F, including
-one whose constant term is outside the augmentation ideal, takes the
-two-composite path.
+decides on the left composite F(F(X, Y), Z), formed through the checked
+order from the powers of F(X, Y) (`_gate_composite`), not by Horner, and
+with no `truncated` flag. Both composites give the same terms and
+certified order, so a gate whose defect vanishes through the checked order
+passes, and a passing report carries no defect. A reported defect comes
+from associativity_defect, which computes F(X, F(Y, Z)) by Horner. Its
+Horner rows in (Y, Z) are truncated at the full substitution cap, so after
+the swap it forms every pair of terms that the left composite's Horner
+products form, and more. Its `truncated` flag is therefore that of both
+composites; the left composite's alone can be clear where theirs is set.
+Any other F, including one whose constant term is outside the augmentation
+ideal, takes the two-composite path.
 
 Truncation bookkeeping: substituting a series whose constant term is a
 nonzero nilpotent (the Lemma-form constant c, or the inverse series'
@@ -49,18 +49,22 @@ from .errors import (
     CocycleViolation,
     NoInverse,
     NonInvertibleConstantTerm,
+    NonNilpotentConstantTerm,
     NotAugmented,
     ResidualNonConstant,
     TruncationInsufficient,
 )
 from .hopf import TensorElement
+from .packed import _Codec, _Packed
 from .report import Report, Violation
 from .series import (
     Series,
     _doubling_orders,
     _minus_reversed,
+    _pack_series,
+    _series_mul,
     _solved_terms,
-    _substitution_order,
+    _view,
 )
 
 INF = math.inf
@@ -101,6 +105,11 @@ def associativity_defect(F):
     so only the right one is computed (see the module docstring)."""
     if _one_composite(F, _flip(F) == F):
         return _minus_reversed(_right_composite(F))
+    return _two_composites(F)
+
+
+def _two_composites(F):
+    """The defect from both composites, each one's inputs built once."""
     outer, assigns = _left(F)
     left = outer.substitute(assigns)
     return _right_composite(F) - left
@@ -133,6 +142,50 @@ def _right(F):
 def _right_composite(F):
     outer, assigns = _right(F)
     return outer.substitute(assigns)
+
+
+def _composite_order(F):
+    """Certified order of the associativity composites by their
+    substitutions' order rule (Series.substitute), read off F:
+    (Delta (x) id)F and (id (x) Delta)F have F's exponents, because
+    (eps (x) id)Delta = id, and the one assigned constant is F(0, 0)."""
+    occurring = [any(e[v] for e in F.terms) for v in range(2)]
+    c = F.constant_term()
+    if c.is_zero() or not any(occurring):
+        return F.order
+    if c.full_counit() != 0:
+        raise NonNilpotentConstantTerm(
+            f"assignment for variable {F.names[occurring.index(True)]} has "
+            "constant term with nonzero full counit")
+    return F.order - c.nilpotency_slack()
+
+
+def _gate_composite(F, cert):
+    """F(F(X, Y), Z) through order cert, as a packed view: the sum over k
+    of U^k G_k(Z), with U = F(X, Y) packed once in the three-slot layout
+    (third slot and Z zero), each power formed once on the product kernel,
+    and G_k(Z) = sum_j (Delta (x) id)F_kj Z^j. Terms of U above cert
+    cannot reach cert; those of F can, through the powers of a nilpotent
+    F(0, 0). It carries no `truncated` flag of the Horner composite. Once
+    the flag is gone, this is the evaluator that replaces multivariate
+    Horner (Brent and Kung, JACM 1978; Paterson and Stockmeyer, 1973)."""
+    codec = _Codec(F.algebra, 3, XYZ,
+                   cert if cert != INF else F.max_degree() ** 2)
+    powers = [None, _view(codec, _pack_series(codec, F.truncate(cert)))]
+    groups = {}
+    for (k, j), coeff in F.terms.items():
+        if j <= cert:
+            groups.setdefault(k, {})[(0, 0, j)] = coeff.terms
+    while len(powers) <= max(groups, default=0):
+        powers.append(_series_mul(powers[-1], powers[1], keep=cert,
+                                  layout=codec))
+    parts = [_Packed({}, 1, cert, False)]
+    for k, terms in groups.items():
+        row = _view(codec, codec.pack_image(terms, F.algebra.comul_mono))
+        if k:
+            row = _series_mul(powers[k], row, keep=cert, layout=codec)
+        parts.append(row._packed[1])
+    return _view(codec, _Packed.summed(parts))
 
 
 def _flip(F):
@@ -199,17 +252,15 @@ def check_axioms(F, order=None, strict_grading_weight=None):
 
     For a law that takes the one-composite route the gate decides on the
     left composite minus its reversal, which is minus the defect in every
-    term and has its certified order; only a nonzero gate computes the
-    defect it reports (see the module docstring). The request is compared
-    with the certified orders, which the substitution's order rule gives,
+    term, formed from the powers of F(X, Y) with no `truncated` flag; only
+    a nonzero gate computes, by Horner, the defect it reports (see the
+    module docstring). The request is compared with the certified orders,
+    which follow from F's exponents and order and the slack of F(0, 0),
     before any composite is formed."""
     sym = symmetry_defect(F)
     unit_left, unit_right = unit_defects(F)
-    one_composite = _one_composite(F, sym.is_zero())
-    left = _left(F)
-    substitutions = [left] if one_composite else [left, _right(F)]
     achievable = min(sym.order, unit_left.order, unit_right.order,
-                     *(_substitution_order(*sub)[0] for sub in substitutions))
+                     _composite_order(F))
     if order is not None and order > achievable:
         raise TruncationInsufficient(
             f"axioms requested through order {order} but the data "
@@ -221,12 +272,12 @@ def check_axioms(F, order=None, strict_grading_weight=None):
             "stored data certifies no order at all", certified=cert,
             requested=order)
 
-    if one_composite:
-        outer, assigns = left
-        assoc = _minus_reversed(outer.substitute(assigns)).truncate(cert)
-    if not one_composite or not assoc.is_zero():
-        # a reported defect carries the flag of both composites
-        assoc = associativity_defect(F)
+    if _one_composite(F, sym.is_zero()):
+        assoc = _minus_reversed(_gate_composite(F, cert))
+        if not assoc.is_zero():
+            assoc = associativity_defect(F)
+    else:
+        assoc = _two_composites(F)
     grading = []
     if strict_grading_weight is not None:
         _, offending = strict_grading_defect(F, strict_grading_weight)

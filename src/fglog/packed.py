@@ -1,9 +1,10 @@
 """The product kernel: packed terms of H^(x)k[[X]] and their product.
 
-Every product of coefficient terms runs on `_Packed.times`: series products
-and the Horner steps of a substitution (series.py), and tensor products
-(`TensorElement.__mul__` packs its operands as 0-variable series). The one
-exception is a Horner step by a bare variable, which is a key shift
+Every product of coefficient terms runs on `_Packed.times`: series products,
+the Horner steps of a substitution (series.py), the products of powers of
+F(X, Y) in the associativity gate (`fgl._gate_composite`), and tensor
+products (`TensorElement.__mul__` packs its operands as 0-variable series).
+The one exception is a Horner step by a bare variable, a key shift
 (`_Packed.shifted`). A term's variable exponents and slot monomials are
 packed into one int, a field per exponent, so the key of a product term is
 the sum of its factors' keys. The associativity defect of a law equal to
@@ -88,6 +89,34 @@ class _Codec:
                 row.setdefault(h, {})[base | code] = (
                     int(q.numerator) * (den // int(q.denominator)))
         return _Packed(rows, den, order, flag, val)
+
+    def pack_image(self, terms, image):
+        """Complete, unflagged _Packed form of {exps: {key: Q}} with each
+        key's first monomial replaced by its degree-keeping image {monomials:
+        Q}, over the terms' denominator times the images' one."""
+        images = {key[0]: image(key[0])
+                  for coeff in terms.values() for key in coeff}
+        den_q = math.lcm(*(int(q.denominator) for coeff in terms.values()
+                           for q in coeff.values()))
+        den_t = math.lcm(*(int(q.denominator) for parts in images.values()
+                           for q in parts.values()))
+        codes = {m: [(self._key_code(part)[0],
+                      int(q.numerator) * (den_t // int(q.denominator)))
+                     for part, q in parts.items()]
+                 for m, parts in images.items()}
+        # the rest of a key moves up one slot
+        shift = 2 * self.width * len(self.algebra.names)
+        rows = {}
+        for exps, coeff in terms.items():
+            base = self._exps_code(exps)
+            row = rows.setdefault(sum(exps), {})
+            for key, q in coeff.items():
+                out = row.setdefault(self.algebra.key_degree(key), {})
+                n = int(q.numerator) * (den_q // int(q.denominator))
+                rest = base | self._key_code(key[1:])[0] << shift
+                for code, m in codes[key[0]]:
+                    out[code | rest] = out.get(code | rest, 0) + n * m
+        return _Packed.reduced(rows, den_q * den_t, INF, False)
 
     def unpack(self, packed):
         """Terms dict {exps: {key: Q}} of a _Packed."""
@@ -272,13 +301,14 @@ class _Packed:
                 for d, row in self.rows.items() if d + 1 <= keep}
         return _Packed(rows, self.den, keep, self.flag)
 
-    def plus(self, other):
-        """Sum with the bookkeeping of `Series.__add__`: minimal order,
-        terms above it dropped, flags or-ed."""
-        order = min(self.order, other.order)
-        den = math.lcm(self.den, other.den)
+    @classmethod
+    def summed(cls, packs):
+        """Sum of packs in one pass with the bookkeeping of `Series.__add__`:
+        minimal order, terms above it dropped, flags or-ed."""
+        order = min(p.order for p in packs)
+        den = math.lcm(*(p.den for p in packs))
         rows = {}
-        for src in (self, other):
+        for src in packs:
             scale = den // src.den
             for d, row in src.rows.items():
                 if d > order:
@@ -291,7 +321,7 @@ class _Packed:
                         continue
                     for k, n in bucket.items():
                         out[k] = out.get(k, 0) + n * scale
-        return _Packed.reduced(rows, den, order, self.flag or other.flag)
+        return cls.reduced(rows, den, order, any(p.flag for p in packs))
 
     def truncate(self, cap):
         return _Packed({d: row for d, row in self.rows.items() if d <= cap},

@@ -55,10 +55,6 @@ DEFAULT_NAMES = {
 }
 
 
-def default_names(nvars):
-    return DEFAULT_NAMES[nvars]
-
-
 class Series:
     """Truncated power series in 0..3 variables with TensorElement
     coefficients; immutable after construction."""
@@ -344,7 +340,22 @@ class Series:
             raise ArityMismatch(
                 "assigned series arity differs from the substituted series")
 
-        cap, occurring = _substitution_order(self, assigns)
+        occurring = [any(e[v] for e in self.terms) for v in range(self.nvars)]
+        cap = self.order
+        slack_total = 0
+        for v, a in enumerate(assigns):
+            if not occurring[v]:
+                continue
+            kappa = a.constant_term()
+            if not kappa.is_zero():
+                if kappa.full_counit() != 0:
+                    raise NonNilpotentConstantTerm(
+                        f"assignment for variable {self.names[v]} has "
+                        "constant term with nonzero full counit")
+                slack_total += kappa.nilpotency_slack()
+            cap = min(cap, a.order)
+        if self.order != INF:
+            cap = min(cap, self.order - slack_total)
         if not self.terms:
             codec = _Codec(self.algebra, self.arity, target.names, 0)
             return _substituted(codec, _Packed({}, 1, cap, self.truncated),
@@ -617,39 +628,6 @@ class Series:
                 f"{self}>")
 
 
-# -- the order rule of a substitution ------------------------------------------
-
-def _substitution_order(f, assigns):
-    """(certified order, occurring) of f.substitute(assigns), where
-    occurring[v] says whether variable v occurs in a stored term of f:
-    min(min_v order_v, order_f - sum_v slack_v) over the occurring
-    variables, as the module docstring states. It needs no composite, so
-    a caller can compare it with a request first. An occurring variable
-    whose assignment has a constant term of nonzero full counit raises
-    NonNilpotentConstantTerm."""
-    occurring = [False] * f.nvars
-    for e in f.terms:
-        for v, k in enumerate(e):
-            if k:
-                occurring[v] = True
-    cap = f.order
-    slack_total = 0
-    for v, a in enumerate(assigns):
-        if not occurring[v]:
-            continue
-        kappa = a.constant_term()
-        if not kappa.is_zero():
-            if kappa.full_counit() != 0:
-                raise NonNilpotentConstantTerm(
-                    f"assignment for variable {f.names[v]} has "
-                    "constant term with nonzero full counit")
-            slack_total += kappa.nilpotency_slack()
-        cap = min(cap, a.order)
-    if f.order != INF:
-        cap = min(cap, f.order - slack_total)
-    return cap, occurring
-
-
 # -- Newton iteration ---------------------------------------------------------
 #
 # Series reversion and the group inverse solve for a root by Newton
@@ -792,7 +770,8 @@ def _horner(consts, assigns, cap):
             result = _view(codec, packed.shifted(shift, cap))
         if k in groups:
             codec, packed = result._packed
-            result = _view(codec, packed.plus(groups[k]._packed[1]))
+            result = _view(codec, _Packed.summed(
+                (packed, groups[k]._packed[1])))
     if cap != INF:
         codec, packed = result._packed
         result = _view(codec, packed.truncate(cap))

@@ -33,7 +33,14 @@ from fglog import (
     unit_defects,
 )
 from fglog import fgl as fgl_module
-from fglog.fgl import XYZ, _eval_univariate, _flip, _lift_inner
+from fglog.fgl import (
+    XYZ,
+    _eval_univariate,
+    _flip,
+    _gate_composite,
+    _left,
+    _lift_inner,
+)
 from fglog.generate import random_cocycle, random_logarithm
 from fglog.errors import (
     AxiomViolation,
@@ -176,21 +183,28 @@ class TestCheckAxioms:
     def test_over_request_forms_no_composite(self, monkeypatch, symmetric):
         """The composites' certified order follows from the substitution's
         order rule, so a request beyond what the data certifies raises
-        before any substitution, with the order that the composites would
-        have had. A law reconstructed at order 9 over qt1 with D = 6 has
-        constant 2(t x t) of slack 3."""
+        before any composite is formed, by substitution or by the gate,
+        with the order that the composites would have had. A law
+        reconstructed at order 9 over qt1 with D = 6 has constant
+        2(t x t) of slack 3."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = reconstruct(alg, two_t_t(alg), log_x_plus_tx2(alg), order=9)
         if not symmetric:  # the two-composite path
             F = F + Series(alg, 2, 2, {(2, 1): two_t_t(alg)}, 9, XY)
         calls = []
-        original = Series.substitute
+        substitute = Series.substitute
+        gate = fgl_module._gate_composite
 
         def counted(series, assignments):
             calls.append(series)
-            return original(series, assignments)
+            return substitute(series, assignments)
+
+        def counted_gate(law, cert):
+            calls.append(law)
+            return gate(law, cert)
 
         monkeypatch.setattr(Series, "substitute", counted)
+        monkeypatch.setattr(fgl_module, "_gate_composite", counted_gate)
         with pytest.raises(TruncationInsufficient) as exc:
             check_axioms(F, order=9)
         assert str(exc.value) == ("axioms requested through order 9 but "
@@ -199,6 +213,37 @@ class TestCheckAxioms:
         assert calls == []
         assert check_axioms(F, order=6).passed == symmetric
         assert calls
+
+    def test_asymmetric_check_forms_each_lift_once(self, monkeypatch):
+        """A failing check on the two-composite path maps the coefficients
+        once per lift: the flip, the two counit lifts, and the coproduct
+        and inner lifts of each composite. The slack of F(0, 0) is
+        computed once for the order rule, and each substitution computes
+        that of its own assigned constant once."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = lemma_law(alg, two_t_t(alg), order=8) + Series(
+            alg, 2, 2, {(2, 1): two_t_t(alg)}, 8, XY)
+        lifts, slacks = [], []
+        map_coefficients = Series.map_coefficients
+        nilpotency_slack = TensorElement.nilpotency_slack
+
+        def counted_map(series, fn, arity=None):
+            out = map_coefficients(series, fn, arity)
+            lifts.append(out)
+            return out
+
+        def counted_slack(element):
+            slacks.append(element)
+            return nilpotency_slack(element)
+
+        monkeypatch.setattr(Series, "map_coefficients", counted_map)
+        monkeypatch.setattr(TensorElement, "nilpotency_slack", counted_slack)
+        report = check_axioms(F)
+        assert not report.passed
+        assert "associativity" in {v.axiom for v in report.violations}
+        assert len(lifts) == 7 and len(set(lifts)) == 7
+        assert slacks[0] == F.constant_term()
+        assert len(slacks) == 3 and len(set(slacks)) == 3
 
     def test_non_nilpotent_constant_wins_over_the_order(self, qt1):
         F = additive_law(qt1, order=3) + Series.constant(
@@ -1012,6 +1057,118 @@ class TestOneComposite:
         assert reversed_composite(right) != left
         assert composite_count(F, monkeypatch) == 2
         assert associativity_defect(F) == right - left
+
+
+def horner_composite(F):
+    """F(F(X, Y), Z) by Horner, as associativity_defect's substitutions
+    form it."""
+    outer, assigns = _left(F)
+    return outer.substitute(assigns)
+
+
+def assert_gate_matches(F, cert=None):
+    """The gate composite of F through cert (default: the composite's
+    certified order) equals the Horner composite truncated there, term for
+    term, and check_axioms decides as the two-composite reference does."""
+    composite = horner_composite(F)
+    cert = composite.order if cert is None else cert
+    gate = _gate_composite(F, cert)
+    want = composite.truncate(cert)
+    assert (gate.arity, gate.names, gate.order) == (
+        want.arity, want.names, want.order)
+    assert gate.terms == want.terms
+    got, ref = outcome(check_axioms, F), outcome(reference_check_axioms, F)
+    assert got[1] == ref[1]
+    if ref[1] is None:
+        assert got[0].passed == ref[0].passed
+
+
+class TestPackedGate:
+    """check_axioms decides a law equal to its flip on F(F(X, Y), Z)
+    formed from the powers of F(X, Y) on the packed kernel; that composite
+    has the Horner composite's terms through the checked order."""
+
+    @settings(max_examples=150)
+    @given(symmetric_laws(), st.data())
+    def test_matches_horner(self, F, data):
+        composite = outcome(horner_composite, F)
+        if composite[1] is not None:  # F(0, 0) outside the ideal
+            assert composite[1][0] is NonNilpotentConstantTerm
+            return
+        top = composite[0].order
+        if top < 0:
+            return
+        cert = data.draw(st.sampled_from(
+            [top, *range(int(min(top, 8)) + 1)]))
+        assert_gate_matches(F, cert)
+        got = outcome(check_axioms, F, order=cert)
+        want = outcome(reference_check_axioms, F, order=cert)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert got[0].passed == want[0].passed
+
+    def test_slack_three_law(self):
+        """Reconstructed at order 9 over qt1 with D = 6: F(0, 0) = 2(t x t)
+        has slack 3, so powers of U up to the third keep terms of every
+        X-degree of F."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = reconstruct(alg, two_t_t(alg), log_x_plus_tx2(alg), order=9)
+        assert horner_composite(F).order == 6
+        assert_gate_matches(F)
+        assert check_axioms(F, order=6).passed
+
+    def test_criterion_10_law(self):
+        alg = builtin_algebra("qt1", degree_bound=10)
+        tm = alg.generator_mono("t")
+        g = Series(alg, 1, 1, {
+            (1,): TensorElement.unit(alg, 1),
+            (2,): TensorElement(alg, 1, {(tm,): Fraction(1)}),
+            (3,): TensorElement(alg, 1, {(alg.mul_mono(tm, tm),):
+                                         Fraction(1, 2)}),
+        }, INF, ("x",))
+        F = reconstruct(alg, TensorElement.zero(alg, 2), g, order=16)
+        assert_gate_matches(F)
+        assert check_axioms(F).certified_order == 16
+
+    def test_complete_polynomial(self, qtu):
+        """Order inf: c + X + Y + (t x t)XY with c = u x t + t x u, not
+        associative, and the Lemma law c + X + Y, which is."""
+        t = HopfElement.generator(qtu, "t")
+        u = HopfElement.generator(qtu, "u")
+        c = TensorElement.from_slots(u, t) + TensorElement.from_slots(t, u)
+        law = lemma_law(qtu, c)
+        bent = law + Series(qtu, 2, 2, {(1, 1): TensorElement.from_slots(
+            t, t)}, INF, XY)
+        for F in (law, bent):
+            assert F.order == INF and _flip(F) == F
+            assert_gate_matches(F)
+        assert check_axioms(law).passed
+        assert not check_axioms(bent).passed
+
+    def test_empty_law(self, qt1):
+        assert_gate_matches(Series.zero(qt1, 2, 2, 0, XY))
+
+    def test_passing_check_multiplies_on_the_kernel(self, monkeypatch):
+        """A passing symmetric check substitutes nothing; its products
+        are `_series_mul` calls, which the tracer counts."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = reconstruct(alg, two_t_t(alg), log_x_plus_tx2(alg), order=9)
+        substitutions, products = [], []
+        substitute = Series.substitute
+        series_mul = fgl_module._series_mul
+
+        def counted(series, assignments):
+            substitutions.append(series)
+            return substitute(series, assignments)
+
+        def counted_mul(f, g, **kwargs):
+            products.append(f)
+            return series_mul(f, g, **kwargs)
+
+        monkeypatch.setattr(Series, "substitute", counted)
+        monkeypatch.setattr(fgl_module, "_series_mul", counted_mul)
+        assert check_axioms(F, order=6).passed
+        assert substitutions == [] and products
 
 
 # -- classical specialization ----------------------------------------------------
