@@ -14,25 +14,26 @@ Lemma-form law c + X + Y it coincides term by term with the cobar defect
 
     (id (x) Delta)c + 1 (x) c - (Delta (x) id)c - c (x) 1.
 
+Symmetry by reversal: the symmetry defect F - tau F(Y, X) is the packed F
+minus its key-field reversal, which swaps the variables and the tensor
+slots, on int numerators (`symmetry_defect`).
+
 Associativity from one composite: when H is cocommutative and F equals its
-flip tau F(Y, X) in all its stored terms, the left composite F(F(X, Y), Z)
-is the right one F(X, F(Y, Z)) with X and Z swapped and the tensor slots
-reversed. This is the classical step by which commutativity and one
-associativity composite suffice (Hazewinkel, Formal Groups and
-Applications, 1978). The defect is then one composite minus its reversal,
-formed on the packed substitution result. The axiom gate of check_axioms
-decides on the left composite F(F(X, Y), Z), formed through the checked
-order from the powers of F(X, Y) (`_gate_composite`), not by Horner, and
-with no `truncated` flag. Both composites give the same terms and
-certified order, so a gate whose defect vanishes through the checked order
-passes, and a passing report carries no defect. A reported defect comes
-from associativity_defect, which computes F(X, F(Y, Z)) by Horner. Its
-Horner rows in (Y, Z) are truncated at the full substitution cap, so after
-the swap it forms every pair of terms that the left composite's Horner
-products form, and more. Its `truncated` flag is therefore that of both
-composites; the left composite's alone can be clear where theirs is set.
-Any other F, including one whose constant term is outside the augmentation
-ideal, takes the two-composite path.
+flip in all its stored terms, the left composite F(F(X, Y), Z) is the right
+one F(X, F(Y, Z)) with X and Z swapped and the tensor slots reversed, the
+classical step by which commutativity and one associativity composite
+suffice (Hazewinkel, Formal Groups and Applications, 1978). The defect is then one packed composite
+minus its reversal. The axiom gate of check_axioms decides on the left
+composite through the checked order, summed from the powers of F(X, Y)
+into one accumulator (`_gate_composite`), with no `truncated` flag. Both
+composites give the same terms and certified order, so a passing report
+carries no defect. A reported defect comes from associativity_defect,
+which computes F(X, F(Y, Z)) by Horner; its Horner rows in (Y, Z) are
+truncated at the full substitution cap, so after the swap it forms every
+pair of terms that the left composite's Horner products form, and more,
+and its `truncated` flag is that of both composites. Any other F,
+including one whose constant term is outside the augmentation ideal,
+takes the two-composite path.
 
 Truncation bookkeeping: substituting a series whose constant term is a
 nonzero nilpotent (the Lemma-form constant c, or the inverse series'
@@ -55,7 +56,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement
-from .packed import _Codec, _Packed
+from .packed import _UNIT, _Codec, _Packed
 from .report import Report, Violation
 from .series import (
     Series,
@@ -103,7 +104,7 @@ def associativity_defect(F):
     For a law equal to its flip over a cocommutative H the left composite
     is the right one with X and Z swapped and the tensor slots reversed,
     so only the right one is computed (see the module docstring)."""
-    if _one_composite(F, _flip(F) == F):
+    if _one_composite(F, symmetry_defect(F).is_zero()):
         return _minus_reversed(_right_composite(F))
     return _two_composites(F)
 
@@ -131,17 +132,12 @@ def _left(F):
             [_lift_inner(F, (0, 1)), z_var])
 
 
-def _right(F):
-    """The substitution of the right composite F(X, F(Y, Z)): Horner over
-    the bare X outside, F(Y, Z) inside."""
-    x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
-    return (F.map_coefficients(lambda A: A.apply_slot(1, "comul"), arity=3),
-            [x_var, _lift_inner(F, (1, 2))])
-
-
 def _right_composite(F):
-    outer, assigns = _right(F)
-    return outer.substitute(assigns)
+    """The right composite F(X, F(Y, Z)): Horner over the bare X outside,
+    F(Y, Z) inside."""
+    x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
+    outer = F.map_coefficients(lambda A: A.apply_slot(1, "comul"), arity=3)
+    return outer.substitute([x_var, _lift_inner(F, (1, 2))])
 
 
 def _composite_order(F):
@@ -162,16 +158,18 @@ def _composite_order(F):
 
 def _gate_composite(F, cert):
     """F(F(X, Y), Z) through order cert, as a packed view: the sum over k
-    of U^k G_k(Z), with U = F(X, Y) packed once in the three-slot layout
-    (third slot and Z zero), each power formed once on the product kernel,
-    and G_k(Z) = sum_j (Delta (x) id)F_kj Z^j. Terms of U above cert
-    cannot reach cert; those of F can, through the powers of a nilpotent
-    F(0, 0). It carries no `truncated` flag of the Horner composite. Once
-    the flag is gone, this is the evaluator that replaces multivariate
-    Horner (Brent and Kung, JACM 1978; Paterson and Stockmeyer, 1973)."""
+    of U^k G_k(Z) with G_k(Z) = sum_j (Delta (x) id)F_kj Z^j, accumulated
+    in one kernel call (`_Packed.sum_of_products`). U = F(X, Y) is packed
+    once in the three-slot layout (third slot and Z zero) and each power
+    formed once. Terms of U above cert cannot reach cert; those of F can,
+    through the powers of a nilpotent F(0, 0). It carries no `truncated`
+    flag of the Horner composite. Once the flag is gone, this is the
+    evaluator that replaces multivariate Horner (Brent and Kung, JACM
+    1978; Paterson and Stockmeyer, 1973)."""
     codec = _Codec(F.algebra, 3, XYZ,
                    cert if cert != INF else F.max_degree() ** 2)
-    powers = [None, _view(codec, _pack_series(codec, F.truncate(cert)))]
+    powers = [_view(codec, _UNIT),
+              _view(codec, _pack_series(codec, F.truncate(cert)))]
     groups = {}
     for (k, j), coeff in F.terms.items():
         if j <= cert:
@@ -179,24 +177,23 @@ def _gate_composite(F, cert):
     while len(powers) <= max(groups, default=0):
         powers.append(_series_mul(powers[-1], powers[1], keep=cert,
                                   layout=codec))
-    parts = [_Packed({}, 1, cert, False)]
-    for k, terms in groups.items():
-        row = _view(codec, codec.pack_image(terms, F.algebra.comul_mono))
-        if k:
-            row = _series_mul(powers[k], row, keep=cert, layout=codec)
-        parts.append(row._packed[1])
-    return _view(codec, _Packed.summed(parts))
-
-
-def _flip(F):
-    """tau F(Y, X), swapping variables and tensor slots."""
-    return F.permute_vars((1, 0)).map_coefficients(
-        lambda A: A.permute((1, 0)))
+    rows = [(powers[k]._packed[1],
+             codec.pack_image(terms, F.algebra.comul_mono))
+            for k, terms in groups.items()]
+    return _view(codec, _Packed.sum_of_products(rows, cert,
+                                                F.algebra.degree_bound))
 
 
 def symmetry_defect(F):
-    """F(X, Y) - tau F(Y, X), swapping variables and tensor slots."""
-    return F - _flip(F)
+    """F(X, Y) - tau F(Y, X): the packed F minus its key-field reversal.
+    A substitution result is reversed in its own layout; any other F is
+    packed once, flagged when F or a coefficient is, as F - tau F is."""
+    if F._packed is not None:
+        return _minus_reversed(F)
+    codec = _Codec(F.algebra, F.arity, F.names, F.max_degree())
+    flag = F.truncated or any(c.truncated for c in F.terms.values())
+    return _view(codec, codec.minus_reversed(codec.pack(
+        {e: c.terms for e, c in F.terms.items()}, F.order, flag)))
 
 
 def unit_defects(F):
@@ -219,28 +216,18 @@ def strict_grading_defect(series, weight):
     offending sub-series).
     """
     algebra = series.algebra
-    entries = []
+    base, bad = None, {}
     for e, coeff in series.sorted_terms():
-        for key in coeff.sorted_terms():
-            mono_key = key[0]
-            deg = sum(algebra.degree(m) for m in mono_key)
-            entries.append((e, mono_key, deg + weight * sum(e)))
-    if not entries:
-        return None, Series.zero(series.algebra, series.arity, series.nvars,
-                                 series.order, series.names)
-    base = entries[0][2]
-    bad = {}
-    for e, mono_key, value in entries:
-        if value != base:
-            coeff = series.terms[e]
-            q = coeff.terms[mono_key]
-            part = bad.setdefault(e, {})
-            part[mono_key] = q
-    terms = {e: TensorElement(series.algebra, series.arity, part)
+        for key, q in coeff.sorted_terms():
+            value = algebra.key_degree(key) + weight * sum(e)
+            if base is None:
+                base = value
+            elif value != base:
+                bad.setdefault(e, {})[key] = q
+    terms = {e: TensorElement(algebra, series.arity, part)
              for e, part in bad.items()}
-    offending = Series(series.algebra, series.arity, series.nvars, terms,
-                       series.order, series.names, _normalize=False)
-    return base, offending
+    return base, Series(algebra, series.arity, series.nvars, terms,
+                        series.order, series.names, _normalize=False)
 
 
 def check_axioms(F, order=None, strict_grading_weight=None):
@@ -443,10 +430,10 @@ def extract_cocycle(F, g=None, order=None):
             certified=residual.order, requested=order)
     c = residual.constant_term()
     for e, coeff in residual.sorted_terms():
-        if sum(e) == 0:
-            continue
-        raise ResidualNonConstant(
-            f"logarithm residual has a nonconstant term at {e}: {coeff}")
+        if sum(e):
+            raise ResidualNonConstant(
+                f"logarithm residual has a nonconstant term at {e}: "
+                f"{coeff}")
     report = check_cocycle(c)
     if not report.passed:
         raise CocycleViolation(
@@ -601,15 +588,11 @@ def inverse_series(F, order=None):
 def _eval_univariate(series, point):
     """Evaluate a one-variable series at a nilpotent TensorElement by
     Horner's rule."""
-    if not series.terms:
-        return TensorElement.zero(series.algebra, series.arity)
-    kmax = max(e[0] for e in series.terms)
     acc = TensorElement.zero(series.algebra, series.arity)
-    for k in range(kmax, -1, -1):
+    for k in range(max((e[0] for e in series.terms), default=-1), -1, -1):
         acc = acc * point
-        coeff = series.terms.get((k,))
-        if coeff is not None:
-            acc = acc + coeff
+        if (k,) in series.terms:
+            acc = acc + series.terms[(k,)]
     return acc
 
 

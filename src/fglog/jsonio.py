@@ -28,7 +28,7 @@ path relative to the referring file.
 import json
 import os
 
-from .errors import ParseError, SpecError
+from .errors import ParseError
 from .hopf import (
     BUILTIN_ALGEBRAS,
     TensorElement,
@@ -40,7 +40,6 @@ from .hopf import (
     build_hopf_algebra,
     builtin_algebra,
 )
-from .report import Report
 from .scalars import format_rational, parse_rational
 from .series import INF, Series
 

@@ -1,16 +1,20 @@
 """The product kernel: packed terms of H^(x)k[[X]] and their product.
 
-Every product of coefficient terms runs on `_Packed.times`: series products,
-the Horner steps of a substitution (series.py), the products of powers of
-F(X, Y) in the associativity gate (`fgl._gate_composite`), and tensor
-products (`TensorElement.__mul__` packs its operands as 0-variable series).
+Every product and sum of coefficient terms runs on one loop,
+`_Packed.sum_of_products`, which adds the products of several pairs into
+one accumulator over a common denominator: series products and the Horner
+steps of a substitution (series.py; `_Packed.times` is one pair,
+`_Packed.summed` the unit times each addend), Newton reversion, the powers
+of F(X, Y) and the rows U^k G_k of the associativity gate
+(`fgl._gate_composite`), and tensor products (`TensorElement.__mul__`
+packs its operands as 0-variable series).
 The one exception is a Horner step by a bare variable, a key shift
 (`_Packed.shifted`). A term's variable exponents and slot monomials are
 packed into one int, a field per exponent, so the key of a product term is
-the sum of its factors' keys. The associativity defect of a law equal to
-its flip is one packed composite minus its key-field reversal, which puts
-the tensor slots and the variables in reverse order; the int numerators
-are subtracted in the same layout (`_Codec.minus_reversed`).
+the sum of its factors' keys. The symmetry defect of a law, and the
+associativity defect of a law equal to its flip, are a packed series minus
+its key-field reversal, which puts the tensor slots and the variables in
+reverse order (`_Codec.minus_reversed`).
 Coefficients are int numerators over one common denominator per operand.
 Terms are bucketed by (variable degree, Hopf degree), so the order cap and
 the degree bound are decided once per pair of buckets (Monagan and Pearce,
@@ -74,7 +78,7 @@ class _Codec:
             shift += self.width
         return code
 
-    def pack(self, terms, order=INF, flag=False, val=None):
+    def pack(self, terms, order=INF, flag=False):
         """_Packed form of a terms dict {exps: {key: Q}}."""
         den = math.lcm(*(int(q.denominator) for coeff in terms.values()
                          for q in coeff.values()))
@@ -88,7 +92,7 @@ class _Codec:
                 code, h = self._key_code(key)
                 row.setdefault(h, {})[base | code] = (
                     int(q.numerator) * (den // int(q.denominator)))
-        return _Packed(rows, den, order, flag, val)
+        return _Packed(rows, den, order, flag)
 
     def pack_image(self, terms, image):
         """Complete, unflagged _Packed form of {exps: {key: Q}} with each
@@ -208,12 +212,12 @@ class _Packed:
 
     __slots__ = ("rows", "den", "order", "flag", "val")
 
-    def __init__(self, rows, den, order, flag, val=None):
+    def __init__(self, rows, den, order, flag):
         self.rows = rows
         self.den = den
         self.order = order
         self.flag = flag
-        self.val = val if val is not None else min(rows, default=INF)
+        self.val = min(rows, default=INF)
 
     @classmethod
     def reduced(cls, rows, den, order, flag):
@@ -240,45 +244,58 @@ class _Packed:
         return cls(clean, den, order, flag)
 
     def times(self, other, keep, bound):
-        """Product with the series bookkeeping: the order cap is
-        min(r_f + val(g), r_g + val(f)) (inf for two complete polynomials)
-        and any pair of nonzero terms within it whose Hopf degrees overflow
-        the bound sets the flag. Only terms of variable degree <= keep are
-        formed, and the product is certified through min(cap, keep)."""
-        if self.order == INF and other.order == INF:
-            cap = INF
-        else:
-            cap = min(self.order + other.val, other.order + self.val)
-        keep = min(keep, cap)
-        flag = self.flag or other.flag
+        """Product: the one-pair case of `sum_of_products`."""
+        return _Packed.sum_of_products(((self, other),), keep, bound)
+
+    @staticmethod
+    def sum_of_products(pairs, keep, bound):
+        """Sum of the products a * b over the (a, b) pairs in one rows dict
+        over the lcm L of the den(a) * den(b), reduced once; b's numerators
+        are scaled by L / (den(a) * den(b)) before its pass. A product's
+        order cap is min(r_a + val(b), r_b + val(a)) (inf for two complete
+        polynomials), and any pair of nonzero terms within it whose Hopf
+        degrees overflow the bound sets the flag. Terms of variable degree
+        up to the least of keep and the caps are formed and certified."""
+        caps = [INF if a.order == INF and b.order == INF
+                else min(a.order + b.val, b.order + a.val) for a, b in pairs]
+        keep = min(keep, *caps) if caps else keep
+        den = math.lcm(*(a.den * b.den for a, b in pairs))
+        flag = False
         rows = {}
-        other_rows = sorted(other.rows.items())
-        for da, row_a in self.rows.items():
-            for db, row_b in other_rows:
-                d = da + db
-                if d > cap:
-                    break
-                for ha, bucket_a in row_a.items():
-                    for hb, bucket_b in row_b.items():
-                        h = ha + hb
-                        if h > bound:
-                            flag = True
-                            continue
-                        if d > keep:
-                            continue
-                        out = rows.setdefault(d, {}).setdefault(h, {})
-                        get = out.get
-                        # the longer bucket innermost: fewer loop set-ups
-                        if len(bucket_a) > len(bucket_b):
-                            outer, inner = bucket_b, bucket_a
-                        else:
-                            outer, inner = bucket_a, bucket_b
-                        items_b = inner.items()
-                        for ka, na in outer.items():
-                            for kb, nb in items_b:
-                                k = ka + kb
-                                out[k] = get(k, 0) + na * nb
-        return _Packed.reduced(rows, self.den * other.den, keep, flag)
+        for (a, b), cap in zip(pairs, caps):
+            flag = flag or a.flag or b.flag
+            scale = den // (a.den * b.den)
+            b_rows = sorted(b.rows.items())
+            if scale != 1:
+                b_rows = [(db, {hb: {k: n * scale for k, n in bucket.items()}
+                                for hb, bucket in row.items()})
+                          for db, row in b_rows]
+            for da, row_a in a.rows.items():
+                for db, row_b in b_rows:
+                    d = da + db
+                    if d > cap:
+                        break
+                    for ha, bucket_a in row_a.items():
+                        for hb, bucket_b in row_b.items():
+                            h = ha + hb
+                            if h > bound:
+                                flag = True
+                                continue
+                            if d > keep:
+                                continue
+                            out = rows.setdefault(d, {}).setdefault(h, {})
+                            get = out.get
+                            # the longer bucket innermost: fewer loop set-ups
+                            if len(bucket_a) > len(bucket_b):
+                                outer, inner = bucket_b, bucket_a
+                            else:
+                                outer, inner = bucket_a, bucket_b
+                            items_b = inner.items()
+                            for ka, na in outer.items():
+                                for kb, nb in items_b:
+                                    k = ka + kb
+                                    out[k] = get(k, 0) + na * nb
+        return _Packed.reduced(rows, den, keep, flag)
 
     def variable_code(self):
         """The packed key of a bare variable (one complete, unflagged term
@@ -301,28 +318,16 @@ class _Packed:
                 for d, row in self.rows.items() if d + 1 <= keep}
         return _Packed(rows, self.den, keep, self.flag)
 
-    @classmethod
-    def summed(cls, packs):
-        """Sum of packs in one pass with the bookkeeping of `Series.__add__`:
-        minimal order, terms above it dropped, flags or-ed."""
-        order = min(p.order for p in packs)
-        den = math.lcm(*(p.den for p in packs))
-        rows = {}
-        for src in packs:
-            scale = den // src.den
-            for d, row in src.rows.items():
-                if d > order:
-                    continue
-                out_row = rows.setdefault(d, {})
-                for h, bucket in row.items():
-                    out = out_row.get(h)
-                    if out is None:
-                        out_row[h] = {k: n * scale for k, n in bucket.items()}
-                        continue
-                    for k, n in bucket.items():
-                        out[k] = out.get(k, 0) + n * scale
-        return cls.reduced(rows, den, order, any(p.flag for p in packs))
+    @staticmethod
+    def summed(packs):
+        """Sum of packs as `Series.__add__` forms it (least order, flags
+        or-ed): the sum of their products with the unit."""
+        return _Packed.sum_of_products([(_UNIT, p) for p in packs], INF, INF)
 
     def truncate(self, cap):
         return _Packed({d: row for d, row in self.rows.items() if d <= cap},
                        self.den, min(self.order, cap), self.flag)
+
+
+# the complete, unflagged constant 1 of every layout
+_UNIT = _Packed({0: {0: {0: 1}}}, 1, INF, False)

@@ -12,8 +12,8 @@ group laws, coboundary data). The bookkeeping rules:
   derivative         r - 1
   integrate          r + 1
   mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k)
-  comp_inverse       r (each Newton step h - (f(h) - x) h' is certified
-                     through the precision it doubles to)
+  comp_inverse       r (each packed Newton step h - (f(h) - x) h' is
+                     certified through the precision it doubles to)
   substitute         min(min_v r_v, r_f - sum_v slack_v)
 
 where slack_v is the nilpotency index of the constant term of the series
@@ -131,8 +131,7 @@ class Series:
     @classmethod
     def constant(cls, coeff, nvars, order=INF, names=None):
         """Constant series with the given TensorElement as its value."""
-        zero_exps = (0,) * nvars
-        terms = {} if coeff.is_zero() else {zero_exps: coeff}
+        terms = {} if coeff.is_zero() else {(0,) * nvars: coeff}
         return cls(coeff.algebra, coeff.arity, nvars, terms, order, names,
                    coeff.truncated, _normalize=False)
 
@@ -161,14 +160,10 @@ class Series:
 
     def valuation(self):
         """Minimal total degree of a stored term; inf for the zero series."""
-        if not self.terms:
-            return INF
-        return min(sum(e) for e in self.terms)
+        return min((sum(e) for e in self.terms), default=INF)
 
     def max_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=0)
 
     def coeff(self, exps):
         exps = tuple(exps)
@@ -275,9 +270,8 @@ class Series:
             raise ValueError("negative series powers are not defined")
         result = Series.constant(TensorElement.unit(self.algebra, self.arity),
                                  self.nvars, INF, self.names)
-        base = self
         for _ in range(n):
-            result = result * base
+            result = result * self
         return result
 
     # -- calculus ------------------------------------------------------------------
@@ -385,7 +379,8 @@ class Series:
         inverse is the zero series.
 
         Newton iteration from b0^-1 x doubles the certified order at each
-        step, so order N takes about log2 N substitutions."""
+        step, so order N takes about log2 N Horner evaluations of f, run
+        on the packed kernel: the loop substitutes and unpacks nothing."""
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
         if not self.constant_term().is_zero():
@@ -409,23 +404,35 @@ class Series:
         b0_inv = b0.mul_inverse()
         if order < 1:
             return self._rebuilt({}, order)
-        f = self.truncate(order)
-        x = Series.variable(self.algebra, self.arity, 1, 0, INF, self.names)
-        h = Series(self.algebra, self.arity, 1, {(1,): b0_inv}, 1,
-                   self.names, _normalize=False)
+        # every Newton step runs packed in one layout, f_k as constants
+        codec = _Codec(self.algebra, self.arity, self.names, order)
+        x_code = codec._exps_code((1,))
+        consts = {e: _view(codec, codec.pack({(0,): c.terms}))
+                  for e, c in self.truncate(order).terms.items()}
+        minus_x = _Packed({1: {0: {x_code: -1}}}, 1, INF, False)
+        h = codec.pack({(1,): b0_inv.terms})
         for p in _doubling_orders(1, order):
             # h is the inverse through some q >= p/2, so e = f(h) - x
             # starts above q and h' = (1 + e') / f'(h) with e' = O(x^q):
-            # h - e h' is the inverse through 2q >= p. The substitution
-            # reads h as the complete polynomial it stores, so f cut at p
-            # caps it, and the step, at order p.
-            poly = h.with_order(INF)
-            err = f.truncate(p).substitute([poly]) - x
-            if err.is_zero():
-                h = poly.truncate(p)
+            # h - e h' is the inverse through 2q >= p. h is read as the
+            # polynomial it stores, so f cut at p caps the step at p.
+            f_h = _horner({e: c for e, c in consts.items() if e[0] <= p},
+                          [_view(codec, h)], p)._packed[1]
+            err = _Packed.summed((f_h, minus_x))
+            if err.rows:
+                minus_dh = _Packed(
+                    {d - 1: {hd: {code - x_code: -d * n
+                                  for code, n in bucket.items()}
+                             for hd, bucket in row.items()}
+                     for d, row in h.rows.items()}, h.den, INF, False)
+                step = _series_mul(_view(codec, err), _view(codec, minus_dh),
+                                   keep=p, layout=codec)._packed[1]
+                h = _Packed.summed((h, step))
             else:
-                h = poly - err * poly.derivative()
-        return self._rebuilt(_solved_terms(h, b0, b0_inv), order)
+                h = h.truncate(p)
+            h = _Packed(h.rows, h.den, INF, False)
+        return self._rebuilt(_solved_terms(_view(codec, h), b0, b0_inv),
+                             order)
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -648,18 +655,23 @@ def _doubling_orders(start, target, extra=0):
 
 def _solved_terms(root, slope, slope_inv):
     """Terms of a one-variable root found by Newton iteration, each
-    non-constant coefficient c re-formed as -(slope_inv * r) from its
-    residue r = -(slope * c) with a clear `truncated` flag, as solving for
-    one order at a time forms it. Its flag thus says whether that product
-    overflowed the degree bound, however the root was computed; this
-    matters because substitutions fold the coefficient flags of the outer
-    series into their result."""
+    non-constant coefficient c with the `truncated` flag that solving one
+    order at a time gives it, as -(slope_inv * r) from its residue
+    r = -(slope * c) with a clear flag. That product is c in the quotient
+    ring, so only its flag is formed: slope_inv's, or a pair of terms of
+    slope_inv and r whose Hopf degrees sum above the bound. Substitutions
+    fold the coefficient flags of the outer series into their result."""
+    algebra = slope.algebra
+    room = algebra.degree_bound - max(
+        algebra.key_degree(key) for key in slope_inv.terms)
     terms = {}
     for e, c in root.terms.items():
         if e != (0,):
-            r = -(slope * c)
-            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms,
-                                            _normalize=False))
+            r = slope * c  # the sign of r leaves its degrees as they are
+            flag = slope_inv.truncated or any(
+                algebra.key_degree(key) > room for key in r.terms)
+            c = TensorElement(algebra, c.arity, c.terms, flag,
+                              _normalize=False)
         terms[e] = c
     return terms
 
@@ -679,7 +691,7 @@ def _coefficients(algebra, arity, terms):
 
 def _pack_series(codec, series):
     return codec.pack({e: c.terms for e, c in series.terms.items()},
-                      series.order, series.truncated, series.valuation())
+                      series.order, series.truncated)
 
 
 def _view(codec, packed, terms=None):

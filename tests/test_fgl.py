@@ -33,10 +33,11 @@ from fglog import (
     unit_defects,
 )
 from fglog import fgl as fgl_module
+from fglog import jsonio
+from fglog.packed import _Packed
 from fglog.fgl import (
     XYZ,
     _eval_univariate,
-    _flip,
     _gate_composite,
     _left,
     _lift_inner,
@@ -60,6 +61,7 @@ from test_series import (
     SELDOM,
     _assert_same,
     assert_same_outcome,
+    engine_series,
     outcome,
     requested_orders,
     tensor_coefficients,
@@ -67,6 +69,13 @@ from test_series import (
 
 INF = math.inf
 XY = ("X", "Y")
+
+
+def _flip(F):
+    """tau F(Y, X), swapping variables and tensor slots, as Series
+    operations: the reference for the packed symmetry defect."""
+    return F.permute_vars((1, 0)).map_coefficients(
+        lambda A: A.permute((1, 0)))
 
 
 def t_elem(algebra):
@@ -216,8 +225,9 @@ class TestCheckAxioms:
 
     def test_asymmetric_check_forms_each_lift_once(self, monkeypatch):
         """A failing check on the two-composite path maps the coefficients
-        once per lift: the flip, the two counit lifts, and the coproduct
-        and inner lifts of each composite. The slack of F(0, 0) is
+        once per lift: the two counit lifts, and the coproduct and inner
+        lifts of each composite. The symmetry defect is a key reversal of
+        the packed law and maps no coefficient. The slack of F(0, 0) is
         computed once for the order rule, and each substitution computes
         that of its own assigned constant once."""
         alg = builtin_algebra("qt1", degree_bound=6)
@@ -241,7 +251,7 @@ class TestCheckAxioms:
         report = check_axioms(F)
         assert not report.passed
         assert "associativity" in {v.axiom for v in report.violations}
-        assert len(lifts) == 7 and len(set(lifts)) == 7
+        assert len(lifts) == 6 and len(set(lifts)) == 6
         assert slacks[0] == F.constant_term()
         assert len(slacks) == 3 and len(set(slacks)) == 3
 
@@ -1149,26 +1159,115 @@ class TestPackedGate:
         assert_gate_matches(Series.zero(qt1, 2, 2, 0, XY))
 
     def test_passing_check_multiplies_on_the_kernel(self, monkeypatch):
-        """A passing symmetric check substitutes nothing; its products
-        are `_series_mul` calls, which the tracer counts."""
+        """A passing symmetric check substitutes nothing; every product of
+        its gate runs on the kernel's sum of products, the powers of U
+        one `_series_mul` call each and the rows U^k G_k, one per
+        X-degree k of F, in one call."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = reconstruct(alg, two_t_t(alg), log_x_plus_tx2(alg), order=9)
-        substitutions, products = [], []
+        substitutions, kernel_calls = [], []
         substitute = Series.substitute
-        series_mul = fgl_module._series_mul
+        sum_of_products = _Packed.sum_of_products
 
         def counted(series, assignments):
             substitutions.append(series)
             return substitute(series, assignments)
 
-        def counted_mul(f, g, **kwargs):
-            products.append(f)
-            return series_mul(f, g, **kwargs)
+        def counted_kernel(pairs, keep, bound):
+            kernel_calls.append(len(pairs))
+            return sum_of_products(pairs, keep, bound)
 
         monkeypatch.setattr(Series, "substitute", counted)
-        monkeypatch.setattr(fgl_module, "_series_mul", counted_mul)
+        monkeypatch.setattr(_Packed, "sum_of_products", counted_kernel)
         assert check_axioms(F, order=6).passed
-        assert substitutions == [] and products
+        assert substitutions == []
+        rows = len({k for k, _ in F.terms})
+        assert rows == 8 and rows in kernel_calls
+
+
+@st.composite
+def perturbed_laws(draw):
+    """A law of symmetric_laws(), mostly plus a perturbation with no
+    mirror image (a term at (i, j) but not at (j, i), or a coefficient
+    unlike its mirror's), with rare coefficient and series flags."""
+    F = draw(symmetric_laws())
+    if draw(st.integers(0, 4)):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+            terms[exps] = draw(tensor_coefficients(F.algebra, 2))
+        F = F + Series(F.algebra, 2, 2, terms, F.order, XY,
+                       truncated=draw(SELDOM))
+    return F
+
+
+def assert_same_symmetry_defect(F):
+    got, want = symmetry_defect(F), F - _flip(F)
+    assert (got.terms, got.order, got.truncated, got.names) == (
+        want.terms, want.order, want.truncated, want.names)
+    return got, want
+
+
+class TestPackedSymmetry:
+    """symmetry_defect, the packed law minus its key-field reversal, gives
+    what F - tau F(Y, X) gives on Series: terms, certified order and
+    `truncated`, for stored laws, laws read from group JSON and
+    substitution results, over qt1, qt2, qtu and QTU_HALF."""
+
+    @settings(max_examples=150)
+    @given(perturbed_laws())
+    def test_stored_laws(self, F):
+        assert_same_symmetry_defect(F)
+
+    @settings(max_examples=100)
+    @given(perturbed_laws(), st.booleans())
+    def test_json_laws(self, F, truncated):
+        doc = jsonio.group_to_json(F)
+        if truncated:
+            doc["series"]["truncated"] = True
+        _, G = jsonio.group_from_json(doc)
+        assert G.truncated == (truncated or F.truncated)
+        assert_same_symmetry_defect(G)
+
+    @settings(max_examples=100)
+    @given(perturbed_laws(), st.data())
+    def test_substitution_results(self, F, data):
+        """F(X + A, Y + B) for random A, B with nilpotent constants: the
+        defect is reversed in the substitution's own layout, and the
+        coefficient flags agree too."""
+        shifts = [data.draw(engine_series(F.algebra, 2, 2,
+                                          nilpotent_constant=True))
+                  for _ in range(2)]
+        G = F.substitute([Series.variable(F.algebra, 2, 2, v, INF, XY)
+                          + Series(F.algebra, 2, 2, a.terms, a.order, XY,
+                                   a.truncated)
+                          for v, a in enumerate(shifts)])
+        assert G._packed is not None
+        got, want = assert_same_symmetry_defect(G)
+        assert {e: c.truncated for e, c in got.terms.items()} == {
+            e: c.truncated for e, c in want.terms.items()}
+
+    def test_elevated_law_of_reconstruct(self, monkeypatch):
+        """The law that reconstruct checks is its substitution result."""
+        alg = build_hopf_algebra(QTU_HALF)
+        u = HopfElement.generator(alg, "u")
+        checked = []
+        check = fgl_module.check_axioms
+
+        def recorded(F, order=None):
+            checked.append(F)
+            return check(F, order)
+
+        monkeypatch.setattr(fgl_module, "check_axioms", recorded)
+        reconstruct(alg, coboundary(u * u), log_x_plus_tx2(alg), order=5)
+        (F,) = checked
+        assert F._packed is not None
+        assert_same_symmetry_defect(F)
+        asymmetric = F + Series(alg, 2, 2, {
+            (2, 1): TensorElement.from_slots(u, HopfElement.one(alg))}, 5,
+            XY, truncated=True)
+        got, _ = assert_same_symmetry_defect(asymmetric)
+        assert not got.is_zero() and got.truncated
 
 
 # -- classical specialization ----------------------------------------------------

@@ -655,6 +655,65 @@ def reference_comp_inverse(f, order=None):
     return h
 
 
+def reference_solved_terms(root, slope, slope_inv):
+    """The two-product form of `series._solved_terms`: each non-constant
+    coefficient c re-formed as -(slope_inv * r) from its residue
+    r = -(slope * c) with a clear `truncated` flag."""
+    terms = {}
+    for e, c in root.terms.items():
+        if e != (0,):
+            r = -(slope * c)
+            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms,
+                                            _normalize=False))
+        terms[e] = c
+    return terms
+
+
+def series_newton_comp_inverse(f, order=None):
+    """Newton reversion with Series operations: one substitution f(h) per
+    doubling step, h - (f(h) - x) h' formed by Series arithmetic and the
+    coefficients re-formed by reference_solved_terms. The reference for
+    the packed Newton loop of Series.comp_inverse, flags included."""
+    if f.nvars != 1:
+        raise ShapeMismatch("compositional inverse needs one variable")
+    if not f.constant_term().is_zero():
+        raise NonZeroConstantTerm(
+            "compositional inverse needs zero constant term")
+    b0 = f.coeff((1,))
+    if b0.full_counit() != 1:
+        raise NonInvertibleConstantTerm(
+            "linear coefficient must have full counit 1")
+    if order is None:
+        if f.order == INF:
+            raise ValueError(
+                "series is a complete polynomial; its compositional "
+                "inverse is infinite, pass an explicit order")
+        order = f.order
+    if order > f.order:
+        raise TruncationInsufficient(
+            f"compositional inverse through order {order} needs the "
+            f"input through that order (certified {f.order})",
+            certified=f.order, requested=order)
+    b0_inv = b0.mul_inverse()
+    if order < 1:
+        return Series(f.algebra, f.arity, 1, {}, order, f.names,
+                      f.truncated, _normalize=False)
+    g = f.truncate(order)
+    x = Series.variable(f.algebra, f.arity, 1, 0, INF, f.names)
+    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv}, 1, f.names,
+               _normalize=False)
+    for p in series_module._doubling_orders(1, order):
+        poly = h.with_order(INF)
+        err = g.truncate(p).substitute([poly]) - x
+        if err.is_zero():
+            h = poly.truncate(p)
+        else:
+            h = poly - err * poly.derivative()
+    return Series(f.algebra, f.arity, 1,
+                  reference_solved_terms(h, b0, b0_inv), order, f.names,
+                  f.truncated, _normalize=False)
+
+
 def outcome(fn, *args, **kwargs):
     """The value of fn, or the type and message of what it raised."""
     try:
@@ -740,6 +799,63 @@ class TestNewtonReversion:
         f, order = case
         assert_same_outcome(outcome(f.comp_inverse, order=order),
                             outcome(reference_comp_inverse, f, order=order))
+
+    @settings(max_examples=200)
+    @given(reversion_inputs())
+    def test_matches_series_newton_loop(self, case):
+        """The packed loop gives the terms, every coefficient's flag, the
+        order and the series flag of the same loop on Series."""
+        f, order = case
+        assert_same_outcome(
+            outcome(f.comp_inverse, order=order),
+            outcome(series_newton_comp_inverse, f, order=order))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_solved_terms_match_two_products(self, data):
+        """One product per coefficient gives the terms and flags of the
+        two-product form."""
+        name, bound = data.draw(NEWTON_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        arity = data.draw(st.integers(1, 2))
+        slope = data.draw(tensor_coefficients(alg, arity, unit=1))
+        root = Series(alg, arity, 1, {
+            (k,): data.draw(tensor_coefficients(alg, arity))
+            for k in data.draw(st.sets(st.integers(0, 6), max_size=4))})
+        slope_inv = slope.mul_inverse()
+        got = series_module._solved_terms(root, slope, slope_inv)
+        want = reference_solved_terms(root, slope, slope_inv)
+        assert got == want
+        assert {e: c.truncated for e, c in got.items()} == {
+            e: c.truncated for e, c in want.items()}
+
+    def test_substitutes_nothing(self, qt1, monkeypatch):
+        """Every Newton step evaluates f(h) on the packed kernel: no
+        Series.substitute call, and the products are `_series_mul` calls,
+        where the benchmark's tracer counts them."""
+        t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
+        one = TensorElement.unit(qt1, 1)
+        x = var(qt1)
+        f = (Series.constant(one + t, 1) * x + Series.constant(t, 1) * x ** 2
+             + x ** 3).with_order(9)
+        substitutions, products = [], []
+        substitute = Series.substitute
+        series_mul = series_module._series_mul
+
+        def counted(series, assignments):
+            substitutions.append(series)
+            return substitute(series, assignments)
+
+        def counted_mul(g, h, **kwargs):
+            products.append(g)
+            return series_mul(g, h, **kwargs)
+
+        monkeypatch.setattr(Series, "substitute", counted)
+        monkeypatch.setattr(series_module, "_series_mul", counted_mul)
+        got = f.comp_inverse()
+        assert substitutions == [] and products
+        monkeypatch.undo()
+        _assert_same(got, series_newton_comp_inverse(f))
 
     def test_overflowing_coefficients_keep_their_flags(self):
         """b0 with a nilpotent part at a low degree bound: the solve's

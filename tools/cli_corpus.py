@@ -1,0 +1,225 @@
+"""Byte-identity corpus of fglog command-line invocations.
+
+    python tools/cli_corpus.py record SRC OUT.json
+    python tools/cli_corpus.py compare A.json B.json
+
+`record` imports fglog from SRC (the `src/` directory of a checkout), runs
+a fixed set of invocations of `fglog.cli.main` in this process and writes
+the argument list, exit code, stdout and stderr of each to OUT.json. The
+inputs are the group-law, logarithm and algebra fixtures of tests/fixtures
+and laws generated here from fixed seeds without fglog, so two checkouts
+get the same inputs: Lemma laws c + X + Y with c a coboundary (group laws)
+or any symmetric tensor, symmetric perturbations of them, perturbations
+with broken symmetry and classical laws X + Y + aXY, each at a finite or
+infinite order and some marked "truncated": true. Over each law it runs
+verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
+and --format options, and reconstruct from generated cocycles and
+logarithms. The inputs are written to a temporary directory that is the
+working directory during the run, so no output names an absolute path.
+`record` exits 1 if an invocation raised (its traceback is recorded in
+place of stderr) or ended with an exit code outside 0-3.
+
+`compare` lists every invocation whose exit code, stdout or stderr
+differ between two records, and those in one record only, and exits 1 if
+there is any.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+import traceback
+from math import comb
+from pathlib import Path
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+
+# QTU_HALF is cocommutative with u not primitive; ALGEBRAS lists the
+# (name, degree) generators of the algebras the generated laws use
+QTU_HALF = {"generators": [{"name": "t", "degree": 1},
+                           {"name": "u", "degree": 2}],
+            "degree_bound": 8,
+            "coproduct": {"t": "primitive",
+                          "u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                                [["t"], ["t"], "1/2"]]}}
+ALGEBRAS = {"qt1": [("t", 1)], "qt2": [("t", 2)],
+            "qtu": [("t", 1), ("u", 3)], "qtu_half": [("t", 1), ("u", 2)]}
+ORDERS = ("2", "4", "7")
+SEEDS = range(48)
+
+
+def _rational(rng):
+    q = rng.choice([1, -1, 2, -2, 3, 1, -1])
+    d = rng.choice([1, 1, 2, 3])
+    return str(q) if d == 1 else f"{q}/{d}"
+
+
+def _monomial(rng, gens, top):
+    """A generator-name list of positive degree at most `top`."""
+    while True:
+        mono = [name for name, deg in gens
+                for _ in range(rng.randint(0, top // deg))]
+        degree = sum(deg for name, deg in gens for m in mono if m == name)
+        if 0 < degree <= top:
+            return mono
+
+
+def _coboundary_of_power(n):
+    """d(t^n) = sum_{0<i<n} C(n, i) t^i (x) t^(n-i) for a primitive t."""
+    return [[["t"] * i, ["t"] * (n - i), str(comb(n, i))]
+            for i in range(1, n)]
+
+
+def _term(exp, coeff):
+    return {"exp": list(exp), "coeff": coeff}
+
+
+def _law(rng, seed):
+    """(name, group JSON) of a generated law."""
+    name = rng.choice(sorted(ALGEBRAS))
+    gens = ALGEBRAS[name]
+    kind = ("coboundary", "symmetric", "perturbed", "asymmetric",
+            "classical")[seed % 5]
+    one = [["1"], ["1"], "1"]
+    terms = {(1, 0): [one], (0, 1): [one]}
+    if kind == "classical":
+        terms[(1, 1)] = [[["1"], ["1"], _rational(rng)]]
+    elif kind == "coboundary" or name == "qt2":
+        terms[(0, 0)] = _coboundary_of_power(rng.randint(2, 4))
+    else:
+        a, b = _monomial(rng, gens, 3), _monomial(rng, gens, 3)
+        q = _rational(rng)
+        terms[(0, 0)] = [[a, b, q], [b, a, q]] if a != b else [[a, a, q]]
+    if kind in ("perturbed", "asymmetric"):
+        i, j = rng.randint(0, 3), rng.randint(1, 3)
+        a, b = _monomial(rng, gens, 4), ["1"]
+        q = _rational(rng)
+        terms.setdefault((i, j), []).append([a, b, q])
+        if kind == "perturbed":
+            terms.setdefault((j, i), []).append([b, a, q])
+    series = {"variables": ["X", "Y"], "arity": 2,
+              "terms": [_term(e, c) for e, c in sorted(terms.items())]}
+    if rng.random() < 0.3:
+        series["truncated"] = True
+    doc = {"hopf": QTU_HALF if name == "qtu_half" else name,
+           "series": series}
+    if rng.random() < 0.7:
+        doc["order"] = rng.randint(3, 9)
+    return f"law{seed:02d}_{name}_{kind}.json", doc
+
+
+def _log(rng, seed):
+    """(name, series JSON) of a logarithm x + sum of t-coefficients."""
+    terms = [_term((1,), [[["1"], "1"]])]
+    for k in sorted(rng.sample(range(2, 6), rng.randint(1, 2))):
+        terms.append(_term((k,), [[["t"] * rng.randint(1, 2),
+                                   _rational(rng)]]))
+    return f"log{seed:02d}.json", {"variables": ["x"], "arity": 1,
+                                   "terms": terms}
+
+
+def invocations(workdir):
+    """Write the inputs into workdir and return the argument lists."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        shutil.copy(path, workdir / path.name)
+    laws = sorted(p.name for p in FIXTURES.glob("fg_*.json"))
+    logs = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        name, doc = _law(rng, seed)
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        laws.append(name)
+        name, doc = _log(rng, seed)
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        logs.append(name)
+    argvs = []
+    for law in laws:
+        for cmd in ("verify", "roundtrip", "log", "inverse", "cocycle"):
+            for order in ORDERS:
+                for fmt in ("pretty", "json"):
+                    argvs.append([cmd, "--group", law, "--order", order,
+                                  "--format", fmt])
+            argvs.append([cmd, "--group", law, "--order", "5", "--hdeg",
+                          "3"])
+        argvs.append(["verify", "--group", law, "--strict-grading"])
+        argvs.append(["specialize", "--group", law, "--format", "json"])
+    for i, log in enumerate(logs):
+        for cocycle in ("0", "2 t (x) t", "3 t (x) t^2 + 3 t^2 (x) t"):
+            for order, hdeg in (("3", "4"), ("6", "8"), ("8", "3")):
+                argvs.append(["reconstruct", "--hopf", "qt1", "--cocycle",
+                              cocycle, "--log", log, "--order", order,
+                              "--hdeg", hdeg,
+                              "--format", ("pretty", "json")[i % 2]])
+    argvs += [["verify", "--group", "missing.json"],
+              ["verify", "--group", laws[0], "--order", "0"],
+              ["check-hopf", "--hopf", "hopf_bad_coassoc.json"],
+              ["check-cocycle", "--hopf", "qtu", "--cocycle",
+               "u (x) t + t (x) u"],
+              ["coboundary", "--hopf", "qt1", "--element", "t^3"]]
+    return argvs
+
+
+def _run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:  # recorded, and fails the record
+            return None, out.getvalue(), traceback.format_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(src, out_path):
+    sys.path.insert(0, str(Path(src).resolve()))
+    from fglog.cli import main
+
+    os.environ.pop("FGLOG_COLOR", None)
+    home = os.getcwd()
+    records, bad = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in invocations(Path(tmp)):
+                code, stdout, stderr = _run(main, argv)
+                if code not in (0, 1, 2, 3):
+                    bad += 1
+                    print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
+                records.append({"argv": argv, "exit": code,
+                                "stdout": stdout, "stderr": stderr})
+        finally:
+            os.chdir(home)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump({"invocations": records}, fh, indent=0)
+    codes = sorted({str(r["exit"]) for r in records})
+    print(f"{len(records)} invocations, exit codes {', '.join(codes)}")
+    return 1 if bad else 0
+
+
+def compare(a_path, b_path):
+    runs = []
+    for path in (a_path, b_path):
+        with open(path, encoding="utf-8") as fh:
+            runs.append({"\0".join(r["argv"]): r
+                         for r in json.load(fh)["invocations"]})
+    a, b = runs
+    differ = 0
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            differ += 1
+            fields = ("only in one record" if key not in a or key not in b
+                      else ", ".join(f for f in ("exit", "stdout", "stderr")
+                                     if a[key][f] != b[key][f]))
+            print(f"{' '.join(key.split(chr(0)))}: {fields}")
+    print(f"{differ} of {len(set(a) | set(b))} invocations differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] in ("record", "compare"):
+        sys.exit((record if args[0] == "record" else compare)(*args[1:]))
+    sys.exit(__doc__.split("\n\n")[1])
