@@ -42,7 +42,12 @@ from fglog.fgl import (
     _left,
     _lift_inner,
 )
-from fglog.generate import random_cocycle, random_logarithm
+from fglog.generate import (
+    random_cocycle,
+    random_logarithm,
+    random_rational,
+    random_symmetric_candidate,
+)
 from fglog.errors import (
     AxiomViolation,
     CocycleViolation,
@@ -849,18 +854,18 @@ def composite_count(F, monkeypatch):
     return len(calls)
 
 
-def defect_calls(F, monkeypatch, order=None):
-    """(check_axioms(F, order), how often it called associativity_defect)."""
+def calls_during_check(name, F, monkeypatch, order=None):
+    """(check_axioms(F, order), how often it called fgl's `name`)."""
     calls = []
-    original = fgl_module.associativity_defect
+    original = getattr(fgl_module, name)
 
     def counted(law):
         calls.append(law)
         return original(law)
 
-    monkeypatch.setattr(fgl_module, "associativity_defect", counted)
+    monkeypatch.setattr(fgl_module, name, counted)
     report = check_axioms(F, order=order)
-    monkeypatch.setattr(fgl_module, "associativity_defect", original)
+    monkeypatch.setattr(fgl_module, name, original)
     return report, len(calls)
 
 
@@ -872,6 +877,17 @@ QTU_HALF = {"generators": [{"name": "t", "degree": 1},
             "coproduct": {"t": "primitive",
                           "u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
                                 [["t"], ["t"], "1/2"]]}}
+
+
+def non_cocommutative_algebra(bound=6):
+    """Q[t, s, u] with Delta u = u (x) 1 + 1 (x) u + t (x) s."""
+    return build_hopf_algebra({
+        "generators": [{"name": "t", "degree": 1},
+                       {"name": "s", "degree": 2},
+                       {"name": "u", "degree": 3}],
+        "degree_bound": bound,
+        "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                            [["t"], ["s"], "1"]]}})
 
 
 def qt2_flag_law():
@@ -1011,13 +1027,26 @@ class TestOneComposite:
         composite, with that composite's flag."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = lemma_law(alg, two_t_t(alg), order=8)
-        report, calls = defect_calls(F, monkeypatch)
+        report, calls = calls_during_check("_right_composite", F,
+                                           monkeypatch)
         assert report.passed and calls == 0
-        report, calls = defect_calls(qt2_flag_law(), monkeypatch, order=5)
+        report, calls = calls_during_check("_right_composite",
+                                           qt2_flag_law(), monkeypatch,
+                                           order=5)
         assert not report.passed and calls == 1
         (violation,) = report.violations
         assert violation.axiom == "associativity"
         assert violation.defect.truncated
+
+    def test_failing_check_forms_one_symmetry_defect(self, monkeypatch):
+        """A failing one-composite check reports the right composite
+        minus its reversal without deciding the route a second time."""
+        report, calls = calls_during_check("symmetry_defect",
+                                           qt2_flag_law(), monkeypatch,
+                                           order=5)
+        assert not report.passed and calls == 1
+        assert_same_report(report,
+                           reference_check_axioms(qt2_flag_law(), order=5))
 
     def test_rational_coproduct(self, monkeypatch):
         """Over QTU_HALF a law's composites have denominators other than
@@ -1050,13 +1079,7 @@ class TestOneComposite:
             self, monkeypatch):
         """Over a non-cocommutative H the reversed right composite is not
         the left one, even for a law equal to its flip."""
-        alg = build_hopf_algebra({
-            "generators": [{"name": "t", "degree": 1},
-                           {"name": "s", "degree": 2},
-                           {"name": "u", "degree": 3}],
-            "degree_bound": 6,
-            "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
-                                [["t"], ["s"], "1"]]}})
+        alg = non_cocommutative_algebra()
         assert not alg.cocommutative
         t, u = HopfElement.generator(alg, "t"), HopfElement.generator(alg,
                                                                        "u")
@@ -1247,20 +1270,13 @@ class TestPackedSymmetry:
         assert {e: c.truncated for e, c in got.terms.items()} == {
             e: c.truncated for e, c in want.terms.items()}
 
-    def test_elevated_law_of_reconstruct(self, monkeypatch):
-        """The law that reconstruct checks is its substitution result."""
+    def test_elevated_law_of_reconstruct(self):
+        """The law that reconstruct solves for is a substitution result."""
         alg = build_hopf_algebra(QTU_HALF)
         u = HopfElement.generator(alg, "u")
-        checked = []
-        check = fgl_module.check_axioms
-
-        def recorded(F, order=None):
-            checked.append(F)
-            return check(F, order)
-
-        monkeypatch.setattr(fgl_module, "check_axioms", recorded)
-        reconstruct(alg, coboundary(u * u), log_x_plus_tx2(alg), order=5)
-        (F,) = checked
+        c, g = coboundary(u * u), log_x_plus_tx2(alg)
+        F = elevated_law(c, g, order=5)
+        _assert_same(reconstruct(alg, c, g, order=5), F.truncate(5))
         assert F._packed is not None
         assert_same_symmetry_defect(F)
         asymmetric = F + Series(alg, 2, 2, {
@@ -1268,6 +1284,158 @@ class TestPackedSymmetry:
             XY, truncated=True)
         got, _ = assert_same_symmetry_defect(asymmetric)
         assert not got.is_zero() and got.truncated
+
+
+# -- reconstruction by the theorem ----------------------------------------------
+
+def elevated_law(c, g, order):
+    """(Delta g)^{-1}(c + (g (x) 1)(X) + (1 (x) g)(Y)) at the working order
+    order + 2 slack(c) of reconstruct, before it is truncated."""
+    work = order + 2 * c.nilpotency_slack()
+    inverse = g.map_coefficients(lambda A: A.apply_slot(0, "comul"),
+                                 arity=2).comp_inverse(order=work)
+    rhs = (Series.constant(c, 2, INF, XY)
+           + fgl_module._slot_series(g, 0).embed_vars(2, (0,), XY)
+           + fgl_module._slot_series(g, 1).embed_vars(2, (1,), XY))
+    return inverse.substitute([rhs.truncate(work)])
+
+
+def reference_reconstruct(algebra, c, g, order):
+    """reconstruct with the axiom gate run in every case."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fgl_module, "_theorem_certifies", lambda *args: False)
+        return reconstruct(algebra, c, g, order)
+
+
+def gate_runs(monkeypatch, *args):
+    """(outcome of reconstruct(*args), how often it ran check_axioms)."""
+    calls = []
+    check = fgl_module.check_axioms
+
+    def counted(F, order=None):
+        calls.append(F)
+        return check(F, order)
+
+    monkeypatch.setattr(fgl_module, "check_axioms", counted)
+    got = outcome(reconstruct, *args)
+    monkeypatch.setattr(fgl_module, "check_axioms", check)
+    return got, len(calls)
+
+
+def primitive_pair(algebra, a, b):
+    """The tensor of two primitive generators a (x) b, a cocycle."""
+    return TensorElement.from_slots(HopfElement.generator(algebra, a),
+                                    HopfElement.generator(algebra, b))
+
+
+def algebra_named(name, bound):
+    if name == "qtu_half":
+        return build_hopf_algebra(dict(QTU_HALF, degree_bound=bound))
+    if name == "non_cocommutative":
+        return non_cocommutative_algebra(bound)
+    return builtin_algebra(name, degree_bound=bound)
+
+
+def gate_kept_case(kind):
+    """(algebra, c, g, order) of a reconstruction that the theorem does
+    not certify: each breaks one of its conditions and fails the gate."""
+    if kind == "non-cocommutative":
+        alg = non_cocommutative_algebra()
+        u = HopfElement.generator(alg, "u")
+        g = Series.variable(alg, 1, 1, 0, INF, ("x",)) + Series(
+            alg, 1, 1, {(2,): TensorElement.from_slots(u)}, INF, ("x",))
+        return alg, two_t_t(alg), g, 4
+    if kind == "non-cocycle":
+        alg = builtin_algebra("qt2")
+        t = t_elem(alg)
+        c = (TensorElement.from_slots(t, t) * 3
+             + TensorElement.from_slots(t * t, t * t))
+        return alg, c, log_x_plus_tx2(alg), 4
+    if kind == "asymmetric":
+        alg = builtin_algebra("qtu", degree_bound=6)
+        return alg, primitive_pair(alg, "t", "u"), log_x_plus_tx2(alg), 4
+    alg = builtin_algebra("qt1", degree_bound=6)
+    if kind == "non-counital":
+        t, one = t_elem(alg), HopfElement.one(alg)
+        c = TensorElement.from_slots(t, one) + TensorElement.from_slots(
+            one, t)
+        return alg, c, log_x_plus_tx2(alg), 4
+    return alg, two_t_t(alg), log_x_plus_tx2(alg), -1
+
+
+@st.composite
+def reconstruct_inputs(draw):
+    """(algebra, c, g, order) over qt1, qt2, qtu, QTU_HALF or a
+    non-cocommutative H at degree bounds 3-6, orders 0-6. c is a random
+    cocycle, a symmetric candidate (mostly no cocycle), a cocycle plus a
+    counit-zero tensor (mostly asymmetric) or plus the asymmetric cocycle
+    t (x) u, a cocycle
+    plus the non-counital t (x) 1 + 1 (x) t, or zero. g is a random
+    logarithm, complete or at a finite order, whose linear coefficient is
+    often 1 plus a nilpotent."""
+    name = draw(st.sampled_from(["qt1", "qt2", "qtu", "qtu_half",
+                                 "non_cocommutative"]))
+    alg = algebra_named(name, draw(st.integers(3, 6)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["cocycle", "cocycle", "candidate",
+                                 "asymmetric", "non-counital", "zero"]))
+    if kind == "zero":
+        c = TensorElement.zero(alg, 2)
+    elif kind == "candidate":
+        c = random_symmetric_candidate(alg, rng)
+    else:
+        c = random_cocycle(alg, rng)
+    if kind == "asymmetric":
+        if "u" in alg.names and alg.is_primitive("u") and draw(st.booleans()):
+            c = c + primitive_pair(alg, "t", "u")
+        else:
+            a = draw(tensor_coefficients(alg, 2, unit=0))
+            c = c + TensorElement(alg, 2, {
+                k: q for k, q in a.terms.items()
+                if all(alg.degree(m) for m in k)})
+    elif kind == "non-counital":
+        t, one = HopfElement.generator(alg, "t"), HopfElement.one(alg)
+        c = c + (TensorElement.from_slots(t, one)
+                 + TensorElement.from_slots(one, t)) * random_rational(
+                     rng, nonzero=True)
+    g = random_logarithm(alg, rng, order=draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        g = g + Series.constant(draw(tensor_coefficients(alg, 1, unit=0)),
+                                1, INF, ("x",)) * Series.variable(
+                                    alg, 1, 1, 0, INF, ("x",))
+    if draw(SELDOM):
+        g = g.with_order(draw(st.integers(0, 10)))
+    return alg, c, g, draw(st.integers(0, 6))
+
+
+class TestTheoremRoute:
+    """reconstruct skips the axiom gate only where the reconstruction
+    theorem certifies the law (H cocommutative, c a symmetric cocycle
+    with zero counit projections, order not negative), and returns or
+    raises what the gate-checked reconstruction does."""
+
+    @settings(max_examples=100)
+    @given(reconstruct_inputs())
+    def test_matches_gate_checked_reconstruction(self, case):
+        assert_same_outcome(outcome(reconstruct, *case),
+                            outcome(reference_reconstruct, *case))
+
+    def test_theorem_case_runs_no_gate(self, qt1, monkeypatch):
+        case = (qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 4)
+        got, gates = gate_runs(monkeypatch, *case)
+        assert gates == 0
+        assert_same_outcome(got, outcome(reference_reconstruct, *case))
+
+    @pytest.mark.parametrize("kind", [
+        "non-cocommutative", "non-cocycle", "non-counital", "asymmetric",
+        "negative order"])
+    def test_other_cases_keep_the_gate(self, kind, monkeypatch):
+        """Each case runs check_axioms once, and fails it."""
+        case = gate_kept_case(kind)
+        got, gates = gate_runs(monkeypatch, *case)
+        assert gates == 1
+        assert got[1] is not None
+        assert_same_outcome(got, outcome(reference_reconstruct, *case))
 
 
 # -- classical specialization ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Series engine: ring laws, certified-order bookkeeping, calculus,
 substitution with nilpotent constants, both inverses."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -772,12 +773,24 @@ def reversion_inputs(draw):
     """(f, requested order): f = b0 x + sparse higher terms over one of four
     algebras at degree bounds 3-8, arity 1 or 2, with b0 of full counit 1
     and a nilpotent part, orders 0-20; seldom a constant term or a linear
-    coefficient of counit 2."""
+    coefficient of counit 2. Half the time the nilpotent part of b0 is one
+    basis key: b0^-1 is then its geometric series up to the degree bound
+    with no term dropped, so a coefficient is flagged only where b0^-1
+    times its residue overflows the bound, the flag that `_solved_terms`
+    forms from the top Hopf degree of b0^-1."""
     name, bound = draw(NEWTON_ALGEBRAS)
     alg = builtin_algebra(name, degree_bound=bound)
     arity = draw(st.integers(1, 2))
     unit = 2 if draw(SELDOM) else 1
-    terms = {(1,): draw(tensor_coefficients(alg, arity, unit=unit))}
+    b0 = draw(tensor_coefficients(alg, arity, unit=unit))
+    if name != "trivial" and draw(st.booleans()):
+        key = draw(st.sampled_from([
+            k for k in itertools.product(alg.monomials(), repeat=arity)
+            if 0 < alg.key_degree(k) <= bound]))
+        b0 = TensorElement(alg, arity, {
+            (alg.unit_mono,) * arity: Q(unit),
+            key: Q(draw(st.sampled_from([-2, -1, 1, 3])))})
+    terms = {(1,): b0}
     if draw(SELDOM):
         terms[(0,)] = TensorElement.unit(alg, arity)
     for _ in range(draw(st.integers(0, 4))):

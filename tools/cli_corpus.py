@@ -13,8 +13,9 @@ or any symmetric tensor, symmetric perturbations of them, perturbations
 with broken symmetry and classical laws X + Y + aXY, each at a finite or
 infinite order and some marked "truncated": true. Over each law it runs
 verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
-and --format options, and reconstruct from generated cocycles and
-logarithms. The inputs are written to a temporary directory that is the
+and --format options, and reconstruct from generated logarithms and
+cocycles over qt1, and from cocycles and non-cocycles that the axiom gate
+decides (GATED), QTU_HALF given as a --hopf file among them. The inputs are written to a temporary directory that is the
 working directory during the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
 place of stderr) or ended with an exit code outside 0-3.
@@ -49,6 +50,11 @@ QTU_HALF = {"generators": [{"name": "t", "degree": 1},
 ALGEBRAS = {"qt1": [("t", 1)], "qt2": [("t", 2)],
             "qtu": [("t", 1), ("u", 3)], "qtu_half": [("t", 1), ("u", 2)]}
 ORDERS = ("2", "4", "7")
+# (--hopf, --cocycle) of the reconstructions that keep the axiom gate
+GATED = (("qt2", "3(t (x) t) + t^2 (x) t^2"), ("qtu", "t (x) u"),
+         ("qt1", "t (x) 1 + 1 (x) t"), ("qtu_half.json", "1/2 t (x) t"),
+         ("qtu_half.json", "t (x) u + u (x) t"),
+         ("qtu_half.json", "u (x) u"))
 SEEDS = range(48)
 
 
@@ -151,6 +157,19 @@ def invocations(workdir):
         for cocycle in ("0", "2 t (x) t", "3 t (x) t^2 + 3 t^2 (x) t"):
             for order, hdeg in (("3", "4"), ("6", "8"), ("8", "3")):
                 argvs.append(["reconstruct", "--hopf", "qt1", "--cocycle",
+                              cocycle, "--log", log, "--order", order,
+                              "--hdeg", hdeg,
+                              "--format", ("pretty", "json")[i % 2]])
+    # reconstructions that the theorem does not certify, so the axiom
+    # gate decides them: a symmetric non-cocycle, an asymmetric cocycle,
+    # a non-counital tensor, and cocycles and non-cocycles over QTU_HALF
+    (workdir / "qtu_half.json").write_text(json.dumps(QTU_HALF, indent=1))
+    for i, (hopf, cocycle) in enumerate(GATED):
+        argvs.append(["check-cocycle", "--hopf", hopf, "--cocycle",
+                      cocycle])
+        for log in logs[i::len(GATED)][:4]:
+            for order, hdeg in (("3", "4"), ("5", "8")):
+                argvs.append(["reconstruct", "--hopf", hopf, "--cocycle",
                               cocycle, "--log", log, "--order", order,
                               "--hdeg", hdeg,
                               "--format", ("pretty", "json")[i % 2]])
