@@ -821,8 +821,6 @@ def reference_check_axioms(F, order=None):
     """check_axioms with the two-composite associativity defect and no
     one-composite gate."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fgl_module, "associativity_defect",
-                      reference_associativity_defect)
         patch.setattr(fgl_module, "_one_composite",
                       lambda F, symmetric: False)
         return check_axioms(F, order=order)
