@@ -852,19 +852,19 @@ def composite_count(F, monkeypatch):
     return len(calls)
 
 
-def calls_during_check(name, F, monkeypatch, order=None):
-    """(check_axioms(F, order), how often it called fgl's `name`)."""
+def calls_to(monkeypatch, name, fn, *args, **kwargs):
+    """(fn(*args, **kwargs), how often it called fgl's `name`)."""
     calls = []
     original = getattr(fgl_module, name)
 
-    def counted(law):
-        calls.append(law)
-        return original(law)
+    def counted(*inner, **named):
+        calls.append(inner)
+        return original(*inner, **named)
 
     monkeypatch.setattr(fgl_module, name, counted)
-    report = check_axioms(F, order=order)
+    result = fn(*args, **kwargs)
     monkeypatch.setattr(fgl_module, name, original)
-    return report, len(calls)
+    return result, len(calls)
 
 
 # Cocommutative, but u is not primitive: the packed composites of its laws
@@ -1025,12 +1025,11 @@ class TestOneComposite:
         composite, with that composite's flag."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = lemma_law(alg, two_t_t(alg), order=8)
-        report, calls = calls_during_check("_right_composite", F,
-                                           monkeypatch)
+        report, calls = calls_to(monkeypatch, "_right_composite",
+                                 check_axioms, F)
         assert report.passed and calls == 0
-        report, calls = calls_during_check("_right_composite",
-                                           qt2_flag_law(), monkeypatch,
-                                           order=5)
+        report, calls = calls_to(monkeypatch, "_right_composite",
+                                 check_axioms, qt2_flag_law(), order=5)
         assert not report.passed and calls == 1
         (violation,) = report.violations
         assert violation.axiom == "associativity"
@@ -1039,9 +1038,8 @@ class TestOneComposite:
     def test_failing_check_forms_one_symmetry_defect(self, monkeypatch):
         """A failing one-composite check reports the right composite
         minus its reversal without deciding the route a second time."""
-        report, calls = calls_during_check("symmetry_defect",
-                                           qt2_flag_law(), monkeypatch,
-                                           order=5)
+        report, calls = calls_to(monkeypatch, "symmetry_defect",
+                                 check_axioms, qt2_flag_law(), order=5)
         assert not report.passed and calls == 1
         assert_same_report(report,
                            reference_check_axioms(qt2_flag_law(), order=5))
@@ -1305,21 +1303,6 @@ def reference_reconstruct(algebra, c, g, order):
         return reconstruct(algebra, c, g, order)
 
 
-def gate_runs(monkeypatch, *args):
-    """(outcome of reconstruct(*args), how often it ran check_axioms)."""
-    calls = []
-    check = fgl_module.check_axioms
-
-    def counted(F, order=None):
-        calls.append(F)
-        return check(F, order)
-
-    monkeypatch.setattr(fgl_module, "check_axioms", counted)
-    got = outcome(reconstruct, *args)
-    monkeypatch.setattr(fgl_module, "check_axioms", check)
-    return got, len(calls)
-
-
 def primitive_pair(algebra, a, b):
     """The tensor of two primitive generators a (x) b, a cocycle."""
     return TensorElement.from_slots(HopfElement.generator(algebra, a),
@@ -1367,10 +1350,9 @@ def reconstruct_inputs(draw):
     non-cocommutative H at degree bounds 3-6, orders 0-6. c is a random
     cocycle, a symmetric candidate (mostly no cocycle), a cocycle plus a
     counit-zero tensor (mostly asymmetric) or plus the asymmetric cocycle
-    t (x) u, a cocycle
-    plus the non-counital t (x) 1 + 1 (x) t, or zero. g is a random
-    logarithm, complete or at a finite order, whose linear coefficient is
-    often 1 plus a nilpotent."""
+    t (x) u, a cocycle plus the non-counital t (x) 1 + 1 (x) t, or zero.
+    g is a random logarithm, complete or at a finite order, whose linear
+    coefficient is often 1 plus a nilpotent."""
     name = draw(st.sampled_from(["qt1", "qt2", "qtu", "qtu_half",
                                  "non_cocommutative"]))
     alg = algebra_named(name, draw(st.integers(3, 6)))
@@ -1420,7 +1402,8 @@ class TestTheoremRoute:
 
     def test_theorem_case_runs_no_gate(self, qt1, monkeypatch):
         case = (qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 4)
-        got, gates = gate_runs(monkeypatch, *case)
+        got, gates = calls_to(monkeypatch, "check_axioms", outcome,
+                              reconstruct, *case)
         assert gates == 0
         assert_same_outcome(got, outcome(reference_reconstruct, *case))
 
@@ -1430,7 +1413,8 @@ class TestTheoremRoute:
     def test_other_cases_keep_the_gate(self, kind, monkeypatch):
         """Each case runs check_axioms once, and fails it."""
         case = gate_kept_case(kind)
-        got, gates = gate_runs(monkeypatch, *case)
+        got, gates = calls_to(monkeypatch, "check_axioms", outcome,
+                              reconstruct, *case)
         assert gates == 1
         assert got[1] is not None
         assert_same_outcome(got, outcome(reference_reconstruct, *case))
