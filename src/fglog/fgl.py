@@ -22,19 +22,19 @@ Associativity from one composite: when H is cocommutative and F equals its
 flip in all its stored terms, the left composite F(F(X, Y), Z) is the right
 one F(X, F(Y, Z)) with X and Z swapped and the tensor slots reversed, the
 classical step by which commutativity and one associativity composite
-suffice (Hazewinkel, Formal Groups and Applications, 1978). The defect is then one packed composite
-minus its reversal. The axiom gate of check_axioms decides on the left
-composite through the checked order, summed from the powers of F(X, Y)
-into one accumulator (`_gate_composite`), with no `truncated` flag. Both
-composites give the same terms and certified order, so a passing report
-carries no defect. A reported defect is that of associativity_defect:
-F(X, F(Y, Z)), computed by Horner, minus its reversal, formed once the
-gate is nonzero with no second symmetry check. Its Horner rows in (Y, Z) are
-truncated at the full substitution cap, so after the swap it forms every
-pair of terms that the left composite's Horner products form, and more,
-and its `truncated` flag is that of both composites. Any other F,
-including one whose constant term is outside the augmentation ideal,
-takes the two-composite path.
+suffice (Hazewinkel, Formal Groups and Applications, 1978). The defect is
+then one packed composite minus its reversal. The axiom gate of
+check_axioms decides on the left composite through the checked order,
+summed from the powers of F(X, Y) into one accumulator (`_gate_composite`),
+with no `truncated` flag. Both composites give the same terms and certified
+order, so a passing report carries no defect. A reported defect is that of
+associativity_defect: F(X, F(Y, Z)), computed by Horner, minus its
+reversal, formed once the gate is nonzero with no second symmetry check.
+Its Horner rows in (Y, Z) are truncated at the full substitution cap, so
+after the swap it forms every pair of terms that the left composite's
+Horner products form, and more, and its `truncated` flag is that of both
+composites. Any other F, including one whose constant term is outside the
+augmentation ideal, takes the two-composite path.
 
 Truncation bookkeeping: substituting a series whose constant term is a
 nonzero nilpotent (the Lemma-form constant c, or the inverse series'
@@ -71,7 +71,9 @@ from .packed import _UNIT, _Codec, _Packed
 from .report import Report, Violation
 from .series import (
     Series,
+    _coefficients,
     _doubling_orders,
+    _evaluate,
     _minus_reversed,
     _pack_series,
     _series_mul,
@@ -513,8 +515,11 @@ def inverse_series(F, order=None):
     """Series iota with (mu . (id (x) S))F (x, iota(x)) = 0, the inverse of
     the group law. The constant part is solved by Newton iteration in the
     nilpotent ideal, the rest by Newton iteration in x, which doubles the
-    certified order at each step; NoInverse when the data is inconsistent
-    or the linearization is not invertible."""
+    certified order at each step and runs on packed operands: folded(x, y)
+    and its y-derivative are evaluated at y = iota by the packed
+    Paterson-Stockmeyer evaluator (`series._evaluate`), as is the final
+    residual check. NoInverse when the data is inconsistent or the
+    linearization is not invertible."""
     algebra = F.algebra
     folded = F.map_coefficients(
         lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)), arity=1)
@@ -577,30 +582,39 @@ def inverse_series(F, order=None):
 
     # the rest by Newton iteration iota <- iota - folded(x, iota) u with
     # u = 1 / d_Y folded(x, iota): through precision q it takes iota to
-    # 2q + 1, and u only has to be right through q
-    x_var = Series.variable(algebra, 1, 1, 0, cert, ("x",))
-    d_folded = folded.derivative(1)
+    # 2q + 1, and u only has to be right through q. folded(x, y) and its
+    # y-derivative are summed as sum_k C_k(x) y^k by the packed evaluator
+    # at y = iota, read as the polynomial it stores; terms x^i y^k with
+    # i + k above p + slack cannot reach order p, because
+    # theta^(slack + 1) = 0
+    steps = _doubling_orders(0, cert, extra=1)
+    codec = _Codec(algebra, 1, ("x",), max(cert, F.max_degree()))
+    bound = algebra.degree_bound
+    groups = _y_coefficients(codec, folded)
+    d_groups = _y_coefficients(codec, folded.derivative(1))
     s = Series.constant(slope_inv, 1, INF, ("x",))
-    iota = Series.constant(theta, 1, 0, ("x",))
-    for p in _doubling_orders(0, cert, extra=1):
-        q = iota.order
-        # the substitution reads iota as the complete polynomial it
-        # stores, so x cut at p caps it at order p; terms of folded above
-        # p + slack cannot reach order p, because theta^(slack + 1) = 0
-        poly = iota.with_order(INF)
-        err = folded.truncate(p + slack).substitute([x_var.truncate(p), poly])
-        if err.is_zero():
-            iota = poly.truncate(p)
-            continue
-        d = d_folded.truncate(q + slack).substitute(
-            [x_var.truncate(q), iota])
-        u = (d * s).mul_inverse(q) * s
-        iota = poly - err * u
-    iota = Series(algebra, 1, 1, _solved_terms(iota, slope, slope_inv), cert,
-                  ("x",), theta.truncated, _normalize=False)
+    root = codec.pack({(0,): theta.terms})
+    q = 0
+    for p in steps:
+        err = _evaluate(_cut(groups, p + slack), root, p, bound)
+        if err.rows:
+            d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
+            u = (_view(codec, d) * s).mul_inverse(q) * s
+            step = _series_mul(_view(codec, err),
+                               _view(codec, _pack_series(codec, -u)),
+                               keep=p, layout=codec)._packed[1]
+            root = _Packed.summed((root, step))
+            root = _Packed(root.rows, root.den, INF, False)
+        q = p
+    terms = _coefficients(algebra, 1, codec.unpack(root))
+    if not theta.is_zero():
+        terms[(0,)] = theta  # with its own `truncated` flag
+    iota = Series(algebra, 1, 1,
+                  _solved_terms(_view(codec, root, terms), slope, slope_inv),
+                  cert, ("x",), theta.truncated, _normalize=False)
 
-    residual = folded.substitute([x_var, iota])
-    if not residual.truncate(cert).is_zero():
+    residual = _evaluate(_cut(groups, cert + slack), root, cert, bound)
+    if residual.rows:
         raise NoInverse("inverse equation has no series solution; "
                         "is F a group law?")
     if F.order == INF:
@@ -610,6 +624,24 @@ def inverse_series(F, order=None):
                  exact]).is_zero():
             return exact
     return iota
+
+
+def _y_coefficients(codec, series):
+    """{k: C_k} for a two-variable series(x, y) = sum_k C_k(x) y^k, each
+    C_k packed in the one-variable layout of codec as a complete
+    polynomial."""
+    groups = {}
+    for (i, k), coeff in series.terms.items():
+        groups.setdefault(k, {})[(i,)] = coeff.terms
+    return {k: codec.pack(terms) for k, terms in groups.items()}
+
+
+def _cut(groups, cap):
+    """The C_k of `_y_coefficients` without their terms x^i of i + k above
+    cap, still complete polynomials."""
+    return {k: _Packed({i: row for i, row in c.rows.items() if i + k <= cap},
+                       c.den, INF, False)
+            for k, c in groups.items() if k <= cap}
 
 
 def _eval_univariate(series, point):

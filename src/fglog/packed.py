@@ -4,8 +4,10 @@ Every product and sum of coefficient terms runs on one loop,
 `_Packed.sum_of_products`, which adds the products of several pairs into
 one accumulator over a common denominator: series products and the Horner
 steps of a substitution (series.py; `_Packed.times` is one pair,
-`_Packed.summed` the unit times each addend), Newton reversion, the powers
-of F(X, Y) and the rows U^k G_k of the associativity gate
+`_Packed.summed` the unit times each addend), the powers and blocks of the
+Paterson-Stockmeyer evaluator (`series._evaluate`) that the Newton loops
+of series reversion and of the group inverse (`fgl.inverse_series`) run
+on, the powers of F(X, Y) and the rows U^k G_k of the associativity gate
 (`fgl._gate_composite`), and tensor products (`TensorElement.__mul__`
 packs its operands as 0-variable series).
 The one exception is a Horner step by a bare variable, a key shift

@@ -12,7 +12,8 @@ group laws, coboundary data). The bookkeeping rules:
   derivative         r - 1
   integrate          r + 1
   mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k)
-  comp_inverse       r (each packed Newton step h - (f(h) - x) h' is
+  comp_inverse       r (each packed Newton step h - (f(h) - x) h', f(h)
+                     summed by the Paterson-Stockmeyer evaluator, is
                      certified through the precision it doubles to)
   substitute         min(min_v r_v, r_f - sum_v slack_v)
 
@@ -42,7 +43,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement, _is_rational, _join_signed
-from .packed import _Codec, _Packed
+from .packed import _UNIT, _Codec, _Packed
 from .scalars import ONE, Q, format_rational, rational
 
 INF = math.inf
@@ -379,8 +380,10 @@ class Series:
         inverse is the zero series.
 
         Newton iteration from b0^-1 x doubles the certified order at each
-        step, so order N takes about log2 N Horner evaluations of f, run
-        on the packed kernel: the loop substitutes and unpacks nothing."""
+        step, so order N takes about log2 N evaluations of f, each by the
+        packed Paterson-Stockmeyer evaluator (`_evaluate`) in about
+        2 sqrt(N) full products: the loop substitutes and unpacks
+        nothing."""
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
         if not self.constant_term().is_zero():
@@ -407,17 +410,18 @@ class Series:
         # every Newton step runs packed in one layout, f_k as constants
         codec = _Codec(self.algebra, self.arity, self.names, order)
         x_code = codec._exps_code((1,))
-        consts = {e: _view(codec, codec.pack({(0,): c.terms}))
+        consts = {e[0]: codec.pack({(0,): c.terms})
                   for e, c in self.truncate(order).terms.items()}
         minus_x = _Packed({1: {0: {x_code: -1}}}, 1, INF, False)
         h = codec.pack({(1,): b0_inv.terms})
+        bound = self.algebra.degree_bound
         for p in _doubling_orders(1, order):
             # h is the inverse through some q >= p/2, so e = f(h) - x
             # starts above q and h' = (1 + e') / f'(h) with e' = O(x^q):
             # h - e h' is the inverse through 2q >= p. h is read as the
             # polynomial it stores, so f cut at p caps the step at p.
-            f_h = _horner({e: c for e, c in consts.items() if e[0] <= p},
-                          [_view(codec, h)], p)._packed[1]
+            f_h = _evaluate({k: c for k, c in consts.items() if k <= p},
+                            h, p, bound)
             err = _Packed.summed((f_h, minus_x))
             if err.rows:
                 minus_dh = _Packed(
@@ -639,7 +643,9 @@ class Series:
 #
 # Series reversion and the group inverse solve for a root by Newton
 # iteration, which doubles the certified order at each step (Brent and
-# Kung, JACM 1978), so reaching order N takes about log2 N substitutions.
+# Kung, JACM 1978), so reaching order N takes about log2 N polynomial
+# evaluations, each by the packed Paterson-Stockmeyer evaluator
+# (`_evaluate`).
 
 def _doubling_orders(start, target, extra=0):
     """Precisions above `start` up to the int `target` for a Newton
@@ -788,6 +794,36 @@ def _horner(consts, assigns, cap):
         codec, packed = result._packed
         result = _view(codec, packed.truncate(cap))
     return result
+
+
+def _evaluate(coeffs, h, p, bound):
+    """Sum over k of coeffs[k] * h^k through order p, for packed
+    coefficient series coeffs {k: _Packed} and a packed polynomial h of
+    one layout, by Paterson and Stockmeyer (SIAM J. Comput. 1973): h^0 ...
+    h^m are formed once through p, m about the square root of the top k,
+    and the blocks B_i = sum_j coeffs[im + j] h^j run by Horner in h^m,
+    each block plus the running sum times h^m in one `sum_of_products`
+    call. Block i is later multiplied by h^(im), whose valuation is at
+    least i m val(h), so it is kept only through p - i m val(h). Terms are
+    exact in the quotient ring; the order is p, and the flag is that of
+    the kernel calls, which no caller reads."""
+    if not coeffs:
+        return _Packed({}, 1, p, False)
+    kmax = max(coeffs)
+    m = max(1, math.isqrt(kmax))
+    # p + 1 for h = 0: no block past the first reaches order p
+    v = min(h.val, p + 1)
+    powers = [_UNIT, h.truncate(p)]
+    while len(powers) <= m:
+        powers.append(powers[-1].times(powers[1], p, bound))
+    acc = None
+    for i in range(kmax // m, -1, -1):
+        pairs = [(coeffs[i * m + j], powers[j]) for j in range(m)
+                 if i * m + j in coeffs]
+        if acc is not None:
+            pairs.append((acc, powers[m]))
+        acc = _Packed.sum_of_products(pairs, p - i * m * v, bound)
+    return acc
 
 
 # -- pretty printing -------------------------------------------------------------

@@ -34,6 +34,7 @@ from fglog import (
 )
 from fglog import fgl as fgl_module
 from fglog import jsonio
+from fglog import series as series_module
 from fglog.packed import _Packed
 from fglog.fgl import (
     XYZ,
@@ -788,6 +789,63 @@ class TestNewtonInverse:
         assert c.nilpotency_slack() > 0
         assert_same_outcome(outcome(inverse_series, F),
                             outcome(reference_inverse_series, F))
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """The list to which every later call of owner.name appends its
+    positional arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNewtonOnTheEvaluator:
+    """Both Newton loops sum their polynomials with the packed evaluator
+    (`series._evaluate`): no Horner evaluation and no Series.substitute,
+    and the residual check of the group inverse runs on the evaluator
+    when the law's order is finite."""
+
+    def test_comp_inverse(self, monkeypatch):
+        alg = builtin_algebra("qt2")
+        lifted = random_logarithm(alg, random.Random(7), 16).map_coefficients(
+            lambda A: A.apply_slot(0, "comul"))
+        horner = recorded_calls(monkeypatch, series_module, "_horner")
+        substitute = recorded_calls(monkeypatch, Series, "substitute")
+        evaluate = recorded_calls(monkeypatch, series_module, "_evaluate")
+        lifted.comp_inverse(order=16)
+        assert horner == [] and substitute == []
+        assert [call[2] for call in evaluate] == [2, 4, 8, 16]
+
+    @pytest.mark.parametrize("law", ["reconstructed", "lemma"])
+    def test_inverse_series(self, qt1, monkeypatch, law):
+        """A reconstructed law (theta = 0) and a Lemma law (nilpotent
+        theta, slack 2) at finite orders: the last evaluation is the
+        residual check through the certified order."""
+        if law == "lemma":
+            F = lemma_law(qt1, two_t_t(qt1), order=12)
+        else:
+            F = reconstruct(qt1, TensorElement.zero(qt1, 2),
+                            log_x_plus_tx2(qt1), 6)
+        horner = recorded_calls(monkeypatch, series_module, "_horner")
+        substitute = recorded_calls(monkeypatch, Series, "substitute")
+        evaluate = recorded_calls(monkeypatch, fgl_module, "_evaluate")
+        iota = inverse_series(F)
+        assert horner == [] and substitute == []
+        assert len(evaluate) >= 2 and evaluate[-1][2] == iota.order
+
+    def test_complete_law_keeps_one_exact_substitution(
+            self, qt1, monkeypatch):
+        """For a complete law only the exact check of the returned
+        complete polynomial substitutes."""
+        substitute = recorded_calls(monkeypatch, Series, "substitute")
+        iota = inverse_series(lemma_law(qt1, two_t_t(qt1)), order=5)
+        assert iota.order == INF and len(substitute) == 1
 
 
 # -- associativity from one composite ------------------------------------------

@@ -883,3 +883,56 @@ class TestNewtonReversion:
         _assert_same(got, reference_comp_inverse(f, order=9))
         assert any(c.truncated for c in got.terms.values())
         assert not got.truncated
+
+
+# -- the packed Paterson-Stockmeyer evaluator against Series.substitute -------
+
+@st.composite
+def evaluation_inputs(draw):
+    """(F, h, p): F(x, y) = sum_k C_k(x) y^k, complete, with k up to a top
+    k_max of 0-20 and the C_k constants or (half the time) polynomials of
+    degree up to 4 in x; h a one-variable polynomial of valuation 0 (a
+    nilpotent constant term) or at least 1; p from 0 to 20. Over trivial,
+    qt1, qt2 or qtu at degree bounds 3-6, arity 1 or 2."""
+    name = draw(st.sampled_from(["trivial", "qt1", "qt2", "qtu"]))
+    alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
+    arity = draw(st.sampled_from([1, 1, 2]))
+    k_max = draw(st.integers(0, 20))
+    ks = draw(st.sets(st.integers(0, k_max), max_size=4)) | {k_max}
+    xmax = 4 if draw(st.booleans()) else 0
+    terms = {}
+    for k in ks:
+        for i in draw(st.sets(st.integers(0, xmax), min_size=1, max_size=2)):
+            terms[(i, k)] = draw(tensor_coefficients(alg, arity))
+    h_terms = {}
+    if name != "trivial" and draw(st.booleans()):
+        h_terms[(0,)] = draw(tensor_coefficients(alg, arity, unit=0))
+    for d in draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)):
+        h_terms[(d,)] = draw(tensor_coefficients(alg, arity))
+    return (Series(alg, arity, 2, terms), Series(alg, arity, 1, h_terms),
+            draw(st.integers(0, 20)))
+
+
+class TestEvaluator:
+    """`series._evaluate` sums C_k h^k to the terms that Series.substitute
+    gives F(x, h) through the order."""
+
+    @settings(max_examples=120)
+    @given(evaluation_inputs())
+    def test_matches_substitute(self, case):
+        F, h, p = case
+        alg = F.algebra
+        want = F.substitute([Series.variable(alg, F.arity, 1, 0),
+                             h.truncate(p)]).truncate(p)
+        codec = series_module._Codec(alg, F.arity, ("x",),
+                                     max(p, F.max_degree(), h.max_degree()))
+        coeffs = {}
+        for (i, k), c in F.terms.items():
+            coeffs.setdefault(k, {})[(i,)] = c.terms
+        got = series_module._evaluate(
+            {k: codec.pack(terms) for k, terms in coeffs.items()},
+            codec.pack({e: c.terms for e, c in h.terms.items()}),
+            p, alg.degree_bound)
+        assert got.order == p
+        assert codec.unpack(got) == {e: c.terms
+                                     for e, c in want.terms.items()}

@@ -15,8 +15,9 @@ infinite order and some marked "truncated": true. Over each law it runs
 verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
 and --format options, and reconstruct from generated logarithms and
 cocycles over qt1, and from cocycles and non-cocycles that the axiom gate
-decides (GATED), QTU_HALF given as a --hopf file among them. The inputs are written to a temporary directory that is the
-working directory during the run, so no output names an absolute path.
+decides (GATED), QTU_HALF given as a --hopf file among them. The inputs
+are written to a temporary directory that is the working directory during
+the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
 place of stderr) or ended with an exit code outside 0-3.
 
