@@ -912,14 +912,8 @@ def composite_count(F, monkeypatch):
 
 def calls_to(monkeypatch, name, fn, *args, **kwargs):
     """(fn(*args, **kwargs), how often it called fgl's `name`)."""
-    calls = []
     original = getattr(fgl_module, name)
-
-    def counted(*inner, **named):
-        calls.append(inner)
-        return original(*inner, **named)
-
-    monkeypatch.setattr(fgl_module, name, counted)
+    calls = recorded_calls(monkeypatch, fgl_module, name)
     result = fn(*args, **kwargs)
     monkeypatch.setattr(fgl_module, name, original)
     return result, len(calls)
