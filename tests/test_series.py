@@ -21,6 +21,7 @@ from fglog import (
     builtin_algebra,
 )
 from fglog import series as series_module
+from fglog.fgl import _y_coefficients
 from fglog.scalars import Q
 
 INF = math.inf
@@ -914,8 +915,9 @@ def evaluation_inputs(draw):
 
 
 class TestEvaluator:
-    """`series._evaluate` sums C_k h^k to the terms that Series.substitute
-    gives F(x, h) through the order."""
+    """`series._evaluate` sums C_k h^k, with F grouped into the C_k by
+    `fgl._y_coefficients`, to the terms that Series.substitute gives
+    F(x, h) through the order."""
 
     @settings(max_examples=120)
     @given(evaluation_inputs())
@@ -926,11 +928,8 @@ class TestEvaluator:
                              h.truncate(p)]).truncate(p)
         codec = series_module._Codec(alg, F.arity, ("x",),
                                      max(p, F.max_degree(), h.max_degree()))
-        coeffs = {}
-        for (i, k), c in F.terms.items():
-            coeffs.setdefault(k, {})[(i,)] = c.terms
         got = series_module._evaluate(
-            {k: codec.pack(terms) for k, terms in coeffs.items()},
+            _y_coefficients(codec, F),
             codec.pack({e: c.terms for e, c in h.terms.items()}),
             p, alg.degree_bound)
         assert got.order == p
