@@ -18,9 +18,10 @@ derived map is defensive about tables that fail the usual axioms.
 Elements of H and of its tensor powers are one type, `TensorElement`: an
 element of H is an arity-1 tensor, and `HopfElement` only names its
 constructors. Tensor powers are truncated by total degree across the
-slots (an ideal and a coideal, see packed.py). Every product, the antipode
-derivation included, runs on packed.py's `_Packed.times` through
-`TensorElement.__mul__`, as every series product does.
+slots (an ideal and a coideal, see packed.py). Every product runs on
+packed.py's `_Packed.times` through `TensorElement.__mul__`, as every
+series product does: the antipode derivation, the multiplicative extension
+of the coproduct and the tensor of elements of H (`from_slots`).
 """
 
 import operator
@@ -259,33 +260,24 @@ class HopfAlgebra:
         return q
 
     def comul_mono(self, mono):
-        """Coproduct of a basis monomial as a dict (left, right) -> Q."""
+        """Coproduct of a basis monomial as a dict (left, right) -> Q: the
+        table of its first generator times the coproduct of the rest. On
+        degree-homogeneous tables every component has the monomial's total
+        degree, so the product drops none; a `mutated` table is truncated
+        by total degree."""
         cached = self._comul_cache.get(mono)
-        if cached is not None:
-            return cached
-        unit = self.unit_mono
-        if mono == unit:
-            result = {(unit, unit): ONE}
-        else:
-            # split off one generator: Delta is extended multiplicatively
-            i = next(j for j, e in enumerate(mono) if e)
-            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            gen_table = self._gen_comul[i]
-            rest_table = self.comul_mono(rest)
-            acc = {}
-            for (a1, b1), q1 in gen_table.items():
-                for (a2, b2), q2 in rest_table.items():
-                    a = self.mul_mono(a1, a2)
-                    if a is None:
-                        continue
-                    b = self.mul_mono(b1, b2)
-                    if b is None:
-                        continue
-                    key = (a, b)
-                    acc[key] = acc.get(key, ZERO) + q1 * q2
-            result = _normalize_terms(acc)
-        self._comul_cache[mono] = result
-        return result
+        if cached is None:
+            unit = self.unit_mono
+            if mono == unit:
+                cached = {(unit, unit): ONE}
+            else:
+                i = next(j for j, e in enumerate(mono) if e)
+                rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                cached = (TensorElement(self, 2, self._gen_comul[i])
+                          * TensorElement(self, 2, self.comul_mono(rest),
+                                          _normalize=False)).terms
+            self._comul_cache[mono] = cached
+        return cached
 
     def antipode_mono(self, mono):
         """Antipode of a basis monomial as an element of H, derived from
@@ -432,24 +424,21 @@ class TensorElement:
     @classmethod
     def from_slots(cls, *elements):
         """Tensor product of 1..3 elements of H (arity-1 tensors), slot per
-        argument."""
-        first = elements[0]
-        algebra = first.algebra
+        argument: the product of their embeddings into the arity."""
+        algebra = elements[0].algebra
         arity = len(elements)
-        acc = {(): ONE}
-        truncated = False
         for el in elements:
             if el.algebra != algebra:
                 raise AlgebraMismatch("tensor slots over different algebras")
             if el.arity != 1:
                 raise ArityMismatch("tensor slots must be elements of H")
-            truncated = truncated or el.truncated
-            nxt = {}
-            for key, q in acc.items():
-                for k, qq in el.terms.items():
-                    nxt[key + k] = q * qq
-            acc = nxt
-        return cls(algebra, arity, acc, truncated)
+        result = cls.unit(algebra, arity)
+        # zero slots first: a zero tensor forms no pair of the other slots,
+        # so only a flagged slot flags it
+        for slot, el in sorted(enumerate(elements),
+                               key=lambda item: not item[1].is_zero()):
+            result = result * el.embed(arity, (slot,))
+        return result
 
     # -- linear structure ---------------------------------------------------
 
@@ -824,7 +813,7 @@ def _decode_monomial(algebra, obj):
     return tuple(exps)
 
 
-def build_hopf_algebra(description, validate=True):
+def build_hopf_algebra(description):
     """Construct a HopfAlgebra from a description dict.
 
     Format: {"generators": [{"name": "t", "degree": 2}, ...],
@@ -894,7 +883,7 @@ def build_hopf_algebra(description, validate=True):
                 ) from exc
             table[key] = table.get(key, ZERO) + q
         tables.append(_normalize_terms(table))
-    return HopfAlgebra(names, degrees, bound, tables, validate=validate)
+    return HopfAlgebra(names, degrees, bound, tables)
 
 
 def _primitive_table_raw(n, i):

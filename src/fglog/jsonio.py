@@ -193,8 +193,8 @@ def series_from_json(obj, algebra, fallback_order=None):
                                "series term 'coeff'")}, algebra)
         if arity == 0:
             arity = coeff.arity
-        if not coeff.is_zero():
-            terms[e] = coeff
+        # entries of one exponent add up; the Series drops a zero sum
+        terms[e] = terms[e] + coeff if e in terms else coeff
     if arity == 0:
         raise ParseError("series JSON needs 'arity' when it has no terms")
     if order != INF:
@@ -207,9 +207,9 @@ def series_from_json(obj, algebra, fallback_order=None):
 
 # -- groups and cocycles -------------------------------------------------------
 
-def group_to_json(F, hopf=None):
-    """Group JSON with the algebra inlined (or the given reference kept)."""
-    out = {"hopf": hopf if hopf is not None else algebra_to_json(F.algebra)}
+def group_to_json(F):
+    """Group JSON with the algebra inlined."""
+    out = {"hopf": algebra_to_json(F.algebra)}
     if F.order != INF:
         out["order"] = F.order
     out["series"] = series_to_json(F)
@@ -259,14 +259,11 @@ def defect_from_json(obj, algebra):
     return tensor_from_json(obj, algebra)
 
 
-def report_to_json(report, **extra):
+def report_to_json(report):
     out = {"pass": report.passed}
     cert = report.certified_order
     if cert is not None:
         out["certified_order"] = None if cert == INF else cert
-    for key, value in extra.items():
-        if value is not None:
-            out[key] = None if value == INF else value
     violations = []
     for v in report.violations:
         entry = {"axiom": v.axiom}

@@ -9,9 +9,10 @@ Paterson-Stockmeyer evaluator (`series._evaluate`) that the Newton loops
 of series reversion and of the group inverse (`fgl.inverse_series`) run
 on, the powers of F(X, Y) and the rows U^k G_k of the associativity gate
 (`fgl._gate_composite`), and tensor products (`TensorElement.__mul__`
-packs its operands as 0-variable series).
-The one exception is a Horner step by a bare variable, a key shift
-(`_Packed.shifted`). A term's variable exponents and slot monomials are
+packs its operands as 0-variable series), which extend the coproduct
+multiplicatively from the generators (`HopfAlgebra.comul_mono`) and form
+the tensor of elements of H (`TensorElement.from_slots`).
+A term's variable exponents and slot monomials are
 packed into one int, a field per exponent, so the key of a product term is
 the sum of its factors' keys. The symmetry defect of a law, and the
 associativity defect of a law equal to its flip, are a packed series minus
@@ -298,27 +299,6 @@ class _Packed:
                                     k = ka + kb
                                     out[k] = get(k, 0) + na * nb
         return _Packed.reduced(rows, den, keep, flag)
-
-    def variable_code(self):
-        """The packed key of a bare variable (one complete, unflagged term
-        1 * X_i), None for anything else."""
-        if (self.order != INF or self.flag or self.den != 1
-                or list(self.rows) != [1] or list(self.rows[1]) != [0]
-                or len(self.rows[1][0]) != 1):
-            return None
-        ((code, num),) = self.rows[1][0].items()
-        return code if num == 1 else None
-
-    def shifted(self, code, keep):
-        """Product with the bare variable whose key is `code`, with the
-        bookkeeping of `times`: every key moves up by `code` and the order
-        by one. The variable's unit coefficient has Hopf degree 0, so no
-        pair leaves the bound and the flag stays as it is."""
-        keep = min(keep, self.order + 1)
-        rows = {d + 1: {h: {k + code: n for k, n in bucket.items()}
-                        for h, bucket in row.items()}
-                for d, row in self.rows.items() if d + 1 <= keep}
-        return _Packed(rows, self.den, keep, self.flag)
 
     @staticmethod
     def summed(packs):

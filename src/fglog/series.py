@@ -764,8 +764,8 @@ def _horner(consts, assigns, cap):
     one layout whose `vmax` covers every product formed here. Intermediates
     are truncated at cap; the certified order and the flag of each step
     follow the Series operations (product, truncate, sum), and
-    certification of the result is stamped by the caller. A bare-variable
-    assignment multiplies by an exponent shift instead of a product."""
+    certification of the result is stamped by the caller. Every step, one
+    by a bare variable included, is one `_series_mul`."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
@@ -776,16 +776,9 @@ def _horner(consts, assigns, cap):
                   for k, sub in rows.items()}
     kmax = max(groups)
     result = groups[kmax]
-    if kmax:
-        a0 = assigns[0]
-        layout = a0._packed[0]
-        shift = a0._packed[1].variable_code()
     for k in range(kmax - 1, -1, -1):
-        if shift is None:
-            result = _series_mul(result, a0, keep=cap, layout=layout)
-        else:
-            codec, packed = result._packed
-            result = _view(codec, packed.shifted(shift, cap))
+        result = _series_mul(result, assigns[0], keep=cap,
+                             layout=assigns[0]._packed[0])
         if k in groups:
             codec, packed = result._packed
             result = _view(codec, _Packed.summed(

@@ -124,6 +124,23 @@ class TestVerify:
         assert violation["axiom"] == "associativity"
         assert violation["defect"]["truncated"] is True
 
+    def test_split_coefficient_is_summed(self, capsys, tmp_path):
+        """The constant (t (x) t^2) + (t^2 (x) t) of a lemma law over qt1,
+        given as two entries of one exponent, is read as their sum: the
+        law is symmetric and passes."""
+        law = {"hopf": "qt1", "series": {
+            "variables": ["X", "Y"], "order": 6, "arity": 2, "terms": [
+                {"exp": [0, 0], "coeff": [[["t"], ["t", "t"], "1"]]},
+                {"exp": [0, 0], "coeff": [[["t", "t"], ["t"], "1"]]},
+                {"exp": [1, 0], "coeff": [[["1"], ["1"], "1"]]},
+                {"exp": [0, 1], "coeff": [[["1"], ["1"], "1"]]}]}}
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        code, out, err = run(capsys, "verify", "--group", str(path),
+                             "--order", "4")
+        assert code == 0, out
+        assert "pass (certified through order 4)" in out
+
     def test_strict_grading_weight_announced(self, capsys):
         # deg t = 2, so the constant cocycle 2(t x t) sits in degree 4 and
         # homogeneity holds exactly at weight 4

@@ -326,6 +326,42 @@ def reference_tensor_mul(a, b):
     return TensorElement(alg, a.arity, acc, truncated)
 
 
+def reference_comul_mono(alg, mono):
+    """Coproduct of a monomial by the pair loop it had: the first
+    generator's table times the coproduct of the rest, a pair dropped when
+    either slot's product leaves the degree bound."""
+    unit = alg.unit_mono
+    if mono == unit:
+        return {(unit, unit): ONE}
+    i = next(j for j, e in enumerate(mono) if e)
+    rest = reference_comul_mono(alg, mono[:i] + (mono[i] - 1,) + mono[i + 1:])
+    acc = {}
+    for (a1, b1), q1 in alg._gen_comul[i].items():
+        for (a2, b2), q2 in rest.items():
+            a, b = alg.mul_mono(a1, a2), alg.mul_mono(b1, b2)
+            if a is not None and b is not None:
+                acc[(a, b)] = acc.get((a, b), ZERO) + q1 * q2
+    return {k: q for k, q in acc.items() if q != 0}
+
+
+def reference_from_slots(*elements):
+    """Tensor of elements of H by concatenating their keys, then
+    normalizing: a key above the degree bound is dropped and sets the
+    flag."""
+    algebra = elements[0].algebra
+    acc = {(): ONE}
+    truncated = False
+    for el in elements:
+        if el.algebra != algebra:
+            raise AlgebraMismatch("tensor slots over different algebras")
+        if el.arity != 1:
+            raise ArityMismatch("tensor slots must be elements of H")
+        truncated = truncated or el.truncated
+        acc = {key + k: q * qq for key, q in acc.items()
+               for k, qq in el.terms.items()}
+    return TensorElement(algebra, len(elements), acc, truncated)
+
+
 _MIN_BOUND = {"trivial": 1, "qt1": 1, "qt2": 2, "qtu": 3}
 _RATIONALS = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
 
@@ -385,6 +421,44 @@ class TestProductReference:
         if mismatch is None:
             assert _outcome(lambda x, y: x * y, b, a) == _outcome(
                 reference_tensor_mul, b, a)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_comul_mono_matches_pair_loop(self, data):
+        """The coproduct of every basis monomial, one tensor product per
+        generator, is what the slotwise pair loop gave."""
+        algebra = data.draw(_slot_algebras())
+        for mono in algebra.monomials():
+            assert algebra.comul_mono(mono) == reference_comul_mono(
+                algebra, mono)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_from_slots_matches_key_concatenation(self, data):
+        algebra = data.draw(_algebras())
+        arity = data.draw(st.integers(2, 3))
+        elements = [data.draw(_tensors(algebra, 1)) for _ in range(arity)]
+        mismatch = data.draw(st.sampled_from([None] * 8 + ["arity",
+                                                          "algebra"]))
+        if mismatch == "arity":
+            elements[-1] = data.draw(_tensors(algebra, 2))
+        elif mismatch == "algebra":
+            elements[-1] = data.draw(_tensors(builtin_algebra(
+                "qtu", 8 if algebra.degree_bound != 8 else 7), 1))
+        assert _outcome(TensorElement.from_slots, *elements) == _outcome(
+            reference_from_slots, *elements)
+
+    def test_slots_above_the_bound_set_the_flag(self, qt1):
+        """Slots whose key leaves the bound flag the tensor, unless another
+        slot is zero: then no key is formed."""
+        t = gen(qt1, "t")
+        zero = HopfElement.zero(qt1)
+        for slots, flag in (((t ** 5, t ** 4), True),
+                            ((t ** 3, t ** 3, t ** 3 + 1), True),
+                            ((t ** 5, t ** 4, zero), False)):
+            assert TensorElement.from_slots(*slots).truncated is flag
+            assert _outcome(TensorElement.from_slots, *slots) == _outcome(
+                reference_from_slots, *slots)
 
     def test_dropped_pair_sets_the_flag(self, qt1):
         t = gen(qt1, "t")

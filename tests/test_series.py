@@ -592,9 +592,10 @@ class TestPackedEngine:
         _assert_same(f.substitute([a]), reference_substitute(f, [a]))
         assert len(steps) == 3
 
-    def test_bare_variables_are_shifts(self, qt1, monkeypatch):
-        """Steps by a bare variable are exponent shifts, not products:
-        substituting (Y, X) into f forms no product at all."""
+    def test_bare_variables_are_series_products(self, qt1, monkeypatch):
+        """A step by a bare variable is an ordinary product: substituting
+        (Y, X) into f makes one `_series_mul` per Horner step, each equal
+        to the plain product truncated at the cap, and gives the swap."""
         t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
         one = TensorElement.unit(qt1, 1)
         f = Series(qt1, 1, 2, {(0, 0): t, (2, 1): one, (1, 3): t * t}, 5,
@@ -603,15 +604,18 @@ class TestPackedEngine:
         original = series_module._series_mul
         steps = []
 
-        def counted(g, h, **kwargs):
-            steps.append((g, h))
-            return original(g, h, **kwargs)
+        def checked(g, h, **kwargs):
+            got = original(g, h, **kwargs)
+            _assert_same(got, reference_mul(g, h).truncate(kwargs["keep"]))
+            steps.append(got)
+            return got
 
-        monkeypatch.setattr(series_module, "_series_mul", counted)
+        monkeypatch.setattr(series_module, "_series_mul", checked)
         got = f.substitute(swap)
         _assert_same(got, reference_substitute(f, swap))
         assert got == f.permute_vars((1, 0))
-        assert steps == []
+        # two outer steps by Y, one and three by X in the rows of X^2, X
+        assert len(steps) == 6
 
 
 # -- Newton reversion against the order-by-order loop -------------------------
