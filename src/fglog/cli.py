@@ -61,7 +61,7 @@ from .fgl import (
     specialize,
     strict_grading_defect,
 )
-from .hopf import algebra_description, verify_hopf_axioms
+from .hopf import verify_hopf_axioms
 from .report import Report, Violation
 from .series import INF, Series
 
@@ -152,10 +152,9 @@ def _opening(command, algebra, order=None):
 
 
 def _algebra_line(algebra):
-    desc = algebra_description(algebra)
-    gens = ", ".join(f"{g['name']} (deg {g['degree']})"
-                     for g in desc["generators"]) or "none"
-    return f"hopf: generators {gens}; bound {desc['degree_bound']}"
+    gens = ", ".join(f"{name} (deg {degree})" for name, degree
+                     in zip(algebra.names, algebra.degrees)) or "none"
+    return f"hopf: generators {gens}; bound {algebra.degree_bound}"
 
 
 def _report_lines(report):
@@ -307,29 +306,29 @@ def _cmd_roundtrip(args):
 
     try:
         if push_report("axioms", check_axioms(F, order=N)):
+            # substituting F spends the nilpotency slack of F(0, 0)
+            slack = F.constant_term().nilpotency_slack()
+            g_chk = logarithm(F, order=_cap_order(N + 1 + slack, F.order))
             g = logarithm(F, order=N)
             push_value("logarithm", "logarithm", g,
                        jsonio.series_to_json(g))
-            c = extract_cocycle(F, order=N)
+            c = extract_cocycle(
+                F, g_chk.truncate(_cap_order(N + slack, F.order)), order=N)
             push_value("extract-cocycle", "cocycle", c,
                        jsonio.tensor_to_json(c))
-            if push_report("check-cocycle", check_cocycle(c)):
-                # substituting F spends the nilpotency slack of F(0, 0)
-                slack = F.constant_term().nilpotency_slack()
-                g_chk = logarithm(F, order=_cap_order(N + 1 + slack,
-                                                      F.order))
-                if push_report("log-equation", check_log(F, g_chk, order=N)):
-                    g_full = logarithm(F, order=_cap_order(
-                        N + 2 * c.nilpotency_slack(), F.order))
-                    F2 = reconstruct(algebra, c, g_full, order=N)
-                    push_report("reconstruct",
-                                Report.ok(certified_order=N))
-                    diff = (F2.with_names(F.names) - F).truncate(N)
-                    if diff.is_zero():
-                        push_report("compare", Report.ok(certified_order=N))
-                    else:
-                        push_report("compare", Report.fail(
-                            [Violation("equality", diff)]))
+            # extract_cocycle has checked the cocycle conditions
+            push_report("check-cocycle", Report.ok())
+            if push_report("log-equation", check_log(F, g_chk, order=N)):
+                g_full = logarithm(F, order=_cap_order(
+                    N + 2 * c.nilpotency_slack(), F.order))
+                F2 = reconstruct(algebra, c, g_full, order=N)
+                push_report("reconstruct", Report.ok(certified_order=N))
+                diff = (F2.with_names(F.names) - F).truncate(N)
+                if diff.is_zero():
+                    push_report("compare", Report.ok(certified_order=N))
+                else:
+                    push_report("compare", Report.fail(
+                        [Violation("equality", diff)]))
     except _MATH_ERRORS as exc:
         stages.append({"stage": "error", "pass": False, "detail": str(exc)})
         lines.append(f"error: {exc}")

@@ -75,7 +75,7 @@ from .series import (
     _doubling_orders,
     _evaluate,
     _minus_reversed,
-    _pack_series,
+    _packed_view,
     _series_mul,
     _solved_terms,
     _view,
@@ -107,7 +107,7 @@ def _lift_inner(F, slots):
     """F with coefficients embedded into three tensor slots and variables
     placed at the matching positions of (X, Y, Z)."""
     return F.map_coefficients(
-        lambda A: A.embed(3, slots), arity=3).embed_vars(3, slots, XYZ)
+        lambda A: A.embed(3, slots)).embed_vars(3, slots, XYZ)
 
 
 def associativity_defect(F):
@@ -141,7 +141,7 @@ def _left(F):
     """The substitution (outer series, assignments) of the left composite
     F(F(X, Y), Z): Horner over F(X, Y) outside, the bare Z inside."""
     z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
-    return (F.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=3),
+    return (F.map_coefficients(lambda A: A.apply_slot(0, "comul")),
             [_lift_inner(F, (0, 1)), z_var])
 
 
@@ -149,7 +149,7 @@ def _right_composite(F):
     """The right composite F(X, F(Y, Z)): Horner over the bare X outside,
     F(Y, Z) inside."""
     x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
-    outer = F.map_coefficients(lambda A: A.apply_slot(1, "comul"), arity=3)
+    outer = F.map_coefficients(lambda A: A.apply_slot(1, "comul"))
     return outer.substitute([x_var, _lift_inner(F, (1, 2))])
 
 
@@ -181,15 +181,13 @@ def _gate_composite(F, cert):
     1978; Paterson and Stockmeyer, 1973)."""
     codec = _Codec(F.algebra, 3, XYZ,
                    cert if cert != INF else F.max_degree() ** 2)
-    powers = [_view(codec, _UNIT),
-              _view(codec, _pack_series(codec, F.truncate(cert)))]
+    powers = [_view(codec, _UNIT), _packed_view(codec, F.truncate(cert))]
     groups = {}
     for (k, j), coeff in F.terms.items():
         if j <= cert:
             groups.setdefault(k, {})[(0, 0, j)] = coeff.terms
     while len(powers) <= max(groups, default=0):
-        powers.append(_series_mul(powers[-1], powers[1], keep=cert,
-                                  layout=codec))
+        powers.append(_series_mul(powers[-1], powers[1], keep=cert))
     rows = [(powers[k]._packed[1],
              codec.pack_image(terms, F.algebra.comul_mono))
             for k, terms in groups.items()]
@@ -199,8 +197,9 @@ def _gate_composite(F, cert):
 
 def symmetry_defect(F):
     """F(X, Y) - tau F(Y, X): the packed F minus its key-field reversal.
-    A substitution result is reversed in its own layout; any other F is
-    packed once, flagged when F or a coefficient is, as F - tau F is."""
+    A view (a product or a substitution result) is reversed in its own
+    layout; any other F is packed once, flagged when F or a coefficient
+    is, as F - tau F is."""
     if F._packed is not None:
         return _minus_reversed(F)
     codec = _Codec(F.algebra, F.arity, F.names, F.max_degree())
@@ -213,10 +212,10 @@ def unit_defects(F):
     """(id (x) eps)F(X, 0) - X and (eps (x) id)F(0, Y) - Y."""
     algebra = F.algebra
     left = (F.set_variable_zero(1)
-            .map_coefficients(lambda A: A.apply_slot(1, "counit"), arity=1)
+            .map_coefficients(lambda A: A.apply_slot(1, "counit"))
             - Series.variable(algebra, 1, 2, 0, F.order, F.names))
     right = (F.set_variable_zero(0)
-             .map_coefficients(lambda A: A.apply_slot(0, "counit"), arity=1)
+             .map_coefficients(lambda A: A.apply_slot(0, "counit"))
              - Series.variable(algebra, 1, 2, 1, F.order, F.names))
     return left, right
 
@@ -310,7 +309,7 @@ def invariant_differential(F):
     with constant term 1 for any group law."""
     partial = F.derivative(1).set_variable_zero(1)
     collapsed = partial.map_coefficients(
-        lambda A: A.apply_slot(1, "counit"), arity=1)
+        lambda A: A.apply_slot(1, "counit"))
     return collapsed.drop_variable(1).with_names(("x",))
 
 
@@ -350,8 +349,7 @@ def check_log(F, g, order=None):
         residual.constant_term(), 2, residual.order, residual.names)
 
     g_prime = g.derivative()
-    lifted = g_prime.map_coefficients(lambda A: A.apply_slot(0, "comul"),
-                                      arity=2)
+    lifted = g_prime.map_coefficients(lambda A: A.apply_slot(0, "comul"))
     invariance = (lifted.substitute([F]) * F.derivative(0)
                   - _slot_series(g_prime, 0).embed_vars(2, (0,), F.names))
 
@@ -369,12 +367,12 @@ def check_log(F, g, order=None):
 def _slot_series(g, slot):
     """One-variable series with coefficients pushed into the given slot of
     H (x) H."""
-    return g.map_coefficients(lambda A: A.embed(2, (slot,)), arity=2)
+    return g.map_coefficients(lambda A: A.embed(2, (slot,)))
 
 
 def _log_residual(F, g):
     """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y)."""
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=2)
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
     composed = lifted.substitute([F])
     g_x = _slot_series(g, 0).embed_vars(2, (0,), F.names)
     g_y = _slot_series(g, 1).embed_vars(2, (1,), F.names)
@@ -417,7 +415,8 @@ def coboundary(h):
 def extract_cocycle(F, g=None, order=None):
     """Constant 2-cocycle of F: evaluate the twisted logarithm equation and
     take its constant term after asserting that every nonconstant
-    coefficient vanishes (ResidualNonConstant otherwise). The extracted
+    coefficient vanishes, through `order` when one is given
+    (ResidualNonConstant otherwise). The extracted
     constant must pass the cocycle conditions (CocycleViolation otherwise).
     Returns the TensorElement c."""
     if g is None:
@@ -442,6 +441,8 @@ def extract_cocycle(F, g=None, order=None):
             "not enough certified order to determine the constant term",
             certified=residual.order, requested=order)
     c = residual.constant_term()
+    if order is not None:
+        residual = residual.truncate(order)
     for e, coeff in residual.sorted_terms():
         if sum(e):
             raise ResidualNonConstant(
@@ -480,7 +481,7 @@ def reconstruct(algebra, c, g, order):
     if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
         raise NoInverse("logarithm must be of the form x + O(x^2)")
 
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"), arity=2)
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
     inverse = lifted.comp_inverse(order=work)
     rhs = (Series.constant(c, 2, INF, XY)
            + _slot_series(g, 0).embed_vars(2, (0,), XY)
@@ -522,7 +523,7 @@ def inverse_series(F, order=None):
     linearization is not invertible."""
     algebra = F.algebra
     folded = F.map_coefficients(
-        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)), arity=1)
+        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
     target = order
     if target is None:
         if F.order == INF:
@@ -600,9 +601,8 @@ def inverse_series(F, order=None):
         if err.rows:
             d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
             u = (_view(codec, d) * s).mul_inverse(q) * s
-            step = _series_mul(_view(codec, err),
-                               _view(codec, _pack_series(codec, -u)),
-                               keep=p, layout=codec)._packed[1]
+            step = _series_mul(_view(codec, err), _packed_view(codec, -u),
+                               keep=p)._packed[1]
             root = _Packed.summed((root, step))
             root = _Packed(root.rows, root.den, INF, False)
         q = p
@@ -667,4 +667,4 @@ def specialize(series):
     def collapse(coeff):
         return TensorElement.unit(algebra, arity) * coeff.full_counit()
 
-    return series.map_coefficients(collapse, arity=arity)
+    return series.map_coefficients(collapse)

@@ -39,7 +39,7 @@ from .packed import INF, _Codec
 from .report import Report, Violation
 from .scalars import ONE, ZERO, format_rational, rational
 
-_STRUCTURE_MAPS = ("comul", "counit", "antipode", "id")
+_STRUCTURE_MAPS = ("comul", "counit", "antipode")
 
 
 def _normalize_terms(terms):
@@ -75,7 +75,7 @@ class HopfAlgebra:
     )
 
     def __init__(self, names, degrees, degree_bound, gen_comul,
-                 gen_counit=None, gen_antipode=None, validate=True):
+                 gen_counit=None, gen_antipode=None):
         names = tuple(names)
         degrees = tuple(int(d) for d in degrees)
         if len(names) != len(set(names)):
@@ -107,8 +107,6 @@ class HopfAlgebra:
         self._kdeg_cache = {}
         self._monomials = None
         self._hash = hash((names, degrees, self.degree_bound))
-        if validate:
-            self._validate_tables()
 
     # -- construction helpers -------------------------------------------
 
@@ -136,8 +134,8 @@ class HopfAlgebra:
                         f"{side} side")
 
     def mutated(self, comul=None, counit=None, antipode=None):
-        """Copy of this algebra with selected generator tables replaced and
-        validation off. Intended for negative tests of the axiom checker."""
+        """Unvalidated copy of this algebra with selected generator tables
+        replaced. Intended for negative tests of the axiom checker."""
         gen_comul = list(self._gen_comul)
         gen_counit = list(self._gen_counit)
         gen_antipode = list(self._gen_antipode)
@@ -148,8 +146,7 @@ class HopfAlgebra:
         for name, value in (antipode or {}).items():
             gen_antipode[self._index[name]] = _table_terms(value, 1, "antipode")
         return HopfAlgebra(self.names, self.degrees, self.degree_bound,
-                           gen_comul, tuple(gen_counit), tuple(gen_antipode),
-                           validate=False)
+                           gen_comul, tuple(gen_counit), tuple(gen_antipode))
 
     # -- identity --------------------------------------------------------
 
@@ -542,8 +539,8 @@ class TensorElement:
     def apply_slot(self, slot, op):
         """Apply a structure map in one slot, identity elsewhere.
 
-        op is one of 'comul' (arity +1), 'counit' (arity -1), 'antipode',
-        'id'. Slots are 0-based.
+        op is one of 'comul' (arity +1), 'counit' (arity -1) and
+        'antipode'. Slots are 0-based.
         """
         if op not in _STRUCTURE_MAPS:
             raise ValueError(f"unknown structure map {op!r}")
@@ -551,8 +548,6 @@ class TensorElement:
             raise ArityMismatch(
                 f"slot {slot} outside arity {self.arity}")
         alg = self.algebra
-        if op == "id":
-            return self
         if op == "comul":
             if self.arity == 3:
                 raise ArityMismatch("comul would exceed arity 3")
@@ -850,8 +845,7 @@ def build_hopf_algebra(description):
     # a shell with primitive coproducts gives us monomial decoding
     shell = HopfAlgebra(
         names, degrees, bound,
-        [_primitive_table_raw(len(names), i) for i in range(len(names))],
-        validate=False)
+        [_primitive_table_raw(len(names), i) for i in range(len(names))])
 
     coproduct = description.get("coproduct", {})
     if not isinstance(coproduct, dict):
@@ -883,7 +877,9 @@ def build_hopf_algebra(description):
                 ) from exc
             table[key] = table.get(key, ZERO) + q
         tables.append(_normalize_terms(table))
-    return HopfAlgebra(names, degrees, bound, tables)
+    algebra = HopfAlgebra(names, degrees, bound, tables)
+    algebra._validate_tables()
+    return algebra
 
 
 def _primitive_table_raw(n, i):

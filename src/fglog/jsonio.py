@@ -19,10 +19,11 @@ graded-lex order, rationals as canonical "p" / "p/q" strings):
              "violations": [{"axiom": "...", "detail": "...",
                              "defect": <series | tensor>}]}
 
-Monomials are accepted as generator-name lists (["t","t"] = t^2, ["1"] =
-unit) or exponent vectors; name lists are emitted. Reading resolves a
-string "hopf" first against the builtin algebra names and then as a file
-path relative to the referring file.
+An algebra is written by `hopf.algebra_description` and read by
+`load_algebra`. Monomials are accepted as generator-name lists
+(["t","t"] = t^2, ["1"] = unit) or exponent vectors; name lists are
+emitted. Reading resolves a string "hopf" first against the builtin
+algebra names and then as a file path relative to the referring file.
 """
 
 import json
@@ -44,8 +45,6 @@ from .scalars import format_rational, parse_rational
 from .series import INF, Series
 
 __all__ = [
-    "algebra_from_json",
-    "algebra_to_json",
     "defect_from_json",
     "defect_to_json",
     "group_from_json",
@@ -72,14 +71,6 @@ def read_json_file(path):
 
 
 # -- algebras -----------------------------------------------------------------
-
-def algebra_to_json(algebra):
-    return algebra_description(algebra)
-
-
-def algebra_from_json(obj):
-    return build_hopf_algebra(obj)
-
 
 def load_algebra(source, base_dir=None, degree_bound=None):
     """Algebra from an inline description dict, a builtin name, or a path
@@ -209,7 +200,7 @@ def series_from_json(obj, algebra, fallback_order=None):
 
 def group_to_json(F):
     """Group JSON with the algebra inlined."""
-    out = {"hopf": algebra_to_json(F.algebra)}
+    out = {"hopf": algebra_description(F.algebra)}
     if F.order != INF:
         out["order"] = F.order
     out["series"] = series_to_json(F)

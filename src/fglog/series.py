@@ -99,13 +99,13 @@ class Series:
             self._terms = clean
         else:
             self._terms = terms
-        self._packed = None  # (codec, _Packed) of a substitution step
+        self._packed = None  # (codec, _Packed) of a view (`_view`)
 
     @property
     def terms(self):
-        """{exps: TensorElement}; for a substitution's result and its
-        intermediate steps it is unpacked from the packed form on first
-        use."""
+        """{exps: TensorElement}; for a product, a substitution's result
+        and its intermediate steps it is unpacked from the packed form on
+        first use."""
         if self._terms is None:
             codec, packed = self._packed
             self._terms = _coefficients(self.algebra, self.arity,
@@ -259,7 +259,10 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             self._check_shape(other)
-            return _series_mul(self, other)
+            codec = _Codec(self.algebra, self.arity, self.names,
+                           self.max_degree() + other.max_degree())
+            return _series_mul(_packed_view(codec, self),
+                               _packed_view(codec, other), keep=INF)
         if _is_rational(other) or isinstance(other, int):
             return self.scale(other)
         return NotImplemented
@@ -310,18 +313,15 @@ class Series:
     def substitute(self, assignments):
         """Simultaneous substitution of a series for every variable.
 
-        assignments: sequence or dict index -> Series, one per variable, all
-        sharing one target shape and this series' coefficient arity. Each
-        assigned constant term must have full counit 0 (NonNilpotentConstantTerm
-        otherwise); the certified order of the result is
-        min(min_v order_v, order_f - sum_v slack_v) as described in the
-        module docstring.
+        assignments: a sequence of Series, the one for variable i at
+        position i, all sharing one target shape and this series'
+        coefficient arity. Each assigned constant term must have full
+        counit 0 (NonNilpotentConstantTerm otherwise); the certified order
+        of the result is min(min_v order_v, order_f - sum_v slack_v) as
+        described in the module docstring.
         """
-        if isinstance(assignments, dict):
-            assigns = [assignments.get(i) for i in range(self.nvars)]
-        else:
-            assigns = list(assignments)
-        if len(assigns) != self.nvars or any(a is None for a in assigns):
+        assigns = list(assignments)
+        if len(assigns) != self.nvars:
             raise ShapeMismatch(
                 "substitution needs an assignment for every variable")
         if self.nvars == 0:
@@ -363,8 +363,8 @@ class Series:
         consts = {e: _view(codec, codec.pack({zero: c.terms},
                                              flag=c.truncated), {zero: c})
                   for e, c in self.terms.items()}
-        views = [_view(codec, _pack_series(codec, a), a.terms) if occurring[v]
-                 else None for v, a in enumerate(assigns)]
+        views = [_packed_view(codec, a) if occurring[v] else None
+                 for v, a in enumerate(assigns)]
         result = _horner(consts, views, cap)._packed[1]
         const = self.terms.get((0,) * self.nvars)
         return _substituted(
@@ -430,7 +430,7 @@ class Series:
                              for hd, bucket in row.items()}
                      for d, row in h.rows.items()}, h.den, INF, False)
                 step = _series_mul(_view(codec, err), _view(codec, minus_dh),
-                                   keep=p, layout=codec)._packed[1]
+                                   keep=p)._packed[1]
                 h = _Packed.summed((h, step))
             else:
                 h = h.truncate(p)
@@ -524,12 +524,13 @@ class Series:
 
     # -- coefficient-wise structure maps -------------------------------------------
 
-    def map_coefficients(self, fn, arity=None):
+    def map_coefficients(self, fn):
         """Apply a TensorElement -> TensorElement map to every coefficient
         (slot lifts like Delta x id, id x eps, slot embeddings). All outputs
-        must share one arity; pass arity when the result can be empty."""
+        must share one arity, the result's; for an empty series it is the
+        arity of the map's image of the zero coefficient."""
         acc = {}
-        out_arity = arity
+        out_arity = None
         truncated = self.truncated
         for e, c in self.terms.items():
             out = fn(c)
@@ -545,7 +546,7 @@ class Series:
             if not out.is_zero():
                 acc[e] = out
         if out_arity is None:
-            out_arity = self.arity
+            out_arity = fn(TensorElement.zero(self.algebra, self.arity)).arity
         return Series(self.algebra, out_arity, self.nvars, acc, self.order,
                       self.names, truncated, _normalize=False)
 
@@ -684,9 +685,11 @@ def _solved_terms(root, slope, slope_inv):
 
 # -- series products on the packed kernel (packed.py) ------------------------
 #
-# A substitution packs its inputs once; its Horner steps are `_series_mul`
-# calls on Series views that carry the packed form and unpack their terms
-# only when these are read, and so is its result.
+# Every series product is a `_series_mul` call on two Series views of one
+# layout, which carry the packed form and unpack their terms only when
+# these are read, and so is the product. `Series.__mul__` packs its two
+# operands into a layout sized for their product; a substitution packs its
+# inputs once, and its Horner steps and result are views of its layout.
 
 
 def _coefficients(algebra, arity, terms):
@@ -695,9 +698,11 @@ def _coefficients(algebra, arity, terms):
             for e, t in terms.items()}
 
 
-def _pack_series(codec, series):
-    return codec.pack({e: c.terms for e, c in series.terms.items()},
-                      series.order, series.truncated)
+def _packed_view(codec, series):
+    """The series as a view of the codec's layout, with its own terms."""
+    terms = series.terms
+    return _view(codec, codec.pack({e: c.terms for e, c in terms.items()},
+                                   series.order, series.truncated), terms)
 
 
 def _view(codec, packed, terms=None):
@@ -727,32 +732,25 @@ def _substituted(codec, packed, const_flag):
 
 
 def _minus_reversed(result):
-    """A substitution's result minus itself with the tensor slots and the
-    variables in reverse order, formed on the packed result; only the
-    nonzero terms of the difference are unpacked. The reversal keeps every
-    term's degrees, so the difference has the flags that `result -
-    reversed` gives: the series flag and the constant coefficient's."""
+    """A view (a product or a substitution's result) minus itself with the
+    tensor slots and the variables in reverse order, formed on the packed
+    form; only the nonzero terms of the difference are unpacked. The
+    reversal keeps every term's degrees, so the difference has the flags
+    that `result - reversed` gives: the series flag and the constant
+    coefficient's."""
     codec, packed = result._packed
     const = (result._terms or {}).get((0,) * result.nvars)
     return _substituted(codec, codec.minus_reversed(packed),
                         const is not None and const.truncated)
 
 
-def _series_mul(f, g, *, keep=INF, layout=None):
-    """f * g truncated at `keep`. The `truncated` flag counts every pair of
-    terms within the product's own order cap, as (f * g).truncate(keep)
-    would. A Horner step passes its substitution's codec as `layout`: its
-    operands are views of it, multiplied packed into a view. Other
-    operands are packed here and the product is unpacked."""
-    bound = f.algebra.degree_bound
-    if layout is not None:
-        return _view(layout, f._packed[1].times(g._packed[1], keep, bound))
-    codec = _Codec(f.algebra, f.arity, f.names,
-                   f.max_degree() + g.max_degree())
-    prod = _pack_series(codec, f).times(_pack_series(codec, g), keep, bound)
-    return Series(f.algebra, f.arity, f.nvars,
-                  _coefficients(f.algebra, f.arity, codec.unpack(prod)),
-                  prod.order, f.names, prod.flag, _normalize=False)
+def _series_mul(f, g, *, keep):
+    """f * g truncated at `keep`, for two views of one layout, as a view of
+    that layout (f's). The `truncated` flag counts every pair of terms
+    within the product's own order cap, as (f * g).truncate(keep) would."""
+    codec, packed = f._packed
+    return _view(codec, packed.times(g._packed[1], keep,
+                                     f.algebra.degree_bound))
 
 
 def _horner(consts, assigns, cap):
@@ -777,8 +775,7 @@ def _horner(consts, assigns, cap):
     kmax = max(groups)
     result = groups[kmax]
     for k in range(kmax - 1, -1, -1):
-        result = _series_mul(result, assigns[0], keep=cap,
-                             layout=assigns[0]._packed[0])
+        result = _series_mul(result, assigns[0], keep=cap)
         if k in groups:
             codec, packed = result._packed
             result = _view(codec, _Packed.summed(

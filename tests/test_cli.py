@@ -245,6 +245,22 @@ class TestCocycleCommands:
         t = HopfElement.generator(qt2, "t")
         assert c == 2 * TensorElement.from_slots(t, t)
 
+    def test_residual_checked_through_the_order(self, capsys, tmp_path):
+        """X + Y + (t (x) t)X^2 Y^2 over qt1 has the logarithm x at every
+        order; its residual is nonconstant only at degree 4."""
+        alg = builtin_algebra("qt1")
+        t = HopfElement.generator(alg, "t")
+        F = Series.variable(alg, 2, 2, 0) + Series.variable(alg, 2, 2, 1) \
+            + Series(alg, 2, 2, {(2, 2): TensorElement.from_slots(t, t)})
+        path = _law_file(tmp_path, F)
+        code, out, err = run(capsys, "cocycle", "--group", path,
+                             "--order", "3")
+        assert (code, out.splitlines()[1:], err) == (0, ["0"], "")
+        code, out, err = run(capsys, "cocycle", "--group", path,
+                             "--order", "4")
+        assert (code, out) == (1, "")
+        assert "nonconstant term at (2, 2)" in err
+
     def test_check_cocycle_failure_reports_defect(self, capsys):
         code, out, err = run(capsys, "check-cocycle", "--hopf", "qt1",
                              "--cocycle", "t (x) t^2")

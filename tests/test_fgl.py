@@ -243,8 +243,8 @@ class TestCheckAxioms:
         map_coefficients = Series.map_coefficients
         nilpotency_slack = TensorElement.nilpotency_slack
 
-        def counted_map(series, fn, arity=None):
-            out = map_coefficients(series, fn, arity)
+        def counted_map(series, fn):
+            out = map_coefficients(series, fn)
             lifts.append(out)
             return out
 
@@ -420,7 +420,7 @@ class TestLogarithm:
 
     def test_zero_logarithm_keeps_the_arity(self, qt1):
         """An empty logarithm has no term that shows the arity of its
-        lifts to H (x) H, so they are given it."""
+        lifts to H (x) H; the lift of the zero coefficient shows it."""
         F = additive_law(qt1, order=3)
         zero = Series.zero(qt1, 1, 1, 3, ("x",))
         rep = check_log(F, zero)
@@ -510,6 +510,24 @@ class TestCocycles:
         F = lemma_law(qt1, two_t_t(qt1)).truncate(3)
         with pytest.raises(TruncationInsufficient):
             extract_cocycle(F, order=7)
+
+    @pytest.mark.parametrize("with_xy", [False, True])
+    def test_extract_checks_the_residual_through_order(self, qt1, with_xy):
+        """X + Y + (t (x) t)X^2 Y^2 is a group law through order 3 with a
+        constant differential, whose logarithm x is certified at every
+        order; with XY added the differential is 1 + x. Either way the
+        residual is nonconstant first at (2, 2), so order 3 extracts 0 and
+        order 4 does not."""
+        t = t_elem(qt1)
+        F = additive_law(qt1) + Series(
+            qt1, 2, 2, {(2, 2): TensorElement.from_slots(t, t)}, INF, XY)
+        if with_xy:
+            F = F + (Series.variable(qt1, 2, 2, 0, INF, XY)
+                     * Series.variable(qt1, 2, 2, 1, INF, XY))
+        assert check_axioms(F, order=3).passed
+        assert extract_cocycle(F, order=3).is_zero()
+        with pytest.raises(ResidualNonConstant, match=r"\(2, 2\)"):
+            extract_cocycle(F, order=4)
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -648,8 +666,7 @@ class TestInverseSeries:
         F = reconstruct(qt1, TensorElement.zero(qt1, 2), g, 6)
         iota = inverse_series(F)
         folded = F.map_coefficients(
-            lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)),
-            arity=1)
+            lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
         xv = Series.variable(qt1, 1, 1, 0, 6, ("x",))
         residual = folded.substitute([xv, iota])
         assert residual.truncate(iota.order).is_zero()
@@ -669,7 +686,7 @@ def reference_inverse_series(F, order=None):
     ideal, then one substitution per order k fixes coefficient k."""
     algebra = F.algebra
     folded = F.map_coefficients(
-        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)), arity=1)
+        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
     target = order
     if target is None:
         if F.order == INF:
@@ -853,11 +870,9 @@ class TestNewtonOnTheEvaluator:
 def composites(F):
     """(F(F(X, Y), Z), F(X, F(Y, Z))), each from its own substitution."""
     alg = F.algebra
-    left = F.map_coefficients(lambda A: A.apply_slot(0, "comul"),
-                              arity=3).substitute(
+    left = F.map_coefficients(lambda A: A.apply_slot(0, "comul")).substitute(
         [_lift_inner(F, (0, 1)), Series.variable(alg, 3, 3, 2, INF, XYZ)])
-    right = F.map_coefficients(lambda A: A.apply_slot(1, "comul"),
-                               arity=3).substitute(
+    right = F.map_coefficients(lambda A: A.apply_slot(1, "comul")).substitute(
         [Series.variable(alg, 3, 3, 0, INF, XYZ), _lift_inner(F, (1, 2))])
     return left, right
 
@@ -1282,7 +1297,7 @@ def assert_same_symmetry_defect(F):
 class TestPackedSymmetry:
     """symmetry_defect, the packed law minus its key-field reversal, gives
     what F - tau F(Y, X) gives on Series: terms, certified order and
-    `truncated`, for stored laws, laws read from group JSON and
+    `truncated`, for stored laws, laws read from group JSON, products and
     substitution results, over qt1, qt2, qtu and QTU_HALF."""
 
     @settings(max_examples=150)
@@ -1318,6 +1333,19 @@ class TestPackedSymmetry:
         assert {e: c.truncated for e, c in got.terms.items()} == {
             e: c.truncated for e, c in want.terms.items()}
 
+    @settings(max_examples=100)
+    @given(perturbed_laws(), st.data())
+    def test_product_results(self, F, data):
+        """F * G for a random G, and a product of two products: a product
+        is a view, reversed in its own layout, and the coefficient flags
+        agree too."""
+        G = data.draw(engine_series(F.algebra, 2, 2))
+        for P in (F * G, (F * G) * (G * F)):
+            assert P._packed is not None
+            got, want = assert_same_symmetry_defect(P)
+            assert {e: c.truncated for e, c in got.terms.items()} == {
+                e: c.truncated for e, c in want.terms.items()}
+
     def test_elevated_law_of_reconstruct(self):
         """The law that reconstruct solves for is a substitution result."""
         alg = build_hopf_algebra(QTU_HALF)
@@ -1340,8 +1368,8 @@ def elevated_law(c, g, order):
     """(Delta g)^{-1}(c + (g (x) 1)(X) + (1 (x) g)(Y)) at the working order
     order + 2 slack(c) of reconstruct, before it is truncated."""
     work = order + 2 * c.nilpotency_slack()
-    inverse = g.map_coefficients(lambda A: A.apply_slot(0, "comul"),
-                                 arity=2).comp_inverse(order=work)
+    inverse = g.map_coefficients(
+        lambda A: A.apply_slot(0, "comul")).comp_inverse(order=work)
     rhs = (Series.constant(c, 2, INF, XY)
            + fgl_module._slot_series(g, 0).embed_vars(2, (0,), XY)
            + fgl_module._slot_series(g, 1).embed_vars(2, (1,), XY))

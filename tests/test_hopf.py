@@ -485,14 +485,12 @@ def reference_antipode_mono(alg, mono):
 
 def reference_apply_slot(el, slot, op):
     """A structure map in one slot by one loop per map."""
-    if op not in ("comul", "counit", "antipode", "id"):
+    if op not in ("comul", "counit", "antipode"):
         raise ValueError(f"unknown structure map {op!r}")
     if not 0 <= slot < el.arity:
         raise ArityMismatch(
             f"slot {slot} outside arity {el.arity}")
     alg = el.algebra
-    if op == "id":
-        return el
     if op == "comul":
         if el.arity + 1 > 3:
             raise ArityMismatch("comul would exceed arity 3")

@@ -11,6 +11,7 @@ from fglog import (
     Series,
     TensorElement,
     additive_law,
+    algebra_description,
     build_hopf_algebra,
     check_axioms,
     lemma_law,
@@ -30,8 +31,8 @@ def two_t_t(algebra):
 
 class TestAlgebraJson:
     def test_round_trip_builtin(self, qtu):
-        desc = J.algebra_to_json(qtu)
-        back = J.algebra_from_json(desc)
+        desc = algebra_description(qtu)
+        back = build_hopf_algebra(desc)
         assert back == qtu
 
     def test_round_trip_custom_coproduct(self):
@@ -40,11 +41,11 @@ class TestAlgebraJson:
             "degree_bound": 6,
             "coproduct": {"t": [[["t"], ["1"], "1"], [["1"], ["t"], "1"]]},
         }
-        H = J.algebra_from_json(desc)
-        desc2 = J.algebra_to_json(H)
+        H = build_hopf_algebra(desc)
+        desc2 = algebra_description(H)
         # explicit primitive tables normalize to the shorthand
         assert desc2["coproduct"]["t"] == "primitive"
-        assert J.algebra_from_json(desc2) == H
+        assert build_hopf_algebra(desc2) == H
 
     def test_load_algebra_builtin_name(self):
         H = J.load_algebra("qt2")
@@ -153,7 +154,7 @@ class TestGroupJson:
 
     def test_hopf_path_reference(self, qt2, tmp_path):
         algebra_file = tmp_path / "alg.json"
-        algebra_file.write_text(json.dumps(J.algebra_to_json(qt2)))
+        algebra_file.write_text(json.dumps(algebra_description(qt2)))
         F = lemma_law(qt2, two_t_t(qt2), order=4)
         obj = J.group_to_json(F)
         obj["hopf"] = "alg.json"

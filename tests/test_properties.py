@@ -183,8 +183,7 @@ class TestGroupLawRoundTrips:
         F = reconstruct(QT2, TensorElement.zero(QT2, 2), g, order=4)
         iota = inverse_series(F, order=4)
         folded = F.map_coefficients(
-            lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)),
-            arity=1)
+            lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
         x = Series.variable(QT2, 1, 1, 0, 4, ("x",))
         assert folded.substitute([x, iota]).truncate(4).is_zero()
 

@@ -320,11 +320,19 @@ class TestCoefficientMaps:
         assert out.constant_term().is_zero()
         assert out.coeff((1,)) == TensorElement.unit(qt1, 1) * 3
 
-    def test_empty_result_keeps_declared_arity(self, qt1):
+    def test_empty_result_derives_its_arity(self, qt1):
         t = HopfElement.generator(qt1, "t")
         f = Series.constant(TensorElement.from_slots(t, t), 1)
-        out = f.map_coefficients(lambda c: c.apply_slot(0, "counit"), arity=1)
+        out = f.map_coefficients(lambda c: c.apply_slot(0, "counit"))
         assert out.is_zero() and out.arity == 1
+
+    def test_empty_series_takes_the_arity_of_the_map(self, qt1):
+        """A zero series has no coefficient to map; the map's image of the
+        zero coefficient gives the arity."""
+        zero = Series.zero(qt1, 1, 1, 3, ("x",))
+        lifted = zero.map_coefficients(lambda c: c.apply_slot(0, "comul"))
+        assert lifted.is_zero() and lifted.arity == 2
+        assert (lifted.order, lifted.names) == (3, ("x",))
 
 
 class TestVariablePlumbing:

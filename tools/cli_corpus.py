@@ -23,11 +23,13 @@ place of stderr) or ended with an exit code outside 0-3.
 
 `compare` lists every invocation whose exit code, stdout or stderr
 differ between two records, and those in one record only, and exits 1 if
-there is any.
+there is any. Under each differing invocation it prints both exit codes
+and, for each differing stream, the first line at which the two differ.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -219,6 +221,14 @@ def record(src, out_path):
     return 1 if bad else 0
 
 
+def _first_difference(a, b):
+    """(1-based line number, line of a, line of b) of the first line at
+    which two different texts differ; a text that has ended gives None."""
+    pairs = itertools.zip_longest(a.split("\n"), b.split("\n"))
+    return next((i, old, new) for i, (old, new) in enumerate(pairs, 1)
+                if old != new)
+
+
 def compare(a_path, b_path):
     runs = []
     for path in (a_path, b_path):
@@ -230,10 +240,19 @@ def compare(a_path, b_path):
     for key in sorted(set(a) | set(b)):
         if a.get(key) != b.get(key):
             differ += 1
-            fields = ("only in one record" if key not in a or key not in b
-                      else ", ".join(f for f in ("exit", "stdout", "stderr")
-                                     if a[key][f] != b[key][f]))
-            print(f"{' '.join(key.split(chr(0)))}: {fields}")
+            name = " ".join(key.split("\0"))
+            if key not in a or key not in b:
+                print(f"{name}: only in one record")
+                continue
+            fields = [f for f in ("exit", "stdout", "stderr")
+                      if a[key][f] != b[key][f]]
+            print(f"{name}: {', '.join(fields)}")
+            print(f"    exit {a[key]['exit']} -> {b[key]['exit']}")
+            for f in fields:
+                if f != "exit":
+                    line, old, new = _first_difference(a[key][f], b[key][f])
+                    print(f"    {f} line {line}:\n      - {old!r}\n"
+                          f"      + {new!r}")
     print(f"{differ} of {len(set(a) | set(b))} invocations differ")
     return 1 if differ else 0
 
