@@ -69,6 +69,7 @@ from .errors import (
 from .hopf import TensorElement
 from .packed import _UNIT, _Codec, _Packed
 from .report import Report, Violation
+from .scalars import ONE
 from .series import (
     Series,
     _coefficients,
@@ -522,8 +523,6 @@ def inverse_series(F, order=None):
     residual check. NoInverse when the data is inconsistent or the
     linearization is not invertible."""
     algebra = F.algebra
-    folded = F.map_coefficients(
-        lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
     target = order
     if target is None:
         if F.order == INF:
@@ -537,8 +536,26 @@ def inverse_series(F, order=None):
             f"group law is certified only through {F.order}",
             certified=F.order, requested=target)
 
-    # constant part: solve folded(0, theta) = 0 by Newton iteration
-    at_zero = folded.set_variable_zero(0).drop_variable(0)
+    # folded(x, y) = sum_k C_k(x) y^k, each C_k packed once, and
+    # d_Y folded = sum_k (k + 1) C_(k+1)(x) y^k on the same numerators
+    codec = _Codec(algebra, 1, ("x",), max(target, F.max_degree()))
+    groups = _y_coefficients(codec, F)
+    d_groups = {k - 1: _Packed({h: [(code, k * n) for code, n in bucket]
+                                for h, bucket in c.buckets.items()},
+                               c.den, INF, False, c.shift)
+                for k, c in groups.items() if k}
+
+    # constant part: solve folded(0, theta) = 0 by Newton iteration, on
+    # the C_k(0) with the flags of F's coefficients, which mu (id (x) S)
+    # keeps (it keeps the Hopf degree, so it drops nothing)
+    at_zero = {}
+    for k, c in groups.items():
+        low = codec.unpack(c.truncate(0)).get((0,))
+        if low:
+            at_zero[(k,)] = TensorElement(algebra, 1, low,
+                                          F.terms[(0, k)].truncated,
+                                          _normalize=False)
+    at_zero = Series(algebra, 1, 1, at_zero, INF, ("y",), _normalize=False)
     d_at_zero = at_zero.derivative()
     theta = TensorElement.zero(algebra, 1)
     residue = _eval_univariate(at_zero, theta)
@@ -589,22 +606,18 @@ def inverse_series(F, order=None):
     # i + k above p + slack cannot reach order p, because
     # theta^(slack + 1) = 0
     steps = _doubling_orders(0, cert, extra=1)
-    codec = _Codec(algebra, 1, ("x",), max(cert, F.max_degree()))
     bound = algebra.degree_bound
-    groups = _y_coefficients(codec, folded)
-    d_groups = _y_coefficients(codec, folded.derivative(1))
     s = Series.constant(slope_inv, 1, INF, ("x",))
     root = codec.pack({(0,): theta.terms})
     q = 0
     for p in steps:
         err = _evaluate(_cut(groups, p + slack), root, p, bound)
-        if err.rows:
+        if err.buckets:
             d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
             u = (_view(codec, d) * s).mul_inverse(q) * s
             step = _series_mul(_view(codec, err), _packed_view(codec, -u),
                                keep=p)._packed[1]
-            root = _Packed.summed((root, step))
-            root = _Packed(root.rows, root.den, INF, False)
+            root = _Packed.summed((root, step)).stamped(INF, False)
         q = p
     terms = _coefficients(algebra, 1, codec.unpack(root))
     if not theta.is_zero():
@@ -614,11 +627,16 @@ def inverse_series(F, order=None):
                   cert, ("x",), theta.truncated, _normalize=False)
 
     residual = _evaluate(_cut(groups, cert + slack), root, cert, bound)
-    if residual.rows:
+    if residual.buckets:
         raise NoInverse("inverse equation has no series solution; "
                         "is F a group law?")
     if F.order == INF:
         exact = iota.with_order(INF)
+        folded = Series(algebra, 1, 2, {
+            (i, k): TensorElement(algebra, 1, coeff, _normalize=False)
+            for k, c in groups.items()
+            for (i,), coeff in codec.unpack(c).items()}, INF, F.names,
+            _normalize=False)
         if folded.substitute(
                 [Series.variable(algebra, 1, 1, 0, INF, ("x",)),
                  exact]).is_zero():
@@ -626,21 +644,33 @@ def inverse_series(F, order=None):
     return iota
 
 
-def _y_coefficients(codec, series):
-    """{k: C_k} for a two-variable series(x, y) = sum_k C_k(x) y^k, each
-    C_k packed in the one-variable layout of codec as a complete
-    polynomial."""
+def _y_coefficients(codec, F):
+    """{k: C_k} for folded(x, y) = (mu . (id (x) S))F(x, y) = sum_k C_k(x)
+    y^k, each nonzero C_k packed in the one-variable layout of codec as a
+    complete polynomial. The image of each distinct pair of monomials is
+    formed once."""
+    images = {}
+
+    def folded(m1, m2):
+        image = images.get((m1, m2))
+        if image is None:
+            image = images[(m1, m2)] = TensorElement(
+                F.algebra, 2, {(m1, m2): ONE}, _normalize=False).apply_slot(
+                1, "antipode").contract_mul((0, 1)).terms
+        return image
+
     groups = {}
-    for (i, k), coeff in series.terms.items():
+    for (i, k), coeff in F.terms.items():
         groups.setdefault(k, {})[(i,)] = coeff.terms
-    return {k: codec.pack(terms) for k, terms in groups.items()}
+    packs = {k: codec.pack_image(terms, folded, 2)
+             for k, terms in groups.items()}
+    return {k: c for k, c in packs.items() if c.buckets}
 
 
 def _cut(groups, cap):
     """The C_k of `_y_coefficients` without their terms x^i of i + k above
     cap, still complete polynomials."""
-    return {k: _Packed({i: row for i, row in c.rows.items() if i + k <= cap},
-                       c.den, INF, False)
+    return {k: c.truncate(cap - k).stamped(INF, False)
             for k, c in groups.items() if k <= cap}
 
 

@@ -12,16 +12,19 @@ on, the powers of F(X, Y) and the rows U^k G_k of the associativity gate
 packs its operands as 0-variable series), which extend the coproduct
 multiplicatively from the generators (`HopfAlgebra.comul_mono`) and form
 the tensor of elements of H (`TensorElement.from_slots`).
-A term's variable exponents and slot monomials are
-packed into one int, a field per exponent, so the key of a product term is
-the sum of its factors' keys. The symmetry defect of a law, and the
+A term's slot monomials, variable exponents and total variable degree are
+packed into one graded int key, a field per exponent with the degree field
+on top, so the key of a product term is the sum of its factors' keys and
+keys sort by degree first. The symmetry defect of a law, and the
 associativity defect of a law equal to its flip, are a packed series minus
 its key-field reversal, which puts the tensor slots and the variables in
 reverse order (`_Codec.minus_reversed`).
 Coefficients are int numerators over one common denominator per operand.
-Terms are bucketed by (variable degree, Hopf degree), so the order cap and
-the degree bound are decided once per pair of buckets (Monagan and Pearce,
-CASC 2007, on packed monomials; Johnson 1974 on sparse products).
+Terms are bucketed by Hopf degree alone, each bucket a list sorted by key:
+the degree bound is decided once per pair of buckets, and the order cap by
+the first and last keys of the two buckets, or by one bisection of the
+inner bucket per outer term (Monagan and Pearce, CASC 2007, on graded
+packed monomials; Johnson 1974 on sparse products).
 
 Tensor powers of H are truncated by total degree across the slots. That
 span is an ideal and, since every structure map preserves degree, also a
@@ -35,21 +38,26 @@ within the order cap leaves the quotient.
 """
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 
 from .scalars import Q
 
 INF = math.inf
+_code = itemgetter(0)  # sorting (code, numerator) terms by code alone
 
 
 class _Codec:
     """Packed-key layout for one algebra, arity and variable tuple: every
-    exponent gets `width` bits, tensor slots first, then the variables.
-    Variable exponents up to `vmax` and generator exponents up to the
-    degree bound fit; products are only formed within those limits, so
-    adding two keys never carries from one field into the next."""
+    exponent gets `width` bits, tensor slots first, then the variables,
+    and the total variable degree sits above them, at bit `shift`, with
+    no bound. Variable exponents up to `vmax` and generator exponents up
+    to the degree bound fit; products are only formed within those
+    limits, so adding two keys never carries from one field into the
+    next, and a key's degree is `key >> shift`."""
 
     __slots__ = ("algebra", "arity", "nvars", "names", "width", "hopf_bits",
-                 "_codes", "_keys", "_exps")
+                 "shift", "_codes", "_keys", "_exps")
 
     def __init__(self, algebra, arity, names, vmax):
         self.algebra = algebra
@@ -58,6 +66,7 @@ class _Codec:
         self.names = names
         self.width = max(vmax, algebra.degree_bound, 1).bit_length()
         self.hopf_bits = self.width * arity * len(algebra.names)
+        self.shift = self.hopf_bits + self.width * self.nvars
         self._codes = {}  # tensor key -> (code, Hopf degree)
         self._keys = {}  # code -> tensor key
         self._exps = {}  # code >> hopf_bits -> exponent tuple
@@ -74,7 +83,8 @@ class _Codec:
         return hit
 
     def _exps_code(self, exps):
-        code = 0
+        """The variable fields and the degree field of an exponent tuple."""
+        code = sum(exps) << self.shift
         shift = self.hopf_bits
         for e in exps:
             code |= e << shift
@@ -85,45 +95,45 @@ class _Codec:
         """_Packed form of a terms dict {exps: {key: Q}}."""
         den = math.lcm(*(int(q.denominator) for coeff in terms.values()
                          for q in coeff.values()))
-        rows = {}
+        buckets = {}
         for exps, coeff in terms.items():
-            if not coeff:
-                continue
             base = self._exps_code(exps)
-            row = rows.setdefault(sum(exps), {})
             for key, q in coeff.items():
                 code, h = self._key_code(key)
-                row.setdefault(h, {})[base | code] = (
+                buckets.setdefault(h, {})[base | code] = (
                     int(q.numerator) * (den // int(q.denominator)))
-        return _Packed(rows, den, order, flag)
+        return _Packed({h: sorted(bucket.items(), key=_code)
+                        for h, bucket in buckets.items()},
+                       den, order, flag, self.shift)
 
-    def pack_image(self, terms, image):
-        """Complete, unflagged _Packed form of {exps: {key: Q}} with each
-        key's first monomial replaced by its degree-keeping image {monomials:
-        Q}, over the terms' denominator times the images' one."""
-        images = {key[0]: image(key[0])
+    def pack_image(self, terms, image, n=1):
+        """Complete, unflagged _Packed form of {exps: {key: Q}} with the
+        first n monomials of each key replaced by their degree-keeping
+        image(*monomials) {monomials: Q}, the rest of the key after it,
+        over the terms' denominator times the images' one."""
+        images = {key[:n]: image(*key[:n])
                   for coeff in terms.values() for key in coeff}
         den_q = math.lcm(*(int(q.denominator) for coeff in terms.values()
                            for q in coeff.values()))
         den_t = math.lcm(*(int(q.denominator) for parts in images.values()
                            for q in parts.values()))
-        codes = {m: [(self._key_code(part)[0],
-                      int(q.numerator) * (den_t // int(q.denominator)))
-                     for part, q in parts.items()]
-                 for m, parts in images.items()}
-        # the rest of a key moves up one slot
-        shift = 2 * self.width * len(self.algebra.names)
-        rows = {}
+        codes = {head: [(self._key_code(part)[0],
+                         int(q.numerator) * (den_t // int(q.denominator)))
+                        for part, q in parts.items()]
+                 for head, parts in images.items()}
+        slot_bits = self.width * len(self.algebra.names)
+        buckets = {}
         for exps, coeff in terms.items():
             base = self._exps_code(exps)
-            row = rows.setdefault(sum(exps), {})
             for key, q in coeff.items():
-                out = row.setdefault(self.algebra.key_degree(key), {})
-                n = int(q.numerator) * (den_q // int(q.denominator))
-                rest = base | self._key_code(key[1:])[0] << shift
-                for code, m in codes[key[0]]:
-                    out[code | rest] = out.get(code | rest, 0) + n * m
-        return _Packed.reduced(rows, den_q * den_t, INF, False)
+                out = buckets.setdefault(self.algebra.key_degree(key), {})
+                num = int(q.numerator) * (den_q // int(q.denominator))
+                tail = key[n:]
+                rest = base | self._key_code(tail)[0] << (
+                    slot_bits * (self.arity - len(tail)))
+                for code, m in codes[key[:n]]:
+                    out[code | rest] = out.get(code | rest, 0) + num * m
+        return _Packed.reduced(buckets, den_q * den_t, INF, False, self.shift)
 
     def unpack(self, packed):
         """Terms dict {exps: {key: Q}} of a _Packed."""
@@ -134,67 +144,66 @@ class _Codec:
         keys, exps_of = self._keys, self._exps
         den = packed.den
         acc = {}
-        for row in packed.rows.values():
-            for bucket in row.values():
-                for code, num in bucket.items():
-                    vcode = code >> hopf_bits
-                    exps = exps_of.get(vcode)
-                    if exps is None:
-                        exps = exps_of[vcode] = tuple(
-                            (vcode >> (width * i)) & mask
-                            for i in range(self.nvars))
-                    kcode = code & hopf_mask
-                    key = keys.get(kcode)
-                    if key is None:
-                        key = keys[kcode] = tuple(
-                            tuple((kcode >> (width * (s * ngens + i))) & mask
-                                  for i in range(ngens))
-                            for s in range(self.arity))
-                    coeff = acc.get(exps)
-                    if coeff is None:
-                        coeff = acc[exps] = {}
-                    coeff[key] = Q(num, den)
+        for bucket in packed.buckets.values():
+            for code, num in bucket:
+                vcode = code >> hopf_bits
+                exps = exps_of.get(vcode)
+                if exps is None:
+                    exps = exps_of[vcode] = tuple(
+                        (vcode >> (width * i)) & mask
+                        for i in range(self.nvars))
+                kcode = code & hopf_mask
+                key = keys.get(kcode)
+                if key is None:
+                    key = keys[kcode] = tuple(
+                        tuple((kcode >> (width * (s * ngens + i))) & mask
+                              for i in range(ngens))
+                        for s in range(self.arity))
+                coeff = acc.get(exps)
+                if coeff is None:
+                    coeff = acc[exps] = {}
+                coeff[key] = Q(num, den)
         return acc
 
     def minus_reversed(self, packed):
         """packed minus its image under the key-field reversal, which puts
         the tensor slots and the variables in reverse order. The reversal
-        is a bijection of keys that keeps both bucket degrees, so the int
-        numerators are subtracted bucket by bucket over the common
-        denominator, and only nonzero differences are stored."""
+        is a bijection of keys that keeps the Hopf degree and the degree
+        field, so the int numerators are subtracted bucket by bucket over
+        the common denominator, and only nonzero differences are stored."""
         hopf_bits = self.hopf_bits
         hopf_mask = (1 << hopf_bits) - 1
         slot_bits = self.width * len(self.algebra.names)
+        var_bits = self.width * self.nvars
         reversed_keys, reversed_exps = {}, {}
-        rows = {}
-        for d, row in packed.rows.items():
-            out_row = {}
-            for h, bucket in row.items():
-                out = {}
-                get = bucket.get
-                for code, num in bucket.items():
-                    kcode = code & hopf_mask
-                    rk = reversed_keys.get(kcode)
-                    if rk is None:
-                        rk = reversed_keys[kcode] = _reversed_fields(
-                            kcode, self.arity, slot_bits)
-                    vcode = code >> hopf_bits
-                    rv = reversed_exps.get(vcode)
-                    if rv is None:
-                        rv = reversed_exps[vcode] = _reversed_fields(
-                            vcode, self.nvars, self.width) << hopf_bits
-                    image = rv | rk
-                    mirror = get(image)
-                    if mirror is None:
-                        out[code] = num
-                        out[image] = -num
-                    elif mirror != num:
-                        out[code] = num - mirror
-                if out:
-                    out_row[h] = out
-            if out_row:
-                rows[d] = out_row
-        return _Packed(rows, packed.den, packed.order, packed.flag)
+        buckets = {}
+        for h, bucket in packed.buckets.items():
+            out = {}
+            get = dict(bucket).get
+            for code, num in bucket:
+                kcode = code & hopf_mask
+                rk = reversed_keys.get(kcode)
+                if rk is None:
+                    rk = reversed_keys[kcode] = _reversed_fields(
+                        kcode, self.arity, slot_bits)
+                vcode = code >> hopf_bits
+                rv = reversed_exps.get(vcode)
+                if rv is None:
+                    rv = reversed_exps[vcode] = (
+                        vcode >> var_bits << var_bits
+                        | _reversed_fields(vcode, self.nvars, self.width)
+                    ) << hopf_bits
+                image = rv | rk
+                mirror = get(image)
+                if mirror is None:
+                    out[code] = num
+                    out[image] = -num
+                elif mirror != num:
+                    out[code] = num - mirror
+            if out:
+                buckets[h] = sorted(out.items(), key=_code)
+        return _Packed(buckets, packed.den, packed.order, packed.flag,
+                       packed.shift)
 
 
 def _reversed_fields(code, count, bits):
@@ -208,43 +217,51 @@ def _reversed_fields(code, count, bits):
 
 
 class _Packed:
-    """Packed terms rows[variable degree][Hopf degree] = {code: numerator}
-    over the common denominator `den`, with the certified order and the
-    `truncated` flag of the series they stand for. `val` is the valuation
-    (smallest variable degree of a stored term)."""
+    """Packed terms buckets[Hopf degree] = [(code, numerator), ...], each
+    bucket nonempty and sorted by code, so by variable degree (the field
+    at bit `shift` of its layout), over the common denominator `den`,
+    with the certified order and the `truncated` flag of the series they
+    stand for. `val` is the valuation (smallest variable degree of a
+    stored term)."""
 
-    __slots__ = ("rows", "den", "order", "flag", "val")
+    __slots__ = ("buckets", "den", "order", "flag", "shift", "val")
 
-    def __init__(self, rows, den, order, flag):
-        self.rows = rows
+    def __init__(self, buckets, den, order, flag, shift):
+        self.buckets = buckets
         self.den = den
         self.order = order
         self.flag = flag
-        self.val = min(rows, default=INF)
+        self.shift = shift
+        # the least code has the least degree
+        self.val = (min([b[0][0] for b in buckets.values()]) >> shift
+                    if buckets else INF)
 
     @classmethod
-    def reduced(cls, rows, den, order, flag):
-        """Drop zero numerators and empty buckets, then cancel the common
-        factor of the numerators and the denominator."""
+    def reduced(cls, buckets, den, order, flag, shift):
+        """_Packed of buckets {Hopf degree: {code: numerator}}: zero
+        numerators and empty buckets dropped, the common factor of the
+        numerators and the denominator cancelled, each bucket sorted."""
         clean = {}
         g = den
-        for d, row in rows.items():
-            kept = {}
-            for h, bucket in row.items():
-                if 0 in bucket.values():
-                    bucket = {k: n for k, n in bucket.items() if n}
-                if bucket:
-                    kept[h] = bucket
-                    if g != 1:
-                        g = math.gcd(g, *bucket.values())
-            if kept:
-                clean[d] = kept
+        for h, bucket in buckets.items():
+            if 0 in bucket.values():
+                bucket = {k: n for k, n in bucket.items() if n}
+            if bucket:
+                clean[h] = bucket
+                if g != 1:
+                    g = math.gcd(g, *bucket.values())
         if g != 1:
             den //= g
-            for row in clean.values():
-                for h, bucket in row.items():
-                    row[h] = {k: n // g for k, n in bucket.items()}
-        return cls(clean, den, order, flag)
+            for h, bucket in clean.items():
+                clean[h] = [(k, bucket[k] // g) for k in sorted(bucket)]
+        else:
+            for h, bucket in clean.items():
+                clean[h] = sorted(bucket.items(), key=_code)
+        return cls(clean, den, order, flag, shift)
+
+    def stamped(self, order, flag):
+        """The same terms with another certified order and flag."""
+        return _Packed(self.buckets, self.den, order, flag, self.shift)
 
     def times(self, other, keep, bound):
         """Product: the one-pair case of `sum_of_products`."""
@@ -252,53 +269,78 @@ class _Packed:
 
     @staticmethod
     def sum_of_products(pairs, keep, bound):
-        """Sum of the products a * b over the (a, b) pairs in one rows dict
-        over the lcm L of the den(a) * den(b), reduced once; b's numerators
-        are scaled by L / (den(a) * den(b)) before its pass. A product's
-        order cap is min(r_a + val(b), r_b + val(a)) (inf for two complete
-        polynomials), and any pair of nonzero terms within it whose Hopf
-        degrees overflow the bound sets the flag. Terms of variable degree
-        up to the least of keep and the caps are formed and certified."""
+        """Sum of the products a * b over the (a, b) pairs in one
+        accumulator over the lcm L of the den(a) * den(b), reduced once;
+        the outer factor of each term pair is scaled by L / (den(a) *
+        den(b)). A product's order cap is min(r_a + val(b), r_b + val(a))
+        (inf for two complete polynomials), and any pair of nonzero terms
+        within it whose Hopf degrees overflow the bound sets the flag: the
+        lowest-degree terms of the two buckets decide. Terms of variable
+        degree up to the least of keep and the caps are formed and
+        certified. The operands share one layout, apart from `_UNIT`,
+        whose shift of 0 is below every layout's, so the largest shift of
+        a pair's operands is the layout's."""
         caps = [INF if a.order == INF and b.order == INF
                 else min(a.order + b.val, b.order + a.val) for a, b in pairs]
         keep = min(keep, *caps) if caps else keep
         den = math.lcm(*(a.den * b.den for a, b in pairs))
         flag = False
-        rows = {}
+        acc = {}
+        shift = 0
         for (a, b), cap in zip(pairs, caps):
             flag = flag or a.flag or b.flag
             scale = den // (a.den * b.den)
-            b_rows = sorted(b.rows.items())
-            if scale != 1:
-                b_rows = [(db, {hb: {k: n * scale for k, n in bucket.items()}
-                                for hb, bucket in row.items()})
-                          for db, row in b_rows]
-            for da, row_a in a.rows.items():
-                for db, row_b in b_rows:
-                    d = da + db
-                    if d > cap:
-                        break
-                    for ha, bucket_a in row_a.items():
-                        for hb, bucket_b in row_b.items():
-                            h = ha + hb
-                            if h > bound:
-                                flag = True
-                                continue
-                            if d > keep:
-                                continue
-                            out = rows.setdefault(d, {}).setdefault(h, {})
-                            get = out.get
-                            # the longer bucket innermost: fewer loop set-ups
-                            if len(bucket_a) > len(bucket_b):
-                                outer, inner = bucket_b, bucket_a
-                            else:
-                                outer, inner = bucket_a, bucket_b
-                            items_b = inner.items()
-                            for ka, na in outer.items():
-                                for kb, nb in items_b:
-                                    k = ka + kb
-                                    out[k] = get(k, 0) + na * nb
-        return _Packed.reduced(rows, den, keep, flag)
+            shift = max(shift, a.shift, b.shift)
+            if keep == INF:  # and so is every cap: no degree decides
+                a_spans = [(ha, la, 0, 0) for ha, la in a.buckets.items()]
+                b_spans = [(hb, lb, 0, 0) for hb, lb in b.buckets.items()]
+            else:
+                a_spans = [(ha, la, la[0][0] >> shift, la[-1][0] >> shift)
+                           for ha, la in a.buckets.items()]
+                b_spans = [(hb, lb, lb[0][0] >> shift, lb[-1][0] >> shift)
+                           for hb, lb in b.buckets.items()]
+            for ha, la, low_a, top_a in a_spans:
+                for hb, lb, low_b, top_b in b_spans:
+                    low = low_a + low_b
+                    h = ha + hb
+                    if h > bound:
+                        if low <= cap:
+                            flag = True
+                        continue
+                    if low > keep:
+                        continue
+                    out = acc.get(h)
+                    if out is None:
+                        out = acc[h] = {}
+                    get = out.get
+                    # the longer bucket innermost: fewer loop set-ups
+                    if len(la) > len(lb):
+                        outer, inner, top = lb, la, top_a
+                    else:
+                        outer, inner, top = la, lb, top_b
+                    if top_a + top_b <= keep:
+                        for ko, no in outer:
+                            no *= scale
+                            for ki, ni in inner:
+                                k = ko + ki
+                                out[k] = get(k, 0) + no * ni
+                        continue
+                    for ko, no in outer:
+                        room = keep - (ko >> shift)
+                        if room < top:
+                            # inner terms of degree up to room: the codes
+                            # below (room + 1) << shift
+                            run = inner[:bisect_left(
+                                inner, ((room + 1) << shift,))]
+                            if not run:
+                                break
+                        else:
+                            run = inner
+                        no *= scale
+                        for ki, ni in run:
+                            k = ko + ki
+                            out[k] = get(k, 0) + no * ni
+        return _Packed.reduced(acc, den, keep, flag, shift)
 
     @staticmethod
     def summed(packs):
@@ -307,9 +349,20 @@ class _Packed:
         return _Packed.sum_of_products([(_UNIT, p) for p in packs], INF, INF)
 
     def truncate(self, cap):
-        return _Packed({d: row for d, row in self.rows.items() if d <= cap},
-                       self.den, min(self.order, cap), self.flag)
+        """The terms of variable degree up to cap, certified through cap
+        at most."""
+        buckets = self.buckets
+        if cap < max((b[-1][0] >> self.shift for b in buckets.values()),
+                     default=0):
+            end = (int(cap) + 1) << self.shift
+            buckets = {}
+            for h, bucket in self.buckets.items():
+                bucket = bucket[:bisect_left(bucket, (end,))]
+                if bucket:
+                    buckets[h] = bucket
+        return _Packed(buckets, self.den, min(self.order, cap), self.flag,
+                       self.shift)
 
 
 # the complete, unflagged constant 1 of every layout
-_UNIT = _Packed({0: {0: {0: 1}}}, 1, INF, False)
+_UNIT = _Packed({0: [(0, 1)]}, 1, INF, False, 0)

@@ -175,8 +175,14 @@ class Series:
         return self.coeff((0,) * self.nvars)
 
     def truncate(self, order):
-        """Drop terms above the order; certification shrinks accordingly."""
+        """Drop terms above the order; certification shrinks accordingly.
+        A view whose terms are not unpacked yet is cut on its packed form
+        (a view with terms keeps them: its constant coefficient may carry
+        a flag that the packed form does not)."""
         new_order = min(self.order, order)
+        if self._terms is None:
+            codec, packed = self._packed
+            return _view(codec, packed.truncate(new_order))
         return self._rebuilt(
             {e: c for e, c in self.terms.items() if sum(e) <= new_order},
             new_order)
@@ -353,8 +359,9 @@ class Series:
             cap = min(cap, self.order - slack_total)
         if not self.terms:
             codec = _Codec(self.algebra, self.arity, target.names, 0)
-            return _substituted(codec, _Packed({}, 1, cap, self.truncated),
-                                False)
+            return _substituted(
+                codec, _Packed({}, 1, cap, self.truncated, codec.shift),
+                False)
         vmax = max((a.max_degree() for v, a in enumerate(assigns)
                     if occurring[v]), default=0)
         vmax = max(vmax, cap if cap != INF else self.max_degree() * vmax)
@@ -368,8 +375,7 @@ class Series:
         result = _horner(consts, views, cap)._packed[1]
         const = self.terms.get((0,) * self.nvars)
         return _substituted(
-            codec, _Packed(result.rows, result.den, cap,
-                           result.flag or self.truncated),
+            codec, result.stamped(cap, result.flag or self.truncated),
             const is not None and const.truncated)
 
     def comp_inverse(self, order=None):
@@ -409,10 +415,11 @@ class Series:
             return self._rebuilt({}, order)
         # every Newton step runs packed in one layout, f_k as constants
         codec = _Codec(self.algebra, self.arity, self.names, order)
+        shift = codec.shift
         x_code = codec._exps_code((1,))
         consts = {e[0]: codec.pack({(0,): c.terms})
                   for e, c in self.truncate(order).terms.items()}
-        minus_x = _Packed({1: {0: {x_code: -1}}}, 1, INF, False)
+        minus_x = _Packed({0: [(x_code, -1)]}, 1, INF, False, shift)
         h = codec.pack({(1,): b0_inv.terms})
         bound = self.algebra.degree_bound
         for p in _doubling_orders(1, order):
@@ -423,18 +430,19 @@ class Series:
             f_h = _evaluate({k: c for k, c in consts.items() if k <= p},
                             h, p, bound)
             err = _Packed.summed((f_h, minus_x))
-            if err.rows:
+            if err.buckets:
+                # h(0) = 0: every term of h has degree d >= 1
                 minus_dh = _Packed(
-                    {d - 1: {hd: {code - x_code: -d * n
-                                  for code, n in bucket.items()}
-                             for hd, bucket in row.items()}
-                     for d, row in h.rows.items()}, h.den, INF, False)
+                    {hd: [(code - x_code, -(code >> shift) * n)
+                          for code, n in bucket]
+                     for hd, bucket in h.buckets.items()},
+                    h.den, INF, False, shift)
                 step = _series_mul(_view(codec, err), _view(codec, minus_dh),
                                    keep=p)._packed[1]
                 h = _Packed.summed((h, step))
             else:
                 h = h.truncate(p)
-            h = _Packed(h.rows, h.den, INF, False)
+            h = h.stamped(INF, False)
         return self._rebuilt(_solved_terms(_view(codec, h), b0, b0_inv),
                              order)
 
@@ -666,18 +674,30 @@ def _solved_terms(root, slope, slope_inv):
     order at a time gives it, as -(slope_inv * r) from its residue
     r = -(slope * c) with a clear flag. That product is c in the quotient
     ring, so only its flag is formed: slope_inv's, or a pair of terms of
-    slope_inv and r whose Hopf degrees sum above the bound. Substitutions
-    fold the coefficient flags of the outer series into their result."""
+    slope_inv and r whose Hopf degrees sum above the bound, which is r
+    holding a Hopf degree above the room that slope_inv's top degree
+    leaves. Every residue is read off one packed product slope * root (a
+    root that is no view is packed first). Substitutions fold the
+    coefficient flags of the outer series into their result."""
     algebra = slope.algebra
-    room = algebra.degree_bound - max(
-        algebra.key_degree(key) for key in slope_inv.terms)
+    flagged = set()
+    if not slope_inv.truncated:
+        room = algebra.degree_bound - max(
+            algebra.key_degree(key) for key in slope_inv.terms)
+        if root._packed is None:
+            root = _packed_view(_Codec(algebra, root.arity, root.names,
+                                       root.max_degree()), root)
+        codec, packed = root._packed
+        # the sign of r leaves its degrees as they are
+        r = codec.pack({(0,): slope.terms}).times(packed, INF,
+                                                  algebra.degree_bound)
+        flagged = {code >> r.shift for h, bucket in r.buckets.items()
+                   if h > room for code, _ in bucket}
     terms = {}
     for e, c in root.terms.items():
         if e != (0,):
-            r = slope * c  # the sign of r leaves its degrees as they are
-            flag = slope_inv.truncated or any(
-                algebra.key_degree(key) > room for key in r.terms)
-            c = TensorElement(algebra, c.arity, c.terms, flag,
+            c = TensorElement(algebra, c.arity, c.terms,
+                              slope_inv.truncated or e[0] in flagged,
                               _normalize=False)
         terms[e] = c
     return terms
@@ -721,7 +741,7 @@ def _substituted(codec, packed, const_flag):
     the result without passing through a product, so it keeps the flag of
     the substituted series' constant coefficient (`const_flag`)."""
     terms = None
-    if const_flag and 0 in packed.rows:
+    if const_flag and packed.val == 0:
         terms = _coefficients(codec.algebra, codec.arity,
                               codec.unpack(packed))
         zero = (0,) * codec.nvars
@@ -798,7 +818,7 @@ def _evaluate(coeffs, h, p, bound):
     exact in the quotient ring; the order is p, and the flag is that of
     the kernel calls, which no caller reads."""
     if not coeffs:
-        return _Packed({}, 1, p, False)
+        return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)
     m = max(1, math.isqrt(kmax))
     # p + 1 for h = 0: no block past the first reaches order p

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fglog import (
@@ -926,10 +926,18 @@ def evaluation_inputs(draw):
             draw(st.integers(0, 20)))
 
 
+def y_groups(codec, F):
+    """{k: C_k} for F(x, y) = sum_k C_k(x) y^k, each C_k packed in the
+    one-variable layout of codec as a complete polynomial."""
+    groups = {}
+    for (i, k), coeff in F.terms.items():
+        groups.setdefault(k, {})[(i,)] = coeff.terms
+    return {k: codec.pack(terms) for k, terms in groups.items()}
+
+
 class TestEvaluator:
-    """`series._evaluate` sums C_k h^k, with F grouped into the C_k by
-    `fgl._y_coefficients`, to the terms that Series.substitute gives
-    F(x, h) through the order."""
+    """`series._evaluate` sums C_k h^k, with F grouped into the C_k, to the
+    terms that Series.substitute gives F(x, h) through the order."""
 
     @settings(max_examples=120)
     @given(evaluation_inputs())
@@ -941,9 +949,24 @@ class TestEvaluator:
         codec = series_module._Codec(alg, F.arity, ("x",),
                                      max(p, F.max_degree(), h.max_degree()))
         got = series_module._evaluate(
-            _y_coefficients(codec, F),
+            y_groups(codec, F),
             codec.pack({e: c.terms for e, c in h.terms.items()}),
             p, alg.degree_bound)
         assert got.order == p
         assert codec.unpack(got) == {e: c.terms
                                      for e, c in want.terms.items()}
+
+    @settings(max_examples=60)
+    @given(evaluation_inputs())
+    def test_y_coefficients_fold_the_law(self, case):
+        """`fgl._y_coefficients` packs the nonzero C_k of (mu . (id (x)
+        S))F, the series whose root the group inverse is."""
+        F, _, _ = case
+        assume(F.arity == 2)
+        folded = F.map_coefficients(
+            lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
+        codec = series_module._Codec(F.algebra, 1, ("x",), F.max_degree())
+        got = _y_coefficients(codec, F)
+        want = y_groups(codec, folded)
+        assert {k: codec.unpack(c) for k, c in got.items()} == {
+            k: codec.unpack(c) for k, c in want.items()}
