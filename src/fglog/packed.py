@@ -221,10 +221,9 @@ class _Packed:
     bucket nonempty and sorted by code, so by variable degree (the field
     at bit `shift` of its layout), over the common denominator `den`,
     with the certified order and the `truncated` flag of the series they
-    stand for. `val` is the valuation (smallest variable degree of a
-    stored term)."""
+    stand for."""
 
-    __slots__ = ("buckets", "den", "order", "flag", "shift", "val")
+    __slots__ = ("buckets", "den", "order", "flag", "shift")
 
     def __init__(self, buckets, den, order, flag, shift):
         self.buckets = buckets
@@ -232,9 +231,14 @@ class _Packed:
         self.order = order
         self.flag = flag
         self.shift = shift
-        # the least code has the least degree
-        self.val = (min([b[0][0] for b in buckets.values()]) >> shift
-                    if buckets else INF)
+
+    @property
+    def val(self):
+        """The valuation: the least variable degree of a stored term, which
+        the least code has; inf when there is none."""
+        buckets = self.buckets
+        return (min([b[0][0] for b in buckets.values()]) >> self.shift
+                if buckets else INF)
 
     @classmethod
     def reduced(cls, buckets, den, order, flag, shift):
@@ -277,9 +281,11 @@ class _Packed:
         within it whose Hopf degrees overflow the bound sets the flag: the
         lowest-degree terms of the two buckets decide. Terms of variable
         degree up to the least of keep and the caps are formed and
-        certified. The operands share one layout, apart from `_UNIT`,
-        whose shift of 0 is below every layout's, so the largest shift of
-        a pair's operands is the layout's."""
+        certified: all of a pair of buckets whose top terms stay within
+        keep, else each outer term's run of the inner bucket up to keep.
+        The operands share one layout, apart from `_UNIT`, whose shift of
+        0 is below every layout's, so the largest shift of a pair's
+        operands is the layout's."""
         caps = [INF if a.order == INF and b.order == INF
                 else min(a.order + b.val, b.order + a.val) for a, b in pairs]
         keep = min(keep, *caps) if caps else keep
@@ -291,23 +297,15 @@ class _Packed:
             flag = flag or a.flag or b.flag
             scale = den // (a.den * b.den)
             shift = max(shift, a.shift, b.shift)
-            if keep == INF:  # and so is every cap: no degree decides
-                a_spans = [(ha, la, 0, 0) for ha, la in a.buckets.items()]
-                b_spans = [(hb, lb, 0, 0) for hb, lb in b.buckets.items()]
-            else:
-                a_spans = [(ha, la, la[0][0] >> shift, la[-1][0] >> shift)
-                           for ha, la in a.buckets.items()]
-                b_spans = [(hb, lb, lb[0][0] >> shift, lb[-1][0] >> shift)
-                           for hb, lb in b.buckets.items()]
-            for ha, la, low_a, top_a in a_spans:
-                for hb, lb, low_b, top_b in b_spans:
-                    low = low_a + low_b
+            b_buckets = b.buckets.items()
+            for ha, la in a.buckets.items():
+                for hb, lb in b_buckets:
                     h = ha + hb
                     if h > bound:
-                        if low <= cap:
+                        if cap == INF or (
+                                (la[0][0] >> shift) + (lb[0][0] >> shift)
+                                <= cap):
                             flag = True
-                        continue
-                    if low > keep:
                         continue
                     out = acc.get(h)
                     if out is None:
@@ -315,16 +313,19 @@ class _Packed:
                     get = out.get
                     # the longer bucket innermost: fewer loop set-ups
                     if len(la) > len(lb):
-                        outer, inner, top = lb, la, top_a
+                        outer, inner = lb, la
                     else:
-                        outer, inner, top = la, lb, top_b
-                    if top_a + top_b <= keep:
+                        outer, inner = la, lb
+                    if keep == INF or (
+                            (la[-1][0] >> shift) + (lb[-1][0] >> shift)
+                            <= keep):
                         for ko, no in outer:
                             no *= scale
                             for ki, ni in inner:
                                 k = ko + ki
                                 out[k] = get(k, 0) + no * ni
                         continue
+                    top = inner[-1][0] >> shift
                     for ko, no in outer:
                         room = keep - (ko >> shift)
                         if room < top:
@@ -352,8 +353,8 @@ class _Packed:
         """The terms of variable degree up to cap, certified through cap
         at most."""
         buckets = self.buckets
-        if cap < max((b[-1][0] >> self.shift for b in buckets.values()),
-                     default=0):
+        if buckets and cap < max(
+                [b[-1][0] for b in buckets.values()]) >> self.shift:
             end = (int(cap) + 1) << self.shift
             buckets = {}
             for h, bucket in self.buckets.items():
