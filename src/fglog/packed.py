@@ -14,8 +14,9 @@ multiplicatively from the generators (`HopfAlgebra.comul_mono`) and form
 the tensor of elements of H (`TensorElement.from_slots`).
 A term's slot monomials, variable exponents and total variable degree are
 packed into one graded int key, a field per exponent with the degree field
-on top, so the key of a product term is the sum of its factors' keys and
-keys sort by degree first. The symmetry defect of a law, and the
+on top in place of the last exponent's (which the degree and the others
+give), so the key of a product term is the sum of its factors' keys, keys
+sort by degree first and are no longer than one field per exponent. The symmetry defect of a law, and the
 associativity defect of a law equal to its flip, are a packed series minus
 its key-field reversal, which puts the tensor slots and the variables in
 reverse order (`_Codec.minus_reversed`).
@@ -49,12 +50,14 @@ _code = itemgetter(0)  # sorting (code, numerator) terms by code alone
 
 class _Codec:
     """Packed-key layout for one algebra, arity and variable tuple: every
-    exponent gets `width` bits, tensor slots first, then the variables,
-    and the total variable degree sits above them, at bit `shift`, with
-    no bound. Variable exponents up to `vmax` and generator exponents up
-    to the degree bound fit; products are only formed within those
-    limits, so adding two keys never carries from one field into the
-    next, and a key's degree is `key >> shift`."""
+    exponent gets `width` bits, tensor slots first, then the variables
+    but the last, and the total variable degree sits above them, at bit
+    `shift`, with no bound; the last exponent is the degree minus the
+    others. A field of its own for the degree would push keys that now
+    fit in one 30-bit int digit past it. Variable exponents up to `vmax`
+    and generator exponents up to the degree bound fit; products are
+    only formed within those limits, so adding two keys never carries
+    from one field into the next, and a key's degree is `key >> shift`."""
 
     __slots__ = ("algebra", "arity", "nvars", "names", "width", "hopf_bits",
                  "shift", "_codes", "_keys", "_exps")
@@ -66,7 +69,7 @@ class _Codec:
         self.names = names
         self.width = max(vmax, algebra.degree_bound, 1).bit_length()
         self.hopf_bits = self.width * arity * len(algebra.names)
-        self.shift = self.hopf_bits + self.width * self.nvars
+        self.shift = self.hopf_bits + self.width * max(self.nvars - 1, 0)
         self._codes = {}  # tensor key -> (code, Hopf degree)
         self._keys = {}  # code -> tensor key
         self._exps = {}  # code >> hopf_bits -> exponent tuple
@@ -83,13 +86,29 @@ class _Codec:
         return hit
 
     def _exps_code(self, exps):
-        """The variable fields and the degree field of an exponent tuple."""
+        """The variable fields and the degree field of an exponent tuple;
+        a tuple shorter than the layout's gives the leading variables'
+        exponents, the others 0 (a law in X, Y among X, Y, Z)."""
         code = sum(exps) << self.shift
         shift = self.hopf_bits
-        for e in exps:
+        for e in exps[:self.nvars - 1]:
             code |= e << shift
             shift += self.width
         return code
+
+    def _code_exps(self, vcode):
+        """The exponent tuple of the variable and degree fields `vcode`
+        (a code shifted down by hopf_bits)."""
+        exps = self._exps.get(vcode)
+        if exps is None:
+            width = self.width
+            mask = (1 << width) - 1
+            head = [(vcode >> (width * i)) & mask
+                    for i in range(self.nvars - 1)]
+            exps = self._exps[vcode] = (
+                () if not self.nvars
+                else (*head, (vcode >> (width * len(head))) - sum(head)))
+        return exps
 
     def pack(self, terms, order=INF, flag=False):
         """_Packed form of a terms dict {exps: {key: Q}}."""
@@ -149,9 +168,7 @@ class _Codec:
                 vcode = code >> hopf_bits
                 exps = exps_of.get(vcode)
                 if exps is None:
-                    exps = exps_of[vcode] = tuple(
-                        (vcode >> (width * i)) & mask
-                        for i in range(self.nvars))
+                    exps = self._code_exps(vcode)
                 kcode = code & hopf_mask
                 key = keys.get(kcode)
                 if key is None:
@@ -174,7 +191,6 @@ class _Codec:
         hopf_bits = self.hopf_bits
         hopf_mask = (1 << hopf_bits) - 1
         slot_bits = self.width * len(self.algebra.names)
-        var_bits = self.width * self.nvars
         reversed_keys, reversed_exps = {}, {}
         buckets = {}
         for h, bucket in packed.buckets.items():
@@ -189,10 +205,8 @@ class _Codec:
                 vcode = code >> hopf_bits
                 rv = reversed_exps.get(vcode)
                 if rv is None:
-                    rv = reversed_exps[vcode] = (
-                        vcode >> var_bits << var_bits
-                        | _reversed_fields(vcode, self.nvars, self.width)
-                    ) << hopf_bits
+                    rv = reversed_exps[vcode] = self._exps_code(
+                        self._code_exps(vcode)[::-1])
                 image = rv | rk
                 mirror = get(image)
                 if mirror is None:
