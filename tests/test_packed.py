@@ -201,3 +201,14 @@ class TestSumOfProducts:
         assert codec.unpack(got) == {e: c for e, c in terms.items()
                                      if sum(e) <= cap}
         assert (got.order, got.flag) == (min(order, cap), flag)
+
+    def test_short_exponent_tuples_lead(self, qt1):
+        """An exponent tuple shorter than the layout's packs as its
+        leading variables with the others 0, as the associativity gate
+        packs F(X, Y) among X, Y and Z."""
+        codec = _Codec(qt1, 2, ("X", "Y", "Z"), 8)
+        key = ((1,), (2,))
+        short = {(2, 3): {key: Q(1, 2)}, (0, 1): {key: Q(3)}}
+        got = codec.pack(short)
+        assert_graded(codec, got)
+        assert codec.unpack(got) == {e + (0,): c for e, c in short.items()}
