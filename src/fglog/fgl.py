@@ -64,6 +64,7 @@ from .errors import (
     NonNilpotentConstantTerm,
     NotAugmented,
     ResidualNonConstant,
+    ShapeMismatch,
     TruncationInsufficient,
 )
 from .hopf import TensorElement
@@ -307,11 +308,15 @@ def _defect_report(named, cert, extra=()):
 
 def invariant_differential(F):
     """omega(x) = (id (x) eps) dF/dY (x, 0), a one-variable series over H
-    with constant term 1 for any group law."""
-    partial = F.derivative(1).set_variable_zero(1)
-    collapsed = partial.map_coefficients(
-        lambda A: A.apply_slot(1, "counit"))
-    return collapsed.drop_variable(1).with_names(("x",))
+    with constant term 1 for any group law: the slot-1 counits of F's
+    coefficients of X^i Y, through F's order minus one."""
+    if F.nvars != 2:
+        raise ShapeMismatch("invariant differential needs a law in two "
+                            f"variables, not {F.nvars}")
+    linear = Series(F.algebra, F.arity, 1,
+                    {(i,): c for (i, k), c in F.terms.items() if k == 1},
+                    F.order - 1, ("x",), F.truncated, _normalize=False)
+    return linear.map_coefficients(lambda A: A.apply_slot(1, "counit"))
 
 
 def logarithm(F, order=None):
@@ -615,9 +620,9 @@ def inverse_series(F, order=None):
         if err.buckets:
             d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
             u = (_view(codec, d) * s).mul_inverse(q) * s
-            step = _series_mul(_view(codec, err), _packed_view(codec, -u),
-                               keep=p)._packed[1]
-            root = _Packed.summed((root, step)).stamped(INF, False)
+            root = _series_mul(_view(codec, err), _packed_view(codec, -u),
+                               keep=p, plus=_view(codec, root))._packed[1]
+            root = root.stamped(INF, False)
         q = p
     terms = _coefficients(algebra, 1, codec.unpack(root))
     if not theta.is_zero():

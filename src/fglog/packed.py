@@ -2,16 +2,19 @@
 
 Every product and sum of coefficient terms runs on one loop,
 `_Packed.sum_of_products`, which adds the products of several pairs into
-one accumulator over a common denominator: series products and the Horner
-steps of a substitution (series.py; `_Packed.times` is one pair,
-`_Packed.summed` the unit times each addend), the powers and blocks of the
-Paterson-Stockmeyer evaluator (`series._evaluate`) that the Newton loops
-of series reversion and of the group inverse (`fgl.inverse_series`) run
-on, the powers of F(X, Y) and the rows U^k G_k of the associativity gate
-(`fgl._gate_composite`), and tensor products (`TensorElement.__mul__`
-packs its operands as 0-variable series), which extend the coproduct
-multiplicatively from the generators (`HopfAlgebra.comul_mono`) and form
-the tensor of elements of H (`TensorElement.from_slots`).
+one accumulator over a common denominator (`_Packed.times` is one pair,
+`_Packed.summed` the unit times each addend): series products, the
+Horner steps of a substitution and the Newton steps of series reversion
+and of the group inverse (series.py `_series_mul`, each step one call
+with the unit times its addend as a second pair), the powers and blocks
+of the Paterson-Stockmeyer evaluator (`series._evaluate`) that those
+Newton loops run on, the order-by-order recursion of `Series.mul_inverse`
+on 0-variable packed coefficients, the powers of F(X, Y) and the rows
+U^k G_k of the associativity gate (`fgl._gate_composite`), and tensor
+products (`TensorElement.__mul__` packs its operands as 0-variable
+series), which extend the coproduct multiplicatively from the generators
+(`HopfAlgebra.comul_mono`) and form the tensor of elements of H
+(`TensorElement.from_slots`).
 A term's slot monomials, variable exponents and total variable degree are
 packed into one graded int key, a field per exponent with the degree field
 on top in place of the last exponent's (which the degree and the others

@@ -11,7 +11,8 @@ group laws, coboundary data). The bookkeeping rules:
   mul                min(r_f + val(g), r_g + val(f))
   derivative         r - 1
   integrate          r + 1
-  mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k)
+  mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k,
+                     solved order by order on packed coefficients)
   comp_inverse       r (each packed Newton step h - (f(h) - x) h', f(h)
                      summed by the Paterson-Stockmeyer evaluator, is
                      certified through the precision it doubles to)
@@ -290,15 +291,13 @@ class Series:
         """Formal partial derivative; certified order drops by one."""
         if not 0 <= var < self.nvars:
             raise ShapeMismatch(f"variable index {var} outside series")
+        # exponent tuples map injectively: no two terms meet
         acc = {}
         for e, c in self.terms.items():
             k = e[var]
-            if k == 0:
-                continue
-            exps = e[:var] + (k - 1,) + e[var + 1:]
-            scaled = c * Q(k)
-            prev = acc.get(exps)
-            acc[exps] = scaled if prev is None else prev + scaled
+            if k:
+                acc[e[:var] + (k - 1,) + e[var + 1:]] = (
+                    c if k == 1 else c * Q(k))
         order = self.order - 1
         return self._rebuilt({e: c for e, c in acc.items()
                               if sum(e) <= order and not c.is_zero()}, order)
@@ -437,9 +436,8 @@ class Series:
                           for code, n in bucket]
                      for hd, bucket in h.buckets.items()},
                     h.den, INF, False, shift)
-                step = _series_mul(_view(codec, err), _view(codec, minus_dh),
-                                   keep=p)._packed[1]
-                h = _Packed.summed((h, step))
+                h = _series_mul(_view(codec, err), _view(codec, minus_dh),
+                                keep=p, plus=_view(codec, h))._packed[1]
             else:
                 h = h.truncate(p)
             h = h.stamped(INF, False)
@@ -451,7 +449,9 @@ class Series:
     def mul_inverse(self, order=None):
         """Series g with f*g = 1. Needs a constant term of full counit 1;
         the finite geometric expansion in its nilpotent part starts the
-        order-by-order recursion for the rest.
+        order-by-order recursion for the rest, which runs on packed
+        coefficients (one kernel call per product) and unpacks only the
+        result's.
 
         For a complete polynomial whose positive-degree coefficients are all
         counit-zero the inverse is again a complete polynomial (degree
@@ -498,8 +498,15 @@ class Series:
                 order = (self.arity * self.algebra.degree_bound * maxdeg
                          + maxdeg)
 
-        levels = {0: {(0,) * self.nvars: f0_inv}}
-        acc_terms = {(0,) * self.nvars: f0_inv}
+        codec = self.algebra._codec(self.arity)
+        bound = self.algebra.degree_bound
+        parts = {d: [(e, codec.pack({(): c.terms}, flag=c.truncated))
+                     for e, c in entries] for d, entries in parts.items()}
+        minus_f0_inv = codec.pack({(): (-f0_inv).terms},
+                                  flag=f0_inv.truncated)
+        levels = {0: {(0,) * self.nvars: codec.pack(
+            {(): f0_inv.terms}, flag=f0_inv.truncated)}}
+        acc_terms = {}
         truncated = self.truncated
         for m in range(1, order + 1):
             raw = {}
@@ -509,25 +516,28 @@ class Series:
                     continue
                 for e_f, c_f in parts.get(j, ()):
                     for e_b, c_b in prev.items():
-                        e = tuple(a + b for a, b in zip(e_f, e_b))
-                        prod = c_f * c_b
-                        truncated = truncated or prod.truncated
-                        if prod.is_zero():
-                            continue
-                        cur = raw.get(e)
-                        raw[e] = prod if cur is None else cur + prod
-            level = {}
-            for e, c in raw.items():
-                val = -(f0_inv * c)
-                if not val.is_zero():
-                    level[e] = val
-                    acc_terms[e] = val
-            levels[m] = level
+                        prod = c_f.times(c_b, INF, bound)
+                        # a zero product flags the series, not the
+                        # coefficient
+                        truncated = truncated or prod.flag
+                        if prod.buckets:
+                            raw.setdefault(tuple(map(operator.add, e_f, e_b)),
+                                           []).append(prod)
+            level = levels[m] = {}
+            for e, prods in raw.items():
+                val = minus_f0_inv.times(_Packed.summed(prods), INF, bound)
+                if val.buckets:
+                    level[e] = acc_terms[e] = val
             if exhaustive and all(
                     not levels.get(m - i) for i in range(min(m, maxdeg))):
                 break
+        terms = {(0,) * self.nvars: f0_inv}
+        for e, val in acc_terms.items():
+            terms[e] = TensorElement(self.algebra, self.arity,
+                                     codec.unpack(val)[()], val.flag,
+                                     _normalize=False)
         result_order = INF if exhaustive else min(order, self.order)
-        return Series(self.algebra, self.arity, self.nvars, acc_terms,
+        return Series(self.algebra, self.arity, self.nvars, terms,
                       result_order, self.names, truncated)
 
     # -- coefficient-wise structure maps -------------------------------------------
@@ -709,7 +719,8 @@ def _solved_terms(root, slope, slope_inv):
 # layout, which carry the packed form and unpack their terms only when
 # these are read, and so is the product. `Series.__mul__` packs its two
 # operands into a layout sized for their product; a substitution packs its
-# inputs once, and its Horner steps and result are views of its layout.
+# inputs once, and its Horner steps (each a product plus an addend in one
+# call) and result are views of its layout.
 
 
 def _coefficients(algebra, arity, terms):
@@ -764,13 +775,18 @@ def _minus_reversed(result):
                         const is not None and const.truncated)
 
 
-def _series_mul(f, g, *, keep):
-    """f * g truncated at `keep`, for two views of one layout, as a view of
+def _series_mul(f, g, *, keep, plus=None):
+    """f * g truncated at `keep`, for views of one layout, as a view of
     that layout (f's). The `truncated` flag counts every pair of terms
-    within the product's own order cap, as (f * g).truncate(keep) would."""
+    within the product's own order cap, as (f * g).truncate(keep) would.
+    A view `plus` is added as `Series.__add__` would add it, in the same
+    kernel call, as the pair (1, plus)."""
     codec, packed = f._packed
-    return _view(codec, packed.times(g._packed[1], keep,
-                                     f.algebra.degree_bound))
+    pairs = [(packed, g._packed[1])]
+    if plus is not None:
+        pairs.append((_UNIT, plus._packed[1]))
+    return _view(codec, _Packed.sum_of_products(pairs, keep,
+                                                f.algebra.degree_bound))
 
 
 def _horner(consts, assigns, cap):
@@ -783,7 +799,9 @@ def _horner(consts, assigns, cap):
     are truncated at cap; the certified order and the flag of each step
     follow the Series operations (product, truncate, sum), and
     certification of the result is stamped by the caller. Every step, one
-    by a bare variable included, is one `_series_mul`."""
+    by a bare variable included, is one `_series_mul` with the step's
+    group as its `plus`: the terms, order and flag of the product
+    truncated at cap and then summed with the group."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
@@ -795,11 +813,8 @@ def _horner(consts, assigns, cap):
     kmax = max(groups)
     result = groups[kmax]
     for k in range(kmax - 1, -1, -1):
-        result = _series_mul(result, assigns[0], keep=cap)
-        if k in groups:
-            codec, packed = result._packed
-            result = _view(codec, _Packed.summed(
-                (packed, groups[k]._packed[1])))
+        result = _series_mul(result, assigns[0], keep=cap,
+                             plus=groups.get(k))
     if cap != INF:
         codec, packed = result._packed
         result = _view(codec, packed.truncate(cap))

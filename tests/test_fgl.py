@@ -57,12 +57,14 @@ from fglog.errors import (
     NonNilpotentConstantTerm,
     NotAugmented,
     ResidualNonConstant,
+    ShapeMismatch,
     TruncationInsufficient,
 )
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_series import (
+    _ENGINE_ALGEBRAS,
     NEWTON_ALGEBRAS,
     SELDOM,
     _assert_same,
@@ -333,6 +335,52 @@ class TestStrictGrading:
 
 
 # -- invariant differential and logarithm ---------------------------------------
+
+
+def definition_differential(F):
+    """(id (x) eps) dF/dY (x, 0) by the Series operations that define it."""
+    partial = F.derivative(1).set_variable_zero(1)
+    collapsed = partial.map_coefficients(
+        lambda A: A.apply_slot(1, "counit"))
+    return collapsed.drop_variable(1).with_names(("x",))
+
+
+class TestInvariantDifferential:
+    """invariant_differential, read off F's coefficients of X^i Y, gives
+    what the definition's Series operations give: terms, coefficient
+    flags, certified order, `truncated` and names."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_definition_route(self, data):
+        name, bound = data.draw(_ENGINE_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        F = data.draw(engine_series(alg, 2, 2))
+        _assert_same(invariant_differential(F), definition_differential(F))
+
+    def test_flagged_coefficients(self, qt1):
+        """A flagged X Y coefficient whose counit image is zero flags the
+        series only; a flagged X^2 Y coefficient flags its image too. The
+        law's own flag is clear (no normalization), so only the
+        coefficients can set the result's."""
+        t, one = t_elem(qt1), HopfElement.one(qt1)
+        flagged = TensorElement.from_slots(one, t)
+        terms = dict(additive_law(qt1, order=4).terms)
+        terms[(1, 1)] = TensorElement(qt1, 2, flagged.terms, True)
+        terms[(2, 1)] = TensorElement(
+            qt1, 2, TensorElement.from_slots(t * t, one).terms, True)
+        terms[(3, 1)] = TensorElement.from_slots(t, one)
+        F = Series(qt1, 2, 2, terms, 4, XY, _normalize=False)
+        got = invariant_differential(F)
+        _assert_same(got, definition_differential(F))
+        assert got.truncated and got.order == 3
+        assert got.coeff((2,)).truncated
+        assert set(got.terms) == {(0,), (2,), (3,)}
+
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_needs_two_variables(self, qt1, nvars):
+        with pytest.raises(ShapeMismatch):
+            invariant_differential(Series.variable(qt1, 2, nvars, 0))
 
 
 class TestLogarithm:

@@ -493,6 +493,19 @@ def reference_substitute(f, assigns):
                   truncated, _normalize=False)
 
 
+def checked_steps(original, steps):
+    """A `_series_mul` that checks each call against reference_mul
+    truncated at its `keep`, plus its `plus` addend when given, and
+    records the result in steps."""
+    def checked(g, h, *, keep, plus=None):
+        got = original(g, h, keep=keep, plus=plus)
+        want = reference_mul(g, h).truncate(keep)
+        _assert_same(got, want if plus is None else want + plus)
+        steps.append(got)
+        return got
+    return checked
+
+
 _RARE = st.integers(0, 5).map(lambda n: n == 0)
 
 
@@ -582,7 +595,8 @@ class TestPackedEngine:
     def test_each_horner_step_is_one_series_mul(self, qt1, monkeypatch):
         """A substitution makes every product through `_series_mul` (where
         the benchmark's tracer counts products), and each step equals the
-        plain product truncated at the substitution's cap."""
+        plain product truncated at the substitution's cap plus the step's
+        addend."""
         t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
         one = TensorElement.unit(qt1, 1)
         f = Series(qt1, 1, 1, {(0,): one, (1,): one, (3,): t}, 6)
@@ -590,11 +604,7 @@ class TestPackedEngine:
         original = series_module._series_mul
         steps = []
 
-        def checked(g, h, **kwargs):
-            got = original(g, h, **kwargs)
-            _assert_same(got, reference_mul(g, h).truncate(kwargs["keep"]))
-            steps.append(got)
-            return got
+        checked = checked_steps(original, steps)
 
         monkeypatch.setattr(series_module, "_series_mul", checked)
         _assert_same(f.substitute([a]), reference_substitute(f, [a]))
@@ -603,7 +613,8 @@ class TestPackedEngine:
     def test_bare_variables_are_series_products(self, qt1, monkeypatch):
         """A step by a bare variable is an ordinary product: substituting
         (Y, X) into f makes one `_series_mul` per Horner step, each equal
-        to the plain product truncated at the cap, and gives the swap."""
+        to the plain product truncated at the cap plus the step's addend,
+        and gives the swap."""
         t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
         one = TensorElement.unit(qt1, 1)
         f = Series(qt1, 1, 2, {(0, 0): t, (2, 1): one, (1, 3): t * t}, 5,
@@ -612,11 +623,7 @@ class TestPackedEngine:
         original = series_module._series_mul
         steps = []
 
-        def checked(g, h, **kwargs):
-            got = original(g, h, **kwargs)
-            _assert_same(got, reference_mul(g, h).truncate(kwargs["keep"]))
-            steps.append(got)
-            return got
+        checked = checked_steps(original, steps)
 
         monkeypatch.setattr(series_module, "_series_mul", checked)
         got = f.substitute(swap)
@@ -970,3 +977,143 @@ class TestEvaluator:
         want = y_groups(codec, folded)
         assert {k: codec.unpack(c) for k, c in got.items()} == {
             k: codec.unpack(c) for k, c in want.items()}
+
+
+# -- packed mul_inverse against the TensorElement recursion -------------------
+
+def reference_mul_inverse(f, order=None):
+    """Series.mul_inverse order by order on TensorElement coefficients: the
+    recursion the packed one keeps, flags included (a zero product flags
+    the series, not its coefficient)."""
+    f0 = f.constant_term()
+    if f0.full_counit() != 1:
+        raise NonInvertibleConstantTerm(
+            "constant term must have full counit 1 "
+            "(rational rescaling is the caller's job)")
+    f0_inv = f0.mul_inverse()
+    if order is not None and order > f.order:
+        raise TruncationInsufficient(
+            f"inverse through order {order} needs the input through "
+            f"that order (certified {f.order})",
+            certified=f.order, requested=order)
+    parts = {}
+    for e, c in f.terms.items():
+        d = sum(e)
+        if d:
+            parts.setdefault(d, []).append((e, c))
+    if not parts:
+        return Series.constant(f0_inv, f.nvars, f.order, f.names)
+    maxdeg = max(parts)
+    exhaustive = False
+    if order is None:
+        if f.order != INF:
+            order = f.order
+        else:
+            if any(c.full_counit() != 0
+                   for entries in parts.values() for _, c in entries):
+                raise ValueError(
+                    "series is a complete polynomial with a "
+                    "non-nilpotent positive part; its inverse is "
+                    "infinite, pass an explicit order")
+            exhaustive = True
+            order = f.arity * f.algebra.degree_bound * maxdeg + maxdeg
+    levels = {0: {(0,) * f.nvars: f0_inv}}
+    acc_terms = {(0,) * f.nvars: f0_inv}
+    truncated = f.truncated
+    for m in range(1, order + 1):
+        raw = {}
+        for j in range(1, min(m, maxdeg) + 1):
+            prev = levels.get(m - j)
+            if not prev:
+                continue
+            for e_f, c_f in parts.get(j, ()):
+                for e_b, c_b in prev.items():
+                    e = tuple(a + b for a, b in zip(e_f, e_b))
+                    prod = c_f * c_b
+                    truncated = truncated or prod.truncated
+                    if prod.is_zero():
+                        continue
+                    cur = raw.get(e)
+                    raw[e] = prod if cur is None else cur + prod
+        level = {}
+        for e, c in raw.items():
+            val = -(f0_inv * c)
+            if not val.is_zero():
+                level[e] = val
+                acc_terms[e] = val
+        levels[m] = level
+        if exhaustive and all(
+                not levels.get(m - i) for i in range(min(m, maxdeg))):
+            break
+    result_order = INF if exhaustive else min(order, f.order)
+    return Series(f.algebra, f.arity, f.nvars, acc_terms, result_order,
+                  f.names, truncated)
+
+
+@st.composite
+def mul_inverse_inputs(draw):
+    """(f, requested order): f = 1 + a nilpotent constant part + up to five
+    terms over qt1 or qtu at degree bounds 3-8, 1 or 2 variables, arity 1
+    or 2, with rare coefficient and series flags; half the time every
+    positive-degree coefficient is nilpotent, so a complete polynomial
+    with no requested order takes the exhaustive branch. Orders 0-8,
+    requests up to one above. Half the coefficients are one basis key
+    (plus the unit in the constant term): their products are either zero
+    and flagged or nonzero and unflagged, so a coefficient that takes
+    in a zero product's flag shows."""
+    name, bound = draw(_ENGINE_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    arity = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 2))
+    nilpotent = draw(st.booleans())
+    keys = [k for k in itertools.product(alg.monomials(), repeat=arity)
+            if alg.key_degree(k) <= bound]
+    simple = draw(st.booleans())
+
+    def coefficient(unit):
+        if not simple and draw(st.booleans()):
+            return draw(tensor_coefficients(alg, arity, unit=unit))
+        key = draw(st.sampled_from(keys if unit is None else keys[1:]))
+        raw = {key: Q(draw(st.sampled_from([-2, -1, 1, 3])))}
+        if unit:
+            raw[keys[0]] = Q(unit)
+        return TensorElement(alg, arity, raw, not simple and draw(_RARE))
+
+    terms = {(0,) * nvars: (TensorElement.unit(alg, arity) if simple
+                            else coefficient(1))}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars,
+                                   max_size=nvars)))
+        if any(exps):
+            terms[exps] = coefficient(0 if nilpotent else None)
+    f_order = draw(st.one_of(st.just(INF), st.integers(0, 8)))
+    order = draw(st.one_of(st.none(), st.integers(0, 9)))
+    return Series(alg, arity, nvars, terms, f_order,
+                  truncated=draw(_RARE)), order
+
+
+class TestPackedMulInverse:
+    """Series.mul_inverse on packed coefficients gives what the
+    TensorElement recursion gives: terms, coefficient flags, certified
+    order, `truncated` and every exception."""
+
+    @settings(max_examples=250)
+    @given(mul_inverse_inputs())
+    def test_matches_tensor_recursion(self, case):
+        f, order = case
+        assert_same_outcome(outcome(f.mul_inverse, order),
+                            outcome(reference_mul_inverse, f, order))
+
+    def test_zero_product_flags_only_the_series(self, qt1):
+        """In the inverse of 1 + t^2 x + x^2 at degree bound 3, the x^2
+        coefficient sums t^2 times the -t^2 of order 1, which leaves the
+        bound (a zero, flagged product), and 1 times 1: the series is
+        flagged, but the x^2 coefficient, -1, is not."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        one = TensorElement.unit(alg, 1)
+        f = Series(alg, 1, 1, {(0,): one, (1,): t * t, (2,): one}, 3)
+        got = f.mul_inverse()
+        _assert_same(got, reference_mul_inverse(f))
+        assert got.truncated
+        assert not got.coeff((2,)).truncated
