@@ -280,10 +280,6 @@ def _cmd_specialize(args):
     return 0, payload, lines
 
 
-def _cap_order(want, available):
-    return want if available == INF else min(want, available)
-
-
 def _cmd_roundtrip(args):
     algebra, F = _group_arg(args.group, args.hdeg)
     N = args.order
@@ -308,18 +304,18 @@ def _cmd_roundtrip(args):
         if push_report("axioms", check_axioms(F, order=N)):
             # substituting F spends the nilpotency slack of F(0, 0)
             slack = F.constant_term().nilpotency_slack()
-            g_chk = logarithm(F, order=_cap_order(N + 1 + slack, F.order))
+            g_chk = logarithm(F, order=min(N + 1 + slack, F.order))
             g = logarithm(F, order=N)
             push_value("logarithm", "logarithm", g,
                        jsonio.series_to_json(g))
             c = extract_cocycle(
-                F, g_chk.truncate(_cap_order(N + slack, F.order)), order=N)
+                F, g_chk.truncate(min(N + slack, F.order)), order=N)
             push_value("extract-cocycle", "cocycle", c,
                        jsonio.tensor_to_json(c))
             # extract_cocycle has checked the cocycle conditions
             push_report("check-cocycle", Report.ok())
             if push_report("log-equation", check_log(F, g_chk, order=N)):
-                g_full = logarithm(F, order=_cap_order(
+                g_full = logarithm(F, order=min(
                     N + 2 * c.nilpotency_slack(), F.order))
                 F2 = reconstruct(algebra, c, g_full, order=N)
                 push_report("reconstruct", Report.ok(certified_order=N))

@@ -176,11 +176,12 @@ def _gate_composite(F, cert):
     of U^k G_k(Z) with G_k(Z) = sum_j (Delta (x) id)F_kj Z^j, accumulated
     in one kernel call (`_Packed.sum_of_products`). U = F(X, Y) is packed
     once in the three-slot layout (third slot and Z zero) and each power
-    formed once. Terms of U above cert cannot reach cert; those of F can,
-    through the powers of a nilpotent F(0, 0). It carries no `truncated`
-    flag of the Horner composite. Once the flag is gone, this is the
-    evaluator that replaces multivariate Horner (Brent and Kung, JACM
-    1978; Paterson and Stockmeyer, 1973)."""
+    formed once, up to the first that is zero through cert: the rows past
+    it add nothing. Terms of U above cert cannot reach cert; those of F
+    can, through the powers of a nilpotent F(0, 0). It carries no
+    `truncated` flag of the Horner composite. Once the flag is gone, this
+    is the evaluator that replaces multivariate Horner (Brent and Kung,
+    JACM 1978; Paterson and Stockmeyer, 1973)."""
     codec = _Codec(F.algebra, 3, XYZ,
                    cert if cert != INF else F.max_degree() ** 2)
     powers = [_view(codec, _UNIT), _packed_view(codec, F.truncate(cert))]
@@ -188,11 +189,12 @@ def _gate_composite(F, cert):
     for (k, j), coeff in F.terms.items():
         if j <= cert:
             groups.setdefault(k, {})[(0, 0, j)] = coeff.terms
-    while len(powers) <= max(groups, default=0):
+    while (len(powers) <= max(groups, default=0)
+           and powers[-1]._packed[1].buckets):
         powers.append(_series_mul(powers[-1], powers[1], keep=cert))
     rows = [(powers[k]._packed[1],
              codec.pack_image(terms, F.algebra.comul_mono))
-            for k, terms in groups.items()]
+            for k, terms in groups.items() if k < len(powers)]
     return _view(codec, _Packed.sum_of_products(rows, cert,
                                                 F.algebra.degree_bound))
 
@@ -430,10 +432,7 @@ def extract_cocycle(F, g=None, order=None):
             # Substituting F into Delta g spends the nilpotency slack of
             # F(0, 0), so the logarithm must run that much further ahead.
             slack = F.constant_term().nilpotency_slack()
-            g_order = order + slack
-            if F.order != INF:
-                g_order = min(g_order, F.order)
-            g = logarithm(F, g_order)
+            g = logarithm(F, min(order + slack, F.order))
         else:
             g = logarithm(F, order=None if F.order == INF else F.order)
     residual = _log_residual(F, g)
@@ -477,7 +476,7 @@ def reconstruct(algebra, c, g, order):
     theorem certifies the axioms (see the module docstring); otherwise
     check_axioms verifies them at the caller's order before returning
     (AxiomViolation when they fail)."""
-    slack = 0 if c.is_zero() else c.nilpotency_slack()
+    slack = c.nilpotency_slack()
     work = order + 2 * slack
     if g.order != INF and g.order < work:
         raise TruncationInsufficient(
@@ -525,7 +524,8 @@ def inverse_series(F, order=None):
     certified order at each step and runs on packed operands: folded(x, y)
     and its y-derivative are evaluated at y = iota by the packed
     Paterson-Stockmeyer evaluator (`series._evaluate`), as is the final
-    residual check. NoInverse when the data is inconsistent or the
+    residual check, exact for a complete law, where its zero makes iota
+    complete. NoInverse when the data is inconsistent or the
     linearization is not invertible."""
     algebra = F.algebra
     target = order
@@ -562,18 +562,23 @@ def inverse_series(F, order=None):
                                           _normalize=False)
     at_zero = Series(algebra, 1, 1, at_zero, INF, ("y",), _normalize=False)
     d_at_zero = at_zero.derivative()
+
+    def linearized(theta):
+        """d_Y folded(0, theta) and its inverse."""
+        slope = _eval_univariate(d_at_zero, theta)
+        try:
+            return slope, slope.mul_inverse()
+        except NonInvertibleConstantTerm as exc:
+            raise NoInverse(
+                "linearized inverse equation is not invertible") from exc
+
     theta = TensorElement.zero(algebra, 1)
     residue = _eval_univariate(at_zero, theta)
     guard = 2 * algebra.degree_bound + 4
     for _ in range(guard):
         if residue.is_zero():
             break
-        slope = _eval_univariate(d_at_zero, theta)
-        try:
-            slope_inv = slope.mul_inverse()
-        except NonInvertibleConstantTerm as exc:
-            raise NoInverse(
-                "linearized inverse equation is not invertible") from exc
+        _, slope_inv = linearized(theta)
         theta = theta - slope_inv * residue
         residue = _eval_univariate(at_zero, theta)
     if not residue.is_zero():
@@ -583,15 +588,10 @@ def inverse_series(F, order=None):
         raise NoInverse("inverse constant term escapes the "
                         "augmentation ideal")
 
-    slope = _eval_univariate(d_at_zero, theta)
-    try:
-        slope_inv = slope.mul_inverse()
-    except NonInvertibleConstantTerm as exc:
-        raise NoInverse(
-            "linearized inverse equation is not invertible") from exc
+    slope, slope_inv = linearized(theta)
 
     # substituting iota costs the nilpotency slack of its constant term
-    slack = 0 if theta.is_zero() else theta.nilpotency_slack()
+    slack = theta.nilpotency_slack()
     cert = target if F.order == INF else min(target, F.order - slack)
     if order is not None and order > cert:
         raise TruncationInsufficient(
@@ -631,21 +631,14 @@ def inverse_series(F, order=None):
                   _solved_terms(_view(codec, root, terms), slope, slope_inv),
                   cert, ("x",), theta.truncated, _normalize=False)
 
-    residual = _evaluate(_cut(groups, cert + slack), root, cert, bound)
-    if residual.buckets:
+    complete = F.order == INF
+    residual = (_evaluate(groups, root, INF, bound) if complete else
+                _evaluate(_cut(groups, cert + slack), root, cert, bound))
+    if residual.truncate(cert).buckets:
         raise NoInverse("inverse equation has no series solution; "
                         "is F a group law?")
-    if F.order == INF:
-        exact = iota.with_order(INF)
-        folded = Series(algebra, 1, 2, {
-            (i, k): TensorElement(algebra, 1, coeff, _normalize=False)
-            for k, c in groups.items()
-            for (i,), coeff in codec.unpack(c).items()}, INF, F.names,
-            _normalize=False)
-        if folded.substitute(
-                [Series.variable(algebra, 1, 1, 0, INF, ("x",)),
-                 exact]).is_zero():
-            return exact
+    if complete and not residual.buckets:
+        return iota.with_order(INF)
     return iota
 
 
@@ -681,10 +674,14 @@ def _cut(groups, cap):
 
 def _eval_univariate(series, point):
     """Evaluate a one-variable series at a nilpotent TensorElement by
-    Horner's rule."""
+    Horner's rule. A zero accumulator is multiplied only at the first
+    step, which gives it the point's flag: past it, zero times the point
+    is that same zero."""
     acc = TensorElement.zero(series.algebra, series.arity)
-    for k in range(max((e[0] for e in series.terms), default=-1), -1, -1):
-        acc = acc * point
+    top = max((e[0] for e in series.terms), default=-1)
+    for k in range(top, -1, -1):
+        if k == top or acc.terms:
+            acc = acc * point
         if (k,) in series.terms:
             acc = acc + series.terms[(k,)]
     return acc

@@ -836,8 +836,9 @@ def _evaluate(coeffs, h, p, bound):
         return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)
     m = max(1, math.isqrt(kmax))
-    # p + 1 for h = 0: no block past the first reaches order p
-    v = min(h.val, p + 1)
+    # p + 1 for h = 0: no block past the first reaches order p; through
+    # p = inf every block is kept whole
+    v = 0 if p == INF else min(h.val, p + 1)
     powers = [_UNIT, h.truncate(p)]
     while len(powers) <= m:
         powers.append(powers[-1].times(powers[1], p, bound))

@@ -43,6 +43,7 @@ from fglog.fgl import (
     _left,
     _lift_inner,
 )
+from fglog.series import _minus_reversed
 from fglog.generate import (
     random_cocycle,
     random_logarithm,
@@ -728,6 +729,17 @@ class TestInverseSeries:
 # -- Newton group inverse against the order-by-order loop -----------------------
 
 
+def reference_eval_univariate(series, point):
+    """Horner's rule with one product per exponent, zero accumulators
+    included: the reference for `fgl._eval_univariate`."""
+    acc = TensorElement.zero(series.algebra, series.arity)
+    for k in range(max((e[0] for e in series.terms), default=-1), -1, -1):
+        acc = acc * point
+        if (k,) in series.terms:
+            acc = acc + series.terms[(k,)]
+    return acc
+
+
 def reference_inverse_series(F, order=None):
     """Group inverse order by order, the reference for the Newton
     iteration in x: the constant part by Newton iteration in the nilpotent
@@ -750,25 +762,25 @@ def reference_inverse_series(F, order=None):
     at_zero = folded.set_variable_zero(0).drop_variable(0)
     d_at_zero = at_zero.derivative()
     theta = TensorElement.zero(algebra, 1)
-    residue = _eval_univariate(at_zero, theta)
+    residue = reference_eval_univariate(at_zero, theta)
     for _ in range(2 * algebra.degree_bound + 4):
         if residue.is_zero():
             break
-        slope = _eval_univariate(d_at_zero, theta)
+        slope = reference_eval_univariate(d_at_zero, theta)
         try:
             slope_inv = slope.mul_inverse()
         except NonInvertibleConstantTerm as exc:
             raise NoInverse(
                 "linearized inverse equation is not invertible") from exc
         theta = theta - slope_inv * residue
-        residue = _eval_univariate(at_zero, theta)
+        residue = reference_eval_univariate(at_zero, theta)
     if not residue.is_zero():
         raise NoInverse("no nilpotent constant term solves the "
                         "inverse equation")
     if not theta.is_zero() and theta.full_counit() != 0:
         raise NoInverse("inverse constant term escapes the "
                         "augmentation ideal")
-    slope = _eval_univariate(d_at_zero, theta)
+    slope = reference_eval_univariate(d_at_zero, theta)
     try:
         slope_inv = slope.mul_inverse()
     except NonInvertibleConstantTerm as exc:
@@ -814,7 +826,9 @@ def inverse_inputs(draw):
     """(F, requested order): F = c + (1 + n1) X + (1 + n2) Y + sparse terms
     of degree 2-20 over one of four algebras at degree bounds 3-8, with c,
     n1 and n2 nilpotent (so the constant term costs slack) and orders 0-20;
-    most such F are not group laws, so the no-inverse paths run too."""
+    most such F are not group laws, so the no-inverse paths run too.
+    Seldom F is complete with a term X^n or Y^n, n in 50-400, and an
+    explicit request."""
     name, bound = draw(NEWTON_ALGEBRAS)
     alg = builtin_algebra(name, degree_bound=bound)
     c = draw(tensor_coefficients(alg, 2, unit=0))
@@ -828,7 +842,14 @@ def inverse_inputs(draw):
         i = draw(st.integers(0, 20))
         j = draw(st.integers(0 if i >= 2 else 2 - i, 20 - i))
         terms[(i, j)] = draw(tensor_coefficients(alg, 2))
-    F_order, order = draw(requested_orders(draw(st.sampled_from(range(21)))))
+    if draw(SELDOM):
+        n = draw(st.integers(50, 400))
+        terms[draw(st.sampled_from([(n, 0), (0, n)]))] = draw(
+            tensor_coefficients(alg, 2))
+        F_order, order = INF, draw(st.sampled_from(range(21)))
+    else:
+        F_order, order = draw(requested_orders(
+            draw(st.sampled_from(range(21)))))
     F = Series(alg, 2, 2, terms, F_order, XY, truncated=draw(SELDOM))
     return F, order
 
@@ -844,6 +865,17 @@ class TestNewtonInverse:
         F, order = case
         assert_same_outcome(outcome(inverse_series, F, order=order),
                             outcome(reference_inverse_series, F, order=order))
+
+    @pytest.mark.parametrize("name", ["trivial", "qt1"])
+    def test_complete_law_with_zero_inverse(self, name):
+        """Y + Y^3 has no X term, so iota = 0 and the exact residual is
+        evaluated at zero."""
+        alg = builtin_algebra(name)
+        one = TensorElement.unit(alg, 2)
+        F = Series(alg, 2, 2, {(0, 1): one, (0, 3): one}, INF, XY)
+        assert_same_outcome(outcome(inverse_series, F, order=5),
+                            outcome(reference_inverse_series, F, order=5))
+        assert inverse_series(F, order=5).order == INF
 
     @pytest.mark.parametrize("name", ["qt1", "qt2", "qtu"])
     def test_lemma_laws_with_slack(self, name):
@@ -904,13 +936,49 @@ class TestNewtonOnTheEvaluator:
         assert horner == [] and substitute == []
         assert len(evaluate) >= 2 and evaluate[-1][2] == iota.order
 
-    def test_complete_law_keeps_one_exact_substitution(
-            self, qt1, monkeypatch):
-        """For a complete law only the exact check of the returned
-        complete polynomial substitutes."""
+    def test_complete_law_substitutes_nothing(self, qt1, monkeypatch):
+        """For a complete law the one residual evaluation runs through
+        order inf, and its zero makes the returned iota complete."""
         substitute = recorded_calls(monkeypatch, Series, "substitute")
+        evaluate = recorded_calls(monkeypatch, fgl_module, "_evaluate")
         iota = inverse_series(lemma_law(qt1, two_t_t(qt1)), order=5)
-        assert iota.order == INF and len(substitute) == 1
+        assert substitute == []
+        assert evaluate[-1][2] == INF and iota.order == INF
+
+
+def sparse_law(name, n=2000):
+    """X + Y + X^n + Y^n over `name`, plus c = 2(t x t) over qt1: a
+    complete law equal to its flip, associative through order n - 1."""
+    alg = builtin_algebra(name)
+    c = two_t_t(alg) if name == "qt1" else TensorElement.zero(alg, 2)
+    one = TensorElement.unit(alg, 2)
+    return lemma_law(alg, c) + Series(alg, 2, 2, {(n, 0): one, (0, n): one},
+                                      INF, XY)
+
+
+class TestSparseLaws:
+    """On X + Y + X^n + Y^n (n = 2000) the work follows the requested
+    order, not n: the gate stops at the first zero power of F(X, Y), and
+    the constant part of the group inverse skips products of zero."""
+
+    @pytest.mark.parametrize("name", ["trivial", "qt1"])
+    def test_gate_stops_at_the_first_zero_power(self, name, monkeypatch):
+        F = sparse_law(name)
+        cert, slack = 4, F.constant_term().nilpotency_slack()
+        products = recorded_calls(monkeypatch, fgl_module, "_series_mul")
+        assert _minus_reversed(_gate_composite(F, cert)).is_zero()
+        assert len(products) <= cert + slack + 1
+        assert check_axioms(F, order=cert).passed
+
+    @pytest.mark.parametrize("name", ["trivial", "qt1"])
+    def test_inverse_skips_products_of_zero(self, name, monkeypatch):
+        F = sparse_law(name)
+        want = inverse_series(lemma_law(F.algebra, F.constant_term()),
+                              order=4)
+        products = recorded_calls(monkeypatch, TensorElement, "__mul__")
+        iota = inverse_series(F, order=4)
+        assert len(products) < 100
+        assert (iota - want).is_zero() and iota.order == 4
 
 
 # -- associativity from one composite ------------------------------------------

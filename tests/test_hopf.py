@@ -19,7 +19,7 @@ from fglog import (
     verify_hopf_axioms,
 )
 from fglog.scalars import ONE, Q, ZERO
-from test_fgl import QTU_HALF
+from test_fgl import QTU_HALF, recorded_calls
 
 
 def gen(algebra, name):
@@ -268,6 +268,102 @@ class TestAxiomVerification:
         rep = verify_hopf_axioms(M)
         assert not rep.passed
         assert rep.violations[0].axiom in ("counit", "counit-multiplicative")
+
+
+def reference_verify_hopf_axioms(algebra):
+    """verify_hopf_axioms with the pair loop that forms the coproducts of
+    m1, m2 and m1 m2 for every pair, and again for the defect."""
+    from fglog.report import Report, Violation
+    monos = algebra.monomials()
+    for m in monos:
+        el = TensorElement(algebra, 1, {(m,): ONE}, _normalize=False)
+        dm = el.comul()
+        left = dm.apply_slot(0, "comul")
+        right = dm.apply_slot(1, "comul")
+        if left != right:
+            return Report.fail([Violation(
+                "coassociativity", right - left,
+                f"at monomial {algebra.mono_str(m)}")])
+        for slot, side in ((0, "left"), (1, "right")):
+            reduced = dm.apply_slot(slot, "counit")
+            if reduced != el:
+                return Report.fail([Violation(
+                    "counit", reduced - el,
+                    f"{side} counit fails at monomial "
+                    f"{algebra.mono_str(m)}")])
+        s_applied = dm.apply_slot(0, "antipode").contract_mul((0, 1))
+        target = TensorElement.from_scalar(algebra, 1, el.counit())
+        if s_applied != target:
+            return Report.fail([Violation(
+                "antipode", s_applied - target,
+                f"mu(S x id)Delta != eta eps at monomial "
+                f"{algebra.mono_str(m)}")])
+    for i, m1 in enumerate(monos):
+        d1 = algebra.degree(m1)
+        for m2 in monos[i:]:
+            if d1 + algebra.degree(m2) > algebra.degree_bound:
+                continue
+            e1 = TensorElement(algebra, 1, {(m1,): ONE}, _normalize=False)
+            e2 = TensorElement(algebra, 1, {(m2,): ONE}, _normalize=False)
+            prod = e1 * e2
+            if prod.comul() != e1.comul() * e2.comul():
+                return Report.fail([Violation(
+                    "comul-multiplicative",
+                    e1.comul() * e2.comul() - prod.comul(),
+                    f"at {algebra.mono_str(m1)} * {algebra.mono_str(m2)}")])
+            if prod.counit() != e1.counit() * e2.counit():
+                return Report.fail([Violation(
+                    "counit-multiplicative", None,
+                    f"at {algebra.mono_str(m1)} * {algebra.mono_str(m2)}")])
+    return Report.ok()
+
+
+def _mutations():
+    """(name, algebra): the builtins, a degree-bounded QTU_HALF and
+    mutated tables that fail each per-monomial axiom, among them a table
+    that is not degree-homogeneous."""
+    qt1, qtu = builtin_algebra("qt1"), builtin_algebra("qtu")
+    tm, unit = qt1.generator_mono("t"), qt1.unit_mono
+    t = gen(qt1, "t")
+    ut, uu, u1 = (qtu.generator_mono("t"), qtu.generator_mono("u"),
+                  qtu.unit_mono)
+    yield "qt1", qt1
+    yield "qtu", qtu
+    yield "trivial", builtin_algebra("trivial")
+    yield "qtu_half", build_hopf_algebra(QTU_HALF)
+    yield "counit", qt1.mutated(comul={"t": {(tm, unit): Q(1)}})
+    yield "scaled-leg", qt1.mutated(
+        comul={"t": {(tm, unit): Q(1), (unit, tm): Q(2)}})
+    yield "coassociativity", qtu.mutated(comul={"u": {
+        (uu, u1): Q(1), (u1, uu): Q(1), (ut, qtu.mul_mono(ut, ut)): Q(1)}})
+    yield "antipode", qt1.mutated(antipode={"t": t})
+    yield "counit-value", qt1.mutated(counit={"t": Q(1)})
+    yield "grouplike", qt1.mutated(
+        comul={"t": {(tm, unit): Q(1), (unit, tm): Q(1), (tm, tm): Q(1)}})
+
+
+class TestOneCoproductPerMonomial:
+    """verify_hopf_axioms forms each monomial's coproduct once and reads
+    the pair loop's coproducts and counits from it: the same first
+    violation and defect tensor as the loop that formed them per pair."""
+
+    @pytest.mark.parametrize("name, algebra", list(_mutations()),
+                             ids=[name for name, _ in _mutations()])
+    def test_matches_per_pair_loop(self, name, algebra):
+        def shown(report):
+            return (report.passed,
+                    [(v.axiom, v.detail, v.defect,
+                      getattr(v.defect, "truncated", None))
+                     for v in report.violations])
+        assert shown(verify_hopf_axioms(algebra)) == shown(
+            reference_verify_hopf_axioms(algebra))
+
+    @pytest.mark.parametrize("name", ["trivial", "qt1", "qtu"])
+    def test_one_coproduct_per_monomial(self, name, monkeypatch):
+        algebra = builtin_algebra(name)
+        comul = recorded_calls(monkeypatch, TensorElement, "comul")
+        assert verify_hopf_axioms(algebra).passed
+        assert len(comul) == len(algebra.monomials())
 
 
 class TestElementBasics:

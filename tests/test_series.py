@@ -912,8 +912,9 @@ def evaluation_inputs(draw):
     """(F, h, p): F(x, y) = sum_k C_k(x) y^k, complete, with k up to a top
     k_max of 0-20 and the C_k constants or (half the time) polynomials of
     degree up to 4 in x; h a one-variable polynomial of valuation 0 (a
-    nilpotent constant term) or at least 1; p from 0 to 20. Over trivial,
-    qt1, qt2 or qtu at degree bounds 3-6, arity 1 or 2."""
+    nilpotent constant term) or at least 1, seldom 0; p from 0 to 20,
+    seldom inf. Over trivial, qt1, qt2 or qtu at degree bounds 3-6, arity
+    1 or 2."""
     name = draw(st.sampled_from(["trivial", "qt1", "qt2", "qtu"]))
     alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
     arity = draw(st.sampled_from([1, 1, 2]))
@@ -929,8 +930,10 @@ def evaluation_inputs(draw):
         h_terms[(0,)] = draw(tensor_coefficients(alg, arity, unit=0))
     for d in draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)):
         h_terms[(d,)] = draw(tensor_coefficients(alg, arity))
+    if draw(SELDOM):
+        h_terms = {}
     return (Series(alg, arity, 2, terms), Series(alg, arity, 1, h_terms),
-            draw(st.integers(0, 20)))
+            INF if draw(SELDOM) else draw(st.integers(0, 20)))
 
 
 def y_groups(codec, F):
@@ -953,8 +956,9 @@ class TestEvaluator:
         alg = F.algebra
         want = F.substitute([Series.variable(alg, F.arity, 1, 0),
                              h.truncate(p)]).truncate(p)
-        codec = series_module._Codec(alg, F.arity, ("x",),
-                                     max(p, F.max_degree(), h.max_degree()))
+        codec = series_module._Codec(
+            alg, F.arity, ("x",),
+            max(p if p != INF else 0, F.max_degree(), h.max_degree()))
         got = series_module._evaluate(
             y_groups(codec, F),
             codec.pack({e: c.terms for e, c in h.terms.items()}),

@@ -15,9 +15,12 @@ infinite order and some marked "truncated": true. Over each law it runs
 verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
 and --format options, and reconstruct from generated logarithms and
 cocycles over qt1, and from cocycles and non-cocycles that the axiom gate
-decides (GATED), QTU_HALF given as a --hopf file among them. The inputs
-are written to a temporary directory that is the working directory during
-the run, so no output names an absolute path.
+decides (GATED), QTU_HALF given as a --hopf file among them. The sparse
+complete laws X + Y + X^N + Y^N over trivial and 2(t (x) t) + X + Y +
+X^N + Y^N over qt1 (N = SPARSE_N) run verify, inverse, log, cocycle and
+roundtrip at orders 4 and 8, where the work must follow the order, not
+N. The inputs are written to a temporary directory that is the working
+directory during the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
 place of stderr) or ended with an exit code outside 0-3.
 
@@ -59,6 +62,7 @@ GATED = (("qt2", "3(t (x) t) + t^2 (x) t^2"), ("qtu", "t (x) u"),
          ("qtu_half.json", "t (x) u + u (x) t"),
          ("qtu_half.json", "u (x) u"))
 SEEDS = range(48)
+SPARSE_N = 2000
 
 
 def _rational(rng):
@@ -121,6 +125,22 @@ def _law(rng, seed):
     return f"law{seed:02d}_{name}_{kind}.json", doc
 
 
+def _sparse_laws():
+    """(name, group JSON) of the complete laws X + Y + X^N + Y^N over
+    trivial and 2(t (x) t) + X + Y + X^N + Y^N over qt1, N = SPARSE_N; both
+    equal their flip (a complete law that does not is checked through
+    its own order by both composites)."""
+    one = [["1"], ["1"], "1"]
+    for hopf, constant in (("trivial", None), ("qt1", [["t"], ["t"], "2"])):
+        terms = {(1, 0): [one], (0, 1): [one], (SPARSE_N, 0): [one],
+                 (0, SPARSE_N): [one]}
+        if constant:
+            terms[(0, 0)] = [constant]
+        yield f"sparse_{hopf}.json", {"hopf": hopf, "series": {
+            "variables": ["X", "Y"], "arity": 2,
+            "terms": [_term(e, c) for e, c in sorted(terms.items())]}}
+
+
 def _log(rng, seed):
     """(name, series JSON) of a logarithm x + sum of t-coefficients."""
     terms = [_term((1,), [[["1"], "1"]])]
@@ -156,6 +176,11 @@ def invocations(workdir):
                           "3"])
         argvs.append(["verify", "--group", law, "--strict-grading"])
         argvs.append(["specialize", "--group", law, "--format", "json"])
+    for name, doc in _sparse_laws():
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        for cmd in ("verify", "inverse", "log", "cocycle", "roundtrip"):
+            for order in ("4", "8"):
+                argvs.append([cmd, "--group", name, "--order", order])
     for i, log in enumerate(logs):
         for cocycle in ("0", "2 t (x) t", "3 t (x) t^2 + 3 t^2 (x) t"):
             for order, hdeg in (("3", "4"), ("6", "8"), ("8", "3")):
