@@ -68,12 +68,11 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement
-from .packed import _UNIT, _Codec, _Packed
+from .packed import _MINUS_UNIT, _UNIT, _Codec, _Packed
 from .report import Report, Violation
-from .scalars import ONE
 from .series import (
     Series,
-    _coefficients,
+    _constant,
     _doubling_orders,
     _evaluate,
     _minus_reversed,
@@ -188,12 +187,13 @@ def _gate_composite(F, cert):
     groups = {}
     for (k, j), coeff in F.terms.items():
         if j <= cert:
-            groups.setdefault(k, {})[(0, 0, j)] = coeff.terms
+            groups.setdefault(k, {})[(0, 0, j)] = coeff
     while (len(powers) <= max(groups, default=0)
            and powers[-1]._packed[1].buckets):
         powers.append(_series_mul(powers[-1], powers[1], keep=cert))
     rows = [(powers[k]._packed[1],
-             codec.pack_image(terms, F.algebra.comul_mono))
+             codec.pack({e: c.apply_slot(0, "comul")
+                         for e, c in terms.items()}))
             for k, terms in groups.items() if k < len(powers)]
     return _view(codec, _Packed.sum_of_products(rows, cert,
                                                 F.algebra.degree_bound))
@@ -208,8 +208,8 @@ def symmetry_defect(F):
         return _minus_reversed(F)
     codec = _Codec(F.algebra, F.arity, F.names, F.max_degree())
     flag = F.truncated or any(c.truncated for c in F.terms.values())
-    return _view(codec, codec.minus_reversed(codec.pack(
-        {e: c.terms for e, c in F.terms.items()}, F.order, flag)))
+    return _view(codec, codec.minus_reversed(codec.pack(F.terms, F.order,
+                                                        flag)))
 
 
 def unit_defects(F):
@@ -390,9 +390,13 @@ def _log_residual(F, g):
 # -- cocycles -----------------------------------------------------------------
 
 def cocycle_defect(c):
-    """(id (x) Delta)c + 1 (x) c - (Delta (x) id)c - c (x) 1."""
-    return (c.apply_slot(1, "comul") + c.embed(3, (1, 2))
-            - c.apply_slot(0, "comul") - c.embed(3, (0, 1)))
+    """(id (x) Delta)c + 1 (x) c - (Delta (x) id)c - c (x) 1, summed in
+    one packed accumulation."""
+    signed = ((_UNIT, c.apply_slot(1, "comul")), (_UNIT, c.embed(3, (1, 2))),
+              (_MINUS_UNIT, c.apply_slot(0, "comul")),
+              (_MINUS_UNIT, c.embed(3, (0, 1))))
+    return TensorElement._of(c.algebra, 3, _Packed.sum_of_products(
+        [(sign, t._packed) for sign, t in signed], INF, INF))
 
 
 def check_cocycle(c):
@@ -557,9 +561,7 @@ def inverse_series(F, order=None):
     for k, c in groups.items():
         low = codec.unpack(c.truncate(0)).get((0,))
         if low:
-            at_zero[(k,)] = TensorElement(algebra, 1, low,
-                                          F.terms[(0, k)].truncated,
-                                          _normalize=False)
+            at_zero[(k,)] = low._flagged(F.terms[(0, k)].truncated)
     at_zero = Series(algebra, 1, 1, at_zero, INF, ("y",), _normalize=False)
     d_at_zero = at_zero.derivative()
 
@@ -613,7 +615,7 @@ def inverse_series(F, order=None):
     steps = _doubling_orders(0, cert, extra=1)
     bound = algebra.degree_bound
     s = Series.constant(slope_inv, 1, INF, ("x",))
-    root = codec.pack({(0,): theta.terms})
+    root = _constant(codec, theta)
     q = 0
     for p in steps:
         err = _evaluate(_cut(groups, p + slack), root, p, bound)
@@ -624,7 +626,7 @@ def inverse_series(F, order=None):
                                keep=p, plus=_view(codec, root))._packed[1]
             root = root.stamped(INF, False)
         q = p
-    terms = _coefficients(algebra, 1, codec.unpack(root))
+    terms = codec.unpack(root)
     if not theta.is_zero():
         terms[(0,)] = theta  # with its own `truncated` flag
     iota = Series(algebra, 1, 1,
@@ -645,23 +647,12 @@ def inverse_series(F, order=None):
 def _y_coefficients(codec, F):
     """{k: C_k} for folded(x, y) = (mu . (id (x) S))F(x, y) = sum_k C_k(x)
     y^k, each nonzero C_k packed in the one-variable layout of codec as a
-    complete polynomial. The image of each distinct pair of monomials is
-    formed once."""
-    images = {}
-
-    def folded(m1, m2):
-        image = images.get((m1, m2))
-        if image is None:
-            image = images[(m1, m2)] = TensorElement(
-                F.algebra, 2, {(m1, m2): ONE}, _normalize=False).apply_slot(
-                1, "antipode").contract_mul((0, 1)).terms
-        return image
-
+    complete polynomial."""
     groups = {}
     for (i, k), coeff in F.terms.items():
-        groups.setdefault(k, {})[(i,)] = coeff.terms
-    packs = {k: codec.pack_image(terms, folded, 2)
-             for k, terms in groups.items()}
+        groups.setdefault(k, {})[(i,)] = coeff.apply_slot(
+            1, "antipode").contract_mul((0, 1))
+    packs = {k: codec.pack(terms) for k, terms in groups.items()}
     return {k: c for k, c in packs.items() if c.buckets}
 
 
@@ -680,7 +671,7 @@ def _eval_univariate(series, point):
     acc = TensorElement.zero(series.algebra, series.arity)
     top = max((e[0] for e in series.terms), default=-1)
     for k in range(top, -1, -1):
-        if k == top or acc.terms:
+        if k == top or not acc.is_zero():
             acc = acc * point
         if (k,) in series.terms:
             acc = acc + series.terms[(k,)]

@@ -18,13 +18,18 @@ derived map is defensive about tables that fail the usual axioms.
 Elements of H and of its tensor powers are one type, `TensorElement`: an
 element of H is an arity-1 tensor, and `HopfElement` only names its
 constructors. Tensor powers are truncated by total degree across the
-slots (an ideal and a coideal, see packed.py). Every product runs on
-packed.py's `_Packed.times` through `TensorElement.__mul__`, as every
-series product does: the antipode derivation, the multiplicative extension
-of the coproduct and the tensor of elements of H (`from_slots`).
+slots (an ideal and a coideal, see packed.py). A tensor is one reduced
+packed form of packed.py, int numerators over one denominator keyed by
+codes of the algebra's tensor layout, and every operation on it works on
+codes and numerators: products and sums on packed.py's kernel, the
+structure maps slot by slot from each monomial's image, cached by the
+algebra as packed rows (`HopfAlgebra._image_rows`). Fractions remain in
+the structure tables, in the constructor from a {key: rational} dict,
+which parsed and generated input goes through, and in `terms`, the
+presentation that printing and JSON read.
 """
 
-import operator
+import math
 
 from .errors import (
     AlgebraMismatch,
@@ -35,16 +40,11 @@ from .errors import (
     ParseError,
     SpecError,
 )
-from .packed import INF, _Codec
+from .packed import _MINUS_UNIT, _UNIT, INF, _code, _Codec, _Packed
 from .report import Report, Violation
-from .scalars import ONE, ZERO, format_rational, rational
+from .scalars import ONE, ZERO, Q, format_rational, rational
 
 _STRUCTURE_MAPS = ("comul", "counit", "antipode")
-
-
-def _normalize_terms(terms):
-    """Drop zero coefficients; return a plain dict."""
-    return {k: q for k, q in terms.items() if q != 0}
 
 
 class HopfAlgebra:
@@ -67,6 +67,7 @@ class HopfAlgebra:
         "_index",
         "_comul_cache",
         "_antipode_cache",
+        "_rows",
         "_codecs",
         "_deg_cache",
         "_kdeg_cache",
@@ -89,8 +90,8 @@ class HopfAlgebra:
         self.degrees = degrees
         self.degree_bound = int(degree_bound)
         self._index = {n: i for i, n in enumerate(names)}
-        self._gen_comul = tuple(
-            _normalize_terms(dict(t)) for t in gen_comul)
+        self._gen_comul = tuple({k: q for k, q in dict(t).items() if q}
+                                for t in gen_comul)
         # H is commutative, so Delta and its flip agree everywhere once
         # they agree on the generators
         self.cocommutative = all(
@@ -102,6 +103,7 @@ class HopfAlgebra:
             gen_antipode if gen_antipode is not None else (None,) * len(names))
         self._comul_cache = {}
         self._antipode_cache = {}
+        self._rows = {}
         self._codecs = {}
         self._deg_cache = {}
         self._kdeg_cache = {}
@@ -127,8 +129,7 @@ class HopfAlgebra:
                 if b == unit:
                     right_unit[a] = right_unit.get(a, ZERO) + q
             for side, acc in (("left", left_unit), ("right", right_unit)):
-                acc = _normalize_terms(acc)
-                if acc != {gen_mono: ONE}:
+                if {m: q for m, q in acc.items() if q} != {gen_mono: ONE}:
                     raise SpecError(
                         f"coproduct of {name} is not counital on the "
                         f"{side} side")
@@ -257,24 +258,56 @@ class HopfAlgebra:
         return q
 
     def comul_mono(self, mono):
-        """Coproduct of a basis monomial as a dict (left, right) -> Q: the
-        table of its first generator times the coproduct of the rest. On
+        """Coproduct of a basis monomial as a dict (left, right) -> Q."""
+        return self._comul(mono).terms
+
+    def _comul(self, mono):
+        """Coproduct of a basis monomial as an arity-2 tensor: the table of
+        its first generator times the coproduct of the rest. On
         degree-homogeneous tables every component has the monomial's total
         degree, so the product drops none; a `mutated` table is truncated
         by total degree."""
         cached = self._comul_cache.get(mono)
         if cached is None:
-            unit = self.unit_mono
-            if mono == unit:
-                cached = {(unit, unit): ONE}
+            if mono == self.unit_mono:
+                cached = TensorElement.unit(self, 2)
             else:
                 i = next(j for j, e in enumerate(mono) if e)
                 rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
                 cached = (TensorElement(self, 2, self._gen_comul[i])
-                          * TensorElement(self, 2, self.comul_mono(rest),
-                                          _normalize=False)).terms
+                          * self._comul(rest))
             self._comul_cache[mono] = cached
         return cached
+
+    def _image_rows(self, op, code):
+        """The image of a monomial, given by its code in one slot, under
+        the structure map op ('comul', 'counit' or 'antipode'), or of the
+        two monomials of a code of two slots under 'mul', as packed rows:
+        (rows, den) with rows [(code, change of Hopf degree, numerator),
+        ...] over den, the image's codes in the layout of its 2, 0, 1 or
+        1 slots."""
+        hit = self._rows.get((op, code))
+        if hit is None:
+            bits = self._codec(1).hopf_bits
+            if op == "mul":
+                # the product of two monomials is the sum of their fields
+                hit = ([((code & ((1 << bits) - 1)) + (code >> bits), 0, 1)],
+                       1)
+            else:
+                (mono,) = self._codec(1).key(code)
+                d = self.degree(mono)
+                if op == "counit":
+                    q = self.counit_mono(mono)
+                    hit = ([(0, -d, q.numerator)] if q else [],
+                           q.denominator)
+                else:
+                    image = (self._comul(mono) if op == "comul"
+                             else self.antipode_mono(mono))._packed
+                    hit = ([(c, h - d, n)
+                            for h, bucket in image.buckets.items()
+                            for c, n in bucket], image.den)
+            self._rows[(op, code)] = hit
+        return hit
 
     def antipode_mono(self, mono):
         """Antipode of a basis monomial as an element of H, derived from
@@ -342,7 +375,8 @@ def _table_terms(value, arity, what):
         if value.arity != arity:
             raise ArityMismatch(f"{what} table must have arity {arity}")
         return {(k if arity > 1 else k[0]): q for k, q in value.terms.items()}
-    return _normalize_terms({k: rational(q) for k, q in dict(value).items()})
+    table = {k: rational(q) for k, q in dict(value).items()}
+    return {k: q for k, q in table.items() if q}
 
 
 class HopfElement:
@@ -369,59 +403,107 @@ class HopfElement:
     @staticmethod
     def generator(algebra, name):
         mono = algebra.generator_mono(name)
-        return TensorElement(algebra, 1, {(mono,): ONE}, _normalize=False)
+        return TensorElement(algebra, 1, {(mono,): ONE})
 
 
 class TensorElement:
     """Element of the k-fold tensor power of H, k in {1,2,3}: a finite
     rational combination of k-tuples of basis monomials. Arity 1 is H
     itself; a rational operand of +, - or == stands for that multiple of
-    the unit at the tensor's own arity."""
+    the unit at the tensor's own arity.
 
-    __slots__ = ("algebra", "arity", "terms", "truncated")
+    It is stored as one reduced `_Packed` of its algebra's tensor layout
+    (`HopfAlgebra._codec(arity)`): int numerators over one denominator,
+    whose flag is the tensor's `truncated`. The reduced form is canonical,
+    so `==` and `hash` read it. `terms`, {key tuple: Q}, is its
+    presentation, unpacked on first read."""
 
-    def __init__(self, algebra, arity, terms, truncated=False,
-                 _normalize=True):
+    __slots__ = ("algebra", "arity", "_packed", "_terms")
+
+    def __init__(self, algebra, arity, terms, truncated=False):
+        """Tensor from a dict {key tuple: rational}: zero coefficients are
+        dropped, and keys above the degree bound are dropped and set the
+        flag."""
         if arity not in (1, 2, 3):
             raise ArityMismatch(f"tensor arity {arity} outside 1..3")
         self.algebra = algebra
         self.arity = arity
-        if _normalize:
-            clean = _normalize_terms(terms)
-            bound = algebra.degree_bound
-            kept = {}
-            for key, q in clean.items():
-                if algebra.key_degree(key) > bound:
-                    truncated = True
-                    continue
-                kept[key] = q
-            self.terms = kept
-        else:
-            self.terms = terms
-        self.truncated = truncated
+        codec = algebra._codec(arity)
+        bound = algebra.degree_bound
+        kept = {}
+        rows = {}
+        for key, q in terms.items():
+            if q == 0:
+                continue
+            code, h = codec.key_code(key)
+            if h > bound:
+                truncated = True
+                continue
+            kept[key] = q
+            rows.setdefault(h, []).append((code, q))
+        den = math.lcm(*[q.denominator for q in kept.values()])
+        self._packed = _Packed(
+            {h: sorted([(code, q.numerator * (den // q.denominator))
+                        for code, q in row]) for h, row in rows.items()},
+            den, INF, truncated, codec.shift)
+        self._terms = kept
+
+    @classmethod
+    def _of(cls, algebra, arity, packed):
+        """Tensor standing for a reduced _Packed of the algebra's tensor
+        layout of that arity."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.arity = arity
+        self._packed = packed
+        self._terms = None
+        return self
+
+    @property
+    def terms(self):
+        """{key tuple: Q}, unpacked from the packed form on first read."""
+        if self._terms is None:
+            packed = self._packed
+            key, den = self.algebra._codec(self.arity).key, packed.den
+            self._terms = {key(code): Q(num, den)
+                           for bucket in packed.buckets.values()
+                           for code, num in bucket}
+        return self._terms
+
+    @property
+    def truncated(self):
+        return self._packed.flag
+
+    def _flagged(self, flag):
+        """The same terms with the `truncated` flag `flag`."""
+        return TensorElement._of(self.algebra, self.arity,
+                                 self._packed.stamped(INF, flag))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, algebra, arity):
-        return cls(algebra, arity, {}, _normalize=False)
+        return cls._of(algebra, arity, _Packed(
+            {}, 1, INF, False, algebra._codec(arity).shift))
 
     @classmethod
     def unit(cls, algebra, arity):
-        key = (algebra.unit_mono,) * arity
-        return cls(algebra, arity, {key: ONE}, _normalize=False)
+        return cls.from_scalar(algebra, arity, ONE)
 
     @classmethod
     def from_scalar(cls, algebra, arity, q):
         q = rational(q)
-        key = (algebra.unit_mono,) * arity
-        return cls(algebra, arity, {key: q} if q != 0 else {},
-                   _normalize=False)
+        buckets = {0: [(0, q.numerator)]} if q else {}
+        return cls._of(algebra, arity, _Packed(
+            buckets, q.denominator, INF, False, algebra._codec(arity).shift))
 
     @classmethod
     def from_slots(cls, *elements):
         """Tensor product of 1..3 elements of H (arity-1 tensors), slot per
-        argument: the product of their embeddings into the arity."""
+        argument, in one loop over the slots' packed codes. Its flag is
+        that of the product of the slots' embeddings into the arity: a
+        slot's flag, or, when no slot is zero, slot terms whose Hopf
+        degrees sum above the bound."""
         algebra = elements[0].algebra
         arity = len(elements)
         for el in elements:
@@ -429,13 +511,25 @@ class TensorElement:
                 raise AlgebraMismatch("tensor slots over different algebras")
             if el.arity != 1:
                 raise ArityMismatch("tensor slots must be elements of H")
-        result = cls.unit(algebra, arity)
-        # zero slots first: a zero tensor forms no pair of the other slots,
-        # so only a flagged slot flags it
-        for slot, el in sorted(enumerate(elements),
-                               key=lambda item: not item[1].is_zero()):
-            result = result * el.embed(arity, (slot,))
-        return result
+        bound = algebra.degree_bound
+        bits = algebra._codec(1).hopf_bits
+        packs = [el._packed for el in elements]
+        flag = any(p.flag for p in packs) or (
+            all(p.buckets for p in packs)
+            and sum(max(p.buckets) for p in packs) > bound)
+        rows = [(0, 0, 1)]
+        for slot, p in enumerate(packs):
+            low = slot * bits
+            rows = [(code | c << low, h + hs, n * m)
+                    for code, h, n in rows
+                    for hs, bucket in p.buckets.items() if h + hs <= bound
+                    for c, m in bucket]
+        acc = {}
+        for code, h, n in rows:
+            acc.setdefault(h, {})[code] = n
+        return cls._of(algebra, arity, _Packed.reduced(
+            acc, math.prod(p.den for p in packs), INF, flag,
+            algebra._codec(arity).shift))
 
     # -- linear structure ---------------------------------------------------
 
@@ -451,34 +545,28 @@ class TensorElement:
             return TensorElement.from_scalar(self.algebra, self.arity, other)
         return other
 
-    def _rebuilt(self, terms, arity=None):
-        """Tensor of this algebra and `truncated` flag from terms that are
-        nonzero and within the degree bound, at this arity unless given."""
-        return TensorElement(self.algebra, arity or self.arity, terms,
-                             self.truncated, _normalize=False)
-
-    def _combine(self, other, op):
-        """self + other or self - other."""
+    def _combine(self, other, sign):
+        """self + other or self - other (sign _UNIT or _MINUS_UNIT): one
+        kernel call, the flags or-ed."""
         other = self._lift(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for k, q in other.terms.items():
-            acc[k] = op(acc.get(k, ZERO), q)
-        return TensorElement(self.algebra, self.arity, acc,
-                             self.truncated or other.truncated)
+        return TensorElement._of(self.algebra, self.arity,
+                                 _Packed.sum_of_products(
+                                     ((_UNIT, self._packed),
+                                      (sign, other._packed)), INF, INF))
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, _UNIT)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, _MINUS_UNIT)
 
     def __neg__(self):
-        return self._rebuilt({k: -q for k, q in self.terms.items()})
+        return self._scaled(-1, 1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -487,22 +575,26 @@ class TensorElement:
         if isinstance(other, TensorElement):
             # a tensor is a 0-variable series to the product kernel
             self._check(other)
-            alg = self.algebra
-            codec = alg._codec(self.arity)
-            prod = codec.pack({(): self.terms}, flag=self.truncated).times(
-                codec.pack({(): other.terms}, flag=other.truncated),
-                INF, alg.degree_bound)
-            return TensorElement(alg, self.arity,
-                                 codec.unpack(prod).get((), {}), prod.flag,
-                                 _normalize=False)
-        if _is_rational(other) or isinstance(other, int):
-            q = rational(other)
-            if q == 0:
-                return TensorElement.zero(self.algebra, self.arity)
-            return self._rebuilt({k: c * q for k, c in self.terms.items()})
+            return TensorElement._of(self.algebra, self.arity,
+                                     self._packed.times(
+                                         other._packed, INF,
+                                         self.algebra.degree_bound))
+        if isinstance(other, int) or _is_rational(other):
+            return self._scaled(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _scaled(self, num, den):
+        """The tensor times num / den (den > 0); a scalar 0 gives the
+        unflagged zero."""
+        if num == 0:
+            return TensorElement.zero(self.algebra, self.arity)
+        packed = self._packed
+        return TensorElement._of(self.algebra, self.arity, _Packed.divided(
+            {h: [(code, n * num) for code, n in bucket]
+             for h, bucket in packed.buckets.items()},
+            packed.den * den, packed.flag, packed.shift))
 
     def __pow__(self, n):
         """Power by repeated squaring, which stops once the value is zero,
@@ -524,15 +616,18 @@ class TensorElement:
         other = self._lift(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
+        a, b = self._packed, other._packed
         return (self.algebra == other.algebra and self.arity == other.arity
-                and self.terms == other.terms)
+                and a.den == b.den and a.buckets == b.buckets)
 
     def __hash__(self):
-        return hash((self.algebra, self.arity,
-                     tuple(sorted(self.terms.items()))))
+        packed = self._packed
+        return hash((self.algebra, self.arity, packed.den,
+                     tuple(sorted((h, tuple(bucket))
+                                  for h, bucket in packed.buckets.items()))))
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed.buckets
 
     # -- slot operations -----------------------------------------------------
 
@@ -547,22 +642,16 @@ class TensorElement:
         if not 0 <= slot < self.arity:
             raise ArityMismatch(
                 f"slot {slot} outside arity {self.arity}")
-        alg = self.algebra
         if op == "comul":
             if self.arity == 3:
                 raise ArityMismatch("comul would exceed arity 3")
-            return self._map_slots(slot, 1, self.arity + 1, alg.comul_mono)
+            return self._map_slot(slot, op, 2)
         if op == "counit":
             if self.arity == 1:
                 raise ArityMismatch(
                     "counit on arity 1 yields a scalar; use full_counit")
-
-            def counit(m):
-                c = alg.counit_mono(m)
-                return {(): c} if c else {}
-            return self._map_slots(slot, 1, self.arity - 1, counit)
-        return self._map_slots(slot, 1, self.arity,
-                               lambda m: alg.antipode_mono(m).terms)
+            return self._map_slot(slot, op, 0)
+        return self._map_slot(slot, op, 1)
 
     def contract_mul(self, slots=(0, 1)):
         """Multiply two adjacent slots via mu, reducing arity by one."""
@@ -571,32 +660,48 @@ class TensorElement:
             raise ArityMismatch(
                 f"slots {slots} are not an adjacent pair in arity "
                 f"{self.arity}")
-        mul_mono = self.algebra.mul_mono
+        return self._map_slot(i, "mul", 1, 2)
 
-        def product(a, b):
-            m = mul_mono(a, b)
-            return None if m is None else {(m,): ONE}
-        return self._map_slots(i, 2, self.arity - 1, product)
-
-    def _map_slots(self, slot, width, arity, image):
-        """The arity-`arity` tensor that replaces the `width` monomials of
-        every key from `slot` on by their image, a dict {monomials: Q},
-        and keeps the other slots. The constructor drops and flags what
-        leaves the degree bound; an image of None has left it already and
+    def _map_slot(self, slot, op, width, span=1):
+        """The tensor that replaces the `span` monomials from `slot` on of
+        every key by their `width` monomials' image under op, packed rows
+        of the algebra (`HopfAlgebra._image_rows`), and keeps the other
+        slots. What leaves the degree bound is dropped and, when nonzero,
         sets the flag."""
+        alg = self.algebra
+        packed = self._packed
+        bits = alg._codec(1).hopf_bits
+        low = slot * bits
+        mask = (1 << (span * bits)) - 1
+        head = (1 << low) - 1
+        tail_in, tail_out = low + span * bits, low + width * bits
+        rows_of = alg._image_rows
+        images = {}
+        for bucket in packed.buckets.values():
+            for code, _ in bucket:
+                part = (code >> low) & mask
+                if part not in images:
+                    images[part] = rows_of(op, part)
+        den = math.lcm(*[d for _, d in images.values()])
         acc = {}
-        truncated = self.truncated
-        end = slot + width
-        for key, q in self.terms.items():
-            parts = image(*key[slot:end])
-            if parts is None:
-                truncated = True
-                continue
-            head, tail = key[:slot], key[end:]
-            for part, qq in parts.items():
-                k = head + part + tail
-                acc[k] = acc.get(k, ZERO) + q * qq
-        return TensorElement(self.algebra, arity, acc, truncated)
+        for h, bucket in packed.buckets.items():
+            for code, n in bucket:
+                rows, d = images[(code >> low) & mask]
+                if d != den:
+                    n *= den // d
+                rest = code & head | (code >> tail_in) << tail_out
+                for c, dh, m in rows:
+                    out = acc.get(h + dh)
+                    if out is None:
+                        out = acc[h + dh] = {}
+                    k = rest | c << low
+                    out[k] = out.get(k, 0) + n * m
+        flag = packed.flag
+        for h in [h for h in acc if h > alg.degree_bound]:
+            flag = any(acc.pop(h).values()) or flag
+        arity = self.arity + width - span
+        return TensorElement._of(alg, arity, _Packed.reduced(
+            acc, packed.den * den, INF, flag, alg._codec(arity).shift))
 
     def embed(self, arity, slots):
         """Place the slots of this tensor at the given strictly increasing
@@ -608,14 +713,7 @@ class TensorElement:
             raise ArityMismatch("slot assignment must be strictly increasing")
         if arity not in (1, 2, 3) or (slots and slots[-1] >= arity):
             raise ArityMismatch("slot assignment outside target arity")
-        unit = self.algebra.unit_mono
-        acc = {}
-        for key, q in self.terms.items():
-            new = [unit] * arity
-            for pos, m in zip(slots, key):
-                new[pos] = m
-            acc[tuple(new)] = q
-        return self._rebuilt(acc, arity)
+        return self._placed(slots, arity)
 
     def permute(self, perm):
         """Reorder slots: new slot i holds old slot perm[i]."""
@@ -624,18 +722,40 @@ class TensorElement:
             raise ArityMismatch(f"{perm} is not a permutation of the slots")
         # a bijection of keys that keeps their degrees: nothing to merge,
         # cancel or truncate
-        return self._rebuilt({tuple(key[p] for p in perm): q
-                              for key, q in self.terms.items()})
+        return self._placed([perm.index(s) for s in range(self.arity)],
+                            self.arity)
+
+    def _placed(self, positions, arity):
+        """The arity-`arity` tensor with slot s of every key at
+        positions[s], 1 elsewhere. Increasing positions keep the order of
+        the codes, so only a permutation sorts its buckets."""
+        bits = self.algebra._codec(1).hopf_bits
+        mask = (1 << bits) - 1
+        buckets = {}
+        for h, bucket in self._packed.buckets.items():
+            out = buckets[h] = []
+            for code, n in bucket:
+                moved = 0
+                for p in positions:
+                    moved |= (code & mask) << (p * bits)
+                    code >>= bits
+                out.append((moved, n))
+            if list(positions) != sorted(positions):
+                out.sort(key=_code)
+        packed = self._packed
+        return TensorElement._of(self.algebra, arity, _Packed(
+            buckets, packed.den, INF, packed.flag,
+            self.algebra._codec(arity).shift))
 
     def full_counit(self):
         """Counit applied in every slot: the scalar part of the tensor."""
-        counit_mono = self.algebra.counit_mono
-        total = ZERO
-        for key, q in self.terms.items():
-            for m in key:
-                q = q * counit_mono(m)
-            total += q
-        return total
+        scalar = self
+        for _ in range(self.arity):
+            scalar = scalar._map_slot(0, "counit", 0)
+        packed = scalar._packed
+        num = packed.buckets[0][0][1] if packed.buckets else 0
+        return (ZERO if num == 0 else ONE if num == packed.den
+                else Q(num, packed.den))
 
     # -- Hopf structure of H (arity 1) -----------------------------------------
 
@@ -658,22 +778,29 @@ class TensorElement:
 
     def mul_inverse(self):
         """Inverse with respect to slot-wise multiplication; requires the
-        unit-tuple coefficient to be nonzero."""
-        unit_key = (self.algebra.unit_mono,) * self.arity
-        q0 = self.terms.get(unit_key, ZERO)
-        if q0 == 0:
+        unit-tuple coefficient q0 to be nonzero. The geometric series in
+        the unflagged nilpotent part 1 - self / q0, times 1 / q0: its flag
+        comes from its products alone."""
+        packed = self._packed
+        # the unit key is the only key of Hopf degree 0, and its code is 0
+        n0 = packed.buckets.get(0, ((0, 0),))[0][1]
+        if n0 == 0:
             raise NonInvertibleConstantTerm(
                 "tensor has no unit component; not invertible")
-        scale = ONE / q0
-        nil = TensorElement(
-            self.algebra, self.arity,
-            {k: -q * scale for k, q in self.terms.items() if k != unit_key})
-        result = TensorElement.unit(self.algebra, self.arity)
+        sign = -1 if n0 > 0 else 1
+        nil = _Packed.divided(
+            {h: [(code, sign * n) for code, n in bucket]
+             for h, bucket in packed.buckets.items() if h},
+            abs(n0), False, packed.shift)
+        bound = self.algebra.degree_bound
+        result = _UNIT.stamped(INF, False, packed.shift)
         power = nil
-        while not power.is_zero():
-            result = result + power
-            power = power * nil
-        return result * scale
+        while power.buckets:
+            result = _Packed.summed((result, power))
+            power = power.times(nil, INF, bound)
+        return TensorElement._of(self.algebra, self.arity,
+                                 result)._scaled(packed.den * -sign,
+                                                 abs(n0))
 
     def nilpotency_slack(self):
         """Largest m with self**m nonzero; raises when the element is not
@@ -876,7 +1003,7 @@ def build_hopf_algebra(description):
                     f"coproduct coefficient {coeff!r} is not a rational"
                 ) from exc
             table[key] = table.get(key, ZERO) + q
-        tables.append(_normalize_terms(table))
+        tables.append({k: q for k, q in table.items() if q})
     algebra = HopfAlgebra(names, degrees, bound, tables)
     algebra._validate_tables()
     return algebra
@@ -954,7 +1081,7 @@ def verify_hopf_axioms(algebra):
     monos = algebra.monomials()
     delta = {}
     for m in monos:
-        el = TensorElement(algebra, 1, {(m,): ONE}, _normalize=False)
+        el = TensorElement(algebra, 1, {(m,): ONE})
         dm = delta[m] = el.comul()
         left = dm.apply_slot(0, "comul")
         right = dm.apply_slot(1, "comul")

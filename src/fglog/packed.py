@@ -9,26 +9,34 @@ and of the group inverse (series.py `_series_mul`, each step one call
 with the unit times its addend as a second pair), the powers and blocks
 of the Paterson-Stockmeyer evaluator (`series._evaluate`) that those
 Newton loops run on, the order-by-order recursion of `Series.mul_inverse`
-on 0-variable packed coefficients, the powers of F(X, Y) and the rows
-U^k G_k of the associativity gate (`fgl._gate_composite`), and tensor
-products (`TensorElement.__mul__` packs its operands as 0-variable
-series), which extend the coproduct multiplicatively from the generators
-(`HopfAlgebra.comul_mono`) and form the tensor of elements of H
-(`TensorElement.from_slots`).
+on the coefficients' own packed forms, the powers of F(X, Y) and the rows
+U^k G_k of the associativity gate (`fgl._gate_composite`), and the
+products and sums of tensors.
 A term's slot monomials, variable exponents and total variable degree are
 packed into one graded int key, a field per exponent with the degree field
 on top in place of the last exponent's (which the degree and the others
 give), so the key of a product term is the sum of its factors' keys, keys
-sort by degree first and are no longer than one field per exponent. The symmetry defect of a law, and the
-associativity defect of a law equal to its flip, are a packed series minus
-its key-field reversal, which puts the tensor slots and the variables in
-reverse order (`_Codec.minus_reversed`).
+sort by degree first and are no longer than one field per exponent. The
+Hopf fields have one width for every layout of an algebra, the variable
+fields one sized for the series at hand (`_Codec`).
+The symmetry defect of a law, and the associativity defect of a law equal
+to its flip, are a packed series minus its key-field reversal, which puts
+the tensor slots and the variables in reverse order
+(`_Codec.minus_reversed`).
 Coefficients are int numerators over one common denominator per operand.
 Terms are bucketed by Hopf degree alone, each bucket a list sorted by key:
 the degree bound is decided once per pair of buckets, and the order cap by
 the first and last keys of the two buckets, or by one bisection of the
 inner bucket per outer term (Monagan and Pearce, CASC 2007, on graded
 packed monomials; Johnson 1974 on sparse products).
+
+A tensor (hopf.py `TensorElement`) is itself a reduced _Packed of the
+layout without variables, and that layout is the low `hopf_bits` of every
+series layout of its algebra and arity. So a series packs by or-ing each
+coefficient's codes with its exponents' fields and unpacks by splitting
+them off again, a constant coefficient is its tensor's own _Packed
+re-stamped (`_Packed.stamped`), and Fractions are built only from input
+and for output (`TensorElement.terms`).
 
 Tensor powers of H are truncated by total degree across the slots. That
 span is an ideal and, since every structure map preserves degree, also a
@@ -45,48 +53,69 @@ import math
 from bisect import bisect_left
 from operator import itemgetter
 
-from .scalars import Q
-
 INF = math.inf
 _code = itemgetter(0)  # sorting (code, numerator) terms by code alone
 
 
 class _Codec:
-    """Packed-key layout for one algebra, arity and variable tuple: every
-    exponent gets `width` bits, tensor slots first, then the variables
-    but the last, and the total variable degree sits above them, at bit
-    `shift`, with no bound; the last exponent is the degree minus the
-    others. A field of its own for the degree would push keys that now
-    fit in one 30-bit int digit past it. Variable exponents up to `vmax`
-    and generator exponents up to the degree bound fit; products are
-    only formed within those limits, so adding two keys never carries
-    from one field into the next, and a key's degree is `key >> shift`."""
+    """Packed-key layout for one algebra, arity and variable tuple. Every
+    generator exponent of a tensor slot gets `hwidth` = max(D, 1).bit_length()
+    bits, the slots first; the variables but the last get `width` bits
+    each above them, sized by `vmax` alone; the total variable degree sits
+    above those, at bit `shift`, with no bound, and the last exponent is
+    the degree minus the others. A field of its own for the degree would
+    push keys that now fit in one 30-bit int digit past it. Variable
+    exponents up to `vmax` and generator exponents up to the degree bound
+    fit; products are only formed within those limits, so adding two keys
+    never carries from one field into the next, and a key's degree is
+    `key >> shift`.
 
-    __slots__ = ("algebra", "arity", "nvars", "names", "width", "hopf_bits",
-                 "shift", "_codes", "_keys", "_exps")
+    The layout without variables, `HopfAlgebra._codec(arity)`, is that of
+    the tensors themselves (`TensorElement`), and every layout of the
+    algebra and arity embeds it: a tensor's code is the low `hopf_bits`
+    of a series code, and its coefficients' codes, or-ed with their
+    exponents' fields, are the series' codes."""
+
+    __slots__ = ("algebra", "arity", "nvars", "names", "width", "hwidth",
+                 "hopf_bits", "shift", "_codes", "_keys", "_exps")
 
     def __init__(self, algebra, arity, names, vmax):
         self.algebra = algebra
         self.arity = arity
         self.nvars = len(names)
         self.names = names
-        self.width = max(vmax, algebra.degree_bound, 1).bit_length()
-        self.hopf_bits = self.width * arity * len(algebra.names)
+        self.hwidth = max(algebra.degree_bound, 1).bit_length()
+        self.width = max(vmax, 1).bit_length()
+        self.hopf_bits = self.hwidth * arity * len(algebra.names)
         self.shift = self.hopf_bits + self.width * max(self.nvars - 1, 0)
         self._codes = {}  # tensor key -> (code, Hopf degree)
-        self._keys = {}  # code -> tensor key
+        self._keys = {}  # tensor code -> tensor key
         self._exps = {}  # code >> hopf_bits -> exponent tuple
 
-    def _key_code(self, key):
+    def key_code(self, key):
+        """(code, Hopf degree) of a tensor key of this layout's arity."""
         hit = self._codes.get(key)
         if hit is None:
             code = shift = 0
             for mono in key:
                 for e in mono:
                     code |= e << shift
-                    shift += self.width
+                    shift += self.hwidth
             hit = self._codes[key] = (code, self.algebra.key_degree(key))
         return hit
+
+    def key(self, code):
+        """The tensor key of a tensor code."""
+        key = self._keys.get(code)
+        if key is None:
+            hwidth = self.hwidth
+            mask = (1 << hwidth) - 1
+            ngens = len(self.algebra.names)
+            key = self._keys[code] = tuple(
+                tuple((code >> (hwidth * (s * ngens + i))) & mask
+                      for i in range(ngens))
+                for s in range(self.arity))
+        return key
 
     def _exps_code(self, exps):
         """The variable fields and the degree field of an exponent tuple;
@@ -114,76 +143,52 @@ class _Codec:
         return exps
 
     def pack(self, terms, order=INF, flag=False):
-        """_Packed form of a terms dict {exps: {key: Q}}."""
-        den = math.lcm(*(int(q.denominator) for coeff in terms.values()
-                         for q in coeff.values()))
+        """_Packed form of {exps: TensorElement}: each coefficient's codes
+        or-ed with its exponents' fields, its numerators rescaled to the
+        common denominator. The coefficients are taken in the order of
+        those fields, which lie above every tensor code, so each bucket
+        comes out sorted."""
+        den = math.lcm(*[c._packed.den for c in terms.values()])
         buckets = {}
-        for exps, coeff in terms.items():
-            base = self._exps_code(exps)
-            for key, q in coeff.items():
-                code, h = self._key_code(key)
-                buckets.setdefault(h, {})[base | code] = (
-                    int(q.numerator) * (den // int(q.denominator)))
-        return _Packed({h: sorted(bucket.items(), key=_code)
-                        for h, bucket in buckets.items()},
-                       den, order, flag, self.shift)
-
-    def pack_image(self, terms, image, n=1):
-        """Complete, unflagged _Packed form of {exps: {key: Q}} with the
-        first n monomials of each key replaced by their degree-keeping
-        image(*monomials) {monomials: Q}, the rest of the key after it,
-        over the terms' denominator times the images' one."""
-        images = {key[:n]: image(*key[:n])
-                  for coeff in terms.values() for key in coeff}
-        den_q = math.lcm(*(int(q.denominator) for coeff in terms.values()
-                           for q in coeff.values()))
-        den_t = math.lcm(*(int(q.denominator) for parts in images.values()
-                           for q in parts.values()))
-        codes = {head: [(self._key_code(part)[0],
-                         int(q.numerator) * (den_t // int(q.denominator)))
-                        for part, q in parts.items()]
-                 for head, parts in images.items()}
-        slot_bits = self.width * len(self.algebra.names)
-        buckets = {}
-        for exps, coeff in terms.items():
-            base = self._exps_code(exps)
-            for key, q in coeff.items():
-                out = buckets.setdefault(self.algebra.key_degree(key), {})
-                num = int(q.numerator) * (den_q // int(q.denominator))
-                tail = key[n:]
-                rest = base | self._key_code(tail)[0] << (
-                    slot_bits * (self.arity - len(tail)))
-                for code, m in codes[key[:n]]:
-                    out[code | rest] = out.get(code | rest, 0) + num * m
-        return _Packed.reduced(buckets, den_q * den_t, INF, False, self.shift)
+        for base, p in sorted([(self._exps_code(e), c._packed)
+                               for e, c in terms.items()], key=_code):
+            scale = den // p.den
+            for h, bucket in p.buckets.items():
+                out = buckets.get(h)
+                if out is None:
+                    out = buckets[h] = []
+                out += [(base | code, num * scale) for code, num in bucket]
+        return _Packed(buckets, den, order, flag, self.shift)
 
     def unpack(self, packed):
-        """Terms dict {exps: {key: Q}} of a _Packed."""
-        width, hopf_bits = self.width, self.hopf_bits
-        mask = (1 << width) - 1
+        """{exps: TensorElement} of a _Packed, unflagged: every code split
+        into its exponents and its tensor code, each coefficient over its
+        own denominator, with one gcd per coefficient."""
+        from .hopf import TensorElement
+
+        hopf_bits = self.hopf_bits
         hopf_mask = (1 << hopf_bits) - 1
-        ngens = len(self.algebra.names)
-        keys, exps_of = self._keys, self._exps
-        den = packed.den
-        acc = {}
-        for bucket in packed.buckets.values():
+        parts = {}
+        for h, bucket in packed.buckets.items():
             for code, num in bucket:
                 vcode = code >> hopf_bits
-                exps = exps_of.get(vcode)
-                if exps is None:
-                    exps = self._code_exps(vcode)
-                kcode = code & hopf_mask
-                key = keys.get(kcode)
-                if key is None:
-                    key = keys[kcode] = tuple(
-                        tuple((kcode >> (width * (s * ngens + i))) & mask
-                              for i in range(ngens))
-                        for s in range(self.arity))
-                coeff = acc.get(exps)
-                if coeff is None:
-                    coeff = acc[exps] = {}
-                coeff[key] = Q(num, den)
-        return acc
+                buckets = parts.get(vcode)
+                if buckets is None:
+                    buckets = parts[vcode] = {}
+                row = buckets.get(h)
+                if row is None:
+                    row = buckets[h] = []
+                row.append((code & hopf_mask, num))
+        den = packed.den
+        out = {}
+        for vcode, buckets in parts.items():
+            exps = self._exps.get(vcode)
+            if exps is None:
+                exps = self._code_exps(vcode)
+            out[exps] = TensorElement._of(
+                self.algebra, self.arity,
+                _Packed.divided(buckets, den, False, hopf_bits))
+        return out
 
     def minus_reversed(self, packed):
         """packed minus its image under the key-field reversal, which puts
@@ -193,7 +198,7 @@ class _Codec:
         the common denominator, and only nonzero differences are stored."""
         hopf_bits = self.hopf_bits
         hopf_mask = (1 << hopf_bits) - 1
-        slot_bits = self.width * len(self.algebra.names)
+        slot_bits = self.hwidth * len(self.algebra.names)
         reversed_keys, reversed_exps = {}, {}
         buckets = {}
         for h, bucket in packed.buckets.items():
@@ -280,9 +285,25 @@ class _Packed:
                 clean[h] = sorted(bucket.items(), key=_code)
         return cls(clean, den, order, flag, shift)
 
-    def stamped(self, order, flag):
-        """The same terms with another certified order and flag."""
-        return _Packed(self.buckets, self.den, order, flag, self.shift)
+    @classmethod
+    def divided(cls, buckets, den, flag, shift):
+        """Complete _Packed of buckets {Hopf degree: [(code, numerator),
+        ...]}, each sorted and nonzero, over den > 0: the common factor of
+        the numerators and the denominator cancelled."""
+        g = math.gcd(den, *[n for bucket in buckets.values()
+                            for _, n in bucket])
+        if g != 1:
+            den //= g
+            buckets = {h: [(code, n // g) for code, n in bucket]
+                       for h, bucket in buckets.items()}
+        return cls(buckets, den, INF, flag, shift)
+
+    def stamped(self, order, flag, shift=None):
+        """The same terms with another certified order and flag, and in
+        the layout of `shift` when given: a tensor's terms are the
+        constant terms of every series layout of its algebra and arity."""
+        return _Packed(self.buckets, self.den, order, flag,
+                       self.shift if shift is None else shift)
 
     def times(self, other, keep, bound):
         """Product: the one-pair case of `sum_of_products`."""
@@ -382,5 +403,6 @@ class _Packed:
                        self.shift)
 
 
-# the complete, unflagged constant 1 of every layout
+# the complete, unflagged constants 1 and -1 of every layout
 _UNIT = _Packed({0: [(0, 1)]}, 1, INF, False, 0)
+_MINUS_UNIT = _Packed({0: [(0, -1)]}, 1, INF, False, 0)

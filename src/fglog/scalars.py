@@ -1,11 +1,13 @@
 """Exact rational scalars.
 
-The whole kernel computes over arbitrary-precision rationals, the stdlib
-fractions.Fraction. Series products and substitutions, the bulk of the
-arithmetic, do not run on this type: every product, of series and of
-tensors alike, runs on the packed kernel in packed.py, which computes with
-Python int numerators over one common denominator per operand and converts
-back to Q only for the coefficients it returns.
+The kernel computes over arbitrary-precision rationals, but the arithmetic
+does not run on this type, the stdlib fractions.Fraction: tensors and
+series are packed forms of packed.py, Python int numerators over one
+common denominator, and every operation on them moves ints and codes.
+Fractions remain where a rational enters or leaves: the structure tables
+of an algebra, parsed and generated input (through the TensorElement
+constructor), scalars such as counits, and the `terms` that printing and
+JSON output read.
 """
 
 import sys
@@ -16,7 +18,10 @@ ONE = Q(1)
 
 
 def rational(value):
-    """Coerce an int, Fraction or 'p/q' string to the scalar type."""
+    """Coerce an int, Fraction or 'p/q' string to the scalar type; a
+    Fraction is returned as it is."""
+    if type(value) is Q:
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     return Q(value)

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .hopf import TensorElement, _is_rational, _join_signed
 from .packed import _UNIT, _Codec, _Packed
-from .scalars import ONE, Q, format_rational, rational
+from .scalars import ONE, format_rational, rational
 
 INF = math.inf
 
@@ -109,8 +109,7 @@ class Series:
         first use."""
         if self._terms is None:
             codec, packed = self._packed
-            self._terms = _coefficients(self.algebra, self.arity,
-                                        codec.unpack(packed))
+            self._terms = codec.unpack(packed)
         return self._terms
 
     # -- constructors --------------------------------------------------------
@@ -297,7 +296,7 @@ class Series:
             k = e[var]
             if k:
                 acc[e[:var] + (k - 1,) + e[var + 1:]] = (
-                    c if k == 1 else c * Q(k))
+                    c if k == 1 else c * k)
         order = self.order - 1
         return self._rebuilt({e: c for e, c in acc.items()
                               if sum(e) <= order and not c.is_zero()}, order)
@@ -310,7 +309,7 @@ class Series:
         acc = {}
         for e, c in self.terms.items():
             exps = e[:var] + (e[var] + 1,) + e[var + 1:]
-            acc[exps] = c * (ONE / Q(e[var] + 1))
+            acc[exps] = c._scaled(1, e[var] + 1)
         return self._rebuilt(acc, self.order + 1)
 
     # -- composition ------------------------------------------------------------------
@@ -366,8 +365,8 @@ class Series:
         vmax = max(vmax, cap if cap != INF else self.max_degree() * vmax)
         codec = _Codec(self.algebra, self.arity, target.names, vmax)
         zero = (0,) * target.nvars
-        consts = {e: _view(codec, codec.pack({zero: c.terms},
-                                             flag=c.truncated), {zero: c})
+        consts = {e: _view(codec, _constant(codec, c, c.truncated),
+                           {zero: c})
                   for e, c in self.terms.items()}
         views = [_packed_view(codec, a) if occurring[v] else None
                  for v, a in enumerate(assigns)]
@@ -416,10 +415,10 @@ class Series:
         codec = _Codec(self.algebra, self.arity, self.names, order)
         shift = codec.shift
         x_code = codec._exps_code((1,))
-        consts = {e[0]: codec.pack({(0,): c.terms})
+        consts = {e[0]: _constant(codec, c)
                   for e, c in self.truncate(order).terms.items()}
         minus_x = _Packed({0: [(x_code, -1)]}, 1, INF, False, shift)
-        h = codec.pack({(1,): b0_inv.terms})
+        h = codec.pack({(1,): b0_inv})
         bound = self.algebra.degree_bound
         for p in _doubling_orders(1, order):
             # h is the inverse through some q >= p/2, so e = f(h) - x
@@ -449,9 +448,8 @@ class Series:
     def mul_inverse(self, order=None):
         """Series g with f*g = 1. Needs a constant term of full counit 1;
         the finite geometric expansion in its nilpotent part starts the
-        order-by-order recursion for the rest, which runs on packed
-        coefficients (one kernel call per product) and unpacks only the
-        result's.
+        order-by-order recursion for the rest, one kernel call per
+        product on the coefficients' own packed forms.
 
         For a complete polynomial whose positive-degree coefficients are all
         counit-zero the inverse is again a complete polynomial (degree
@@ -498,14 +496,12 @@ class Series:
                 order = (self.arity * self.algebra.degree_bound * maxdeg
                          + maxdeg)
 
-        codec = self.algebra._codec(self.arity)
         bound = self.algebra.degree_bound
-        parts = {d: [(e, codec.pack({(): c.terms}, flag=c.truncated))
-                     for e, c in entries] for d, entries in parts.items()}
-        minus_f0_inv = codec.pack({(): (-f0_inv).terms},
-                                  flag=f0_inv.truncated)
-        levels = {0: {(0,) * self.nvars: codec.pack(
-            {(): f0_inv.terms}, flag=f0_inv.truncated)}}
+        # a coefficient's packed form is a 0-variable series of its own
+        parts = {d: [(e, c._packed) for e, c in entries]
+                 for d, entries in parts.items()}
+        minus_f0_inv = (-f0_inv)._packed
+        levels = {0: {(0,) * self.nvars: f0_inv._packed}}
         acc_terms = {}
         truncated = self.truncated
         for m in range(1, order + 1):
@@ -533,9 +529,7 @@ class Series:
                 break
         terms = {(0,) * self.nvars: f0_inv}
         for e, val in acc_terms.items():
-            terms[e] = TensorElement(self.algebra, self.arity,
-                                     codec.unpack(val)[()], val.flag,
-                                     _normalize=False)
+            terms[e] = TensorElement._of(self.algebra, self.arity, val)
         result_order = INF if exhaustive else min(order, self.order)
         return Series(self.algebra, self.arity, self.nvars, terms,
                       result_order, self.names, truncated)
@@ -692,23 +686,19 @@ def _solved_terms(root, slope, slope_inv):
     algebra = slope.algebra
     flagged = set()
     if not slope_inv.truncated:
-        room = algebra.degree_bound - max(
-            algebra.key_degree(key) for key in slope_inv.terms)
+        room = algebra.degree_bound - max(slope_inv._packed.buckets)
         if root._packed is None:
             root = _packed_view(_Codec(algebra, root.arity, root.names,
                                        root.max_degree()), root)
         codec, packed = root._packed
         # the sign of r leaves its degrees as they are
-        r = codec.pack({(0,): slope.terms}).times(packed, INF,
-                                                  algebra.degree_bound)
+        r = _constant(codec, slope).times(packed, INF, algebra.degree_bound)
         flagged = {code >> r.shift for h, bucket in r.buckets.items()
                    if h > room for code, _ in bucket}
     terms = {}
     for e, c in root.terms.items():
         if e != (0,):
-            c = TensorElement(algebra, c.arity, c.terms,
-                              slope_inv.truncated or e[0] in flagged,
-                              _normalize=False)
+            c = c._flagged(slope_inv.truncated or e[0] in flagged)
         terms[e] = c
     return terms
 
@@ -723,17 +713,18 @@ def _solved_terms(root, slope, slope_inv):
 # call) and result are views of its layout.
 
 
-def _coefficients(algebra, arity, terms):
-    """{exps: TensorElement} from the plain {exps: {key: Q}} of unpack."""
-    return {e: TensorElement(algebra, arity, t, _normalize=False)
-            for e, t in terms.items()}
-
-
 def _packed_view(codec, series):
     """The series as a view of the codec's layout, with its own terms."""
     terms = series.terms
-    return _view(codec, codec.pack({e: c.terms for e, c in terms.items()},
-                                   series.order, series.truncated), terms)
+    return _view(codec, codec.pack(terms, series.order, series.truncated),
+                 terms)
+
+
+def _constant(codec, coeff, flag=False):
+    """A coefficient as a complete constant of the codec's layout: its
+    own packed terms, which sit at the zero exponents of every layout of
+    its algebra and arity, re-stamped with `flag`."""
+    return coeff._packed.stamped(INF, flag, codec.shift)
 
 
 def _view(codec, packed, terms=None):
@@ -753,12 +744,9 @@ def _substituted(codec, packed, const_flag):
     the substituted series' constant coefficient (`const_flag`)."""
     terms = None
     if const_flag and packed.val == 0:
-        terms = _coefficients(codec.algebra, codec.arity,
-                              codec.unpack(packed))
+        terms = codec.unpack(packed)
         zero = (0,) * codec.nvars
-        terms[zero] = TensorElement(codec.algebra, codec.arity,
-                                    terms[zero].terms, True,
-                                    _normalize=False)
+        terms[zero] = terms[zero]._flagged(True)
     return _view(codec, packed, terms)
 
 

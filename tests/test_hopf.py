@@ -276,7 +276,7 @@ def reference_verify_hopf_axioms(algebra):
     from fglog.report import Report, Violation
     monos = algebra.monomials()
     for m in monos:
-        el = TensorElement(algebra, 1, {(m,): ONE}, _normalize=False)
+        el = TensorElement(algebra, 1, {(m,): ONE})
         dm = el.comul()
         left = dm.apply_slot(0, "comul")
         right = dm.apply_slot(1, "comul")
@@ -303,8 +303,8 @@ def reference_verify_hopf_axioms(algebra):
         for m2 in monos[i:]:
             if d1 + algebra.degree(m2) > algebra.degree_bound:
                 continue
-            e1 = TensorElement(algebra, 1, {(m1,): ONE}, _normalize=False)
-            e2 = TensorElement(algebra, 1, {(m2,): ONE}, _normalize=False)
+            e1 = TensorElement(algebra, 1, {(m1,): ONE})
+            e2 = TensorElement(algebra, 1, {(m2,): ONE})
             prod = e1 * e2
             if prod.comul() != e1.comul() * e2.comul():
                 return Report.fail([Violation(
@@ -649,10 +649,11 @@ def _slot_algebras(draw):
 
 @st.composite
 def _raw_tensors(draw, algebra, arity):
-    """A tensor from _tensors, or one stored without normalizing: one to
-    six keys of basis monomials and of monomials up to twice the bound,
-    so that a key's total degree and a product of two slots often pass
-    the bound, some coefficients zero, and a rare `truncated` flag."""
+    """A tensor from _tensors, or one built from raw terms: one to six
+    keys of basis monomials and of monomials up to twice the bound, so
+    that a key's total degree often passes the bound (the constructor
+    drops such a key and sets the flag), some coefficients zero, and a
+    rare `truncated` flag."""
     if draw(st.booleans()):
         return draw(_tensors(algebra, arity))
     above = st.tuples(*[st.integers(0, 2 * algebra.degree_bound // d)
@@ -662,8 +663,7 @@ def _raw_tensors(draw, algebra, arity):
     for _ in range(draw(st.integers(1, 6))):
         raw[tuple(draw(monos) for _ in range(arity))] = draw(_RATIONALS)
     return TensorElement(algebra, arity, raw,
-                         draw(st.integers(0, 5).map(lambda n: n == 0)),
-                         _normalize=False)
+                         draw(st.integers(0, 5).map(lambda n: n == 0)))
 
 
 class TestSlotMapReference:
@@ -696,11 +696,11 @@ class TestSlotMapReference:
 
     @pytest.mark.parametrize("key", [((5,), (4,)), ((2,), (3,), (5,))])
     def test_contract_above_the_bound_sets_the_flag(self, qt1, key):
-        """A product slot of degree 9, or a contracted key of total degree
-        10, leaves the bound 8."""
+        """A key of total degree 9 or 10 leaves the bound 8: the
+        constructor drops it and sets the flag, which the contraction
+        keeps."""
         low = ((1,),) * len(key)
-        el = TensorElement(qt1, len(key), {key: ONE, low: ONE},
-                           _normalize=False)
+        el = TensorElement(qt1, len(key), {key: ONE, low: ONE})
         out = el.contract_mul()
         assert out.terms == {((2,),) + low[2:]: ONE} and out.truncated
         assert _outcome(el.contract_mul) == _outcome(

@@ -442,7 +442,7 @@ def reference_mul(f, g):
     for e, raw in acc.items():
         clean = {k: Q(q) for k, q in raw.items() if q}
         if clean:
-            terms[e] = TensorElement(alg, f.arity, clean, _normalize=False)
+            terms[e] = TensorElement(alg, f.arity, clean)
     return Series(alg, f.arity, f.nvars, terms, cap, f.names, truncated,
                   _normalize=False)
 
@@ -684,8 +684,7 @@ def reference_solved_terms(root, slope, slope_inv):
     for e, c in root.terms.items():
         if e != (0,):
             r = -(slope * c)
-            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms,
-                                            _normalize=False))
+            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms))
         terms[e] = c
     return terms
 
@@ -941,7 +940,7 @@ def y_groups(codec, F):
     one-variable layout of codec as a complete polynomial."""
     groups = {}
     for (i, k), coeff in F.terms.items():
-        groups.setdefault(k, {})[(i,)] = coeff.terms
+        groups.setdefault(k, {})[(i,)] = coeff
     return {k: codec.pack(terms) for k, terms in groups.items()}
 
 
@@ -961,11 +960,9 @@ class TestEvaluator:
             max(p if p != INF else 0, F.max_degree(), h.max_degree()))
         got = series_module._evaluate(
             y_groups(codec, F),
-            codec.pack({e: c.terms for e, c in h.terms.items()}),
-            p, alg.degree_bound)
+            codec.pack(h.terms), p, alg.degree_bound)
         assert got.order == p
-        assert codec.unpack(got) == {e: c.terms
-                                     for e, c in want.terms.items()}
+        assert codec.unpack(got) == want.terms
 
     @settings(max_examples=60)
     @given(evaluation_inputs())
