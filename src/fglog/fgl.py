@@ -43,6 +43,13 @@ verification and reconstruction routines work at an elevated internal order
 and certify the caller's order honestly, raising TruncationInsufficient
 when the stored data cannot support the request.
 
+Substitutions and the `truncated` flag: Series.substitute forms the flag
+of every Horner step, because check_log, reconstruct and
+associativity_defect output theirs; they move to the evaluator once the
+flag is dropped. extract_cocycle reads no flag, so it sums (Delta g)(F)
+by the packed evaluator (`_packed_residual`) under the same order rule
+(`series._substitution_order`), with the logarithm kept on F.
+
 Reconstruction by the theorem: the law F solved from
 (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y), with Delta g invertible
 under composition, is a group law exactly when c is a cobar 2-cocycle with
@@ -79,6 +86,7 @@ from .series import (
     _packed_view,
     _series_mul,
     _solved_terms,
+    _substitution_order,
     _view,
 )
 
@@ -311,12 +319,21 @@ def _defect_report(named, cert, extra=()):
 def invariant_differential(F):
     """omega(x) = (id (x) eps) dF/dY (x, 0), a one-variable series over H
     with constant term 1 for any group law: the slot-1 counits of F's
-    coefficients of X^i Y, through F's order minus one."""
+    coefficients of X^i Y, through F's order minus one; a view not yet
+    unpacked unpacks only those."""
     if F.nvars != 2:
         raise ShapeMismatch("invariant differential needs a law in two "
                             f"variables, not {F.nvars}")
+    terms = F._terms
+    if terms is None:
+        codec, packed = F._packed
+        exps, bits = codec._code_exps, codec.hopf_bits
+        rows = {h: [t for t in bucket if exps(t[0] >> bits)[1] == 1]
+                for h, bucket in packed.buckets.items()}
+        terms = codec.unpack(_Packed({h: r for h, r in rows.items() if r},
+                                     packed.den, INF, False, packed.shift))
     linear = Series(F.algebra, F.arity, 1,
-                    {(i,): c for (i, k), c in F.terms.items() if k == 1},
+                    {(i,): c for (i, k), c in terms.items() if k == 1},
                     F.order - 1, ("x",), F.truncated, _normalize=False)
     return linear.map_coefficients(lambda A: A.apply_slot(1, "counit"))
 
@@ -328,7 +345,12 @@ def logarithm(F, order=None):
     positive part the logarithm is computed exactly; otherwise pass the
     target order. A law stored only through order 0 certifies no
     coefficient of omega, so it gives the zero logarithm through order 0
-    and refuses a higher order with TruncationInsufficient."""
+    and refuses a higher order with TruncationInsufficient. A result is
+    kept on F for the next call with `order` exactly the same, since one at
+    another order can carry other flags; what a call raises is not."""
+    key = (type(order), order)
+    if F._log is not None and F._log[0] == key:
+        return F._log[1]
     omega = invariant_differential(F)
     if omega.order < 0:
         if order is not None and order > F.order:
@@ -336,14 +358,16 @@ def logarithm(F, order=None):
                 f"logarithm through order {order} needs the group law "
                 f"through that order (certified {F.order})",
                 certified=F.order, requested=order)
-        return Series.zero(F.algebra, 1, 1, F.order, omega.names)
-    if omega.constant_term().full_counit() != 1:
+        g = Series.zero(F.algebra, 1, 1, F.order, omega.names)
+    elif omega.constant_term().full_counit() != 1:
         raise NonInvertibleConstantTerm(
             "invariant differential does not start at 1; "
             "is F a group law in standard form?")
-    inv_order = None if order is None else order - 1
-    inverse = omega.mul_inverse(inv_order)
-    return inverse.integrate()
+    else:
+        g = omega.mul_inverse(None if order is None else order - 1)
+        g = g.integrate()
+    F._log = (key, g)
+    return g
 
 
 def check_log(F, g, order=None):
@@ -439,7 +463,7 @@ def extract_cocycle(F, g=None, order=None):
             g = logarithm(F, min(order + slack, F.order))
         else:
             g = logarithm(F, order=None if F.order == INF else F.order)
-    residual = _log_residual(F, g)
+    residual = _packed_residual(F, g)
     if order is not None and order > residual.order:
         raise TruncationInsufficient(
             f"cocycle extraction requested through order {order} but only "
@@ -463,6 +487,23 @@ def extract_cocycle(F, g=None, order=None):
             "extracted constant fails the cocycle conditions: "
             + "; ".join(str(v) for v in report.violations))
     return c
+
+
+def _packed_residual(F, g):
+    """The terms and order of _log_residual(F, g), not its flags: (Delta
+    g)(F) by the packed evaluator on F's packed form, minus g (x) 1 and
+    1 (x) g in one kernel call."""
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    cap, codec, _ = _substitution_order(lifted, [F], g.max_degree())
+    bound = F.algebra.degree_bound
+    composed = _evaluate({e[0]: _constant(codec, c)
+                          for e, c in lifted.terms.items()},
+                         _packed_view(codec, F.truncate(cap))._packed[1],
+                         cap, bound)
+    pairs = [(_UNIT, composed)] + [
+        (_MINUS_UNIT, codec.pack(_slot_series(g, s).embed_vars(
+            2, (s,), F.names).truncate(cap).terms)) for s in (0, 1)]
+    return _view(codec, _Packed.sum_of_products(pairs, cap, bound))
 
 
 # -- reconstruction -----------------------------------------------------------

@@ -190,6 +190,25 @@ class _Codec:
                 _Packed.divided(buckets, den, False, hopf_bits))
         return out
 
+    def relaid(self, packed, codec):
+        """packed in the layout of `codec` (same algebra, at least this
+        arity), code by code: exponent fields re-written, tensor codes,
+        den, order and flag kept. Buckets keep their order unless the
+        variable count changes."""
+        bits = self.hopf_bits
+        mask = (1 << bits) - 1
+        vcodes = {code >> bits for bucket in packed.buckets.values()
+                  for code, _ in bucket}
+        bases = {v: codec._exps_code(self._code_exps(v)) for v in vcodes}
+        buckets = {h: [(bases[code >> bits] | code & mask, n)
+                       for code, n in bucket]
+                   for h, bucket in packed.buckets.items()}
+        if codec.nvars != self.nvars:
+            for bucket in buckets.values():
+                bucket.sort(key=_code)
+        return _Packed(buckets, packed.den, packed.order, packed.flag,
+                       codec.shift)
+
     def minus_reversed(self, packed):
         """packed minus its image under the key-field reversal, which puts
         the tensor slots and the variables in reverse order. The reversal

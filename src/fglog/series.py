@@ -16,7 +16,9 @@ group laws, coboundary data). The bookkeeping rules:
   comp_inverse       r (each packed Newton step h - (f(h) - x) h', f(h)
                      summed by the Paterson-Stockmeyer evaluator, is
                      certified through the precision it doubles to)
-  substitute         min(min_v r_v, r_f - sum_v slack_v)
+  substitute         min(min_v r_v, r_f - sum_v slack_v) (one rule,
+                     `_substitution_order`, for Horner and for the
+                     packed evaluator of fgl's cocycle extraction)
 
 where slack_v is the nilpotency index of the constant term of the series
 assigned to variable v (largest m with kappa^m != 0). The slack term is not
@@ -62,7 +64,7 @@ class Series:
     coefficients; immutable after construction."""
 
     __slots__ = ("algebra", "arity", "nvars", "names", "order", "_terms",
-                 "truncated", "_packed")
+                 "truncated", "_packed", "_log")
 
     def __init__(self, algebra, arity, nvars, terms, order=INF, names=None,
                  truncated=False, _normalize=True):
@@ -101,6 +103,7 @@ class Series:
         else:
             self._terms = terms
         self._packed = None  # (codec, _Packed) of a view (`_view`)
+        self._log = None  # (order key, logarithm) of fgl.logarithm
 
     @property
     def terms(self):
@@ -164,7 +167,11 @@ class Series:
         return min((sum(e) for e in self.terms), default=INF)
 
     def max_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        if self._terms is None:  # a view answers from its packed form
+            packed = self._packed[1]
+            return max([b[-1][0] for b in packed.buckets.values()],
+                       default=0) >> packed.shift
+        return max((sum(e) for e in self._terms), default=0)
 
     def coeff(self, exps):
         exps = tuple(exps)
@@ -172,7 +179,12 @@ class Series:
                               TensorElement.zero(self.algebra, self.arity))
 
     def constant_term(self):
-        return self.coeff((0,) * self.nvars)
+        zero = (0,) * self.nvars
+        if self._terms is None:
+            codec, packed = self._packed
+            return codec.unpack(packed.truncate(0)).get(
+                zero, TensorElement.zero(self.algebra, self.arity))
+        return self.coeff(zero)
 
     def truncate(self, order):
         """Drop terms above the order; certification shrinks accordingly.
@@ -325,46 +337,14 @@ class Series:
         described in the module docstring.
         """
         assigns = list(assignments)
-        if len(assigns) != self.nvars:
-            raise ShapeMismatch(
-                "substitution needs an assignment for every variable")
-        if self.nvars == 0:
+        if self.nvars == 0 and not assigns:
             return self._rebuilt(dict(self.terms))
-        target = assigns[0]
-        for a in assigns[1:]:
-            target._check_shape(a)
-        if target.algebra != self.algebra:
-            raise AlgebraMismatch("assignment over a different algebra")
-        if target.arity != self.arity:
-            raise ArityMismatch(
-                "assigned series arity differs from the substituted series")
-
-        occurring = [any(e[v] for e in self.terms) for v in range(self.nvars)]
-        cap = self.order
-        slack_total = 0
-        for v, a in enumerate(assigns):
-            if not occurring[v]:
-                continue
-            kappa = a.constant_term()
-            if not kappa.is_zero():
-                if kappa.full_counit() != 0:
-                    raise NonNilpotentConstantTerm(
-                        f"assignment for variable {self.names[v]} has "
-                        "constant term with nonzero full counit")
-                slack_total += kappa.nilpotency_slack()
-            cap = min(cap, a.order)
-        if self.order != INF:
-            cap = min(cap, self.order - slack_total)
+        cap, codec, occurring = _substitution_order(self, assigns)
         if not self.terms:
-            codec = _Codec(self.algebra, self.arity, target.names, 0)
             return _substituted(
                 codec, _Packed({}, 1, cap, self.truncated, codec.shift),
                 False)
-        vmax = max((a.max_degree() for v, a in enumerate(assigns)
-                    if occurring[v]), default=0)
-        vmax = max(vmax, cap if cap != INF else self.max_degree() * vmax)
-        codec = _Codec(self.algebra, self.arity, target.names, vmax)
-        zero = (0,) * target.nvars
+        zero = (0,) * codec.nvars
         consts = {e: _view(codec, _constant(codec, c, c.truncated),
                            {zero: c})
                   for e, c in self.terms.items()}
@@ -713,8 +693,51 @@ def _solved_terms(root, slope, slope_inv):
 # call) and result are views of its layout.
 
 
+def _substitution_order(f, assigns, vmax=0):
+    """The checks and order rule of f(assigns), for Horner and the
+    evaluator alike: (cap, codec, occurring[v] for each variable v of f),
+    cap as in the module docstring, codec the assignments' layout for
+    every product through cap and exponents up to `vmax`."""
+    if len(assigns) != f.nvars:
+        raise ShapeMismatch(
+            "substitution needs an assignment for every variable")
+    target = assigns[0]
+    for a in assigns[1:]:
+        target._check_shape(a)
+    if target.algebra != f.algebra:
+        raise AlgebraMismatch("assignment over a different algebra")
+    if target.arity != f.arity:
+        raise ArityMismatch(
+            "assigned series arity differs from the substituted series")
+    occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
+    cap = f.order
+    slack_total = 0
+    for v, a in enumerate(assigns):
+        if not occurring[v]:
+            continue
+        kappa = a.constant_term()
+        if not kappa.is_zero():
+            if kappa.full_counit() != 0:
+                raise NonNilpotentConstantTerm(
+                    f"assignment for variable {f.names[v]} has "
+                    "constant term with nonzero full counit")
+            slack_total += kappa.nilpotency_slack()
+        cap = min(cap, a.order)
+    if f.order != INF:
+        cap = min(cap, f.order - slack_total)
+    top = max((a.max_degree() for v, a in enumerate(assigns)
+               if occurring[v]), default=0)
+    vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
+    return cap, _Codec(f.algebra, f.arity, target.names, vmax), occurring
+
+
 def _packed_view(codec, series):
-    """The series as a view of the codec's layout, with its own terms."""
+    """The series as a view of the codec's layout, with its own terms: a
+    view of another layout is re-laid code by code (`_Codec.relaid`),
+    any other series packed."""
+    if series._packed is not None:
+        source, packed = series._packed
+        return _view(codec, source.relaid(packed, codec), series._terms)
     terms = series.terms
     return _view(codec, codec.pack(terms, series.order, series.truncated),
                  terms)

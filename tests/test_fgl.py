@@ -579,6 +579,143 @@ class TestCocycles:
             extract_cocycle(F, order=4)
 
 
+def reference_extract(F, g=None, order=None):
+    """extract_cocycle with its residual formed by Horner
+    (`fgl._log_residual`, Series.substitute), the route it took before
+    the packed evaluator."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fgl_module, "_packed_residual", fgl_module._log_residual)
+        return extract_cocycle(F, g, order)
+
+
+EXTRACTION_KINDS = ("law", "law", "complete", "non-cocycle", "symmetric",
+                    "asymmetric", "unit-constant")
+
+
+def extraction_case(alg, rng, kind, stored, explicit_g):
+    """(F, g) for extract_cocycle: a law reconstructed through `stored`
+    from a random cocycle (mostly nonzero) and logarithm, or the complete
+    Lemma law c + X + Y of the cocycle ("complete") or of a symmetric
+    candidate, mostly no cocycle ("non-cocycle"); the law plus a term
+    a X^2 Y and its flip (a symmetric non-law), plus a X Y^2 alone
+    (asymmetric), or plus a unit constant, whose full counit is nonzero.
+    g is the reconstructing logarithm when `explicit_g`, else None."""
+    c = random_cocycle(alg, rng) if rng.random() < 0.8 else (
+        TensorElement.zero(alg, 2))
+    g = random_logarithm(alg, rng, order=5)
+    if kind in ("complete", "non-cocycle"):
+        if kind == "non-cocycle":
+            c = random_symmetric_candidate(alg, rng)
+        F, g = lemma_law(alg, c), Series.variable(alg, 1, 1, 0, INF, ("x",))
+    else:
+        F = reconstruct(alg, c, g, stored)
+    t, one = t_elem(alg), HopfElement.one(alg)
+    a = TensorElement.from_slots(t, one) * random_rational(rng, nonzero=True)
+    if kind in ("symmetric", "asymmetric"):
+        extra = {(1, 2): a}
+        if kind == "symmetric":
+            extra = {(2, 1): a, (1, 2): a.permute((1, 0))}
+        F = F + Series(alg, 2, 2, extra, INF, F.names)
+    elif kind == "unit-constant":
+        F = F + Series.constant(TensorElement.unit(alg, 2) * 2, 2, INF,
+                                F.names)
+    return F, g if explicit_g else None
+
+
+@st.composite
+def extraction_inputs(draw):
+    """(F, g, order) over qt1, qt2 or qtu at degree bounds 3-6: a case of
+    `extraction_case` stored through order 1-5, and a request of none
+    (mostly) or up to two above the stored order (over-requests)."""
+    name = draw(st.sampled_from(["qt1", "qt2", "qtu"]))
+    alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    stored = draw(st.integers(1, 5))
+    F, g = extraction_case(alg, rng, draw(st.sampled_from(EXTRACTION_KINDS)),
+                           stored, draw(SELDOM))
+    return F, g, draw(st.one_of(st.none(), st.none(),
+                                st.integers(0, stored + 2)))
+
+
+class TestPackedExtraction:
+    """extract_cocycle forms its residual (Delta g)(F) on F's packed form
+    with the evaluator, and reuses the logarithm that logarithm(F, order)
+    kept on F."""
+
+    @settings(max_examples=120)
+    @given(extraction_inputs())
+    def test_matches_horner_residual(self, case):
+        """The same c, or the same exception type and message."""
+        got = outcome(extract_cocycle, *case)
+        want = outcome(reference_extract, *case)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert got[0] == want[0]
+            assert got[0].truncated == want[0].truncated
+
+    @pytest.mark.parametrize("kind, wanted, error", [
+        ("law", None, None),
+        ("law", 7, TruncationInsufficient),
+        ("complete", 4, None),
+        ("symmetric", None, ResidualNonConstant),
+        ("asymmetric", None, ResidualNonConstant),
+        ("non-cocycle", None, CocycleViolation),
+        ("unit-constant", None, NonNilpotentConstantTerm),
+        ("unit-constant", 3, NonNilpotentConstantTerm),
+    ])
+    def test_each_outcome(self, kind, wanted, error):
+        """One case of each outcome that the property test compares."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F, g = extraction_case(alg, random.Random(3), kind, 5, False)
+        got = outcome(extract_cocycle, F, g, wanted)
+        assert got[1] == outcome(reference_extract, F, g, wanted)[1]
+        assert (got[1] and got[1][0]) == error
+
+    def test_trial_never_unpacks_the_law(self, monkeypatch):
+        """reconstruct -> logarithm -> extract_cocycle, as in a criterion-6
+        trial: the reconstructed law is a view, and neither call unpacks
+        it."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        F = reconstruct(alg, two_t_t(alg),
+                        random_logarithm(alg, random.Random(5), 6), 6)
+        assert F._terms is None
+        unpacks = recorded_calls(monkeypatch, series_module._Codec, "unpack")
+        logarithm(F, order=6)
+        assert extract_cocycle(F) == two_t_t(alg)
+        assert F._terms is None
+        assert all(call[1] is not F._packed[1] for call in unpacks)
+
+    def test_extraction_reuses_the_logarithm(self, qt1, monkeypatch):
+        F = reconstruct(qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 6)
+        differentials = recorded_calls(monkeypatch, fgl_module,
+                                       "invariant_differential")
+        residuals = recorded_calls(monkeypatch, fgl_module,
+                                   "_packed_residual")
+        g = logarithm(F, 6)
+        assert extract_cocycle(F) == two_t_t(qt1)
+        assert len(differentials) == 1
+        assert residuals[0][1] is g
+        assert logarithm(F, 6) is g and len(differentials) == 1
+
+    def test_another_order_recomputes(self, qt1, monkeypatch):
+        F = reconstruct(qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 6)
+        differentials = recorded_calls(monkeypatch, fgl_module,
+                                       "invariant_differential")
+        g = logarithm(F, 6)
+        lower = logarithm(F, 5)
+        assert len(differentials) == 2
+        assert lower is not g and lower == g.truncate(5)
+
+    def test_a_raising_call_is_not_kept(self, qt2, monkeypatch):
+        F = additive_law(qt2, order=0)
+        differentials = recorded_calls(monkeypatch, fgl_module,
+                                       "invariant_differential")
+        for _ in range(2):
+            with pytest.raises(TruncationInsufficient):
+                logarithm(F, order=1)
+        assert len(differentials) == 2 and F._log is None
+
+
 # -- reconstruction -------------------------------------------------------------
 
 

@@ -222,6 +222,48 @@ class TestSumOfProducts:
                                         if sum(e) <= cap}
         assert (got.order, got.flag) == (min(order, cap), flag)
 
+    @settings(max_examples=150)
+    @given(kernel_calls(), st.data())
+    def test_relaid_matches_pack_of_unpack(self, call, data):
+        """A form re-laid code by code into another layout of its algebra
+        (another variable width, one more variable, a larger arity) holds
+        what packing its unpacked terms there gives, bucket for bucket in
+        the same order, over its own denominator, which truncation can
+        leave unreduced."""
+        codec, pairs, _, _ = call
+        source = packed(codec, pairs[0][0]).truncate(
+            data.draw(st.integers(0, 13)))
+        nvars = codec.nvars
+        if 0 < nvars < 3 and data.draw(st.booleans()):
+            nvars += 1
+        arity = data.draw(st.integers(codec.arity,
+                                      3 if nvars == 0 else 2))
+        top = max((sum(e) for e in codec.unpack(source)), default=0)
+        vmax = top + data.draw(st.integers(0, 9))
+        target = _Codec(codec.algebra, arity, ("X", "Y", "Z")[:nvars], vmax)
+        got = codec.relaid(source, target)
+        want = target.pack(codec.unpack(source), source.order, source.flag)
+        assert_graded(target, got)
+        assert got.den == source.den
+        assert (got.order, got.flag, got.shift) == (want.order, want.flag,
+                                                    want.shift)
+
+        def fractions(pack):
+            return {h: [(code, Q(n, pack.den)) for code, n in bucket]
+                    for h, bucket in pack.buckets.items()}
+        assert fractions(got) == fractions(want)
+
+    def test_relaid_among_three_variables_is_sorted(self, qt1):
+        """X^2 Y and X Y^2 sort by X in the layout of (X, Y) and by Y first
+        in that of (X, Y, Z): re-laid there, the bucket is sorted again."""
+        source = _Codec(qt1, 2, ("X", "Y"), 2)
+        target = _Codec(qt1, 2, ("X", "Y", "Z"), 2)
+        key = ((1,), (0,))
+        pack = pack_terms(source, {(2, 1): {key: Q(1)}, (1, 2): {key: Q(2)}})
+        got = source.relaid(pack, target)
+        assert_graded(target, got)
+        assert got.buckets == target.pack(source.unpack(pack)).buckets
+
     def test_short_exponent_tuples_lead(self, qt1):
         """An exponent tuple shorter than the layout's packs as its
         leading variables with the others 0, as the associativity gate
