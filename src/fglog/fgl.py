@@ -68,7 +68,6 @@ from .errors import (
     CocycleViolation,
     NoInverse,
     NonInvertibleConstantTerm,
-    NonNilpotentConstantTerm,
     NotAugmented,
     ResidualNonConstant,
     ShapeMismatch,
@@ -84,7 +83,9 @@ from .series import (
     _evaluate,
     _minus_reversed,
     _packed_view,
+    _requested_order,
     _series_mul,
+    _slack_order,
     _solved_terms,
     _substitution_order,
     _view,
@@ -164,18 +165,13 @@ def _right_composite(F):
 
 def _composite_order(F):
     """Certified order of the associativity composites by their
-    substitutions' order rule (Series.substitute), read off F:
+    substitutions' order rule (`series._slack_order`), read off F:
     (Delta (x) id)F and (id (x) Delta)F have F's exponents, because
-    (eps (x) id)Delta = id, and the one assigned constant is F(0, 0)."""
-    occurring = [any(e[v] for e in F.terms) for v in range(2)]
-    c = F.constant_term()
-    if c.is_zero() or not any(occurring):
-        return F.order
-    if c.full_counit() != 0:
-        raise NonNilpotentConstantTerm(
-            f"assignment for variable {F.names[occurring.index(True)]} has "
-            "constant term with nonzero full counit")
-    return F.order - c.nilpotency_slack()
+    (eps (x) id)Delta = id, and the one assigned constant is F(0, 0),
+    named X when X occurs (left composite), else Y (right)."""
+    occurring = [v for v in range(2) if any(e[v] for e in F.terms)]
+    return _slack_order(F.order, [(F.names[v], F.constant_term())
+                                  for v in occurring[:1]])
 
 
 def _gate_composite(F, cert):
@@ -573,7 +569,7 @@ def inverse_series(F, order=None):
     complete. NoInverse when the data is inconsistent or the
     linearization is not invertible."""
     algebra = F.algebra
-    target = order
+    target = order = _requested_order(order, F.order)
     if target is None:
         if F.order == INF:
             raise ValueError(

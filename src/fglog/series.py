@@ -15,7 +15,9 @@ group laws, coboundary data). The bookkeeping rules:
                      solved order by order on packed coefficients)
   comp_inverse       r (each packed Newton step h - (f(h) - x) h', f(h)
                      summed by the Paterson-Stockmeyer evaluator, is
-                     certified through the precision it doubles to)
+                     certified through the precision it doubles to; a
+                     lift Delta g reverts over H as Delta(g^-1), exact
+                     because Delta is a degree-keeping ring homomorphism)
   substitute         min(min_v r_v, r_f - sum_v slack_v) (one rule,
                      `_substitution_order`, for Horner and for the
                      packed evaluator of fgl's cocycle extraction)
@@ -367,7 +369,10 @@ class Series:
         step, so order N takes about log2 N evaluations of f, each by the
         packed Paterson-Stockmeyer evaluator (`_evaluate`) in about
         2 sqrt(N) full products: the loop substitutes and unpacks
-        nothing."""
+        nothing. A lift Delta g reverts over H as Delta(g^-1), exactly:
+        Delta is a degree-keeping ring homomorphism, so it commutes with
+        the truncations and with reversion."""
+        order = _requested_order(order, self.order)
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
         if not self.constant_term().is_zero():
@@ -391,37 +396,16 @@ class Series:
         b0_inv = b0.mul_inverse()
         if order < 1:
             return self._rebuilt({}, order)
-        # every Newton step runs packed in one layout, f_k as constants
-        codec = _Codec(self.algebra, self.arity, self.names, order)
-        shift = codec.shift
-        x_code = codec._exps_code((1,))
-        consts = {e[0]: _constant(codec, c)
-                  for e, c in self.truncate(order).terms.items()}
-        minus_x = _Packed({0: [(x_code, -1)]}, 1, INF, False, shift)
-        h = codec.pack({(1,): b0_inv})
-        bound = self.algebra.degree_bound
-        for p in _doubling_orders(1, order):
-            # h is the inverse through some q >= p/2, so e = f(h) - x
-            # starts above q and h' = (1 + e') / f'(h) with e' = O(x^q):
-            # h - e h' is the inverse through 2q >= p. h is read as the
-            # polynomial it stores, so f cut at p caps the step at p.
-            f_h = _evaluate({k: c for k, c in consts.items() if k <= p},
-                            h, p, bound)
-            err = _Packed.summed((f_h, minus_x))
-            if err.buckets:
-                # h(0) = 0: every term of h has degree d >= 1
-                minus_dh = _Packed(
-                    {hd: [(code - x_code, -(code >> shift) * n)
-                          for code, n in bucket]
-                     for hd, bucket in h.buckets.items()},
-                    h.den, INF, False, shift)
-                h = _series_mul(_view(codec, err), _view(codec, minus_dh),
-                                keep=p, plus=_view(codec, h))._packed[1]
-            else:
-                h = h.truncate(p)
-            h = h.stamped(INF, False)
-        return self._rebuilt(_solved_terms(_view(codec, h), b0, b0_inv),
-                             order)
+        f = self.truncate(order)
+        base = _coproduct_base(f)
+        if base is None:
+            root = _view(*_newton_root(f, b0_inv, order))
+        else:
+            codec, h = _newton_root(
+                base, base.terms[(1,)].mul_inverse(), order)
+            root = self._rebuilt({e: c.apply_slot(0, "comul")
+                                  for e, c in codec.unpack(h).items()})
+        return self._rebuilt(_solved_terms(root, b0, b0_inv), order)
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -435,8 +419,10 @@ class Series:
         counit-zero the inverse is again a complete polynomial (degree
         exhaustion) and is computed exactly; otherwise the inverse is an
         infinite series and an explicit target order is required when this
-        series has order inf. A target order above the certified order
-        raises TruncationInsufficient, for a constant series too."""
+        series has order inf (inf is no such order). A target order above
+        the certified order raises TruncationInsufficient, for a constant
+        series too."""
+        order = _requested_order(order, self.order)
         f0 = self.constant_term()
         if f0.full_counit() != 1:
             raise NonInvertibleConstantTerm(
@@ -652,6 +638,70 @@ def _doubling_orders(start, target, extra=0):
     return steps[::-1]
 
 
+def _requested_order(order, stored):
+    """A requested order as the inversions read it: math.inf on a complete
+    polynomial is None, and a finite order must be an int."""
+    if order is None or isinstance(order, int) or order in (INF, -INF):
+        return None if order == INF == stored else order
+    raise TypeError(f"order must be an int, None or math.inf, not {order!r}")
+
+
+def _newton_root(f, b0_inv, order):
+    """(codec, h): the root h of f(h) = x through the int order, packed in
+    codec's layout, by Newton steps from b0_inv x for f(0) = 0."""
+    codec = _Codec(f.algebra, f.arity, f.names, order)
+    shift = codec.shift
+    x_code = codec._exps_code((1,))
+    # -x as the coefficient of h^0: the evaluator sums f(h) - x
+    consts = {0: _Packed({0: [(x_code, -1)]}, 1, INF, False, shift)}
+    consts.update((e[0], _constant(codec, c)) for e, c in f.terms.items())
+    h = codec.pack({(1,): b0_inv})
+    bound = f.algebra.degree_bound
+    for p in _doubling_orders(1, order):
+        # h is the inverse through some q >= p/2, so e = f(h) - x
+        # starts above q and h' = (1 + e') / f'(h) with e' = O(x^q):
+        # h - e h' is the inverse through 2q >= p. h is read as the
+        # polynomial it stores, so f cut at p caps the step at p.
+        err = _evaluate({k: c for k, c in consts.items() if k <= p},
+                        h, p, bound)
+        if err.buckets:
+            # h(0) = 0: every term of h has degree d >= 1
+            minus_dh = _Packed(
+                {hd: [(code - x_code, -(code >> shift) * n)
+                      for code, n in bucket]
+                 for hd, bucket in h.buckets.items()},
+                h.den, INF, False, shift)
+            h = _series_mul(_view(codec, err), _view(codec, minus_dh),
+                            keep=p, plus=_view(codec, h))._packed[1]
+        else:
+            h = h.truncate(p)
+        h = h.stamped(INF, False)
+    return codec, h
+
+
+def _coproduct_base(f):
+    """The series g over H with Delta g_k = f_k for every coefficient f_k
+    of f, or None when f is no such lift. H is connected, so g_k =
+    (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
+    read off the codes. A coproduct table that lowers a degree (a
+    `mutated` one) makes Delta no ring homomorphism: None."""
+    algebra, bits = f.algebra, f.algebra._codec(1).hopf_bits
+    if f.arity != 2 or any(
+            algebra.key_degree(key) < degree
+            for table, degree in zip(algebra._gen_comul, algebra.degrees)
+            for key in table):
+        return None
+    terms = {}
+    for e, c in f.terms.items():
+        g = terms[e] = TensorElement._of(algebra, 1, _Packed.reduced(
+            {hd: {code: n for code, n in bucket if not code >> bits}
+             for hd, bucket in c._packed.buckets.items()},
+            c._packed.den, INF, False, bits))
+        if g.apply_slot(0, "comul") != c:
+            return None
+    return Series(algebra, 1, 1, terms, f.order, f.names, _normalize=False)
+
+
 def _solved_terms(root, slope, slope_inv):
     """Terms of a one-variable root found by Newton iteration, each
     non-constant coefficient c with the `truncated` flag that solving one
@@ -661,12 +711,17 @@ def _solved_terms(root, slope, slope_inv):
     slope_inv and r whose Hopf degrees sum above the bound, which is r
     holding a Hopf degree above the room that slope_inv's top degree
     leaves. Every residue is read off one packed product slope * root (a
-    root that is no view is packed first). Substitutions fold the
-    coefficient flags of the outer series into their result."""
+    root that is no view is packed first), formed only when the top Hopf
+    degrees of slope and of some coefficient sum above that room (never
+    for a unit slope). Substitutions fold the coefficient flags of the
+    outer series into their result."""
     algebra = slope.algebra
     flagged = set()
-    if not slope_inv.truncated:
-        room = algebra.degree_bound - max(slope_inv._packed.buckets)
+    top = max(slope._packed.buckets)
+    room = algebra.degree_bound - max(slope_inv._packed.buckets)
+    if not slope_inv.truncated and any(
+            top + max(c._packed.buckets) > room
+            for e, c in root.terms.items() if e != (0,)):
         if root._packed is None:
             root = _packed_view(_Codec(algebra, root.arity, root.names,
                                        root.max_degree()), root)
@@ -710,25 +765,27 @@ def _substitution_order(f, assigns, vmax=0):
         raise ArityMismatch(
             "assigned series arity differs from the substituted series")
     occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
-    cap = f.order
-    slack_total = 0
-    for v, a in enumerate(assigns):
-        if not occurring[v]:
-            continue
-        kappa = a.constant_term()
+    used = [(f.names[v], a) for v, a in enumerate(assigns) if occurring[v]]
+    cap = min([a.order for _, a in used] + [_slack_order(
+        f.order, [(name, a.constant_term()) for name, a in used])])
+    top = max((a.max_degree() for _, a in used), default=0)
+    vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
+    return cap, _Codec(f.algebra, f.arity, target.names, vmax), occurring
+
+
+def _slack_order(order, assigned):
+    """The slack part of the substitution order rule: `order` minus the
+    nilpotency slack of each constant of `assigned`, the (name, constant
+    term) pairs of the occurring variables, which must be nilpotent."""
+    slack = 0
+    for name, kappa in assigned:
         if not kappa.is_zero():
             if kappa.full_counit() != 0:
                 raise NonNilpotentConstantTerm(
-                    f"assignment for variable {f.names[v]} has "
+                    f"assignment for variable {name} has "
                     "constant term with nonzero full counit")
-            slack_total += kappa.nilpotency_slack()
-        cap = min(cap, a.order)
-    if f.order != INF:
-        cap = min(cap, f.order - slack_total)
-    top = max((a.max_degree() for v, a in enumerate(assigns)
-               if occurring[v]), default=0)
-    vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
-    return cap, _Codec(f.algebra, f.arity, target.names, vmax), occurring
+            slack += kappa.nilpotency_slack()
+    return order - slack
 
 
 def _packed_view(codec, series):

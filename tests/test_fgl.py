@@ -823,6 +823,16 @@ class TestInverseSeries:
         with pytest.raises(ValueError):
             inverse_series(additive_law(qt1))
 
+    def test_infinite_order_on_a_complete_law(self, qt1):
+        """math.inf on a complete law asks what None asks (ValueError); a
+        finite order that is no int raises TypeError."""
+        with pytest.raises(ValueError, match="pass an explicit order"):
+            inverse_series(lemma_law(qt1, two_t_t(qt1)), order=math.inf)
+        with pytest.raises(TruncationInsufficient):
+            inverse_series(additive_law(qt1, order=4), order=math.inf)
+        with pytest.raises(TypeError, match="order must be an int"):
+            inverse_series(additive_law(qt1), order=2.0)
+
     def test_additive_inverse_is_negation(self, qt1):
         iota = inverse_series(additive_law(qt1), order=6)
         x = Series.variable(qt1, 1, 1, 0, iota.order, ("x",))

@@ -22,6 +22,7 @@ from fglog import (
 )
 from fglog import series as series_module
 from fglog.fgl import _y_coefficients
+from fglog.generate import random_logarithm
 from fglog.scalars import Q
 
 INF = math.inf
@@ -246,6 +247,24 @@ class TestMulInverse:
         with pytest.raises(TruncationInsufficient):
             f.mul_inverse(order=9)
 
+    def test_infinite_order_is_the_whole_inverse(self, qt1):
+        """math.inf on a complete polynomial asks what None asks: the
+        exact inverse by degree exhaustion, or ValueError where the
+        inverse is infinite. On a finite order it asks too much."""
+        t = Series.constant(
+            TensorElement.from_slots(HopfElement.generator(qt1, "t")), 1)
+        f = unit_series(qt1) + t * var(qt1)
+        _assert_same(f.mul_inverse(order=INF), f.mul_inverse())
+        with pytest.raises(ValueError, match="pass an explicit order"):
+            (unit_series(qt1) - var(qt1)).mul_inverse(order=INF)
+        with pytest.raises(TruncationInsufficient):
+            f.truncate(4).mul_inverse(order=INF)
+
+    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2"])
+    def test_order_that_is_no_int_raises(self, qt1, order):
+        with pytest.raises(TypeError, match="order must be an int"):
+            (unit_series(qt1) - var(qt1)).mul_inverse(order=order)
+
     def test_multivariate_inverse(self, qt1):
         X = var(qt1, 1, 2, 0, order=4)
         Y = var(qt1, 1, 2, 1, order=4)
@@ -288,6 +307,24 @@ class TestCompInverse:
         f = var(qt1) + var(qt1) ** 2
         with pytest.raises(ValueError):
             f.comp_inverse()
+
+    def test_infinite_order_on_a_polynomial_is_infinite(self, qt1):
+        """math.inf asks for the whole inverse, as None does: ValueError
+        on a complete polynomial, TruncationInsufficient on a finite
+        order."""
+        f = var(qt1) + var(qt1) ** 2
+        with pytest.raises(ValueError, match="pass an explicit order"):
+            f.comp_inverse(order=INF)
+        with pytest.raises(TruncationInsufficient):
+            f.truncate(5).comp_inverse(order=INF)
+
+    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2"])
+    def test_order_that_is_no_int_raises(self, qt1, order):
+        """A finite order that is no int raises before any check, also on
+        a series that would fail one."""
+        for f in (var(qt1) + var(qt1) ** 2, 2 * var(qt1)):
+            with pytest.raises(TypeError, match="order must be an int"):
+                f.comp_inverse(order=order)
 
     def test_order_beyond_certification_raises(self, qt1):
         f = var(qt1, order=3)
@@ -902,6 +939,192 @@ class TestNewtonReversion:
         _assert_same(got, reference_comp_inverse(f, order=9))
         assert any(c.truncated for c in got.terms.values())
         assert not got.truncated
+
+
+# -- reverting a coproduct lift over H ----------------------------------------
+
+LIFT_ALGEBRAS = st.sampled_from(
+    [("qt1", d) for d in range(2, 7)] + [("qt2", 3), ("qt2", 8),
+                                         ("qtu", 4), ("qtu", 8)])
+
+
+@st.composite
+def lift_inputs(draw, near=False):
+    """(f, requested order): f = Delta g for g a random logarithm of top
+    degree 2-10 over qt1 at degree bounds 2-6, qt2 or qtu, half the time
+    with linear coefficient 1 + nilpotent (a low bound then flags
+    coefficients), stored through a finite order or complete. With
+    `near`, one coefficient of f gains a multiple of t (x) 1, which is in
+    no coproduct, so f is no lift."""
+    name, bound = draw(LIFT_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    top = draw(st.integers(2, 10))
+    g = random_logarithm(alg, draw(st.integers(0, 2 ** 32)), top)
+    if draw(st.booleans()):
+        g = g + Series.constant(
+            draw(tensor_coefficients(alg, 1, unit=0)), 1) * var(alg)
+    stored, order = draw(requested_orders(top))
+    f = g.with_order(stored).map_coefficients(
+        lambda A: A.apply_slot(0, "comul"))
+    if near:
+        t = alg.monomials()[1]
+        k = draw(st.sampled_from(sorted(f.terms)))
+        f = f + Series(alg, 2, 1, {k: TensorElement(alg, 2, {
+            (t, alg.unit_mono): Q(draw(st.sampled_from([-1, 1, 2])))})},
+            f.order)
+    return f, order
+
+
+def evaluated_arities(monkeypatch, f, order):
+    """(arities, precisions) of the `_evaluate` calls of f.comp_inverse:
+    the tensor arity of each call's operand h, read off its one-variable
+    layout, whose shift is the Hopf fields' width, and each call's p."""
+    calls = []
+    original = series_module._evaluate
+
+    def recorded(coeffs, h, p, bound):
+        calls.append((h.shift, p))
+        return original(coeffs, h, p, bound)
+
+    monkeypatch.setattr(series_module, "_evaluate", recorded)
+    f.comp_inverse(order=order)
+    monkeypatch.undo()
+    slot_bits = f.algebra._codec(1).hopf_bits
+    return ([shift // slot_bits for shift, _ in calls],
+            [p for _, p in calls])
+
+
+class TestLiftReversion:
+    """A coproduct lift Delta g reverts over H as Delta(g^-1): the terms,
+    the order, the series flag and every coefficient flag of the Newton
+    loop on Series over H (x) H, and every exception; a near-lift takes
+    the general route to the same result."""
+
+    @settings(max_examples=100)
+    @given(lift_inputs())
+    def test_lift_matches_series_newton_loop(self, case):
+        f, order = case
+        assert_same_outcome(
+            outcome(f.comp_inverse, order=order),
+            outcome(series_newton_comp_inverse, f, order=order))
+
+    @settings(max_examples=60)
+    @given(lift_inputs(near=True))
+    def test_near_lift_matches_series_newton_loop(self, case):
+        f, order = case
+        assert series_module._coproduct_base(f) is None
+        assert_same_outcome(
+            outcome(f.comp_inverse, order=order),
+            outcome(series_newton_comp_inverse, f, order=order))
+
+    def test_flags_coefficients_at_a_low_bound(self):
+        """b0 = Delta(1 + t) at degree bound 3: the lift route forms the
+        flag product, and some coefficient is flagged as the Series loop
+        flags it."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        g = (Series.constant(TensorElement.unit(alg, 1) + t, 1) * var(alg)
+             + Series.constant(t, 1) * var(alg) ** 2 + var(alg) ** 4)
+        f = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+        assert series_module._coproduct_base(f) is not None
+        got = f.comp_inverse(order=7)
+        _assert_same(got, series_newton_comp_inverse(f, order=7))
+        assert any(c.truncated for c in got.terms.values())
+
+    def test_route_pin(self, monkeypatch):
+        """The reversion workload's qt2 item reverts over H: every
+        evaluated operand has arity 1, at the precisions 2, 4, 8, 16; a
+        near-lift evaluates arity-2 operands at the same precisions."""
+        alg = builtin_algebra("qt2")
+        f = random_logarithm(alg, 7, 16).map_coefficients(
+            lambda A: A.apply_slot(0, "comul"))
+        assert evaluated_arities(monkeypatch, f, 16) == ([1] * 4,
+                                                         [2, 4, 8, 16])
+        t = alg.monomials()[1]
+        near = f + Series(alg, 2, 1, {(3,): TensorElement(
+            alg, 2, {(t, alg.unit_mono): Q(1)})})
+        assert evaluated_arities(monkeypatch, near, 16) == ([2] * 4,
+                                                            [2, 4, 8, 16])
+
+    def test_first_coefficient_off_the_coproducts_decides(self):
+        """A lift in every coefficient but the top one is no lift."""
+        alg = builtin_algebra("qt1", degree_bound=4)
+        f = random_logarithm(alg, 3, 6).map_coefficients(
+            lambda A: A.apply_slot(0, "comul"))
+        top = max(f.terms)
+        t = alg.monomials()[1]
+        near = f + Series(alg, 2, 1, {top: TensorElement(
+            alg, 2, {(alg.unit_mono, t): Q(1)})})
+        assert series_module._coproduct_base(f) is not None
+        assert series_module._coproduct_base(near) is None
+        _assert_same(near.comp_inverse(order=6),
+                     series_newton_comp_inverse(near, order=6))
+
+
+    def test_degree_lowering_coproduct_takes_the_general_route(self):
+        """Delta(u) = u (x) 1 + 1 (x) u + t (x) t at degree bound 3 lowers
+        a degree, so Delta(u t) = 0 but Delta(u) Delta(t) != 0: Delta is no
+        ring homomorphism, and a lift of it reverts in H (x) H."""
+        qtu = builtin_algebra("qtu", degree_bound=3)
+        t, u, one = [(m,) for m in ((1, 0), (0, 1), (0, 0))]
+        alg = qtu.mutated(comul={"u": {(u[0], one[0]): Q(1),
+                                        (one[0], u[0]): Q(1),
+                                        (t[0], t[0]): Q(1)}})
+        g = Series(alg, 1, 1, {(1,): TensorElement(alg, 1, {one: Q(1)}),
+                               (2,): TensorElement(alg, 1, {u: Q(1)}),
+                               (3,): TensorElement(alg, 1, {t: Q(1)})}, 6)
+        f = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+        assert series_module._coproduct_base(f) is None
+        _assert_same(f.comp_inverse(), series_newton_comp_inverse(f))
+
+
+class TestSolvedTermsSkip:
+    """`_solved_terms` forms the flag product slope * root only when
+    slope's top Hopf degree plus a coefficient's exceeds the room that
+    slope^-1 leaves; either way it gives the two-product form."""
+
+    def solved(self, monkeypatch, root, slope):
+        products = []
+        times = series_module._Packed.times
+
+        def counted(a, b, keep, bound):
+            products.append(a)
+            return times(a, b, keep, bound)
+
+        slope_inv = slope.mul_inverse()
+        monkeypatch.setattr(series_module._Packed, "times", counted)
+        got = series_module._solved_terms(root, slope, slope_inv)
+        monkeypatch.undo()
+        want = reference_solved_terms(root, slope, slope_inv)
+        assert got == want
+        assert {e: c.truncated for e, c in got.items()} == {
+            e: c.truncated for e, c in want.items()}
+        return got, len(products)
+
+    def test_unit_slope_forms_no_product(self, monkeypatch):
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        root = Series(alg, 1, 1, {(1,): t ** 3, (2,): t})
+        got, products = self.solved(monkeypatch, root,
+                                    TensorElement.unit(alg, 1))
+        assert products == 0
+        assert not any(c.truncated for c in got.values())
+
+    def test_nilpotent_slope_forms_the_product(self, monkeypatch):
+        """slope = 1 + t at degree bound 3: slope^-1 reaches degree 3 and
+        leaves room 0, so the product is formed for any root, and the
+        coefficient t^3 is flagged."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        slope = TensorElement.unit(alg, 1) + t
+        got, products = self.solved(
+            monkeypatch, Series(alg, 1, 1, {(1,): t ** 3, (2,): t}), slope)
+        assert products == 1
+        assert got[(1,)].truncated
+        one = TensorElement.unit(alg, 1)
+        got, products = self.solved(
+            monkeypatch, Series(alg, 1, 1, {(1,): one}), slope)
+        assert products == 1
 
 
 # -- the packed Paterson-Stockmeyer evaluator against Series.substitute -------
