@@ -50,15 +50,20 @@ flag is dropped. extract_cocycle reads no flag, so it sums (Delta g)(F)
 by the packed evaluator (`_packed_residual`) under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
 
-Reconstruction by the theorem: the law F solved from
-(Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y), with Delta g invertible
-under composition, is a group law exactly when c is a cobar 2-cocycle with
-zero counit projections, and over a cocommutative H it equals its flip
-exactly when c = tau c; for g = x this is the Lemma-form fact
-(Hazewinkel, 1978). So reconstruct certifies F by these conditions on c
-when H is cocommutative and the order is not negative, and runs the axiom
-gate of check_axioms in every other case, with the gate's exceptions and
-messages.
+Reconstruction by the theorem: on every H, reconstruct reads the axioms
+of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y) off c,
+forming no composite. Delta (x) id, id (x) Delta and id (x) eps give, with
+D = (Delta (x) id)Delta g = (id (x) Delta)Delta g and G the sum of g(X),
+g(Y) and g(Z) in tensor slots 0, 1 and 2,
+    D(F(F(X, Y), Z)) = (Delta (x) id)c + c (x) 1 + G,
+    D(F(X, F(Y, Z))) = (id (x) Delta)c + 1 (x) c + G,
+    g((id (x) eps)F(X, 0)) = g(X) + (id (x) eps)c,
+and D is invertible under composition: F is associative exactly when c is
+a cobar 2-cocycle, unital exactly when its counit projections vanish, and
+over a cocommutative H symmetric exactly when c = tau c (else one reversal
+of F decides). This needs H commutative and Delta a coassociative,
+degree-keeping ring homomorphism; for g = x it is the Lemma-form fact
+(Hazewinkel, 1978).
 """
 
 import math
@@ -509,14 +514,13 @@ def reconstruct(algebra, c, g, order):
 
         F(X, Y) = (Delta g)^{-1}( c + (g (x) 1)(X) + (1 (x) g)(Y) ).
 
-    Substituting the constant c costs its nilpotency slack twice over the
-    pipeline (once composing, once verifying), so the computation runs at
-    order + 2*slack internally and the result is certified exactly through
-    `order`. When H is cocommutative, c is a symmetric cocycle with zero
-    counit projections and `order` is not negative, the reconstruction
-    theorem certifies the axioms (see the module docstring); otherwise
-    check_axioms verifies them at the caller's order before returning
-    (AxiomViolation when they fail)."""
+    Substituting the constant c costs its nilpotency slack once composing
+    and once verifying, so the work runs at order + 2*slack and the result
+    is certified exactly through `order`. The axioms are read off c on every
+    H with no composite (rule, derivation and conditions in the module
+    docstring): symmetry from c = tau c, or from one reversal of F when H is
+    not cocommutative; unit and associativity from check_cocycle(c). The
+    first to fail, in check_axioms' order, raises AxiomViolation."""
     slack = c.nilpotency_slack()
     work = order + 2 * slack
     if g.order != INF and g.order < work:
@@ -534,26 +538,21 @@ def reconstruct(algebra, c, g, order):
            + _slot_series(g, 1).embed_vars(2, (1,), XY)).truncate(work)
     F_elevated = inverse.substitute([rhs])
 
-    if not _theorem_certifies(algebra, c, order):
-        report = check_axioms(F_elevated, order=order)
-        if not report.passed:
-            worst = report.violations[0]
+    if order < 0:
+        raise TruncationInsufficient(
+            "stored data certifies no order at all", certified=order,
+            requested=order)
+    symmetric = (c == c.permute((1, 0)) if algebra.cocommutative else
+                 symmetry_defect(F_elevated).truncate(order).is_zero())
+    failed = {v.axiom for v in check_cocycle(c).violations}
+    for axiom, holds in (("symmetry", symmetric),
+                         ("unit", "counit" not in failed),
+                         ("associativity", "cocycle" not in failed)):
+        if not holds:
             raise AxiomViolation(
-                f"reconstructed series fails the {worst.axiom} axiom; the "
+                f"reconstructed series fails the {axiom} axiom; the "
                 "cocycle or logarithm is inconsistent")
     return F_elevated.truncate(order)
-
-
-def _theorem_certifies(algebra, c, order):
-    """Whether the reconstruction theorem certifies the law solved from c
-    and a logarithm through `order` without the axiom gate: H is
-    cocommutative and c is a symmetric cobar 2-cocycle with zero counit
-    projections. The solved law is certified through order + slack(c) and
-    its constant term lies in the ideal generated by c, so the gate's
-    composite order is at least `order` whenever `order` is not
-    negative."""
-    return (algebra.cocommutative and order >= 0
-            and c == c.permute((1, 0)) and check_cocycle(c).passed)
 
 
 # -- group inverse ------------------------------------------------------------

@@ -2,8 +2,10 @@
 logarithm, cocycle extraction, reconstruction, group inverse and the
 classical specialization."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -78,6 +80,7 @@ from test_series import (
 
 INF = math.inf
 XY = ("X", "Y")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _flip(F):
@@ -1640,10 +1643,22 @@ def elevated_law(c, g, order):
 
 
 def reference_reconstruct(algebra, c, g, order):
-    """reconstruct with the axiom gate run in every case."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fgl_module, "_theorem_certifies", lambda *args: False)
-        return reconstruct(algebra, c, g, order)
+    """reconstruct with the axioms of its elevated law verified by
+    check_axioms through `order`, after the same checks of g."""
+    work = order + 2 * c.nilpotency_slack()
+    if g.order < work:
+        raise TruncationInsufficient(
+            f"reconstruction at order {order} needs the logarithm through "
+            f"order {work} (certified {g.order})")
+    if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
+        raise NoInverse("logarithm must be of the form x + O(x^2)")
+    F = elevated_law(c, g, order)
+    report = check_axioms(F, order)
+    if not report.passed:
+        raise AxiomViolation(
+            f"reconstructed series fails the {report.violations[0].axiom} "
+            "axiom; the cocycle or logarithm is inconsistent")
+    return F.truncate(order)
 
 
 def primitive_pair(algebra, a, b):
@@ -1652,23 +1667,33 @@ def primitive_pair(algebra, a, b):
                                     HopfElement.generator(algebra, b))
 
 
+def bad_coassociative_algebra(bound=6):
+    """Q[t, u] with Delta u = u (x) 1 + 1 (x) u + t (x) t^2, which is not
+    coassociative (tests/fixtures/hopf_bad_coassoc.json)."""
+    desc = json.loads((FIXTURES / "hopf_bad_coassoc.json").read_text())
+    return build_hopf_algebra(dict(desc, degree_bound=bound))
+
+
 def algebra_named(name, bound):
     if name == "qtu_half":
         return build_hopf_algebra(dict(QTU_HALF, degree_bound=bound))
     if name == "non_cocommutative":
         return non_cocommutative_algebra(bound)
+    if name == "bad_coassoc":
+        return bad_coassociative_algebra(bound)
     return builtin_algebra(name, degree_bound=bound)
 
 
-def gate_kept_case(kind):
-    """(algebra, c, g, order) of a reconstruction that the theorem does
-    not certify: each breaks one of its conditions and fails the gate."""
-    if kind == "non-cocommutative":
+def reconstruct_case(kind):
+    """(algebra, c, g, order) of a reconstruction: "theorem" passes, every
+    other kind fails, most by breaking one condition on c or H."""
+    if kind.startswith("non-cocommutative"):
         alg = non_cocommutative_algebra()
         u = HopfElement.generator(alg, "u")
         g = Series.variable(alg, 1, 1, 0, INF, ("x",)) + Series(
             alg, 1, 1, {(2,): TensorElement.from_slots(u)}, INF, ("x",))
-        return alg, two_t_t(alg), g, 4
+        order = -1 if kind.endswith("negative order") else 4
+        return alg, two_t_t(alg), g, order
     if kind == "non-cocycle":
         alg = builtin_algebra("qt2")
         t = t_elem(alg)
@@ -1679,25 +1704,46 @@ def gate_kept_case(kind):
         alg = builtin_algebra("qtu", degree_bound=6)
         return alg, primitive_pair(alg, "t", "u"), log_x_plus_tx2(alg), 4
     alg = builtin_algebra("qt1", degree_bound=6)
+    t, one = t_elem(alg), HopfElement.one(alg)
+    non_counital = TensorElement.from_slots(t, one) + TensorElement.from_slots(
+        one, t)
     if kind == "non-counital":
-        t, one = t_elem(alg), HopfElement.one(alg)
-        c = TensorElement.from_slots(t, one) + TensorElement.from_slots(
-            one, t)
+        return alg, non_counital, log_x_plus_tx2(alg), 4
+    if kind == "unit and cocycle":
+        # symmetric, t^2 (x) t^2 is no cocycle
+        c = non_counital + TensorElement.from_slots(t * t, t * t)
         return alg, c, log_x_plus_tx2(alg), 4
-    return alg, two_t_t(alg), log_x_plus_tx2(alg), -1
+    if kind == "all three":
+        # t (x) t^2 is no cocycle
+        c = TensorElement.from_slots(t, one) * 2 + TensorElement.from_slots(
+            t, t * t)
+        return alg, c, log_x_plus_tx2(alg), 4
+    return alg, two_t_t(alg), log_x_plus_tx2(alg), (
+        -1 if kind == "negative order" else 4)
+
+
+# the kinds of reconstruct_case and what each gives: None passes, "no
+# order" raises TruncationInsufficient, an axiom names the AxiomViolation
+RECONSTRUCT_VERDICTS = {
+    "theorem": None, "non-cocommutative": "symmetry",
+    "non-cocycle": "associativity", "non-counital": "unit",
+    "asymmetric": "symmetry", "all three": "symmetry",
+    "unit and cocycle": "unit", "negative order": "no order",
+    "non-cocommutative negative order": "no order"}
 
 
 @st.composite
 def reconstruct_inputs(draw):
-    """(algebra, c, g, order) over qt1, qt2, qtu, QTU_HALF or a
-    non-cocommutative H at degree bounds 3-6, orders 0-6. c is a random
-    cocycle, a symmetric candidate (mostly no cocycle), a cocycle plus a
-    counit-zero tensor (mostly asymmetric) or plus the asymmetric cocycle
-    t (x) u, a cocycle plus the non-counital t (x) 1 + 1 (x) t, or zero.
+    """(algebra, c, g, order) over qt1, qt2, qtu, QTU_HALF, a
+    non-cocommutative H or a non-coassociative one at degree bounds 3-6,
+    orders 0-6. c is a random cocycle, a symmetric candidate (mostly no
+    cocycle), a cocycle plus a counit-zero tensor (mostly asymmetric) or
+    plus the asymmetric cocycle t (x) u, a cocycle plus the non-counital
+    t (x) 1 + 1 (x) t, or zero.
     g is a random logarithm, complete or at a finite order, whose linear
     coefficient is often 1 plus a nilpotent."""
     name = draw(st.sampled_from(["qt1", "qt2", "qtu", "qtu_half",
-                                 "non_cocommutative"]))
+                                 "non_cocommutative", "bad_coassoc"]))
     alg = algebra_named(name, draw(st.integers(3, 6)))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["cocycle", "cocycle", "candidate",
@@ -1732,35 +1778,38 @@ def reconstruct_inputs(draw):
 
 
 class TestTheoremRoute:
-    """reconstruct skips the axiom gate only where the reconstruction
-    theorem certifies the law (H cocommutative, c a symmetric cocycle
-    with zero counit projections, order not negative), and returns or
-    raises what the gate-checked reconstruction does."""
+    """reconstruct reads every axiom verdict off c, on every H, with no
+    axiom gate and no composite, and returns or raises what the
+    gate-checked reconstruction does."""
 
-    @settings(max_examples=100)
+    @settings(max_examples=300)
     @given(reconstruct_inputs())
     def test_matches_gate_checked_reconstruction(self, case):
         assert_same_outcome(outcome(reconstruct, *case),
                             outcome(reference_reconstruct, *case))
 
-    def test_theorem_case_runs_no_gate(self, qt1, monkeypatch):
-        case = (qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 4)
-        got, gates = calls_to(monkeypatch, "check_axioms", outcome,
-                              reconstruct, *case)
-        assert gates == 0
+    @pytest.mark.parametrize("kind", list(RECONSTRUCT_VERDICTS))
+    def test_no_case_runs_the_gate(self, kind, monkeypatch):
+        """No kind calls check_axioms or forms a composite, and the first
+        failing axiom in check_axioms' order is the one named."""
+        case = reconstruct_case(kind)
+        calls = [recorded_calls(monkeypatch, fgl_module, name)
+                 for name in ("check_axioms", "_gate_composite",
+                              "_right_composite", "_two_composites")]
+        got = outcome(reconstruct, *case)
+        assert [len(c) for c in calls] == [0, 0, 0, 0]
+        monkeypatch.undo()
         assert_same_outcome(got, outcome(reference_reconstruct, *case))
-
-    @pytest.mark.parametrize("kind", [
-        "non-cocommutative", "non-cocycle", "non-counital", "asymmetric",
-        "negative order"])
-    def test_other_cases_keep_the_gate(self, kind, monkeypatch):
-        """Each case runs check_axioms once, and fails it."""
-        case = gate_kept_case(kind)
-        got, gates = calls_to(monkeypatch, "check_axioms", outcome,
-                              reconstruct, *case)
-        assert gates == 1
-        assert got[1] is not None
-        assert_same_outcome(got, outcome(reference_reconstruct, *case))
+        verdict = RECONSTRUCT_VERDICTS[kind]
+        if verdict is None:
+            assert got[1] is None
+        elif verdict == "no order":
+            assert got[1] == (TruncationInsufficient,
+                              "stored data certifies no order at all")
+        else:
+            assert got[1] == (AxiomViolation, (
+                f"reconstructed series fails the {verdict} axiom; the "
+                "cocycle or logarithm is inconsistent"))
 
 
 # -- classical specialization ----------------------------------------------------

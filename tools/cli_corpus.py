@@ -14,8 +14,11 @@ with broken symmetry and classical laws X + Y + aXY, each at a finite or
 infinite order and some marked "truncated": true. Over each law it runs
 verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
 and --format options, and reconstruct from generated logarithms and
-cocycles over qt1, and from cocycles and non-cocycles that the axiom gate
-decides (GATED), QTU_HALF given as a --hopf file among them. The sparse
+cocycles over qt1, from cocycles and non-cocycles over qt2, qtu and
+QTU_HALF given as a --hopf file (VERDICTS), and over two algebras that
+are not cocommutative, where symmetry is read by a reversal of the law
+(NON_COCOMMUTATIVE): Q[t, s, u] given as a --hopf file (QTSU) and the
+non-coassociative hopf_bad_coassoc.json. The sparse
 complete laws X + Y + X^N + Y^N over trivial and 2(t (x) t) + X + Y +
 X^N + Y^N over qt1 (N = SPARSE_N) run verify, inverse, log, cocycle and
 roundtrip at orders 4 and 8, where the work must follow the order, not
@@ -53,14 +56,37 @@ QTU_HALF = {"generators": [{"name": "t", "degree": 1},
             "coproduct": {"t": "primitive",
                           "u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
                                 [["t"], ["t"], "1/2"]]}}
+# Q[t, s, u] with Delta u = u (x) 1 + 1 (x) u + t (x) s is not cocommutative
+QTSU = {"generators": [{"name": "t", "degree": 1}, {"name": "s", "degree": 2},
+                       {"name": "u", "degree": 3}],
+        "degree_bound": 6,
+        "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                            [["t"], ["s"], "1"]]}}
 ALGEBRAS = {"qt1": [("t", 1)], "qt2": [("t", 2)],
             "qtu": [("t", 1), ("u", 3)], "qtu_half": [("t", 1), ("u", 2)]}
 ORDERS = ("2", "4", "7")
-# (--hopf, --cocycle) of the reconstructions that keep the axiom gate
-GATED = (("qt2", "3(t (x) t) + t^2 (x) t^2"), ("qtu", "t (x) u"),
-         ("qt1", "t (x) 1 + 1 (x) t"), ("qtu_half.json", "1/2 t (x) t"),
-         ("qtu_half.json", "t (x) u + u (x) t"),
-         ("qtu_half.json", "u (x) u"))
+# (--hopf, --cocycle) of reconstructions away from qt1: a symmetric
+# non-cocycle, an asymmetric cocycle, a non-counital tensor, and cocycles
+# and non-cocycles over QTU_HALF
+VERDICTS = (("qt2", "3(t (x) t) + t^2 (x) t^2"), ("qtu", "t (x) u"),
+            ("qt1", "t (x) 1 + 1 (x) t"), ("qtu_half.json", "1/2 t (x) t"),
+            ("qtu_half.json", "t (x) u + u (x) t"),
+            ("qtu_half.json", "u (x) u"))
+# (--hopf, --cocycle, --log) of reconstructions over algebras that are not
+# cocommutative: laws that pass, laws that fail symmetry by c or by the u
+# coefficient of log_u.json (x + u x^2), and a non-counital tensor and a
+# symmetric non-cocycle; None is the default log x
+NON_COCOMMUTATIVE = tuple(
+    (hopf, cocycle, log) for hopf, cases in (
+        ("qtsu.json", (("0", None), ("0", "log00.json"),
+                       ("t (x) s + s (x) t", None), ("2 t (x) t", "log01.json"),
+                       ("t (x) s", None), ("0", "log_u.json"),
+                       ("t (x) 1 + 1 (x) t", None),
+                       ("t^2 (x) t^2", None))),
+        ("hopf_bad_coassoc.json", (("0", None), ("2 t (x) t", "log02.json"),
+                                   ("t (x) t^2", None),
+                                   ("0", "log_u.json"))))
+    for cocycle, log in cases)
 SEEDS = range(48)
 SPARSE_N = 2000
 
@@ -188,19 +214,27 @@ def invocations(workdir):
                               cocycle, "--log", log, "--order", order,
                               "--hdeg", hdeg,
                               "--format", ("pretty", "json")[i % 2]])
-    # reconstructions that the theorem does not certify, so the axiom
-    # gate decides them: a symmetric non-cocycle, an asymmetric cocycle,
-    # a non-counital tensor, and cocycles and non-cocycles over QTU_HALF
     (workdir / "qtu_half.json").write_text(json.dumps(QTU_HALF, indent=1))
-    for i, (hopf, cocycle) in enumerate(GATED):
+    for i, (hopf, cocycle) in enumerate(VERDICTS):
         argvs.append(["check-cocycle", "--hopf", hopf, "--cocycle",
                       cocycle])
-        for log in logs[i::len(GATED)][:4]:
+        for log in logs[i::len(VERDICTS)][:4]:
             for order, hdeg in (("3", "4"), ("5", "8")):
                 argvs.append(["reconstruct", "--hopf", hopf, "--cocycle",
                               cocycle, "--log", log, "--order", order,
                               "--hdeg", hdeg,
                               "--format", ("pretty", "json")[i % 2]])
+    (workdir / "qtsu.json").write_text(json.dumps(QTSU, indent=1))
+    (workdir / "log_u.json").write_text(json.dumps({
+        "variables": ["x"], "arity": 1,
+        "terms": [_term((1,), [[["1"], "1"]]), _term((2,), [[["u"], "1"]])]},
+        indent=1))
+    for i, (hopf, cocycle, log) in enumerate(NON_COCOMMUTATIVE):
+        for order, hdeg in (("3", "6"), ("5", "4")):
+            argvs.append(["reconstruct", "--hopf", hopf, "--cocycle", cocycle]
+                         + (["--log", log] if log else [])
+                         + ["--order", order, "--hdeg", hdeg,
+                            "--format", ("pretty", "json")[i % 2]])
     argvs += [["verify", "--group", "missing.json"],
               ["verify", "--group", laws[0], "--order", "0"],
               ["check-hopf", "--hopf", "hopf_bad_coassoc.json"],
