@@ -50,11 +50,11 @@ flag is dropped. extract_cocycle reads no flag, so it sums (Delta g)(F)
 by the packed evaluator (`_packed_residual`) under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
 
-Reconstruction by the theorem: on every H, reconstruct reads the axioms
-of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y) off c,
-forming no composite. Delta (x) id, id (x) Delta and id (x) eps give, with
-D = (Delta (x) id)Delta g = (id (x) Delta)Delta g and G the sum of g(X),
-g(Y) and g(Z) in tensor slots 0, 1 and 2,
+Reconstruction by the theorem: over a coassociative H, reconstruct reads
+the axioms of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y)
+off c, forming no composite. Delta (x) id, id (x) Delta and id (x) eps
+give, with D = (Delta (x) id)Delta g = (id (x) Delta)Delta g and G the sum
+of g(X), g(Y) and g(Z) in tensor slots 0, 1 and 2,
     D(F(F(X, Y), Z)) = (Delta (x) id)c + c (x) 1 + G,
     D(F(X, F(Y, Z))) = (id (x) Delta)c + 1 (x) c + G,
     g((id (x) eps)F(X, 0)) = g(X) + (id (x) eps)c,
@@ -63,7 +63,9 @@ a cobar 2-cocycle, unital exactly when its counit projections vanish, and
 over a cocommutative H symmetric exactly when c = tau c (else one reversal
 of F decides). This needs H commutative and Delta a coassociative,
 degree-keeping ring homomorphism; for g = x it is the Lemma-form fact
-(Hazewinkel, 1978).
+(Hazewinkel, 1978). build_hopf_algebra accepts a Delta that is not
+coassociative (`HopfAlgebra.coassociative`), where the two sides of D
+can differ, so over such an H the axiom gate of check_axioms decides.
 """
 
 import math
@@ -516,11 +518,12 @@ def reconstruct(algebra, c, g, order):
 
     Substituting the constant c costs its nilpotency slack once composing
     and once verifying, so the work runs at order + 2*slack and the result
-    is certified exactly through `order`. The axioms are read off c on every
-    H with no composite (rule, derivation and conditions in the module
-    docstring): symmetry from c = tau c, or from one reversal of F when H is
-    not cocommutative; unit and associativity from check_cocycle(c). The
-    first to fail, in check_axioms' order, raises AxiomViolation."""
+    is certified exactly through `order`. Over a coassociative H the axioms
+    are read off c with no composite (rule, derivation and conditions in
+    the module docstring): symmetry from c = tau c, or from one reversal of
+    F when H is not cocommutative; unit and associativity from
+    check_cocycle(c). Over any other H check_axioms decides. The first
+    axiom to fail, in check_axioms' order, raises AxiomViolation."""
     slack = c.nilpotency_slack()
     work = order + 2 * slack
     if g.order != INF and g.order < work:
@@ -542,16 +545,20 @@ def reconstruct(algebra, c, g, order):
         raise TruncationInsufficient(
             "stored data certifies no order at all", certified=order,
             requested=order)
-    symmetric = (c == c.permute((1, 0)) if algebra.cocommutative else
-                 symmetry_defect(F_elevated).truncate(order).is_zero())
-    failed = {v.axiom for v in check_cocycle(c).violations}
-    for axiom, holds in (("symmetry", symmetric),
-                         ("unit", "counit" not in failed),
-                         ("associativity", "cocycle" not in failed)):
-        if not holds:
-            raise AxiomViolation(
-                f"reconstructed series fails the {axiom} axiom; the "
-                "cocycle or logarithm is inconsistent")
+    if algebra.coassociative:
+        symmetric = (c == c.permute((1, 0)) if algebra.cocommutative else
+                     symmetry_defect(F_elevated).truncate(order).is_zero())
+        failed = {v.axiom for v in check_cocycle(c).violations}
+        axioms = [axiom for axiom, holds in (
+            ("symmetry", symmetric), ("unit", "counit" not in failed),
+            ("associativity", "cocycle" not in failed)) if not holds]
+    else:
+        report = check_axioms(F_elevated, order)
+        axioms = [v.axiom for v in report.violations]
+    if axioms:
+        raise AxiomViolation(
+            f"reconstructed series fails the {axioms[0]} axiom; the "
+            "cocycle or logarithm is inconsistent")
     return F_elevated.truncate(order)
 
 

@@ -61,6 +61,7 @@ class HopfAlgebra:
         "degrees",
         "degree_bound",
         "cocommutative",
+        "_coassociative",
         "_gen_comul",
         "_gen_counit",
         "_gen_antipode",
@@ -97,6 +98,7 @@ class HopfAlgebra:
         self.cocommutative = all(
             table == {(b, a): q for (a, b), q in table.items()}
             for table in self._gen_comul)
+        self._coassociative = None
         self._gen_counit = tuple(
             gen_counit if gen_counit is not None else (ZERO,) * len(names))
         self._gen_antipode = tuple(
@@ -185,6 +187,27 @@ class HopfAlgebra:
         """Whether the generator's coproduct is name (x) 1 + 1 (x) name."""
         i = self._index[name]
         return self._gen_comul[i] == _primitive_table_raw(len(self.names), i)
+
+    @property
+    def coassociative(self):
+        """Whether (Delta (x) id)Delta = (id (x) Delta)Delta on all of H.
+        Both sides are ring homomorphisms unless a coproduct table lowers a
+        degree, so the generators decide; a lowering table gives False.
+        build_hopf_algebra does not require it, check-hopf reports it."""
+        if self._coassociative is None:
+            self._coassociative = not self.lowers_degree() and all(
+                d.apply_slot(0, "comul") == d.apply_slot(1, "comul")
+                for d in map(self._comul, map(self.generator_mono,
+                                               self.names)))
+        return self._coassociative
+
+    def lowers_degree(self):
+        """Whether a generator's coproduct table lowers its degree (only a
+        `mutated` one can): Delta is then no ring homomorphism of the
+        truncated algebras."""
+        return any(self.key_degree(key) < degree
+                   for table, degree in zip(self._gen_comul, self.degrees)
+                   for key in table)
 
     def degree(self, mono):
         d = self._deg_cache.get(mono)

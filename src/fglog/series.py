@@ -683,13 +683,10 @@ def _coproduct_base(f):
     """The series g over H with Delta g_k = f_k for every coefficient f_k
     of f, or None when f is no such lift. H is connected, so g_k =
     (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
-    read off the codes. A coproduct table that lowers a degree (a
-    `mutated` one) makes Delta no ring homomorphism: None."""
+    read off the codes. A coproduct table that lowers a degree makes
+    Delta no ring homomorphism: None."""
     algebra, bits = f.algebra, f.algebra._codec(1).hopf_bits
-    if f.arity != 2 or any(
-            algebra.key_degree(key) < degree
-            for table, degree in zip(algebra._gen_comul, algebra.degrees)
-            for key in table):
+    if f.arity != 2 or algebra.lowers_degree():
         return None
     terms = {}
     for e, c in f.terms.items():

@@ -1674,6 +1674,22 @@ def bad_coassociative_algebra(bound=6):
     return build_hopf_algebra(dict(desc, degree_bound=bound))
 
 
+def cocommutative_bad_coassociative_algebra(bound=8, skew=False):
+    """Q[t, u] with Delta u = u (x) 1 + 1 (x) u + t^2 (x) t^2, cocommutative
+    but not coassociative: t^2 (x) t^2 is no cobar cocycle. With `skew`,
+    also s (degree 2, primitive) and v with Delta v = v (x) 1 + 1 (x) v +
+    t (x) s, which makes H not cocommutative."""
+    gens = [{"name": "t", "degree": 1}, {"name": "u", "degree": 4}]
+    coproduct = {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                       [["t", "t"], ["t", "t"], "1"]]}
+    if skew:
+        gens += [{"name": "s", "degree": 2}, {"name": "v", "degree": 3}]
+        coproduct["v"] = [[["v"], ["1"], "1"], [["1"], ["v"], "1"],
+                          [["t"], ["s"], "1"]]
+    return build_hopf_algebra({"generators": gens, "degree_bound": bound,
+                               "coproduct": coproduct})
+
+
 def algebra_named(name, bound):
     if name == "qtu_half":
         return build_hopf_algebra(dict(QTU_HALF, degree_bound=bound))
@@ -1681,12 +1697,27 @@ def algebra_named(name, bound):
         return non_cocommutative_algebra(bound)
     if name == "bad_coassoc":
         return bad_coassociative_algebra(bound)
+    if name == "bad_coassoc_cocommutative":
+        return cocommutative_bad_coassociative_algebra(max(bound, 4))
     return builtin_algebra(name, degree_bound=bound)
 
 
 def reconstruct_case(kind):
-    """(algebra, c, g, order) of a reconstruction: "theorem" passes, every
-    other kind fails, most by breaking one condition on c or H."""
+    """(algebra, c, g, order) of a reconstruction: "theorem" and "gate
+    passes" pass, every other kind fails, most by breaking one condition on
+    c or H. The "non-coassociative" kinds (c = 0, g = x + u x^2) satisfy
+    the rule's conditions on c, and their laws are not associative."""
+    if kind.startswith("non-coassociative"):
+        alg = cocommutative_bad_coassociative_algebra(
+            skew=kind.endswith("non-cocommutative"))
+        g = Series.variable(alg, 1, 1, 0, INF, ("x",)) + Series(
+            alg, 1, 1, {(2,): TensorElement.from_slots(
+                HopfElement.generator(alg, "u"))}, INF, ("x",))
+        return alg, TensorElement.zero(alg, 2), g, 4
+    if kind == "gate passes":
+        alg = bad_coassociative_algebra()
+        return alg, TensorElement.zero(alg, 2), Series.variable(
+            alg, 1, 1, 0, INF, ("x",)), 4
     if kind.startswith("non-cocommutative"):
         alg = non_cocommutative_algebra()
         u = HopfElement.generator(alg, "u")
@@ -1729,21 +1760,26 @@ RECONSTRUCT_VERDICTS = {
     "non-cocycle": "associativity", "non-counital": "unit",
     "asymmetric": "symmetry", "all three": "symmetry",
     "unit and cocycle": "unit", "negative order": "no order",
-    "non-cocommutative negative order": "no order"}
+    "non-cocommutative negative order": "no order",
+    "non-coassociative": "associativity",
+    "non-coassociative, non-cocommutative": "associativity",
+    "gate passes": None}
 
 
 @st.composite
 def reconstruct_inputs(draw):
     """(algebra, c, g, order) over qt1, qt2, qtu, QTU_HALF, a
-    non-cocommutative H or a non-coassociative one at degree bounds 3-6,
-    orders 0-6. c is a random cocycle, a symmetric candidate (mostly no
+    non-cocommutative H or one of two non-coassociative ones, cocommutative
+    or not, at degree bounds 3-6 (4-6 for the cocommutative one), orders
+    0-6. c is a random cocycle, a symmetric candidate (mostly no
     cocycle), a cocycle plus a counit-zero tensor (mostly asymmetric) or
     plus the asymmetric cocycle t (x) u, a cocycle plus the non-counital
     t (x) 1 + 1 (x) t, or zero.
     g is a random logarithm, complete or at a finite order, whose linear
     coefficient is often 1 plus a nilpotent."""
     name = draw(st.sampled_from(["qt1", "qt2", "qtu", "qtu_half",
-                                 "non_cocommutative", "bad_coassoc"]))
+                                 "non_cocommutative", "bad_coassoc",
+                                 "bad_coassoc_cocommutative"]))
     alg = algebra_named(name, draw(st.integers(3, 6)))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["cocycle", "cocycle", "candidate",
@@ -1778,8 +1814,8 @@ def reconstruct_inputs(draw):
 
 
 class TestTheoremRoute:
-    """reconstruct reads every axiom verdict off c, on every H, with no
-    axiom gate and no composite, and returns or raises what the
+    """reconstruct reads every axiom verdict off c, on every coassociative
+    H, with no axiom gate and no composite, and returns or raises what the
     gate-checked reconstruction does."""
 
     @settings(max_examples=300)
@@ -1789,15 +1825,20 @@ class TestTheoremRoute:
                             outcome(reference_reconstruct, *case))
 
     @pytest.mark.parametrize("kind", list(RECONSTRUCT_VERDICTS))
-    def test_no_case_runs_the_gate(self, kind, monkeypatch):
-        """No kind calls check_axioms or forms a composite, and the first
-        failing axiom in check_axioms' order is the one named."""
+    def test_gate_runs_only_off_coassociative(self, kind, monkeypatch):
+        """A kind over a coassociative H calls no check_axioms and forms no
+        composite; one over any other H calls check_axioms once (the rule
+        does not hold there). The first failing axiom in check_axioms'
+        order is the one named."""
         case = reconstruct_case(kind)
         calls = [recorded_calls(monkeypatch, fgl_module, name)
                  for name in ("check_axioms", "_gate_composite",
                               "_right_composite", "_two_composites")]
         got = outcome(reconstruct, *case)
-        assert [len(c) for c in calls] == [0, 0, 0, 0]
+        if case[0].coassociative:
+            assert [len(c) for c in calls] == [0, 0, 0, 0]
+        else:
+            assert len(calls[0]) == 1
         monkeypatch.undo()
         assert_same_outcome(got, outcome(reference_reconstruct, *case))
         verdict = RECONSTRUCT_VERDICTS[kind]

@@ -19,7 +19,7 @@ from fglog import (
     verify_hopf_axioms,
 )
 from fglog.scalars import ONE, Q, ZERO
-from test_fgl import QTU_HALF, recorded_calls
+from test_fgl import QTU_HALF, bad_coassociative_algebra, recorded_calls
 
 
 def gen(algebra, name):
@@ -364,6 +364,65 @@ class TestOneCoproductPerMonomial:
         comul = recorded_calls(monkeypatch, TensorElement, "comul")
         assert verify_hopf_axioms(algebra).passed
         assert len(comul) == len(algebra.monomials())
+
+
+def reference_coassociative(algebra):
+    """(Delta (x) id)Delta = (id (x) Delta)Delta on every basis monomial."""
+    return all(d.apply_slot(0, "comul") == d.apply_slot(1, "comul")
+               for d in (TensorElement(algebra, 1, {(m,): ONE}).comul()
+                         for m in algebra.monomials()))
+
+
+@st.composite
+def _three_generator_algebras(draw):
+    """Q[a, b, c] at degrees 1-3 and bound 3-6, each coproduct primitive
+    plus a few random terms x (x) y of positive degrees summing to the
+    generator's: homogeneous and counital, often not coassociative."""
+    degrees = sorted(draw(st.lists(st.integers(1, 3), min_size=3,
+                                   max_size=3)))
+    bound = draw(st.integers(3, 6))
+    probe = HopfAlgebra("abc", degrees, bound, [{}] * 3)
+    tables = []
+    for name, d in zip("abc", degrees):
+        gen, unit = probe.generator_mono(name), probe.unit_mono
+        table = {(gen, unit): ONE, (unit, gen): ONE}
+        pairs = [(x, y) for x in probe.monomials() for y in probe.monomials()
+                 if probe.degree(x) and probe.degree(y)
+                 and probe.degree(x) + probe.degree(y) == d]
+        if pairs:
+            for pair in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+                table[pair] = table.get(pair, ZERO) + draw(_RATIONALS)
+        tables.append(table)
+    return HopfAlgebra("abc", degrees, bound, tables)
+
+
+class TestCoassociative:
+    """HopfAlgebra.coassociative, decided on the generators, agrees with
+    coassociativity on every basis monomial; a table that lowers a degree
+    gives False."""
+
+    @pytest.mark.parametrize("name, algebra", list(_mutations()),
+                             ids=[name for name, _ in _mutations()])
+    def test_matches_every_monomial(self, name, algebra):
+        assert algebra.coassociative == reference_coassociative(algebra)
+        assert algebra.coassociative == (
+            name not in ("coassociativity", "scaled-leg"))
+
+    @settings(max_examples=150)
+    @given(_three_generator_algebras())
+    def test_random_tables(self, algebra):
+        assert algebra.coassociative == reference_coassociative(algebra)
+
+    def test_fixture_and_lowering_table(self, qtu):
+        bad = bad_coassociative_algebra()
+        assert not bad.coassociative
+        assert not verify_hopf_axioms(bad).passed
+        ut, uu, u1 = (qtu.generator_mono("t"), qtu.generator_mono("u"),
+                      qtu.unit_mono)
+        lowering = qtu.mutated(comul={"u": {
+            (uu, u1): Q(1), (u1, uu): Q(1), (ut, u1): Q(1)}})
+        assert lowering.lowers_degree() and not lowering.coassociative
+        assert not qtu.lowers_degree() and qtu.coassociative
 
 
 class TestElementBasics:

@@ -15,10 +15,12 @@ infinite order and some marked "truncated": true. Over each law it runs
 verify, roundtrip, log, inverse and cocycle under several --order, --hdeg
 and --format options, and reconstruct from generated logarithms and
 cocycles over qt1, from cocycles and non-cocycles over qt2, qtu and
-QTU_HALF given as a --hopf file (VERDICTS), and over two algebras that
-are not cocommutative, where symmetry is read by a reversal of the law
-(NON_COCOMMUTATIVE): Q[t, s, u] given as a --hopf file (QTSU) and the
-non-coassociative hopf_bad_coassoc.json. The sparse
+QTU_HALF given as a --hopf file (VERDICTS), and over algebras that are
+not cocommutative or not coassociative (OTHER_HOPF): Q[t, s, u] given as
+a --hopf file (QTSU), where symmetry is read by a reversal of the law,
+and three non-coassociative ones, where the axiom gate decides:
+hopf_bad_coassoc.json and the cocommutative TU_BAD with and without the
+non-cocommutative generators of TSUV_BAD. The sparse
 complete laws X + Y + X^N + Y^N over trivial and 2(t (x) t) + X + Y +
 X^N + Y^N over qt1 (N = SPARSE_N) run verify, inverse, log, cocycle and
 roundtrip at orders 4 and 8, where the work must follow the order, not
@@ -62,6 +64,19 @@ QTSU = {"generators": [{"name": "t", "degree": 1}, {"name": "s", "degree": 2},
         "degree_bound": 6,
         "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
                             [["t"], ["s"], "1"]]}}
+# Q[t, u] with Delta u = u (x) 1 + 1 (x) u + t^2 (x) t^2 is cocommutative
+# and not coassociative; TSUV_BAD adds s and v with a t (x) s leg
+TU_BAD = {"generators": [{"name": "t", "degree": 1},
+                         {"name": "u", "degree": 4}],
+          "degree_bound": 8,
+          "coproduct": {"u": [[["u"], ["1"], "1"], [["1"], ["u"], "1"],
+                              [["t", "t"], ["t", "t"], "1"]]}}
+TSUV_BAD = {"generators": TU_BAD["generators"] + [
+                {"name": "s", "degree": 2}, {"name": "v", "degree": 3}],
+            "degree_bound": 8,
+            "coproduct": {**TU_BAD["coproduct"],
+                          "v": [[["v"], ["1"], "1"], [["1"], ["v"], "1"],
+                                [["t"], ["s"], "1"]]}}
 ALGEBRAS = {"qt1": [("t", 1)], "qt2": [("t", 2)],
             "qtu": [("t", 1), ("u", 3)], "qtu_half": [("t", 1), ("u", 2)]}
 ORDERS = ("2", "4", "7")
@@ -73,10 +88,12 @@ VERDICTS = (("qt2", "3(t (x) t) + t^2 (x) t^2"), ("qtu", "t (x) u"),
             ("qtu_half.json", "t (x) u + u (x) t"),
             ("qtu_half.json", "u (x) u"))
 # (--hopf, --cocycle, --log) of reconstructions over algebras that are not
-# cocommutative: laws that pass, laws that fail symmetry by c or by the u
-# coefficient of log_u.json (x + u x^2), and a non-counital tensor and a
-# symmetric non-cocycle; None is the default log x
-NON_COCOMMUTATIVE = tuple(
+# cocommutative or not coassociative: laws that pass, laws that fail
+# symmetry by c or by the u coefficient of log_u.json (x + u x^2), a
+# non-counital tensor and a symmetric non-cocycle, and over TU_BAD and
+# TSUV_BAD laws that fail associativity with c = 0 by that coefficient;
+# None is the default log x
+OTHER_HOPF = tuple(
     (hopf, cocycle, log) for hopf, cases in (
         ("qtsu.json", (("0", None), ("0", "log00.json"),
                        ("t (x) s + s (x) t", None), ("2 t (x) t", "log01.json"),
@@ -85,7 +102,11 @@ NON_COCOMMUTATIVE = tuple(
                        ("t^2 (x) t^2", None))),
         ("hopf_bad_coassoc.json", (("0", None), ("2 t (x) t", "log02.json"),
                                    ("t (x) t^2", None),
-                                   ("0", "log_u.json"))))
+                                   ("0", "log_u.json"))),
+        ("tu_bad.json", (("0", None), ("0", "log_u.json"),
+                         ("t (x) t", "log03.json"))),
+        ("tsuv_bad.json", (("0", None), ("0", "log_u.json"),
+                           ("t (x) s", None))))
     for cocycle, log in cases)
 SEEDS = range(48)
 SPARSE_N = 2000
@@ -229,7 +250,9 @@ def invocations(workdir):
         "variables": ["x"], "arity": 1,
         "terms": [_term((1,), [[["1"], "1"]]), _term((2,), [[["u"], "1"]])]},
         indent=1))
-    for i, (hopf, cocycle, log) in enumerate(NON_COCOMMUTATIVE):
+    (workdir / "tu_bad.json").write_text(json.dumps(TU_BAD, indent=1))
+    (workdir / "tsuv_bad.json").write_text(json.dumps(TSUV_BAD, indent=1))
+    for i, (hopf, cocycle, log) in enumerate(OTHER_HOPF):
         for order, hdeg in (("3", "6"), ("5", "4")):
             argvs.append(["reconstruct", "--hopf", hopf, "--cocycle", cocycle]
                          + (["--log", log] if log else [])
@@ -238,6 +261,7 @@ def invocations(workdir):
     argvs += [["verify", "--group", "missing.json"],
               ["verify", "--group", laws[0], "--order", "0"],
               ["check-hopf", "--hopf", "hopf_bad_coassoc.json"],
+              ["check-hopf", "--hopf", "tu_bad.json"],
               ["check-cocycle", "--hopf", "qtu", "--cocycle",
                "u (x) t + t (x) u"],
               ["coboundary", "--hopf", "qt1", "--element", "t^3"]]
