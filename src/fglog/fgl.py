@@ -43,11 +43,14 @@ verification and reconstruction routines work at an elevated internal order
 and certify the caller's order honestly, raising TruncationInsufficient
 when the stored data cannot support the request.
 
-Substitutions and the `truncated` flag: Series.substitute forms the flag
-of every Horner step, because check_log, reconstruct and
-associativity_defect output theirs; they move to the evaluator once the
-flag is dropped. extract_cocycle reads no flag, so it sums (Delta g)(F)
-by the packed evaluator (`_packed_residual`) under the same order rule
+Substitutions and the `truncated` flag: Horner (Series.substitute,
+`series._horner`) forms the flag of every step, and serves only where a
+flag is output: reconstruct, check_log's invariance route, the
+associativity composites and theta of the group inverse
+(`_eval_univariate`); they move to the evaluator once the flag is
+dropped. The twisted residual (Delta g)(F) - g (x) 1 - 1 (x) g reads no
+flag, so extract_cocycle and check_log's functional route sum it by the
+packed evaluator (`_packed_residual`) under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
@@ -88,6 +91,7 @@ from .series import (
     _constant,
     _doubling_orders,
     _evaluate,
+    _horner,
     _minus_reversed,
     _packed_view,
     _requested_order,
@@ -379,7 +383,7 @@ def check_log(F, g, order=None):
     (Delta g)(F) - (g (x) 1)(X) - (1 (x) g)(Y) must be constant, and the
     differential invariance (Delta g')(F) * dF/dX = (g' (x) 1)(X) must
     hold on the nose."""
-    residual = _log_residual(F, g)
+    residual = _packed_residual(F, g)
     nonconstant = residual - Series.constant(
         residual.constant_term(), 2, residual.order, residual.names)
 
@@ -403,15 +407,6 @@ def _slot_series(g, slot):
     """One-variable series with coefficients pushed into the given slot of
     H (x) H."""
     return g.map_coefficients(lambda A: A.embed(2, (slot,)))
-
-
-def _log_residual(F, g):
-    """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y)."""
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
-    composed = lifted.substitute([F])
-    g_x = _slot_series(g, 0).embed_vars(2, (0,), F.names)
-    g_y = _slot_series(g, 1).embed_vars(2, (1,), F.names)
-    return composed - g_x - g_y
 
 
 # -- cocycles -----------------------------------------------------------------
@@ -493,9 +488,9 @@ def extract_cocycle(F, g=None, order=None):
 
 
 def _packed_residual(F, g):
-    """The terms and order of _log_residual(F, g), not its flags: (Delta
-    g)(F) by the packed evaluator on F's packed form, minus g (x) 1 and
-    1 (x) g in one kernel call."""
+    """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y), its terms and
+    order, not a flag: (Delta g)(F) by the packed evaluator on F's packed
+    form, minus g (x) 1 and 1 (x) g in one kernel call."""
     lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
     cap, codec, _ = _substitution_order(lifted, [F], g.max_degree())
     bound = F.algebra.degree_bound
@@ -708,17 +703,17 @@ def _cut(groups, cap):
 
 def _eval_univariate(series, point):
     """Evaluate a one-variable series at a nilpotent TensorElement by
-    Horner's rule. A zero accumulator is multiplied only at the first
-    step, which gives it the point's flag: past it, zero times the point
-    is that same zero."""
-    acc = TensorElement.zero(series.algebra, series.arity)
-    top = max((e[0] for e in series.terms), default=-1)
-    for k in range(top, -1, -1):
-        if k == top or not acc.is_zero():
-            acc = acc * point
-        if (k,) in series.terms:
-            acc = acc + series.terms[(k,)]
-    return acc
+    Horner's rule (`series._horner`) in the tensor layout; an empty
+    series gives zero."""
+    algebra, arity = series.algebra, series.arity
+    if not series.terms:
+        return TensorElement.zero(algebra, arity)
+    codec = algebra._codec(arity)
+    consts = {e: _view(codec, _constant(codec, c, c.truncated))
+              for e, c in series.terms.items()}
+    at = _view(codec, _constant(codec, point, point.truncated))
+    return TensorElement._of(algebra, arity,
+                             _horner(consts, [at], INF)._packed[1])
 
 
 # -- classical specialization ---------------------------------------------------

@@ -256,15 +256,7 @@ class HopfAlgebra:
         return self._monomials
 
     def mono_str(self, mono):
-        if all(e == 0 for e in mono):
-            return "1"
-        parts = []
-        for name, e in zip(self.names, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "".join(parts)
+        return _mono_join(self.names, mono, "") or "1"
 
     # -- structure maps on monomials --------------------------------------
 
@@ -523,10 +515,8 @@ class TensorElement:
     @classmethod
     def from_slots(cls, *elements):
         """Tensor product of 1..3 elements of H (arity-1 tensors), slot per
-        argument, in one loop over the slots' packed codes. Its flag is
-        that of the product of the slots' embeddings into the arity: a
-        slot's flag, or, when no slot is zero, slot terms whose Hopf
-        degrees sum above the bound."""
+        argument: the product of the slots' embeddings into the arity, or,
+        when a slot is zero, zero flagged by the slots' own flags."""
         algebra = elements[0].algebra
         arity = len(elements)
         for el in elements:
@@ -534,25 +524,13 @@ class TensorElement:
                 raise AlgebraMismatch("tensor slots over different algebras")
             if el.arity != 1:
                 raise ArityMismatch("tensor slots must be elements of H")
-        bound = algebra.degree_bound
-        bits = algebra._codec(1).hopf_bits
-        packs = [el._packed for el in elements]
-        flag = any(p.flag for p in packs) or (
-            all(p.buckets for p in packs)
-            and sum(max(p.buckets) for p in packs) > bound)
-        rows = [(0, 0, 1)]
-        for slot, p in enumerate(packs):
-            low = slot * bits
-            rows = [(code | c << low, h + hs, n * m)
-                    for code, h, n in rows
-                    for hs, bucket in p.buckets.items() if h + hs <= bound
-                    for c, m in bucket]
-        acc = {}
-        for code, h, n in rows:
-            acc.setdefault(h, {})[code] = n
-        return cls._of(algebra, arity, _Packed.reduced(
-            acc, math.prod(p.den for p in packs), INF, flag,
-            algebra._codec(arity).shift))
+        if any(el.is_zero() for el in elements):
+            return cls.zero(algebra, arity)._flagged(
+                any(el.truncated for el in elements))
+        product = elements[0].embed(arity, (0,))
+        for slot, el in enumerate(elements[1:], 1):
+            product = product * el.embed(arity, (slot,))
+        return product
 
     # -- linear structure ---------------------------------------------------
 
@@ -891,6 +869,13 @@ def _scalar_mono_str(algebra, mono, q):
     if q == -1:
         return f"-{mono_s}"
     return f"{format_rational(q)}{mono_s}"
+
+
+def _mono_join(names, exps, sep):
+    """The factors name^e of a monomial, name alone for e = 1, joined by
+    sep: "" for H, "·" for the series variables."""
+    return sep.join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e)
 
 
 def _join_signed(parts):

@@ -20,7 +20,7 @@ group laws, coboundary data). The bookkeeping rules:
                      because Delta is a degree-keeping ring homomorphism)
   substitute         min(min_v r_v, r_f - sum_v slack_v) (one rule,
                      `_substitution_order`, for Horner and for the
-                     packed evaluator of fgl's cocycle extraction)
+                     packed evaluator of fgl's twisted residual)
 
 where slack_v is the nilpotency index of the constant term of the series
 assigned to variable v (largest m with kappa^m != 0). The slack term is not
@@ -47,9 +47,9 @@ from .errors import (
     ShapeMismatch,
     TruncationInsufficient,
 )
-from .hopf import TensorElement, _is_rational, _join_signed
+from .hopf import TensorElement, _is_rational, _join_signed, _mono_join
 from .packed import _UNIT, _Codec, _Packed
-from .scalars import ONE, format_rational, rational
+from .scalars import format_rational, rational
 
 INF = math.inf
 
@@ -919,24 +919,15 @@ def _evaluate(coeffs, h, p, bound):
 
 # -- pretty printing -------------------------------------------------------------
 
-def _mono_part(names, exps):
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "·".join(parts)
-
-
 def _term_str(series, exps, coeff):
-    algebra = series.algebra
-    mono = _mono_part(series.names, exps)
-    unit_key = (algebra.unit_mono,) * series.arity
+    """A coefficient times a variable monomial: a scalar as 3·X or -X,
+    any other coefficient as it prints, in parentheses when it has more
+    than one term."""
+    mono = _mono_join(series.names, exps, "·")
     items = coeff.terms
     if len(items) == 1:
         ((key, q),) = items.items()
-        if key == unit_key:
+        if key == (series.algebra.unit_mono,) * series.arity:
             if not mono:
                 return format_rational(q)
             if q == 1:
@@ -944,18 +935,5 @@ def _term_str(series, exps, coeff):
             if q == -1:
                 return f"-{mono}"
             return f"{format_rational(q)}·{mono}"
-        if series.arity == 1:
-            body = algebra.mono_str(key[0])
-        else:
-            body = "(" + "⊗".join(algebra.mono_str(m) for m in key) + ")"
-        sign = ""
-        if q == -1:
-            sign, q = "-", ONE
-        prefix = "" if q == 1 else format_rational(q)
-        if series.arity == 1 and prefix and prefix.startswith("-"):
-            sign, prefix = "-", prefix[1:]
-        head = f"{sign}{prefix}{body}"
-        return head if not mono else f"{head}·{mono}"
-    body = str(coeff)
-    head = f"({body})"
+    head = str(coeff) if len(items) == 1 else f"({coeff})"
     return head if not mono else f"{head}·{mono}"

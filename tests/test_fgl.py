@@ -448,6 +448,15 @@ class TestLogarithm:
         with pytest.raises(TruncationInsufficient):
             check_log(F, x, order=10)
 
+    def test_check_log_substitutes_once(self, qt1, monkeypatch):
+        """The functional route sums its residual on the packed evaluator
+        (`fgl._packed_residual`): only the invariance route substitutes."""
+        g = log_x_plus_tx2(qt1)
+        F = reconstruct(qt1, two_t_t(qt1), g, 7)
+        calls = recorded_calls(monkeypatch, Series, "substitute")
+        assert check_log(F, g.truncate(7)).passed
+        assert len(calls) == 1
+
     def test_constant_differential_over_request_raises(self, qt2):
         """A Lemma law stored through order 5 has the differential 1
         through order 4; a logarithm beyond order 5 is not certified."""
@@ -582,12 +591,22 @@ class TestCocycles:
             extract_cocycle(F, order=4)
 
 
+def reference_log_residual(F, g):
+    """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y) by Horner
+    (Series.substitute)."""
+    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    g_x = g.map_coefficients(lambda A: A.embed(2, (0,)))
+    g_y = g.map_coefficients(lambda A: A.embed(2, (1,)))
+    return (lifted.substitute([F]) - g_x.embed_vars(2, (0,), F.names)
+            - g_y.embed_vars(2, (1,), F.names))
+
+
 def reference_extract(F, g=None, order=None):
     """extract_cocycle with its residual formed by Horner
-    (`fgl._log_residual`, Series.substitute), the route it took before
-    the packed evaluator."""
+    (`reference_log_residual`), the route it took before the packed
+    evaluator."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fgl_module, "_packed_residual", fgl_module._log_residual)
+        patch.setattr(fgl_module, "_packed_residual", reference_log_residual)
         return extract_cocycle(F, g, order)
 
 

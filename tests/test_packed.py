@@ -9,7 +9,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fglog import (
@@ -489,6 +489,9 @@ def tensor_cases(draw):
                             for _ in range(3)]
 
 
+QT1_D8 = builtin_algebra("qt1", 8)
+
+
 class TestPackedTensors:
 
     @settings(max_examples=300)
@@ -558,6 +561,11 @@ class TestPackedTensors:
 
     @settings(max_examples=300)
     @given(tensor_cases(), st.integers(1, 3))
+    # t^5 (x) t^5 (x) 0 at D = 8, whose first two slots overflow the bound,
+    # and t (x) a flagged zero: zero, flagged by the slots' flags alone
+    @example((QT1_D8, 1, [({((5,),): Q(1)}, False)] * 2 + [({}, False)]), 3)
+    @example((QT1_D8, 1, [({((1,),): Q(2)}, False), ({}, True),
+                          ({}, False)]), 2)
     def test_from_slots_and_mul_inverse(self, case, count):
         algebra, arity, raw = case
         slots = [TensorElement(algebra, 1,

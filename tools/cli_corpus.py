@@ -24,7 +24,10 @@ non-cocommutative generators of TSUV_BAD. The sparse
 complete laws X + Y + X^N + Y^N over trivial and 2(t (x) t) + X + Y +
 X^N + Y^N over qt1 (N = SPARSE_N) run verify, inverse, log, cocycle and
 roundtrip at orders 4 and 8, where the work must follow the order, not
-N. The inputs are written to a temporary directory that is the working
+N. The qt1 law 2(t (x) t) + X + Y stored through orders 0, 1 and 2 runs
+verify, log, cocycle and roundtrip at orders 1 and 2, and stored through
+order 4 runs roundtrip and verify at order 3 with --hdeg 4: its unknown
+tail reaches down by the nilpotency slack of 2(t (x) t). The inputs are written to a temporary directory that is the working
 directory during the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
 place of stderr) or ended with an exit code outside 0-3.
@@ -188,6 +191,19 @@ def _sparse_laws():
             "terms": [_term(e, c) for e, c in sorted(terms.items())]}}
 
 
+def _witness_laws():
+    """(stored order, name, group JSON) of the qt1 law 2(t (x) t) + X + Y
+    stored through orders 0, 1, 2 and 4."""
+    one = [["1"], ["1"], "1"]
+    series = {"variables": ["X", "Y"], "arity": 2,
+              "terms": [_term((0, 0), [[["t"], ["t"], "2"]]),
+                        _term((0, 1), [one]), _term((1, 0), [one])]}
+    for order in (0, 1, 2, 4):
+        yield order, f"witness_{order}.json", {"hopf": "qt1",
+                                               "series": series,
+                                               "order": order}
+
+
 def _log(rng, seed):
     """(name, series JSON) of a logarithm x + sum of t-coefficients."""
     terms = [_term((1,), [[["1"], "1"]])]
@@ -228,6 +244,17 @@ def invocations(workdir):
         for cmd in ("verify", "inverse", "log", "cocycle", "roundtrip"):
             for order in ("4", "8"):
                 argvs.append([cmd, "--group", name, "--order", order])
+    for stored, name, doc in _witness_laws():
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        if stored == 4:
+            argvs += [[cmd, "--group", name, "--order", "3", "--hdeg", "4"]
+                      for cmd in ("roundtrip", "verify")]
+            continue
+        for cmd in ("verify", "log", "cocycle", "roundtrip"):
+            for order in ("1", "2"):
+                for fmt in ("pretty", "json"):
+                    argvs.append([cmd, "--group", name, "--order", order,
+                                  "--format", fmt])
     for i, log in enumerate(logs):
         for cocycle in ("0", "2 t (x) t", "3 t (x) t^2 + 3 t^2 (x) t"):
             for order, hdeg in (("3", "4"), ("6", "8"), ("8", "3")):
