@@ -179,10 +179,14 @@ def _composite_order(F):
     substitutions' order rule (`series._slack_order`), read off F:
     (Delta (x) id)F and (id (x) Delta)F have F's exponents, because
     (eps (x) id)Delta = id, and the one assigned constant is F(0, 0),
-    named X when X occurs (left composite), else Y (right)."""
-    occurring = [v for v in range(2) if any(e[v] for e in F.terms)]
+    named X when X occurs (left composite), else Y (right). A finite F's
+    unknown tail holds X, so its slack is charged even when no variable
+    occurs."""
+    charged = [v for v in range(2) if any(e[v] for e in F.terms)][:1]
+    if F.order != INF:
+        charged = charged or [0]
     return _slack_order(F.order, [(F.names[v], F.constant_term())
-                                  for v in occurring[:1]])
+                                  for v in charged])
 
 
 def _gate_composite(F, cert):

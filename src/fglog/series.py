@@ -8,7 +8,7 @@ marks a complete polynomial, exact at every order (constant terms, Lemma-form
 group laws, coboundary data). The bookkeeping rules:
 
   add/sub            min of the orders
-  mul                min(r_f + val(g), r_g + val(f))
+  mul                min(r_f + val(g), r_g + val(f), r_f + r_g + 1)
   derivative         r - 1
   integrate          r + 1
   mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k,
@@ -22,8 +22,11 @@ group laws, coboundary data). The bookkeeping rules:
                      `_substitution_order`, for Horner and for the
                      packed evaluator of fgl's twisted residual)
 
-where slack_v is the nilpotency index of the constant term of the series
-assigned to variable v (largest m with kappa^m != 0). The slack term is not
+where r_v runs over the series assigned to the variables that occur in
+f's stored terms, and slack_v is the nilpotency index of the constant term
+of the series assigned to variable v (largest m with kappa^m != 0), summed
+over every variable when r_f is finite (f's unknown tail holds them all)
+and over the occurring ones for a complete f. The slack term is not
 pessimism: substituting a series with nilpotent constant term kappa lets the
 unknown tail of the outer series reach down by up to slack orders, so only
 r_f - sum slack_v is honestly certified. Composite pipelines that need full
@@ -281,8 +284,11 @@ class Series:
             self._check_shape(other)
             codec = _Codec(self.algebra, self.arity, self.names,
                            self.max_degree() + other.max_degree())
+            # the product of the two unknown tails starts above
+            # r_f + r_g + 1, which decides when neither factor has a term
             return _series_mul(_packed_view(codec, self),
-                               _packed_view(codec, other), keep=INF)
+                               _packed_view(codec, other),
+                               keep=self.order + other.order + 1)
         if _is_rational(other) or isinstance(other, int):
             return self.scale(other)
         return NotImplemented
@@ -763,8 +769,11 @@ def _substitution_order(f, assigns, vmax=0):
             "assigned series arity differs from the substituted series")
     occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
     used = [(f.names[v], a) for v, a in enumerate(assigns) if occurring[v]]
+    # f's unknown tail holds every variable: each nilpotent constant
+    # reaches down into the result through it
+    charged = used if f.order == INF else list(zip(f.names, assigns))
     cap = min([a.order for _, a in used] + [_slack_order(
-        f.order, [(name, a.constant_term()) for name, a in used])])
+        f.order, [(name, a.constant_term()) for name, a in charged])])
     top = max((a.max_degree() for _, a in used), default=0)
     vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
     return cap, _Codec(f.algebra, f.arity, target.names, vmax), occurring

@@ -457,7 +457,8 @@ def reference_mul(f, g):
     if f.order == INF and g.order == INF:
         cap = INF
     else:
-        cap = min(f.order + g.valuation(), g.order + f.valuation())
+        cap = min(f.order + g.valuation(), g.order + f.valuation(),
+                  f.order + g.order + 1)
     alg = f.algebra
     truncated = f.truncated or g.truncated
     acc = {}
@@ -486,7 +487,10 @@ def reference_mul(f, g):
 
 def reference_substitute(f, assigns):
     """Plain Horner over the first variable, recursing on the rest, with
-    reference_mul, Series.truncate and Series.__add__ at every step."""
+    reference_mul, Series.truncate and Series.__add__ at every step. The
+    order is capped by the assignments of the occurring variables, and a
+    finite f loses the slack of every assigned constant, since its unknown
+    tail holds every variable."""
     target = assigns[0]
     occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
     cap = f.order
@@ -494,6 +498,7 @@ def reference_substitute(f, assigns):
     for v, a in enumerate(assigns):
         if occurring[v]:
             cap = min(cap, a.order)
+        if occurring[v] or f.order != INF:
             kappa = a.constant_term()
             if not kappa.is_zero():
                 slack += kappa.nilpotency_slack()
