@@ -836,18 +836,12 @@ class TensorElement:
         alg = self.algebra
         parts = []
         for key, q in self.sorted_terms():
-            if self.arity == 1:
-                parts.append(_scalar_mono_str(alg, key[0], q))
-                continue
-            body = "⊗".join(alg.mono_str(m) for m in key)
-            if all(all(e == 0 for e in m) for m in key):
-                parts.append(format_rational(q))
-            elif q == 1:
-                parts.append(f"({body})")
-            elif q == -1:
-                parts.append(f"-({body})")
-            else:
-                parts.append(f"{format_rational(q)}({body})")
+            body = ""
+            if any(map(any, key)):
+                body = "⊗".join(map(alg.mono_str, key))
+                if self.arity > 1:
+                    body = f"({body})"
+            parts.append(_times_str(q, body, ""))
         return _join_signed(parts)
 
     def __repr__(self):
@@ -860,15 +854,16 @@ def _is_rational(value):
         and not isinstance(value, bool))
 
 
-def _scalar_mono_str(algebra, mono, q):
-    mono_s = algebra.mono_str(mono)
-    if mono_s == "1":
+def _times_str(q, mono, sep):
+    """q times a printed monomial, joined by sep: q alone for the empty
+    monomial, the monomial alone or negated for q = 1 or -1."""
+    if not mono:
         return format_rational(q)
     if q == 1:
-        return mono_s
+        return mono
     if q == -1:
-        return f"-{mono_s}"
-    return f"{format_rational(q)}{mono_s}"
+        return f"-{mono}"
+    return f"{format_rational(q)}{sep}{mono}"
 
 
 def _mono_join(names, exps, sep):
@@ -879,13 +874,9 @@ def _mono_join(names, exps, sep):
 
 
 def _join_signed(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += f" - {p[1:]}"
-        else:
-            out += f" + {p}"
-    return out
+    """The printed terms as a sum, a leading minus read as a difference."""
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-")
+                              else f" + {p}" for p in parts[1:])
 
 
 # -- algebra construction ----------------------------------------------------

@@ -50,9 +50,15 @@ from .errors import (
     ShapeMismatch,
     TruncationInsufficient,
 )
-from .hopf import TensorElement, _is_rational, _join_signed, _mono_join
+from .hopf import (
+    TensorElement,
+    _is_rational,
+    _join_signed,
+    _mono_join,
+    _times_str,
+)
 from .packed import _UNIT, _Codec, _Packed
-from .scalars import format_rational, rational
+from .scalars import rational
 
 INF = math.inf
 
@@ -929,20 +935,13 @@ def _evaluate(coeffs, h, p, bound):
 # -- pretty printing -------------------------------------------------------------
 
 def _term_str(series, exps, coeff):
-    """A coefficient times a variable monomial: a scalar as 3·X or -X,
-    any other coefficient as it prints, in parentheses when it has more
-    than one term."""
+    """A coefficient times a variable monomial: a scalar as 3·X, any
+    other coefficient as it prints, parenthesized if it has several terms."""
     mono = _mono_join(series.names, exps, "·")
     items = coeff.terms
     if len(items) == 1:
         ((key, q),) = items.items()
         if key == (series.algebra.unit_mono,) * series.arity:
-            if not mono:
-                return format_rational(q)
-            if q == 1:
-                return mono
-            if q == -1:
-                return f"-{mono}"
-            return f"{format_rational(q)}·{mono}"
+            return _times_str(q, mono, "·")
     head = str(coeff) if len(items) == 1 else f"({coeff})"
     return head if not mono else f"{head}·{mono}"
