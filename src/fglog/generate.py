@@ -1,9 +1,9 @@
 """Seeded random generation of cocycles, cocycle candidates and logarithms.
 
 Everything takes a `random.Random` instance (or a seed) so test corpora are
-reproducible. Cocycles are drawn from the span actually known to consist of
-cocycles: coboundaries of augmented elements plus symmetric tensors of
-primitive generators. Candidates for biconditional testing are arbitrary
+reproducible. Cocycles are drawn from the span known to consist of
+cocycles over a coassociative H: coboundaries of augmented elements plus
+symmetric tensors of primitive generators. Candidates for biconditional testing are arbitrary
 symmetric counit-zero tensors, which may or may not be cocycles.
 """
 
@@ -57,9 +57,11 @@ def random_cocycle(algebra, seed_or_rng, max_terms=3):
     """Random symmetric 2-cocycle: a coboundary of a random augmented
     element plus a random symmetric combination of primitive generators.
 
-    Both families are cocycles (the cobar differential squares to zero on
-    constants; primitives p, q satisfy the cocycle equation for
-    p (x) q + q (x) p), so the output always passes check_cocycle."""
+    Over a coassociative H both families are cocycles (the cobar
+    differential squares to zero on constants; primitives p, q satisfy
+    the cocycle equation for p (x) q + q (x) p), so the output passes
+    check_cocycle; over any other H (`HopfAlgebra.coassociative`) a
+    coboundary need not be a cocycle."""
     rng = _rng(seed_or_rng)
     from .fgl import coboundary
 
