@@ -3,8 +3,9 @@
 Everything takes a `random.Random` instance (or a seed) so test corpora are
 reproducible. Cocycles are drawn from the span known to consist of
 cocycles over a coassociative H: coboundaries of augmented elements plus
-symmetric tensors of primitive generators. Candidates for biconditional testing are arbitrary
-symmetric counit-zero tensors, which may or may not be cocycles.
+symmetric tensors of primitive generators. Candidates for biconditional
+testing are arbitrary symmetric counit-zero tensors, which may or may not
+be cocycles.
 """
 
 import random

@@ -136,7 +136,7 @@ def _violations(report, through):
     return out
 
 
-# -- the witnesses, in library form --------------------------------------------
+# -- the witnesses, in library form -------------------------------------------
 
 QT1_D4 = builtin_algebra("qt1", 4)
 QT1_D8 = builtin_algebra("qt1", 8)

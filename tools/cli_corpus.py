@@ -27,8 +27,9 @@ roundtrip at orders 4 and 8, where the work must follow the order, not
 N. The qt1 law 2(t (x) t) + X + Y stored through orders 0, 1 and 2 runs
 verify, log, cocycle and roundtrip at orders 1 and 2, and stored through
 order 4 runs roundtrip and verify at order 3 with --hdeg 4: its unknown
-tail reaches down by the nilpotency slack of 2(t (x) t). The inputs are written to a temporary directory that is the working
-directory during the run, so no output names an absolute path.
+tail reaches down by the nilpotency slack of 2(t (x) t). The inputs are
+written to a temporary directory that is the working directory during
+the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
 place of stderr) or ended with an exit code outside 0-3.
 
