@@ -44,14 +44,17 @@ and certify the caller's order honestly, raising TruncationInsufficient
 when the stored data cannot support the request.
 
 Substitutions and the `truncated` flag: Horner (Series.substitute,
-`series._horner`) forms the flag of every step, and serves only where a
-flag is output: reconstruct, check_log's invariance route, the
-associativity composites and theta of the group inverse
-(`_eval_univariate`); they move to the evaluator once the flag is
-dropped. The twisted residual (Delta g)(F) - g (x) 1 - 1 (x) g reads no
-flag, so extract_cocycle and check_log's functional route sum it by the
-packed evaluator (`_packed_residual`) under the same order rule
+`series._horner`) forms the flag of every step, keeping only the terms
+that reach the cap once it is set, and serves only where a flag is
+output: reconstruct, check_log's invariance route, the associativity
+composites and theta of the group inverse (`_eval_univariate`); they move
+to the evaluator once the flag is dropped. The twisted residual
+(Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so extract_cocycle and
+check_log's functional route sum it by the packed evaluator
+(`_packed_residual`) under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
+reconstruct reverts g over H and lifts the inverse once: (Delta g)^-1 =
+Delta(g^-1) for a degree-keeping ring homomorphism Delta.
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
 the axioms of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y)
@@ -96,7 +99,7 @@ from .series import (
     _packed_view,
     _requested_order,
     _series_mul,
-    _slack_order,
+    _slack,
     _solved_terms,
     _substitution_order,
     _view,
@@ -176,7 +179,7 @@ def _right_composite(F):
 
 def _composite_order(F):
     """Certified order of the associativity composites by their
-    substitutions' order rule (`series._slack_order`), read off F:
+    substitutions' order rule (`series._slack`), read off F:
     (Delta (x) id)F and (id (x) Delta)F have F's exponents, because
     (eps (x) id)Delta = id, and the one assigned constant is F(0, 0),
     named X when X occurs (left composite), else Y (right). A finite F's
@@ -185,8 +188,8 @@ def _composite_order(F):
     charged = [v for v in range(2) if any(e[v] for e in F.terms)][:1]
     if F.order != INF:
         charged = charged or [0]
-    return _slack_order(F.order, [(F.names[v], F.constant_term())
-                                  for v in charged])
+    return F.order - sum(_slack(F.names[v], F.constant_term())
+                         for v in charged)
 
 
 def _gate_composite(F, cert):
@@ -427,7 +430,9 @@ def cocycle_defect(c):
 
 def check_cocycle(c):
     """Cobar 2-cocycle conditions: vanishing defect and both counit
-    projections zero."""
+    projections zero. The report is kept on c for the next call."""
+    if c._cocycle is not None:
+        return c._cocycle
     violations = []
     defect = cocycle_defect(c)
     if not defect.is_zero():
@@ -438,7 +443,8 @@ def check_cocycle(c):
         bad = left if not left.is_zero() else right
         violations.append(Violation("counit", defect=bad,
                                     detail="a counit projection is nonzero"))
-    return Report(not violations, tuple(violations))
+    c._cocycle = Report(not violations, tuple(violations))
+    return c._cocycle
 
 
 def coboundary(h):
@@ -533,8 +539,12 @@ def reconstruct(algebra, c, g, order):
     if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
         raise NoInverse("logarithm must be of the form x + O(x^2)")
 
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
-    inverse = lifted.comp_inverse(order=work)
+    def lift(series):
+        return series.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+
+    # a table that lowers a degree makes Delta no ring homomorphism
+    inverse = (lift(g).comp_inverse(order=work) if algebra.lowers_degree()
+               else lift(g.comp_inverse(order=work)))
     rhs = (Series.constant(c, 2, INF, XY)
            + _slot_series(g, 0).embed_vars(2, (0,), XY)
            + _slot_series(g, 1).embed_vars(2, (1,), XY)).truncate(work)

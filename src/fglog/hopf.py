@@ -433,7 +433,7 @@ class TensorElement:
     so `==` and `hash` read it. `terms`, {key tuple: Q}, is its
     presentation, unpacked on first read."""
 
-    __slots__ = ("algebra", "arity", "_packed", "_terms")
+    __slots__ = ("algebra", "arity", "_packed", "_terms", "_cocycle")
 
     def __init__(self, algebra, arity, terms, truncated=False):
         """Tensor from a dict {key tuple: rational}: zero coefficients are
@@ -462,6 +462,7 @@ class TensorElement:
                         for code, q in row]) for h, row in rows.items()},
             den, INF, truncated, codec.shift)
         self._terms = kept
+        self._cocycle = None  # the Report of fgl.check_cocycle
 
     @classmethod
     def _of(cls, algebra, arity, packed):
@@ -471,7 +472,7 @@ class TensorElement:
         self.algebra = algebra
         self.arity = arity
         self._packed = packed
-        self._terms = None
+        self._terms = self._cocycle = None
         return self
 
     @property

@@ -20,7 +20,9 @@ group laws, coboundary data). The bookkeeping rules:
                      because Delta is a degree-keeping ring homomorphism)
   substitute         min(min_v r_v, r_f - sum_v slack_v) (one rule,
                      `_substitution_order`, for Horner and for the
-                     packed evaluator of fgl's twisted residual)
+                     packed evaluator of fgl's twisted residual; once a
+                     Horner step is flagged, later steps keep only the
+                     terms that reach the cap, `_horner`)
 
 where r_v runs over the series assigned to the variables that occur in
 f's stored terms, and slack_v is the nilpotency index of the constant term
@@ -353,7 +355,7 @@ class Series:
         assigns = list(assignments)
         if self.nvars == 0 and not assigns:
             return self._rebuilt(dict(self.terms))
-        cap, codec, occurring = _substitution_order(self, assigns)
+        cap, codec, slacks = _substitution_order(self, assigns)
         if not self.terms:
             return _substituted(
                 codec, _Packed({}, 1, cap, self.truncated, codec.shift),
@@ -362,9 +364,9 @@ class Series:
         consts = {e: _view(codec, _constant(codec, c, c.truncated),
                            {zero: c})
                   for e, c in self.terms.items()}
-        views = [_packed_view(codec, a) if occurring[v] else None
-                 for v, a in enumerate(assigns)]
-        result = _horner(consts, views, cap)._packed[1]
+        views = [None if s is None else _packed_view(codec, a)
+                 for a, s in zip(assigns, slacks)]
+        result = _horner(consts, views, cap, slacks)._packed[1]
         const = self.terms.get((0,) * self.nvars)
         return _substituted(
             codec, result.stamped(cap, result.flag or self.truncated),
@@ -409,7 +411,7 @@ class Series:
         if order < 1:
             return self._rebuilt({}, order)
         f = self.truncate(order)
-        base = _coproduct_base(f)
+        base = _coproduct_base(f) if f.arity == 2 else None
         if base is None:
             root = _view(*_newton_root(f, b0_inv, order))
         else:
@@ -693,12 +695,12 @@ def _newton_root(f, b0_inv, order):
 
 def _coproduct_base(f):
     """The series g over H with Delta g_k = f_k for every coefficient f_k
-    of f, or None when f is no such lift. H is connected, so g_k =
-    (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
-    read off the codes. A coproduct table that lowers a degree makes
+    of f, of arity 2, or None when f is no such lift. H is connected, so
+    g_k = (id (x) eps) f_k is the part of f_k whose second-slot monomial
+    is 1, read off the codes. A coproduct table that lowers a degree makes
     Delta no ring homomorphism: None."""
     algebra, bits = f.algebra, f.algebra._codec(1).hopf_bits
-    if f.arity != 2 or algebra.lowers_degree():
+    if algebra.lowers_degree():
         return None
     terms = {}
     for e, c in f.terms.items():
@@ -759,9 +761,10 @@ def _solved_terms(root, slope, slope_inv):
 
 def _substitution_order(f, assigns, vmax=0):
     """The checks and order rule of f(assigns), for Horner and the
-    evaluator alike: (cap, codec, occurring[v] for each variable v of f),
-    cap as in the module docstring, codec the assignments' layout for
-    every product through cap and exponents up to `vmax`."""
+    evaluator alike: (cap, codec, slacks), cap as in the module docstring,
+    codec the assignments' layout for every product through cap and
+    exponents up to `vmax`, slacks[v] the slack of the constant assigned
+    to variable v of f, None where v does not occur in f's terms."""
     if len(assigns) != f.nvars:
         raise ShapeMismatch(
             "substitution needs an assignment for every variable")
@@ -774,30 +777,29 @@ def _substitution_order(f, assigns, vmax=0):
         raise ArityMismatch(
             "assigned series arity differs from the substituted series")
     occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
-    used = [(f.names[v], a) for v, a in enumerate(assigns) if occurring[v]]
+    used = [a for v, a in enumerate(assigns) if occurring[v]]
     # f's unknown tail holds every variable: each nilpotent constant
     # reaches down into the result through it
-    charged = used if f.order == INF else list(zip(f.names, assigns))
-    cap = min([a.order for _, a in used] + [_slack_order(
-        f.order, [(name, a.constant_term()) for name, a in charged])])
-    top = max((a.max_degree() for _, a in used), default=0)
+    slacks = {v: _slack(f.names[v], a.constant_term())
+              for v, a in enumerate(assigns)
+              if occurring[v] or f.order != INF}
+    cap = min([a.order for a in used] + [f.order - sum(slacks.values())])
+    top = max((a.max_degree() for a in used), default=0)
     vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
-    return cap, _Codec(f.algebra, f.arity, target.names, vmax), occurring
+    return cap, _Codec(f.algebra, f.arity, target.names, vmax), [
+        slacks[v] if occurring[v] else None for v in range(f.nvars)]
 
 
-def _slack_order(order, assigned):
-    """The slack part of the substitution order rule: `order` minus the
-    nilpotency slack of each constant of `assigned`, the (name, constant
-    term) pairs of the occurring variables, which must be nilpotent."""
-    slack = 0
-    for name, kappa in assigned:
-        if not kappa.is_zero():
-            if kappa.full_counit() != 0:
-                raise NonNilpotentConstantTerm(
-                    f"assignment for variable {name} has "
-                    "constant term with nonzero full counit")
-            slack += kappa.nilpotency_slack()
-    return order - slack
+def _slack(name, kappa):
+    """The nilpotency slack of the constant kappa assigned to the variable
+    `name`, which must be nilpotent: the largest m with kappa^m != 0."""
+    if kappa.is_zero():
+        return 0
+    if kappa.full_counit() != 0:
+        raise NonNilpotentConstantTerm(
+            f"assignment for variable {name} has "
+            "constant term with nonzero full counit")
+    return kappa.nilpotency_slack()
 
 
 def _packed_view(codec, series):
@@ -869,32 +871,46 @@ def _series_mul(f, g, *, keep, plus=None):
                                                 f.algebra.degree_bound))
 
 
-def _horner(consts, assigns, cap):
+def _horner(consts, assigns, cap, slacks=None):
     """Horner evaluation over the first variable, recursing on the rest.
 
     consts maps the exponent tuples of the substituted series to its
     coefficients as constant views; assigns holds the view of every
     variable's assignment (None where the variable does not occur), all of
-    one layout whose `vmax` covers every product formed here. Intermediates
-    are truncated at cap; the certified order and the flag of each step
-    follow the Series operations (product, truncate, sum), and
-    certification of the result is stamped by the caller. Every step, one
-    by a bare variable included, is one `_series_mul` with the step's
+    one layout whose `vmax` covers every product formed here, and slacks
+    the slack of each one's constant (read for a finite cap).
+    Intermediates are truncated at cap; the certified order and the flag
+    of each step follow the Series operations (product, truncate, sum),
+    and certification of the result is stamped by the caller. Every step,
+    one by a bare variable included, is one `_series_mul` with the step's
     group as its `plus`: the terms, order and flag of the product
-    truncated at cap and then summed with the group."""
+    truncated at cap and then summed with the group. Once the accumulator
+    is flagged the flag is settled, and the step that forms R_(k+1) a +
+    group k, which reaches the result times a^k of valuation at least
+    (k - s) v (s the slack of a's constant, v the least degree of a's
+    other terms), keeps only the terms through cap - (k - s) v, none for
+    a constant a, and is stamped with cap, its uncut order."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
         rows = {}
         for e, c in consts.items():
             rows.setdefault(e[0], {})[e[1:]] = c
-        groups = {k: _horner(sub, assigns[1:], cap)
+        groups = {k: _horner(sub, assigns[1:], cap, slacks and slacks[1:])
                   for k, sub in rows.items()}
     kmax = max(groups)
     result = groups[kmax]
+    s = v = INF
+    if kmax and cap != INF:
+        s, (codec, packed) = slacks[0], assigns[0]._packed
+        v = min([code >> codec.shift for bucket in packed.buckets.values()
+                 for code, _ in bucket if code >> codec.shift] or [cap + 1])
     for k in range(kmax - 1, -1, -1):
-        result = _series_mul(result, assigns[0], keep=cap,
+        keep = cap - (k - s) * v if result.truncated and k > s else cap
+        result = _series_mul(result, assigns[0], keep=keep,
                              plus=groups.get(k))
+        if keep < cap:
+            result = _view(codec, result._packed[1].stamped(cap, True))
     if cap != INF:
         codec, packed = result._packed
         result = _view(codec, packed.truncate(cap))
@@ -911,7 +927,8 @@ def _evaluate(coeffs, h, p, bound):
     call. Block i is later multiplied by h^(im), whose valuation is at
     least i m val(h), so it is kept only through p - i m val(h). Terms are
     exact in the quotient ring; the order is p, and the flag is that of
-    the kernel calls, which no caller reads."""
+    the kernel calls: check_log's log-functional defect carries it, never
+    printed, since the CLI runs check_log after extract_cocycle passes."""
     if not coeffs:
         return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)

@@ -45,6 +45,7 @@ from fglog.fgl import (
     _left,
     _lift_inner,
 )
+from fglog.scalars import Q
 from fglog.series import _minus_reversed
 from fglog.generate import (
     random_cocycle,
@@ -835,6 +836,60 @@ class TestReconstruct:
         x = Series.variable(qtu, 1, 1, 0, INF, ("x",))
         F = reconstruct(qtu, c, x, 4)
         assert (F - lemma_law(qtu, c, 4).truncate(4)).is_zero()
+
+    def test_reverts_g_over_h_and_lifts_once(self, qt1, monkeypatch):
+        """g is reverted over H, one comp_inverse call on an arity-1
+        series, so no lift is tested (`_coproduct_base`); the law is the
+        one that reverting Delta g gives."""
+        c, g = two_t_t(qt1), log_x_plus_tx2(qt1)
+        want = elevated_law(c, g, 4).truncate(4)
+        bases = recorded_calls(monkeypatch, series_module, "_coproduct_base")
+        inversions = recorded_calls(monkeypatch, Series, "comp_inverse")
+        _assert_same(reconstruct(qt1, c, g, 4), want)
+        assert bases == []
+        assert [f.arity for f, in inversions] == [1]
+
+    def test_lowering_table_reverts_the_lift(self, qtu, monkeypatch):
+        """A coproduct table that lowers a degree makes Delta no ring
+        homomorphism, so Delta g is reverted in H (x) H, as the reference
+        does; Delta(g^-1) would differ at x^4, where u^3 leaves the
+        degree bound 8 but (Delta u)^3 keeps t^3 (x) 1."""
+        ut, uu, u1 = (qtu.generator_mono("t"), qtu.generator_mono("u"),
+                      qtu.unit_mono)
+        alg = qtu.mutated(comul={"u": {
+            (uu, u1): Q(1), (u1, uu): Q(1), (ut, u1): Q(1)}})
+        g = Series.variable(alg, 1, 1, 0, INF, ("x",)) + Series(
+            alg, 1, 1, {(2,): TensorElement.from_slots(
+                HopfElement.generator(alg, "u"))}, INF, ("x",))
+        c = TensorElement.zero(alg, 2)
+        inversions = recorded_calls(monkeypatch, Series, "comp_inverse")
+        got = outcome(reconstruct, alg, c, g, 4)
+        assert [f.arity for f, in inversions] == [2]
+        monkeypatch.undo()
+        assert_same_outcome(got, outcome(reference_reconstruct, alg, c, g, 4))
+        lift = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+        assert not lift.comp_inverse(order=4).same_through(
+            g.comp_inverse(order=4).map_coefficients(
+                lambda A: A.apply_slot(0, "comul")))
+
+    def test_a_trial_checks_each_cocycle_once(self, monkeypatch):
+        """A criterion-6 trial forms the cobar defect of c in the first
+        reconstruct and of the extracted c in extract_cocycle; the second
+        reconstruct reads the report kept on that tensor."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        tm = alg.generator_mono("t")
+        rng = random.Random(20260817)
+        pool = [alg.unit_mono, tm, alg.mul_mono(tm, tm)]
+        g = random_logarithm(alg, rng, order=6, coeff_pool=pool)
+        c = random_cocycle(alg, rng)
+        defects = recorded_calls(monkeypatch, fgl_module, "cocycle_defect")
+        F = reconstruct(alg, c, g, order=6)
+        c_rec = extract_cocycle(F)
+        F2 = reconstruct(alg, c_rec, logarithm(F, order=6).with_order(INF),
+                         order=6)
+        assert F2 == F and c_rec == c
+        assert [d for d, in defects] == [c, c_rec]
+        assert check_cocycle(c_rec) is check_cocycle(c_rec)
 
 
 # -- group inverse ---------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""tools/kernel_replay.py: one repeat of the smoke reversion pass prints
-the kernel seconds of every operation and their total."""
+"""tools/kernel_replay.py: one repeat of a smoke pass prints the kernel
+seconds of every operation and their total, and with --by-caller those of
+each fglog function that reached the kernel."""
 
 import re
 import subprocess
@@ -24,3 +25,36 @@ def test_smoke_reversion_replay():
     assert len(ids) == 4 and all(i.startswith("reversion/") for i in ids[:-1])
     counts = [int(row[2]) for row in rows]
     assert all(counts) and sum(counts[:-1]) == counts[-1]
+
+
+def test_smoke_roundtrip6_replay_by_caller():
+    """--by-caller splits each operation's calls, and the total's, by the
+    fglog function that reached the kernel; the groups add up to them."""
+    proc = subprocess.run(
+        [sys.executable, "tools/kernel_replay.py", ".", "--workload",
+         "roundtrip6", "--smoke", "--repeats", "1", "--by-caller"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    line = re.compile(r"^(  )?(\S+): (\d+) calls, (\d+\.\d{6}) s$")
+    rows = [line.match(text) for text in proc.stdout.splitlines()]
+    assert all(rows), proc.stdout
+    blocks = []  # [(id, calls, {caller: calls})]
+    for row in rows:
+        if row[1]:
+            blocks[-1][2][row[2]] = int(row[3])
+        else:
+            blocks.append((row[2], int(row[3]), {}))
+    assert [b[0] for b in blocks] == [
+        "roundtrip6/trial0", "roundtrip6/trial1", "total"]
+    for _, count, callers in blocks:
+        assert sum(callers.values()) == count
+        assert {"series._horner", "series._evaluate",
+                "series._newton_root", "series.mul_inverse",
+                "hopf.__mul__"} <= set(callers)
+    assert not {"times", "summed", "_series_mul"} & {
+        name.split(".")[1] for name in blocks[-1][2]}
+    totals = {}
+    for _, _, callers in blocks[:-1]:
+        for name, count in callers.items():
+            totals[name] = totals.get(name, 0) + count
+    assert totals == blocks[-1][2]

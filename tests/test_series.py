@@ -552,17 +552,19 @@ _RARE = st.integers(0, 5).map(lambda n: n == 0)
 
 
 @st.composite
-def engine_series(draw, algebra, arity, nvars, nilpotent_constant=False):
-    """Series with a finite or infinite order, rare `truncated` flags and
-    small exponents, keys and coefficients, so that products collide,
-    cancel and overflow the degree bound often; when nilpotent_constant,
-    the constant coefficient has only positive-degree keys."""
+def engine_series(draw, algebra, arity, nvars, nilpotent_constant=False,
+                  top=2, flags=_RARE):
+    """Series with a finite or infinite order, `truncated` flags drawn
+    from `flags` (rare by default) and small exponents (up to `top`),
+    keys and coefficients, so that products collide, cancel and overflow
+    the degree bound often; when nilpotent_constant, the constant
+    coefficient has only positive-degree keys."""
     monos = algebra.monomials()
     low = st.sampled_from([m for m in monos if algebra.degree(m) <= 1])
     mono = st.one_of(low, low, st.sampled_from(monos))
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
-        exps = tuple(draw(st.lists(st.integers(0, 2), min_size=nvars,
+        exps = tuple(draw(st.lists(st.integers(0, top), min_size=nvars,
                                    max_size=nvars)))
         constant = nilpotent_constant and not any(exps)
         raw = {}
@@ -572,12 +574,12 @@ def engine_series(draw, algebra, arity, nvars, nilpotent_constant=False):
                 continue
             raw[key] = Q(draw(st.sampled_from([-1, 1, -1, 1, 2])),
                          draw(st.integers(1, 2)))
-        coeff = TensorElement(algebra, arity, raw, draw(_RARE))
+        coeff = TensorElement(algebra, arity, raw, draw(flags))
         if not (constant and coeff.is_zero()):
             terms[exps] = coeff
-    order = draw(st.one_of(st.just(INF), st.integers(0, 6)))
+    order = draw(st.one_of(st.just(INF), st.integers(0, 2 * top + 2)))
     return Series(algebra, arity, nvars, terms, order,
-                  truncated=draw(_RARE))
+                  truncated=draw(flags))
 
 
 def _assert_same(got, want):
@@ -673,6 +675,137 @@ class TestPackedEngine:
         assert got == f.permute_vars((1, 0))
         # two outer steps by Y, one and three by X in the rows of X^2, X
         assert len(steps) == 6
+
+
+# -- Horner kept through what reaches the cap -------------------------------
+
+def reference_horner(consts, assigns, cap, slacks=None):
+    """`series._horner` with every step kept through the full cap, as
+    `Series.substitute` ran it before steps were cut once the flag is
+    settled; the slacks are not read."""
+    if len(assigns) == 1:
+        groups = {e[0]: c for e, c in consts.items()}
+    else:
+        rows = {}
+        for e, c in consts.items():
+            rows.setdefault(e[0], {})[e[1:]] = c
+        groups = {k: reference_horner(sub, assigns[1:], cap)
+                  for k, sub in rows.items()}
+    kmax = max(groups)
+    result = groups[kmax]
+    for k in range(kmax - 1, -1, -1):
+        result = series_module._series_mul(result, assigns[0], keep=cap,
+                                           plus=groups.get(k))
+    if cap != INF:
+        codec, packed = result._packed
+        result = series_module._view(codec, packed.truncate(cap))
+    return result
+
+
+def reference_horner_substitute(f, assigns):
+    """f.substitute(assigns) on the full-cap Horner (`reference_horner`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_horner", reference_horner)
+        return f.substitute(assigns)
+
+
+def recorded_keeps(monkeypatch):
+    """The `keep` of every `_series_mul` call from here on, in order."""
+    keeps = []
+    original = series_module._series_mul
+
+    def recorded(g, h, *, keep, plus=None):
+        keeps.append(keep)
+        return original(g, h, keep=keep, plus=plus)
+
+    monkeypatch.setattr(series_module, "_series_mul", recorded)
+    return keeps
+
+
+def powers_sum(algebra, top, order, flag_top=False):
+    """1 + x + ... + x^top through `order`, the top coefficient flagged
+    when `flag_top`."""
+    one = TensorElement.unit(algebra, 1)
+    terms = {(k,): one for k in range(top)}
+    terms[(top,)] = one._flagged(flag_top)
+    return Series(algebra, 1, 1, terms, order)
+
+
+_OFTEN = st.sampled_from([False, False, True])
+
+
+class TestHornerCut:
+    """Once a step's flag is set, later Horner steps keep only the terms
+    that can reach the cap; the result is that of the full-cap Horner."""
+
+    @settings(max_examples=250)
+    @given(st.data())
+    def test_matches_full_cap_horner(self, data):
+        name, bound = data.draw(st.tuples(st.sampled_from(["qt1", "qt2"]),
+                                          st.integers(2, 8)))
+        alg = builtin_algebra(name, degree_bound=bound)
+        arity = data.draw(st.integers(1, 2))
+        nvars = data.draw(st.integers(1, 3))
+        target = data.draw(st.integers(1, 3))
+        flags = data.draw(st.sampled_from([_RARE, _OFTEN]))
+        f = data.draw(engine_series(alg, arity, nvars, top=6, flags=flags))
+        assigns = [data.draw(engine_series(alg, arity, target, True,
+                                           flags=flags))
+                   for _ in range(nvars)]
+        _assert_same(f.substitute(assigns),
+                     reference_horner_substitute(f, assigns))
+
+    def test_flag_set_before_the_first_step(self, monkeypatch):
+        """A flagged top coefficient settles the flag: every step k is kept
+        through cap - k for a = (1 + t) x (slack 0, v = 1)."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series(alg, 1, 1, {(1,): t + 1})
+        f = powers_sum(alg, 5, 8, flag_top=True)
+        want = reference_horner_substitute(f, [a])
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a])
+        _assert_same(got, want)
+        assert got.truncated and keeps == [4, 5, 6, 7, 8]
+
+    def test_flag_set_at_a_late_step(self, monkeypatch):
+        """(1 + t)^4 leaves the degree bound 3 at the step that forms R_4:
+        the steps up to it run at the full cap, the later ones are cut."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series(alg, 1, 1, {(1,): t + 1})
+        f = powers_sum(alg, 8, 10)
+        want = reference_horner_substitute(f, [a])
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a])
+        _assert_same(got, want)
+        assert got.truncated and keeps == [10, 10, 10, 10, 7, 8, 9, 10]
+
+    def test_flag_never_set(self, monkeypatch):
+        alg = builtin_algebra("qt1", degree_bound=8)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series(alg, 1, 1, {(1,): t + 1})
+        f = powers_sum(alg, 8, 10)
+        want = reference_horner_substitute(f, [a])
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a])
+        _assert_same(got, want)
+        assert not got.truncated and keeps == [10] * 8
+
+    def test_constant_assignment_skips_what_its_powers_kill(
+            self, monkeypatch):
+        """a = t with t^3 = 0 (slack 2): R_k for k > 2 reaches nothing, so
+        those steps keep no term; the result is 1 + t + t^2."""
+        alg = builtin_algebra("qt1", degree_bound=2)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series.constant(t, 1)
+        f = powers_sum(alg, 5, 8, flag_top=True)
+        want = reference_horner_substitute(f, [a])
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a])
+        _assert_same(got, want)
+        assert keeps == [-8, -1, 6, 6, 6]
+        assert got.terms == {(0,): t * t + t + 1} and got.order == 6
 
 
 # -- Newton reversion against the order-by-order loop -------------------------
