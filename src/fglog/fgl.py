@@ -53,8 +53,7 @@ to the evaluator once the flag is dropped. The twisted residual
 check_log's functional route sum it by the packed evaluator
 (`_packed_residual`) under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
-reconstruct reverts g over H and lifts the inverse once: (Delta g)^-1 =
-Delta(g^-1) for a degree-keeping ring homomorphism Delta.
+reconstruct reverts g over H and lifts it once (`_lifted_inverse`).
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
 the axioms of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y)
@@ -95,6 +94,7 @@ from .series import (
     _doubling_orders,
     _evaluate,
     _horner,
+    _lifted_inverse,
     _minus_reversed,
     _packed_view,
     _requested_order,
@@ -539,12 +539,7 @@ def reconstruct(algebra, c, g, order):
     if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
         raise NoInverse("logarithm must be of the form x + O(x^2)")
 
-    def lift(series):
-        return series.map_coefficients(lambda A: A.apply_slot(0, "comul"))
-
-    # a table that lowers a degree makes Delta no ring homomorphism
-    inverse = (lift(g).comp_inverse(order=work) if algebra.lowers_degree()
-               else lift(g.comp_inverse(order=work)))
+    inverse = _lifted_inverse(g, work)
     rhs = (Series.constant(c, 2, INF, XY)
            + _slot_series(g, 0).embed_vars(2, (0,), XY)
            + _slot_series(g, 1).embed_vars(2, (1,), XY)).truncate(work)

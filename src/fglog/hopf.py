@@ -461,8 +461,7 @@ class TensorElement:
             {h: sorted([(code, q.numerator * (den // q.denominator))
                         for code, q in row]) for h, row in rows.items()},
             den, INF, truncated, codec.shift)
-        self._terms = kept
-        self._cocycle = None  # the Report of fgl.check_cocycle
+        self._terms, self._cocycle = kept, None  # check_cocycle's Report
 
     @classmethod
     def _of(cls, algebra, arity, packed):

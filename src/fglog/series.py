@@ -383,9 +383,7 @@ class Series:
         step, so order N takes about log2 N evaluations of f, each by the
         packed Paterson-Stockmeyer evaluator (`_evaluate`) in about
         2 sqrt(N) full products: the loop substitutes and unpacks
-        nothing. A lift Delta g reverts over H as Delta(g^-1), exactly:
-        Delta is a degree-keeping ring homomorphism, so it commutes with
-        the truncations and with reversion."""
+        nothing. A lift Delta g reverts over H (`_lifted_inverse`)."""
         order = _requested_order(order, self.order)
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
@@ -412,13 +410,9 @@ class Series:
             return self._rebuilt({}, order)
         f = self.truncate(order)
         base = _coproduct_base(f) if f.arity == 2 else None
-        if base is None:
-            root = _view(*_newton_root(f, b0_inv, order))
-        else:
-            codec, h = _newton_root(
-                base, base.terms[(1,)].mul_inverse(), order)
-            root = self._rebuilt({e: c.apply_slot(0, "comul")
-                                  for e, c in codec.unpack(h).items()})
+        if base is not None:
+            return _lifted_inverse(base, order)
+        root = _view(*_newton_root(f, b0_inv, order))
         return self._rebuilt(_solved_terms(root, b0, b0_inv), order)
 
     # -- multiplicative inverse -------------------------------------------------------
@@ -695,10 +689,10 @@ def _newton_root(f, b0_inv, order):
 
 def _coproduct_base(f):
     """The series g over H with Delta g_k = f_k for every coefficient f_k
-    of f, of arity 2, or None when f is no such lift. H is connected, so
-    g_k = (id (x) eps) f_k is the part of f_k whose second-slot monomial
-    is 1, read off the codes. A coproduct table that lowers a degree makes
-    Delta no ring homomorphism: None."""
+    of f, of arity 2, flags included, or None when f is no such lift or
+    Delta lowers a degree (`_lifted_inverse`). H is connected, so g_k =
+    (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
+    read off the codes."""
     algebra, bits = f.algebra, f.algebra._codec(1).hopf_bits
     if algebra.lowers_degree():
         return None
@@ -707,10 +701,24 @@ def _coproduct_base(f):
         g = terms[e] = TensorElement._of(algebra, 1, _Packed.reduced(
             {hd: {code: n for code, n in bucket if not code >> bits}
              for hd, bucket in c._packed.buckets.items()},
-            c._packed.den, INF, False, bits))
+            c._packed.den, INF, c.truncated, bits))
         if g.apply_slot(0, "comul") != c:
             return None
-    return Series(algebra, 1, 1, terms, f.order, f.names, _normalize=False)
+    return Series(algebra, 1, 1, terms, f.order, f.names, f.truncated,
+                  _normalize=False)
+
+
+def _lifted_inverse(g, order):
+    """(Delta g)^-1 through order as Delta(g^-1), flags kept: a degree-
+    keeping ring homomorphism commutes with truncation and reversion. A
+    table that lowers a degree is none: Delta g reverts in H (x) H."""
+    if g.algebra.lowers_degree():
+        return g.map_coefficients(
+            lambda A: A.apply_slot(0, "comul")).comp_inverse(order=order)
+    inverse = g.comp_inverse(order=order)
+    terms = {e: c.apply_slot(0, "comul") for e, c in inverse.terms.items()}
+    return Series(g.algebra, 2, 1, terms, inverse.order, inverse.names,
+                  inverse.truncated, _normalize=False)
 
 
 def _solved_terms(root, slope, slope_inv):
@@ -885,11 +893,10 @@ def _horner(consts, assigns, cap, slacks=None):
     one by a bare variable included, is one `_series_mul` with the step's
     group as its `plus`: the terms, order and flag of the product
     truncated at cap and then summed with the group. Once the accumulator
-    is flagged the flag is settled, and the step that forms R_(k+1) a +
-    group k, which reaches the result times a^k of valuation at least
-    (k - s) v (s the slack of a's constant, v the least degree of a's
-    other terms), keeps only the terms through cap - (k - s) v, none for
-    a constant a, and is stamped with cap, its uncut order."""
+    is flagged the flag is settled, and the step R_(k+1) a + group k,
+    which reaches the result times a^k of valuation >= (k - s) v (s the
+    slack of a's constant, v the least degree of a's other terms), keeps
+    only the terms through cap - (k - s) v, stamped with cap."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
@@ -904,7 +911,8 @@ def _horner(consts, assigns, cap, slacks=None):
     if kmax and cap != INF:
         s, (codec, packed) = slacks[0], assigns[0]._packed
         v = min([code >> codec.shift for bucket in packed.buckets.values()
-                 for code, _ in bucket if code >> codec.shift] or [cap + 1])
+                 for code, _ in bucket if code >> codec.shift]
+                or [max(cap, 0) + 1])
     for k in range(kmax - 1, -1, -1):
         keep = cap - (k - s) * v if result.truncated and k > s else cap
         result = _series_mul(result, assigns[0], keep=keep,

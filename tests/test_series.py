@@ -807,6 +807,19 @@ class TestHornerCut:
         assert keeps == [-8, -1, 6, 6, 6]
         assert got.terms == {(0,): t * t + t + 1} and got.order == 6
 
+    def test_negative_cap_cuts_below_it(self, monkeypatch):
+        """An assignment certified only through order -4 caps the result
+        at -4 and has no non-constant term: every cut step keeps less
+        than the cap, never more."""
+        alg = builtin_algebra("qt1", degree_bound=2)
+        a = Series(alg, 1, 1, {}, -4)
+        f = powers_sum(alg, 5, 8, flag_top=True)
+        want = reference_horner_substitute(f, [a])
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a])
+        _assert_same(got, want)
+        assert keeps == [-8, -7, -6, -5, -4] and got.order == -4
+
 
 # -- Newton reversion against the order-by-order loop -------------------------
 

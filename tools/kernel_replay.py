@@ -1,7 +1,6 @@
 """The product kernel's share of a benchmark workload, replayed alone.
 
     python3 tools/kernel_replay.py ROOT --workload W [--repeats N] [--smoke]
-        [--by-caller]
 
 Imports fglog from ROOT/src and the workload from ROOT/perfbench, runs
 one in-process pass of the workload's operations while recording every
@@ -10,9 +9,9 @@ product, substitution step, evaluator block and tensor product reaches),
 then replays each operation's recorded calls N times (default 5) in the
 same process and prints the best time of each operation's calls and their
 total: the series product layer's seconds, with the rest of the operation
-taken away. --smoke uses the workload's small smoke inputs. --by-caller
-also prints, under each operation and under the total, the calls and
-seconds of each fglog function that reached the kernel, as
+taken away. --smoke uses the workload's small smoke inputs. Under each
+operation and under the total, indented rows give the calls and seconds
+of each fglog function that reached the kernel, as
 `module.function` (`series._horner`, `series._evaluate`,
 `series._newton_root`, `series.mul_inverse`, `hopf.__mul__` for tensor
 products, ...): the kernel's one-pair and sum wrappers (`_Packed.times`,
@@ -89,7 +88,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--by-caller", action="store_true")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -107,16 +105,15 @@ def main(argv=None):
         total_calls += len(calls)
         total_s += seconds
         print(f"{item_id}: {len(calls)} calls, {seconds:.6f} s")
-        if args.by_caller:
-            groups = {}
-            for call in calls:
-                groups.setdefault(call[-1], []).append(call)
-            for name, group in sorted(groups.items()):
-                seconds = replay(kernel, group, args.repeats)
-                row = totals.setdefault(name, [0, 0.0])
-                row[0] += len(group)
-                row[1] += seconds
-                print(f"  {name}: {len(group)} calls, {seconds:.6f} s")
+        groups = {}
+        for call in calls:
+            groups.setdefault(call[-1], []).append(call)
+        for name, group in sorted(groups.items()):
+            seconds = replay(kernel, group, args.repeats)
+            row = totals.setdefault(name, [0, 0.0])
+            row[0] += len(group)
+            row[1] += seconds
+            print(f"  {name}: {len(group)} calls, {seconds:.6f} s")
     print(f"total: {total_calls} calls, {total_s:.6f} s")
     for name, (count, seconds) in sorted(totals.items()):
         print(f"  {name}: {count} calls, {seconds:.6f} s")
