@@ -45,15 +45,18 @@ when the stored data cannot support the request.
 
 Substitutions and the `truncated` flag: Horner (Series.substitute,
 `series._horner`) forms the flag of every step, keeping only the terms
-that reach the cap once it is set, and serves only where a flag is
-output: reconstruct, check_log's invariance route, the associativity
-composites and theta of the group inverse (`_eval_univariate`); they move
-to the evaluator once the flag is dropped. The twisted residual
+that reach the order its caller reads once the flag is settled, and
+serves only where a flag is output: reconstruct, check_log's invariance
+route, the associativity composites and theta of the group inverse
+(`_eval_univariate`); they move to the evaluator once the flag is
+dropped. check_axioms forms its composites through the checked order,
+where its report cuts every defect. reconstruct reverts g over H, lifts
+it once (`_lifted_inverse`) and, over a coassociative H, where nothing
+reads F past `order`, substitutes through `order`. The twisted residual
 (Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so extract_cocycle and
-check_log's functional route sum it by the packed evaluator
-(`_packed_residual`) under the same order rule
+check_log's functional route sum it by the packed evaluator, expanded
+about F(0, 0) (`_packed_residual`), under the same order rule
 (`series._substitution_order`), with the logarithm kept on F.
-reconstruct reverts g over H and lifts it once (`_lifted_inverse`).
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
 the axioms of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y)
@@ -146,11 +149,11 @@ def associativity_defect(F):
     return _two_composites(F)
 
 
-def _two_composites(F):
-    """The defect from both composites, each one's inputs built once."""
+def _two_composites(F, order=None):
+    """The defect from both composites through `order`, inputs built once."""
     outer, assigns = _left(F)
-    left = outer.substitute(assigns)
-    return _right_composite(F) - left
+    left = outer.substitute(assigns, order)
+    return _right_composite(F, order) - left
 
 
 def _one_composite(F, symmetric):
@@ -169,12 +172,12 @@ def _left(F):
             [_lift_inner(F, (0, 1)), z_var])
 
 
-def _right_composite(F):
-    """The right composite F(X, F(Y, Z)): Horner over the bare X outside,
-    F(Y, Z) inside."""
+def _right_composite(F, order=None):
+    """The right composite F(X, F(Y, Z)) through `order`: Horner over the
+    bare X outside, F(Y, Z) inside."""
     x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
     outer = F.map_coefficients(lambda A: A.apply_slot(1, "comul"))
-    return outer.substitute([x_var, _lift_inner(F, (1, 2))])
+    return outer.substitute([x_var, _lift_inner(F, (1, 2))], order)
 
 
 def _composite_order(F):
@@ -300,9 +303,9 @@ def check_axioms(F, order=None, strict_grading_weight=None):
     if _one_composite(F, sym.is_zero()):
         assoc = _minus_reversed(_gate_composite(F, cert))
         if not assoc.is_zero():
-            assoc = _minus_reversed(_right_composite(F))
+            assoc = _minus_reversed(_right_composite(F, cert))
     else:
-        assoc = _two_composites(F)
+        assoc = _two_composites(F, cert)
     grading = []
     if strict_grading_weight is not None:
         _, offending = strict_grading_defect(F, strict_grading_weight)
@@ -543,7 +546,8 @@ def reconstruct(algebra, c, g, order):
     rhs = (Series.constant(c, 2, INF, XY)
            + _slot_series(g, 0).embed_vars(2, (0,), XY)
            + _slot_series(g, 1).embed_vars(2, (1,), XY)).truncate(work)
-    F_elevated = inverse.substitute([rhs])
+    F_elevated = inverse.substitute(
+        [rhs], order if algebra.coassociative else None)
 
     if order < 0:
         raise TruncationInsufficient(
@@ -596,10 +600,7 @@ def inverse_series(F, order=None):
     # d_Y folded = sum_k (k + 1) C_(k+1)(x) y^k on the same numerators
     codec = _Codec(algebra, 1, ("x",), max(target, F.max_degree()))
     groups = _y_coefficients(codec, F)
-    d_groups = {k - 1: _Packed({h: [(code, k * n) for code, n in bucket]
-                                for h, bucket in c.buckets.items()},
-                               c.den, INF, False, c.shift)
-                for k, c in groups.items() if k}
+    d_groups = {k - 1: c.scaled(k) for k, c in groups.items() if k}
 
     # constant part: solve folded(0, theta) = 0 by Newton iteration, on
     # the C_k(0) with the flags of F's coefficients, which mu (id (x) S)

@@ -593,9 +593,8 @@ class TensorElement:
             return TensorElement.zero(self.algebra, self.arity)
         packed = self._packed
         return TensorElement._of(self.algebra, self.arity, _Packed.divided(
-            {h: [(code, n * num) for code, n in bucket]
-             for h, bucket in packed.buckets.items()},
-            packed.den * den, packed.flag, packed.shift))
+            packed.scaled(num).buckets, packed.den * den, packed.flag,
+            packed.shift))
 
     def __pow__(self, n):
         """Power by repeated squaring, which stops once the value is zero,
@@ -789,10 +788,9 @@ class TensorElement:
             raise NonInvertibleConstantTerm(
                 "tensor has no unit component; not invertible")
         sign = -1 if n0 > 0 else 1
-        nil = _Packed.divided(
-            {h: [(code, sign * n) for code, n in bucket]
-             for h, bucket in packed.buckets.items() if h},
-            abs(n0), False, packed.shift)
+        nil = packed.scaled(sign).buckets
+        nil = _Packed.divided({h: b for h, b in nil.items() if h}, abs(n0),
+                              False, packed.shift)
         bound = self.algebra.degree_bound
         result = _UNIT.stamped(INF, False, packed.shift)
         power = nil

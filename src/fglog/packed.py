@@ -324,6 +324,12 @@ class _Packed:
         return _Packed(self.buckets, self.den, order, flag,
                        self.shift if shift is None else shift)
 
+    def scaled(self, n):
+        """The terms times the int n over the same denominator."""
+        return _Packed({h: [(code, n * m) for code, m in bucket]
+                        for h, bucket in self.buckets.items()},
+                       self.den, self.order, self.flag, self.shift)
+
     def times(self, other, keep, bound):
         """Product: the one-pair case of `sum_of_products`."""
         return _Packed.sum_of_products(((self, other),), keep, bound)

@@ -18,11 +18,13 @@ group laws, coboundary data). The bookkeeping rules:
                      certified through the precision it doubles to; a
                      lift Delta g reverts over H as Delta(g^-1), exact
                      because Delta is a degree-keeping ring homomorphism)
-  substitute         min(min_v r_v, r_f - sum_v slack_v) (one rule,
-                     `_substitution_order`, for Horner and for the
-                     packed evaluator of fgl's twisted residual; once a
-                     Horner step is flagged, later steps keep only the
-                     terms that reach the cap, `_horner`)
+  substitute         min(min_v r_v, r_f - sum_v slack_v) and the order
+                     asked for (one rule, `_substitution_order`, for
+                     Horner and for the packed evaluator of fgl's twisted
+                     residual; once the flag is settled, set or out of
+                     reach as every assignment has Hopf degree 0, a
+                     Horner step, and in that case an inner row, keeps
+                     only the terms that reach that order, `_horner`)
 
 where r_v runs over the series assigned to the variables that occur in
 f's stored terms, and slack_v is the nilpotency index of the constant term
@@ -342,8 +344,10 @@ class Series:
 
     # -- composition ------------------------------------------------------------------
 
-    def substitute(self, assignments):
-        """Simultaneous substitution of a series for every variable.
+    def substitute(self, assignments, order=None):
+        """Simultaneous substitution of a series for every variable; with
+        `order`, substitute(assignments).truncate(order), flags included,
+        whose Horner steps form only what reaches that order (`_horner`).
 
         assignments: a sequence of Series, the one for variable i at
         position i, all sharing one target shape and this series'
@@ -352,13 +356,16 @@ class Series:
         of the result is min(min_v order_v, order_f - sum_v slack_v) as
         described in the module docstring.
         """
+        order = _requested_order(order, INF)
+        order = INF if order is None else order
         assigns = list(assignments)
         if self.nvars == 0 and not assigns:
-            return self._rebuilt(dict(self.terms))
+            return self.truncate(order)
         cap, codec, slacks = _substitution_order(self, assigns)
+        out = min(cap, order)
         if not self.terms:
             return _substituted(
-                codec, _Packed({}, 1, cap, self.truncated, codec.shift),
+                codec, _Packed({}, 1, out, self.truncated, codec.shift),
                 False)
         zero = (0,) * codec.nvars
         consts = {e: _view(codec, _constant(codec, c, c.truncated),
@@ -366,10 +373,10 @@ class Series:
                   for e, c in self.terms.items()}
         views = [None if s is None else _packed_view(codec, a)
                  for a, s in zip(assigns, slacks)]
-        result = _horner(consts, views, cap, slacks)._packed[1]
+        result = _horner(consts, views, cap, slacks, out)._packed[1]
         const = self.terms.get((0,) * self.nvars)
         return _substituted(
-            codec, result.stamped(cap, result.flag or self.truncated),
+            codec, result.stamped(out, result.flag or self.truncated),
             const is not None and const.truncated)
 
     def comp_inverse(self, order=None):
@@ -879,49 +886,58 @@ def _series_mul(f, g, *, keep, plus=None):
                                                 f.algebra.degree_bound))
 
 
-def _horner(consts, assigns, cap, slacks=None):
+def _horner(consts, assigns, cap, slacks=None, order=INF):
     """Horner evaluation over the first variable, recursing on the rest.
 
     consts maps the exponent tuples of the substituted series to its
     coefficients as constant views; assigns holds the view of every
     variable's assignment (None where the variable does not occur), all of
     one layout whose `vmax` covers every product formed here, and slacks
-    the slack of each one's constant (read for a finite cap).
-    Intermediates are truncated at cap; the certified order and the flag
-    of each step follow the Series operations (product, truncate, sum),
-    and certification of the result is stamped by the caller. Every step,
+    the slack of each one's constant (read for a finite order).
+    Intermediates are truncated at cap, the result at `order` (at most
+    cap); the certified order and the flag of each step follow the Series
+    operations, and that of the result is stamped by the caller. Every step,
     one by a bare variable included, is one `_series_mul` with the step's
     group as its `plus`: the terms, order and flag of the product
-    truncated at cap and then summed with the group. Once the accumulator
-    is flagged the flag is settled, and the step R_(k+1) a + group k,
-    which reaches the result times a^k of valuation >= (k - s) v (s the
-    slack of a's constant, v the least degree of a's other terms), keeps
-    only the terms through cap - (k - s) v, stamped with cap."""
+    truncated at cap and then summed with the group. Until the flag is
+    settled every step runs at the full cap; it is settled once set, and
+    from the start when every assignment has only terms of Hopf degree 0
+    (no product leaves the quotient). Then step R_(k+1) a + group k, which
+    reaches the result times a^k of valuation >= (k - s)+ v (s the slack
+    of a's constant, v the least degree of a's other terms), keeps only
+    the terms through order - (k - s)+ v, stamped with cap; when settled
+    from the start, so does row k of the inner variables."""
+    settled = all(a is None or set(a._packed[1].buckets) <= {0}
+                  for a in assigns)
+    kmax = max(e[0] for e in consts)
+    s = v = 0
+    if kmax and order != INF:
+        s, (codec, packed) = slacks[0], assigns[0]._packed
+        v = min([code >> codec.shift for bucket in packed.buckets.values()
+                 for code, _ in bucket if code >> codec.shift]
+                or [max(order, 0) + 1])
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
         rows = {}
         for e, c in consts.items():
             rows.setdefault(e[0], {})[e[1:]] = c
-        groups = {k: _horner(sub, assigns[1:], cap, slacks and slacks[1:])
+        groups = {k: _horner(sub, assigns[1:], cap, slacks and slacks[1:],
+                             order - max(k - s, 0) * v if settled else cap)
                   for k, sub in rows.items()}
-    kmax = max(groups)
     result = groups[kmax]
-    s = v = INF
-    if kmax and cap != INF:
-        s, (codec, packed) = slacks[0], assigns[0]._packed
-        v = min([code >> codec.shift for bucket in packed.buckets.values()
-                 for code, _ in bucket if code >> codec.shift]
-                or [max(cap, 0) + 1])
     for k in range(kmax - 1, -1, -1):
-        keep = cap - (k - s) * v if result.truncated and k > s else cap
+        settled = settled or result.truncated
+        keep = order - max(k - s, 0) * v if settled else cap
         result = _series_mul(result, assigns[0], keep=keep,
                              plus=groups.get(k))
         if keep < cap:
-            result = _view(codec, result._packed[1].stamped(cap, True))
-    if cap != INF:
+            result = _view(codec, result._packed[1].stamped(
+                cap, result.truncated))
+    if order != INF:
         codec, packed = result._packed
-        result = _view(codec, packed.truncate(cap))
+        result = _view(codec, packed.truncate(order).stamped(cap,
+                                                             packed.flag))
     return result
 
 
@@ -933,13 +949,32 @@ def _evaluate(coeffs, h, p, bound):
     and the blocks B_i = sum_j coeffs[im + j] h^j run by Horner in h^m,
     each block plus the running sum times h^m in one `sum_of_products`
     call. Block i is later multiplied by h^(im), whose valuation is at
-    least i m val(h), so it is kept only through p - i m val(h). Terms are
-    exact in the quotient ring; the order is p, and the flag is that of
-    the kernel calls: check_log's log-functional defect carries it, never
-    printed, since the CLI runs check_log after extract_cocycle passes."""
+    least i m val(h), so it is kept only through p - i m val(h). A nonzero
+    (nilpotent) constant kappa of h is expanded about first (Brent and
+    Kung, JACM 1978): G_j = sum_i binom(j + i, i) coeffs[j + i] kappa^i,
+    one kernel call each on kappa's powers formed once while nonzero, are
+    summed in h - kappa, of valuation >= 1, so the cut applies. Terms are
+    exact in the quotient ring and the order is p. No output reads the
+    flag, which the expansion can change: extraction drops it, Newton
+    steps stamp False, the CLI never prints check_log's functional defect."""
     if not coeffs:
         return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)
+    if h.val == 0:
+        kappa = h.truncate(0).stamped(INF, False)
+        powers = [_UNIT, kappa]
+        while len(powers) <= kmax and powers[-1].buckets:
+            powers.append(powers[-1].times(kappa, INF, bound))
+        shifted = {j: [(coeffs[j + i], power.scaled(math.comb(j + i, i)))
+                       for i, power in enumerate(powers) if j + i in coeffs]
+                   for j in range(kmax + 1)}
+        coeffs = {j: _Packed.sum_of_products(ps, p, bound)
+                  for j, ps in shifted.items() if ps}
+        # each bucket of h is sorted by degree: kappa's terms lead it
+        rest = {hd: b[len(kappa.buckets.get(hd, ())):]
+                for hd, b in h.buckets.items()}
+        h = _Packed({hd: b for hd, b in rest.items() if b}, h.den, h.order,
+                    h.flag, h.shift)
     m = max(1, math.isqrt(kmax))
     # p + 1 for h = 0: no block past the first reaches order p; through
     # p = inf every block is kept whole

@@ -5,6 +5,7 @@ classical specialization."""
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -217,9 +218,9 @@ class TestCheckAxioms:
         substitute = Series.substitute
         gate = fgl_module._gate_composite
 
-        def counted(series, assignments):
+        def counted(series, assignments, order=None):
             calls.append(series)
-            return substitute(series, assignments)
+            return substitute(series, assignments, order)
 
         def counted_gate(law, cert):
             calls.append(law)
@@ -1205,6 +1206,43 @@ class TestSparseLaws:
         assert (iota - want).is_zero() and iota.order == 4
 
 
+def one_sided_law(side, n):
+    """X + Y + X^n (side 0) or X + Y + Y^n (side 1) over trivial: a
+    complete law that is not equal to its flip."""
+    alg = builtin_algebra("trivial")
+    exps = (n, 0) if side == 0 else (0, n)
+    return additive_law(alg) + Series(
+        alg, 2, 2, {exps: TensorElement.unit(alg, 2)}, INF, XY)
+
+
+class TestOneSidedLaws:
+    """A law that is not equal to its flip takes the two-composite path;
+    both composites are formed only through the checked order, so the
+    work follows that order, not the degree n."""
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_two_composites_follow_the_order(self, side):
+        F = one_sided_law(side, 2000)
+        started = time.perf_counter()
+        report = check_axioms(F, order=4)
+        assert time.perf_counter() - started < 1.0
+        assert report.passed and report.certified_order == 4
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_report_is_the_truncated_defect(self, side, n):
+        F = one_sided_law(side, n)
+        want = associativity_defect(F).truncate(4)
+        assert want.is_zero() == (n > 4)
+        report = check_axioms(F, order=4)
+        got = [v.defect for v in report.violations
+               if v.axiom == "associativity"]
+        if want.is_zero():
+            assert got == []
+        else:
+            _assert_same(got[0], want)
+
+
 # -- associativity from one composite ------------------------------------------
 
 def composites(F):
@@ -1255,9 +1293,9 @@ def composite_count(F, monkeypatch):
     calls = []
     original = Series.substitute
 
-    def counted(series, assignments):
+    def counted(series, assignments, order=None):
         calls.append(series)
-        return original(series, assignments)
+        return original(series, assignments, order)
 
     monkeypatch.setattr(Series, "substitute", counted)
     associativity_defect(F)
@@ -1595,9 +1633,9 @@ class TestPackedGate:
         substitute = Series.substitute
         sum_of_products = _Packed.sum_of_products
 
-        def counted(series, assignments):
+        def counted(series, assignments, order=None):
             substitutions.append(series)
-            return substitute(series, assignments)
+            return substitute(series, assignments, order)
 
         def counted_kernel(pairs, keep, bound):
             kernel_calls.append(len(pairs))

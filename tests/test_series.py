@@ -22,6 +22,7 @@ from fglog import (
 )
 from fglog import series as series_module
 from fglog.fgl import _y_coefficients
+from fglog.packed import _UNIT, _Packed
 from fglog.generate import random_logarithm
 from fglog.scalars import Q
 
@@ -679,10 +680,11 @@ class TestPackedEngine:
 
 # -- Horner kept through what reaches the cap -------------------------------
 
-def reference_horner(consts, assigns, cap, slacks=None):
+def reference_horner(consts, assigns, cap, slacks=None, order=INF):
     """`series._horner` with every step kept through the full cap, as
     `Series.substitute` ran it before steps were cut once the flag is
-    settled; the slacks are not read."""
+    settled; the slacks and the output order are not read (the caller
+    truncates)."""
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
     else:
@@ -819,6 +821,125 @@ class TestHornerCut:
         got = f.substitute([a])
         _assert_same(got, want)
         assert keeps == [-8, -7, -6, -5, -4] and got.order == -4
+
+
+# -- substitution through a requested order ----------------------------------
+
+def scalar_part(series):
+    """The series with every coefficient cut to its part of Hopf degree 0
+    (its full counit times the unit), coefficient flags kept."""
+    unit = TensorElement.unit(series.algebra, series.arity)
+    return Series(series.algebra, series.arity, series.nvars,
+                  {e: (unit * c.full_counit())._flagged(c.truncated)
+                   for e, c in series.terms.items()},
+                  series.order, series.names, series.truncated)
+
+
+class TestSubstituteOrder:
+    """f.substitute(a, order=n) is f.substitute(a).truncate(n), flags
+    included; once the flag is settled its Horner steps keep only the
+    terms that reach n."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_truncated_full_cap_horner(self, data):
+        name = data.draw(st.sampled_from(["trivial", "qt1", "qt2"]))
+        alg = builtin_algebra(name, degree_bound=data.draw(st.integers(2, 8)))
+        arity = data.draw(st.integers(1, 2))
+        nvars = data.draw(st.integers(1, 3))
+        target = data.draw(st.integers(1, 3))
+        flags = data.draw(st.sampled_from([_RARE, _OFTEN]))
+        f = data.draw(engine_series(alg, arity, nvars, top=6, flags=flags))
+        assigns = [data.draw(engine_series(alg, arity, target, True,
+                                           flags=flags))
+                   for _ in range(nvars)]
+        # every assignment of Hopf degree 0 settles the flag at once; some
+        # of them only settle the rows that use no other
+        mode = data.draw(st.sampled_from(["none", "all", "some"]))
+        assigns = [scalar_part(a) if mode == "all" or mode == "some"
+                   and data.draw(st.booleans()) else a for a in assigns]
+        want = reference_horner_substitute(f, assigns)
+        top = 14 if want.order == INF else want.order
+        n = data.draw(st.integers(-2, top + 2))
+        _assert_same(f.substitute(assigns, order=n), want.truncate(n))
+
+    def test_flag_set_at_the_first_step(self, monkeypatch):
+        """A flagged top coefficient settles the flag: with order 5 below
+        the cap 8, step k keeps the terms through 5 - k for a = (1 + t) x
+        (slack 0, v = 1)."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series(alg, 1, 1, {(1,): t + 1})
+        f = powers_sum(alg, 5, 8, flag_top=True)
+        want = reference_horner_substitute(f, [a]).truncate(5)
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a], order=5)
+        _assert_same(got, want)
+        assert got.truncated and got.order == 5
+        assert keeps == [1, 2, 3, 4, 5]
+
+    def test_hopf_degree_zero_is_cut_from_the_first_step(self, monkeypatch):
+        """x + x^2 has only terms of Hopf degree 0, so no product leaves the
+        quotient and the flag is settled before it is set: unflagged, step
+        k keeps 6 - k, and in two variables the row of X^k is formed
+        through 4 - k only."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        one = TensorElement.unit(alg, 1)
+        a = Series(alg, 1, 1, {(1,): one, (2,): one})
+        f = powers_sum(alg, 5, 8)
+        want = reference_horner_substitute(f, [a]).truncate(6)
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a], order=6)
+        _assert_same(got, want)
+        assert not got.truncated and keeps == [2, 3, 4, 5, 6]
+        F = Series(alg, 1, 2, {(i, j): one for i in range(3)
+                               for j in range(3)})
+        monkeypatch.undo()
+        want = reference_horner_substitute(F, [a, a]).truncate(4)
+        keeps = recorded_keeps(monkeypatch)
+        got = F.substitute([a, a], order=4)
+        _assert_same(got, want)
+        # rows of X^0, X^1, X^2 (two steps in Y each), then two in X
+        assert keeps == [3, 4, 2, 3, 1, 2, 3, 4]
+
+    def test_rows_keep_the_cap_while_the_flag_can_change(self):
+        """With X -> t x (Hopf degree 1) and Y -> x, only the rows are
+        settled from the start. The row of X^1, t^3 x^3, lies above the
+        order 2 but sets the flag through t^3 * t = 0, so it is formed
+        whole."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        one = TensorElement.unit(alg, 1)
+        f = Series(alg, 1, 2, {(2, 0): one, (1, 3): t ** 3})
+        assigns = [Series(alg, 1, 1, {(1,): t}), Series.variable(alg, 1, 1, 0)]
+        got = f.substitute(assigns, order=2)
+        _assert_same(got, reference_horner_substitute(f, assigns).truncate(2))
+        assert got.truncated and got.terms == {(2,): t * t}
+
+    def test_unflagged_steps_keep_the_full_cap(self, monkeypatch):
+        """(1 + t) x at D = 8 never leaves the quotient, so the flag is
+        never set and every step runs at the cap 10, order 6 or not."""
+        alg = builtin_algebra("qt1", degree_bound=8)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        a = Series(alg, 1, 1, {(1,): t + 1})
+        f = powers_sum(alg, 8, 10)
+        want = reference_horner_substitute(f, [a]).truncate(6)
+        keeps = recorded_keeps(monkeypatch)
+        got = f.substitute([a], order=6)
+        _assert_same(got, want)
+        assert not got.truncated and got.order == 6
+        assert keeps == [10] * 8
+
+    def test_order_is_read_as_the_inversions_read_it(self, qt1):
+        """A finite order must be an int; math.inf and None cut nothing."""
+        f = powers_sum(qt1, 3, 6)
+        x = Series.variable(qt1, 1, 1, 0)
+        with pytest.raises(TypeError, match="order must be an int"):
+            f.substitute([x], order=2.5)
+        _assert_same(f.substitute([x], order=INF), f.substitute([x]))
+        _assert_same(f.substitute([x], order=None), f.substitute([x]))
+        c = Series.constant(TensorElement.unit(qt1, 1), 0)
+        _assert_same(c.substitute([], order=-1), c.truncate(-1))
 
 
 # -- Newton reversion against the order-by-order loop -------------------------
@@ -1281,14 +1402,16 @@ class TestSolvedTermsSkip:
 # -- the packed Paterson-Stockmeyer evaluator against Series.substitute -------
 
 @st.composite
-def evaluation_inputs(draw):
+def evaluation_inputs(draw, constant=False):
     """(F, h, p): F(x, y) = sum_k C_k(x) y^k, complete, with k up to a top
     k_max of 0-20 and the C_k constants or (half the time) polynomials of
     degree up to 4 in x; h a one-variable polynomial of valuation 0 (a
     nilpotent constant term) or at least 1, seldom 0; p from 0 to 20,
     seldom inf. Over trivial, qt1, qt2 or qtu at degree bounds 3-6, arity
-    1 or 2."""
-    name = draw(st.sampled_from(["trivial", "qt1", "qt2", "qtu"]))
+    1 or 2. With `constant`, h always has a nonzero nilpotent constant
+    term (so the algebra is never trivial)."""
+    names = ["trivial", "qt1", "qt2", "qtu"][constant:]
+    name = draw(st.sampled_from(names))
     alg = builtin_algebra(name, degree_bound=draw(st.integers(3, 6)))
     arity = draw(st.sampled_from([1, 1, 2]))
     k_max = draw(st.integers(0, 20))
@@ -1299,11 +1422,12 @@ def evaluation_inputs(draw):
         for i in draw(st.sets(st.integers(0, xmax), min_size=1, max_size=2)):
             terms[(i, k)] = draw(tensor_coefficients(alg, arity))
     h_terms = {}
-    if name != "trivial" and draw(st.booleans()):
+    if constant or name != "trivial" and draw(st.booleans()):
         h_terms[(0,)] = draw(tensor_coefficients(alg, arity, unit=0))
+        assume(not (constant and h_terms[(0,)].is_zero()))
     for d in draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)):
         h_terms[(d,)] = draw(tensor_coefficients(alg, arity))
-    if draw(SELDOM):
+    if not constant and draw(SELDOM):
         h_terms = {}
     return (Series(alg, arity, 2, terms), Series(alg, arity, 1, h_terms),
             INF if draw(SELDOM) else draw(st.integers(0, 20)))
@@ -1316,6 +1440,28 @@ def y_groups(codec, F):
     for (i, k), coeff in F.terms.items():
         groups.setdefault(k, {})[(i,)] = coeff
     return {k: codec.pack(terms) for k, terms in groups.items()}
+
+
+def reference_evaluate(coeffs, h, p, bound):
+    """`series._evaluate` without the expansion about h's constant: the
+    blocks run in h itself, so a nilpotent constant leaves val(h) = 0
+    and no block is cut."""
+    if not coeffs:
+        return _Packed({}, 1, p, False, h.shift)
+    kmax = max(coeffs)
+    m = max(1, math.isqrt(kmax))
+    v = 0 if p == INF else min(h.val, p + 1)
+    powers = [_UNIT, h.truncate(p)]
+    while len(powers) <= m:
+        powers.append(powers[-1].times(powers[1], p, bound))
+    acc = None
+    for i in range(kmax // m, -1, -1):
+        pairs = [(coeffs[i * m + j], powers[j]) for j in range(m)
+                 if i * m + j in coeffs]
+        if acc is not None:
+            pairs.append((acc, powers[m]))
+        acc = _Packed.sum_of_products(pairs, p - i * m * v, bound)
+    return acc
 
 
 class TestEvaluator:
@@ -1337,6 +1483,38 @@ class TestEvaluator:
             codec.pack(h.terms), p, alg.degree_bound)
         assert got.order == p
         assert codec.unpack(got) == want.terms
+
+    @settings(max_examples=250)
+    @given(evaluation_inputs(constant=True))
+    def test_expansion_about_the_constant(self, case):
+        """A point with a nilpotent constant is expanded about it: the
+        same terms and order as the blocks run in h itself
+        (`reference_evaluate`)."""
+        F, h, p = case
+        alg = F.algebra
+        codec = series_module._Codec(
+            alg, F.arity, ("x",),
+            max(p if p != INF else 0, F.max_degree(), h.max_degree()))
+        groups, point = y_groups(codec, F), codec.pack(h.terms)
+        got = series_module._evaluate(groups, point, p, alg.degree_bound)
+        want = reference_evaluate(groups, point, p, alg.degree_bound)
+        assert got.order == want.order == p
+        assert codec.unpack(got) == codec.unpack(want)
+
+    def test_expansion_uses_every_power_of_the_constant(self):
+        """1 + y + y^2 at y = t + x over qt1 (D = 6): G_0 = 1 + t + t^2
+        needs kappa^2 = t^2, as high as the top k."""
+        alg = builtin_algebra("qt1", degree_bound=6)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        one = TensorElement.unit(alg, 1)
+        F = Series(alg, 1, 2, {(0, k): one for k in range(3)})
+        codec = series_module._Codec(alg, 1, ("x",), 6)
+        groups = y_groups(codec, F)
+        point = codec.pack({(0,): t, (1,): one})
+        got = series_module._evaluate(groups, point, 4, 6)
+        assert codec.unpack(got) == codec.unpack(
+            reference_evaluate(groups, point, 4, 6))
+        assert codec.unpack(got)[(0,)] == one + t + t * t
 
     @settings(max_examples=60)
     @given(evaluation_inputs())

@@ -9,14 +9,19 @@ product, substitution step, evaluator block and tensor product reaches),
 then replays each operation's recorded calls N times (default 5) in the
 same process and prints the best time of each operation's calls and their
 total: the series product layer's seconds, with the rest of the operation
-taken away. --smoke uses the workload's small smoke inputs. Under each
-operation and under the total, indented rows give the calls and seconds
-of each fglog function that reached the kernel, as
+taken away. --smoke uses the workload's small smoke inputs. Each row also
+gives the term pairs that its calls form: the pairs of terms whose Hopf
+degrees stay within the bound and whose variable degrees sum to at most
+the call's `keep`, capped by the operands' orders as the kernel caps it.
+They depend on the calls alone, so they repeat exactly from run to run.
+Under each operation and under the total, indented rows give the calls,
+seconds and pairs of each fglog function that reached the kernel, as
 `module.function` (`series._horner`, `series._evaluate`,
 `series._newton_root`, `series.mul_inverse`, `hopf.__mul__` for tensor
 products, ...): the kernel's one-pair and sum wrappers (`_Packed.times`,
-`_Packed.summed`, `series._series_mul`) are looked through to their own
-caller. Each function's calls are replayed on their own.
+`_Packed.summed`, `series._series_mul`) and comprehensions are looked
+through to their own caller. Each function's calls are replayed on their
+own.
 
 Running it on two checkouts compares their kernels on the calls that each
 one's own pipeline makes. Exit status is 1 when an operation's output
@@ -26,8 +31,11 @@ differs from its golden digest, 0 otherwise.
 import argparse
 import random
 import sys
+from bisect import bisect_left
 from pathlib import Path
 from time import perf_counter
+
+INF = float("inf")
 
 
 # the kernel's wrappers, named by the function that calls them
@@ -36,8 +44,9 @@ WRAPPERS = {"times", "summed", "_series_mul"}
 
 def caller(frame):
     """`module.function` of the first fglog function at or above frame
-    that is no kernel wrapper."""
-    while frame.f_code.co_name in WRAPPERS:
+    that is no kernel wrapper and no comprehension (`<dictcomp>`, ...)."""
+    while (frame.f_code.co_name in WRAPPERS
+           or frame.f_code.co_name.startswith("<")):
         frame = frame.f_back
     code = frame.f_code
     return f"{Path(code.co_filename).stem}.{code.co_name}"
@@ -71,15 +80,40 @@ def record(workload):
     return per_item, missed
 
 
+def formed_pairs(pairs, keep, bound):
+    """The term pairs one kernel call forms (see the module docstring)."""
+    caps = [INF if a.order == b.order == INF
+            else min(a.order + b.val, b.order + a.val) for a, b in pairs]
+    keep = min([keep, *caps])
+    count = 0
+    for a, b in pairs:
+        shift = max(a.shift, b.shift)
+        for ha, la in a.buckets.items():
+            for hb, lb in b.buckets.items():
+                if ha + hb > bound:
+                    continue
+                if keep == INF:
+                    count += len(la) * len(lb)
+                    continue
+                for code, _ in la:
+                    room = keep - (code >> shift)
+                    count += bisect_left(lb, ((room + 1) << shift,))
+    return count
+
+
 def replay(kernel, calls, repeats):
     """Best wall seconds of one run through the recorded calls."""
-    best = float("inf")
+    best = INF
     for _ in range(repeats):
         start = perf_counter()
         for pairs, keep, bound, _ in calls:
             kernel(pairs, keep, bound)
         best = min(best, perf_counter() - start)
     return best
+
+
+def line(calls, seconds, pairs):
+    return f"{calls} calls, {seconds:.6f} s, {pairs} pairs"
 
 
 def main(argv=None):
@@ -98,25 +132,27 @@ def main(argv=None):
     workload = workloads.setup(args.workload, root, smoke=args.smoke)
     per_item, missed = record(workload)
     kernel = workload.fg.packed._Packed.sum_of_products
-    total_calls = total_s = 0
-    totals = {}  # caller -> [calls, seconds]
+    total = [0, 0.0, 0]  # calls, seconds, pairs
+    totals = {}  # caller -> [calls, seconds, pairs]
     for item_id, calls in sorted(per_item):
-        seconds = replay(kernel, calls, args.repeats)
-        total_calls += len(calls)
-        total_s += seconds
-        print(f"{item_id}: {len(calls)} calls, {seconds:.6f} s")
         groups = {}
         for call in calls:
             groups.setdefault(call[-1], []).append(call)
+        rows = {}
         for name, group in sorted(groups.items()):
-            seconds = replay(kernel, group, args.repeats)
-            row = totals.setdefault(name, [0, 0.0])
-            row[0] += len(group)
-            row[1] += seconds
-            print(f"  {name}: {len(group)} calls, {seconds:.6f} s")
-    print(f"total: {total_calls} calls, {total_s:.6f} s")
-    for name, (count, seconds) in sorted(totals.items()):
-        print(f"  {name}: {count} calls, {seconds:.6f} s")
+            rows[name] = (len(group), replay(kernel, group, args.repeats),
+                          sum(formed_pairs(*call[:3]) for call in group))
+        row = (len(calls), replay(kernel, calls, args.repeats),
+               sum(r[2] for r in rows.values()))
+        print(f"{item_id}: " + line(*row))
+        total = [x + y for x, y in zip(total, row)]
+        for name, row in rows.items():
+            totals[name] = [x + y for x, y in zip(
+                totals.get(name, (0, 0.0, 0)), row)]
+            print(f"  {name}: " + line(*row))
+    print("total: " + line(*total))
+    for name, row in sorted(totals.items()):
+        print(f"  {name}: " + line(*row))
     for item_id in missed:
         print(f"kernel_replay: {item_id} differs from its golden",
               file=sys.stderr)
