@@ -47,12 +47,12 @@ Substitutions and the `truncated` flag: Horner (Series.substitute,
 `series._horner`) forms the flag of every step, keeping only the terms
 that reach the order its caller reads once the flag is settled, and
 serves only where a flag is output: reconstruct, check_log's invariance
-route, the associativity composites and theta of the group inverse
-(`_eval_univariate`); they move to the evaluator once the flag is
-dropped. check_axioms forms its composites through the checked order,
-where its report cuts every defect. reconstruct reverts g over H, lifts
-it once (`_lifted_inverse`) and, over a coassociative H, where nothing
-reads F past `order`, substitutes through `order`. The twisted residual
+route and the associativity composites; they move to the evaluator once
+the flag is dropped. check_axioms forms its composites through the
+checked order, where its report cuts every defect. reconstruct reverts g
+over H, lifts it once (`_lifted_inverse`) and, over a coassociative H,
+where nothing reads F past `order`, substitutes through `order`. The
+twisted residual
 (Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so extract_cocycle and
 check_log's functional route sum it by the packed evaluator, expanded
 about F(0, 0) (`_packed_residual`), under the same order rule
@@ -96,7 +96,6 @@ from .series import (
     _constant,
     _doubling_orders,
     _evaluate,
-    _horner,
     _lifted_inverse,
     _minus_reversed,
     _packed_view,
@@ -144,24 +143,25 @@ def associativity_defect(F):
     For a law equal to its flip over a cocommutative H the left composite
     is the right one with X and Z swapped and the tensor slots reversed,
     so only the right one is computed (see the module docstring)."""
-    if _one_composite(F, symmetry_defect(F).is_zero()):
-        return _minus_reversed(_right_composite(F))
-    return _two_composites(F)
+    return _composites_defect(F, symmetry_defect(F))
 
 
-def _two_composites(F, order=None):
-    """The defect from both composites through `order`, inputs built once."""
-    outer, assigns = _left(F)
-    left = outer.substitute(assigns, order)
-    return _right_composite(F, order) - left
-
-
-def _one_composite(F, symmetric):
-    """Whether one composite gives the associativity defect of F: H is
-    cocommutative, F(0, 0) lies in the augmentation ideal and F equals its
-    flip (`symmetric`)."""
-    return (F.algebra.cocommutative and F.constant_term().full_counit() == 0
-            and symmetric)
+def _composites_defect(F, sym, cert=None):
+    """The associativity defect of F through `cert`, given its symmetry
+    defect `sym`. One composite serves when H is cocommutative, F(0, 0)
+    lies in the augmentation ideal and F equals its flip; with a cert
+    (check_axioms) the gate decides first and a passing gate is the
+    defect. Any other F takes both composites, the left one first."""
+    if not (F.algebra.cocommutative and sym.is_zero()
+            and F.constant_term().full_counit() == 0):
+        outer, assigns = _left(F)
+        left = outer.substitute(assigns, cert)
+        return _right_composite(F, cert) - left
+    if cert is not None:
+        gate = _minus_reversed(_gate_composite(F, cert))
+        if gate.is_zero():
+            return gate
+    return _minus_reversed(_right_composite(F, cert))
 
 
 def _left(F):
@@ -278,17 +278,17 @@ def check_axioms(F, order=None, strict_grading_weight=None):
     what is certifiable. Returns a Report whose violations carry the
     defect series.
 
-    For a law that takes the one-composite route the gate decides on the
-    left composite minus its reversal, which is minus the defect in every
-    term, formed from the powers of F(X, Y) with no `truncated` flag; only
-    a nonzero gate computes, by Horner, the defect it reports (see the
-    module docstring). The request is compared with the certified orders,
-    which follow from F's exponents and order and the slack of F(0, 0),
-    before any composite is formed."""
+    For a law that takes the one-composite route (`_composites_defect`)
+    the gate decides on the left composite minus its reversal, which is
+    minus the defect in every term, formed from the powers of F(X, Y)
+    with no `truncated` flag; only a nonzero gate computes, by Horner,
+    the defect it reports (see the module docstring). The request is
+    compared with the certified orders, which follow from F's exponents
+    and order and the slack of F(0, 0), before any composite is formed."""
     sym = symmetry_defect(F)
     unit_left, unit_right = unit_defects(F)
-    achievable = min(sym.order, unit_left.order, unit_right.order,
-                     _composite_order(F))
+    # the symmetry and unit defects keep F's order
+    achievable = _composite_order(F)
     if order is not None and order > achievable:
         raise TruncationInsufficient(
             f"axioms requested through order {order} but the data "
@@ -300,12 +300,7 @@ def check_axioms(F, order=None, strict_grading_weight=None):
             "stored data certifies no order at all", certified=cert,
             requested=order)
 
-    if _one_composite(F, sym.is_zero()):
-        assoc = _minus_reversed(_gate_composite(F, cert))
-        if not assoc.is_zero():
-            assoc = _minus_reversed(_right_composite(F, cert))
-    else:
-        assoc = _two_composites(F, cert)
+    assoc = _composites_defect(F, sym, cert)
     grading = []
     if strict_grading_weight is not None:
         _, offending = strict_grading_defect(F, strict_grading_weight)
@@ -677,8 +672,7 @@ def inverse_series(F, order=None):
     terms = codec.unpack(root)
     if not theta.is_zero():
         terms[(0,)] = theta  # with its own `truncated` flag
-    iota = Series(algebra, 1, 1,
-                  _solved_terms(_view(codec, root, terms), slope, slope_inv),
+    iota = Series(algebra, 1, 1, _solved_terms(terms, slope, slope_inv),
                   cert, ("x",), theta.truncated, _normalize=False)
 
     complete = F.order == INF
@@ -713,17 +707,25 @@ def _cut(groups, cap):
 
 def _eval_univariate(series, point):
     """Evaluate a one-variable series at a nilpotent TensorElement by
-    Horner's rule (`series._horner`) in the tensor layout; an empty
-    series gives zero."""
-    algebra, arity = series.algebra, series.arity
-    if not series.terms:
-        return TensorElement.zero(algebra, arity)
-    codec = algebra._codec(arity)
-    consts = {e: _view(codec, _constant(codec, c, c.truncated))
-              for e, c in series.terms.items()}
-    at = _view(codec, _constant(codec, point, point.truncated))
-    return TensorElement._of(algebra, arity,
-                             _horner(consts, [at], INF)._packed[1])
+    Horner's rule on tensor arithmetic, flags included; an empty series
+    gives zero. The accumulator R crosses a run of absent coefficients,
+    g steps, times the one power point**g, which stops at zero. In the
+    graded polynomial ring H a top Hopf degree adds under products, so
+    both forms overflow the bound, and set the flag, exactly when
+    top(R) + g top(point) exceeds it; a zero R, whose flag the steps
+    leave as it is, takes one step, and so does a gap of one."""
+    ks = sorted((e[0] for e in series.terms), reverse=True)
+    if not ks:
+        return TensorElement.zero(series.algebra, series.arity)
+    result = series.terms[(ks[0],)]
+    for above, k in zip(ks, ks[1:] + [0]):
+        if k < above:
+            gap = above - k
+            result = result * (point if gap == 1 or result.is_zero()
+                               else point ** gap)
+            if (k,) in series.terms:
+                result = result + series.terms[(k,)]
+    return result
 
 
 # -- classical specialization ---------------------------------------------------

@@ -46,6 +46,8 @@ def _positive_monomials(algebra):
 def _augmented_element(algebra, rng, max_terms):
     """Random element of the augmentation ideal (counit zero)."""
     pool = _positive_monomials(algebra)
+    if not pool:
+        return HopfElement.zero(algebra)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(pool)
@@ -62,7 +64,8 @@ def random_cocycle(algebra, seed_or_rng, max_terms=3):
     differential squares to zero on constants; primitives p, q satisfy
     the cocycle equation for p (x) q + q (x) p), so the output passes
     check_cocycle; over any other H (`HopfAlgebra.coassociative`) a
-    coboundary need not be a cocycle."""
+    coboundary need not be a cocycle. Over Q (no positive degree) zero is
+    the only cocycle."""
     rng = _rng(seed_or_rng)
     from .fgl import coboundary
 
@@ -92,12 +95,15 @@ def random_cocycle(algebra, seed_or_rng, max_terms=3):
 
 def random_symmetric_candidate(algebra, seed_or_rng, max_terms=3):
     """Random symmetric counit-zero tensor: sum of q * (m1 (x) m2 +
-    m2 (x) m1) over random positive-degree monomial pairs. Unlike
-    random_cocycle the result need not satisfy the cocycle equation."""
+    m2 (x) m1) over random positive-degree monomial pairs, zero when
+    there are none. Unlike random_cocycle the result need not satisfy the
+    cocycle equation."""
     rng = _rng(seed_or_rng)
     pool = _positive_monomials(algebra)
     bound = algebra.degree_bound
     c = TensorElement.zero(algebra, 2)
+    if not pool:
+        return c
     for _ in range(rng.randint(1, max_terms)):
         m1 = rng.choice(pool)
         m2 = rng.choice(pool)

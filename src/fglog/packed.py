@@ -418,7 +418,7 @@ class _Packed:
         buckets = self.buckets
         if buckets and cap < max(
                 [b[-1][0] for b in buckets.values()]) >> self.shift:
-            end = (int(cap) + 1) << self.shift
+            end = (int(max(cap, -1)) + 1) << self.shift
             buckets = {}
             for h, bucket in self.buckets.items():
                 bucket = bucket[:bisect_left(bucket, (end,))]

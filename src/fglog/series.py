@@ -419,8 +419,9 @@ class Series:
         base = _coproduct_base(f) if f.arity == 2 else None
         if base is not None:
             return _lifted_inverse(base, order)
-        root = _view(*_newton_root(f, b0_inv, order))
-        return self._rebuilt(_solved_terms(root, b0, b0_inv), order)
+        codec, root = _newton_root(f, b0_inv, order)
+        return self._rebuilt(_solved_terms(codec.unpack(root), b0, b0_inv),
+                             order)
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -654,9 +655,10 @@ def _doubling_orders(start, target, extra=0):
 
 
 def _requested_order(order, stored):
-    """A requested order as the inversions read it: math.inf on a complete
-    polynomial is None, and a finite order must be an int."""
-    if order is None or isinstance(order, int) or order in (INF, -INF):
+    """A requested order as the inversions and substitutions read it:
+    math.inf on a complete polynomial is None, and any other order must be
+    an int (-math.inf is none)."""
+    if order is None or isinstance(order, int) or order == INF:
         return None if order == INF == stored else order
     raise TypeError(f"order must be an int, None or math.inf, not {order!r}")
 
@@ -728,40 +730,26 @@ def _lifted_inverse(g, order):
                   inverse.truncated, _normalize=False)
 
 
-def _solved_terms(root, slope, slope_inv):
-    """Terms of a one-variable root found by Newton iteration, each
+def _solved_terms(terms, slope, slope_inv):
+    """The terms {exps: coefficient} of a one-variable Newton root, each
     non-constant coefficient c with the `truncated` flag that solving one
-    order at a time gives it, as -(slope_inv * r) from its residue
+    order at a time gives it, that of -(slope_inv * r) for its residue
     r = -(slope * c) with a clear flag. That product is c in the quotient
-    ring, so only its flag is formed: slope_inv's, or a pair of terms of
-    slope_inv and r whose Hopf degrees sum above the bound, which is r
-    holding a Hopf degree above the room that slope_inv's top degree
-    leaves. Every residue is read off one packed product slope * root (a
-    root that is no view is packed first), formed only when the top Hopf
-    degrees of slope and of some coefficient sum above that room (never
+    ring, so only its flag counts: slope_inv's, or r holding a Hopf degree
+    above the room that slope_inv's top degree leaves. r is formed only
+    when the top Hopf degrees of slope and c sum above that room (never
     for a unit slope). Substitutions fold the coefficient flags of the
     outer series into their result."""
-    algebra = slope.algebra
-    flagged = set()
     top = max(slope._packed.buckets)
-    room = algebra.degree_bound - max(slope_inv._packed.buckets)
-    if not slope_inv.truncated and any(
-            top + max(c._packed.buckets) > room
-            for e, c in root.terms.items() if e != (0,)):
-        if root._packed is None:
-            root = _packed_view(_Codec(algebra, root.arity, root.names,
-                                       root.max_degree()), root)
-        codec, packed = root._packed
-        # the sign of r leaves its degrees as they are
-        r = _constant(codec, slope).times(packed, INF, algebra.degree_bound)
-        flagged = {code >> r.shift for h, bucket in r.buckets.items()
-                   if h > room for code, _ in bucket}
-    terms = {}
-    for e, c in root.terms.items():
+    room = slope.algebra.degree_bound - max(slope_inv._packed.buckets)
+    solved = {}
+    for e, c in terms.items():
         if e != (0,):
-            c = c._flagged(slope_inv.truncated or e[0] in flagged)
-        terms[e] = c
-    return terms
+            c = c._flagged(slope_inv.truncated or (
+                top + max(c._packed.buckets) > room
+                and max((slope * c)._packed.buckets, default=0) > room))
+        solved[e] = c
+    return solved
 
 
 # -- series products on the packed kernel (packed.py) ------------------------

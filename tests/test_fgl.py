@@ -903,13 +903,14 @@ class TestInverseSeries:
 
     def test_infinite_order_on_a_complete_law(self, qt1):
         """math.inf on a complete law asks what None asks (ValueError); a
-        finite order that is no int raises TypeError."""
+        finite order that is no int, or -math.inf, raises TypeError."""
         with pytest.raises(ValueError, match="pass an explicit order"):
             inverse_series(lemma_law(qt1, two_t_t(qt1)), order=math.inf)
         with pytest.raises(TruncationInsufficient):
             inverse_series(additive_law(qt1, order=4), order=math.inf)
-        with pytest.raises(TypeError, match="order must be an int"):
-            inverse_series(additive_law(qt1), order=2.0)
+        for order in (2.0, -math.inf):
+            with pytest.raises(TypeError, match="order must be an int"):
+                inverse_series(additive_law(qt1), order=order)
 
     def test_additive_inverse_is_negation(self, qt1):
         iota = inverse_series(additive_law(qt1), order=6)
@@ -955,10 +956,14 @@ class TestInverseSeries:
 
 
 def reference_eval_univariate(series, point):
-    """Horner's rule with one product per exponent, zero accumulators
-    included: the reference for `fgl._eval_univariate`."""
-    acc = TensorElement.zero(series.algebra, series.arity)
-    for k in range(max((e[0] for e in series.terms), default=-1), -1, -1):
+    """Horner's rule from the top coefficient down with one product per
+    exponent, zero accumulators included: the reference for
+    `fgl._eval_univariate`."""
+    top = max((e[0] for e in series.terms), default=None)
+    if top is None:
+        return TensorElement.zero(series.algebra, series.arity)
+    acc = series.terms[(top,)]
+    for k in range(top - 1, -1, -1):
         acc = acc * point
         if (k,) in series.terms:
             acc = acc + series.terms[(k,)]
@@ -1084,6 +1089,41 @@ class TestNewtonInverse:
     loop gives: terms, coefficient flags, certified order, `truncated` and
     every exception."""
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_horner_matches_one_product_per_exponent(self, data):
+        """`_eval_univariate` crosses each run of absent coefficients with
+        one power of the point and gives the terms and flag of one product
+        per exponent, also where the accumulator cancels to zero above a
+        run."""
+        name, bound = data.draw(NEWTON_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        arity = data.draw(st.integers(1, 2))
+        point = data.draw(tensor_coefficients(alg, arity, unit=0))
+        terms = {(k,): data.draw(tensor_coefficients(alg, arity))
+                 for k in data.draw(st.sets(st.integers(0, 12),
+                                            max_size=4))}
+        top = max((e[0] for e in terms), default=0)
+        if top and data.draw(SELDOM):
+            terms[(top - 1,)] = -(terms[(top,)] * point)
+        series = Series(alg, arity, 1, terms, INF, ("y",))
+        got = _eval_univariate(series, point)
+        want = reference_eval_univariate(series, point)
+        assert got == want and got.truncated == want.truncated
+
+    def test_zero_accumulator_crosses_a_run_unflagged(self):
+        """y^5 - t y^4 + 1 at y = t over qt1 with degree bound 3: the
+        accumulator cancels to zero at y^4, and the four steps down to y^0
+        multiply zero by t, which sets no flag, though t^4 overflows."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        t = TensorElement.from_slots(t_elem(alg))
+        one = TensorElement.unit(alg, 1)
+        series = Series(alg, 1, 1, {(5,): one, (4,): -t, (0,): one}, INF,
+                        ("y",))
+        got = _eval_univariate(series, t)
+        assert got == one and not got.truncated
+        assert not reference_eval_univariate(series, t).truncated
+
     @settings(max_examples=200)
     @given(inverse_inputs())
     def test_matches_order_by_order_loop(self, case):
@@ -1111,6 +1151,72 @@ class TestNewtonInverse:
         assert c.nilpotency_slack() > 0
         assert_same_outcome(outcome(inverse_series, F),
                             outcome(reference_inverse_series, F))
+
+
+# -- the group inverse through the logarithm ----------------------------------
+
+def folded_constant(c):
+    """phi(c) = (mu . (id (x) S))c in H."""
+    return c.apply_slot(1, "antipode").contract_mul((0, 1))
+
+
+def inverse_by_logarithm(c, g, order):
+    """iota = (Sg)^-1(-g - phi(c)) through `order`, Sg the series of the
+    S(g_k): the reversion runs past `order` by the slack of phi(c), which
+    the substitution of its constant spends."""
+    Sg = g.map_coefficients(lambda A: A.apply_slot(0, "antipode"))
+    kappa = folded_constant(c)
+    rhs = -g - Series.constant(kappa, 1, INF, ("x",))
+    return Sg.comp_inverse(order=order + kappa.nilpotency_slack()
+                           ).substitute([rhs])
+
+
+@st.composite
+def logarithm_laws(draw):
+    """(F, c, g): F = reconstruct(c, g) over trivial, qt1, qt2, qtu or
+    QTU_HALF at degree bounds 3-8, c a random cocycle and g a random
+    logarithm, through an order of 2-9 plus the slack of phi(c), which
+    iota(0) shares (iota(0) is phi(c) times a unit), so that iota is
+    certified through that order."""
+    name = draw(st.sampled_from(["trivial", "qt1", "qt2", "qtu",
+                                 "qtu_half"]))
+    alg = algebra_named(name, draw(st.integers(3, 8)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    order = draw(st.integers(2, 9))
+    c = random_cocycle(alg, rng)
+    g = random_logarithm(alg, rng, order)
+    slack = folded_constant(c).nilpotency_slack()
+    return reconstruct(alg, c, g, order + slack), c, g
+
+
+class TestInverseByLogarithm:
+    """The group inverse against the logarithm. Apply phi = mu . (id (x)
+    S) to the coefficients of (Delta g)(F(x, y)) = c + g(x) (x) 1 +
+    1 (x) g(y) and set y = iota(x): phi is a ring homomorphism of H (x) H
+    onto H because H is commutative, so the left side becomes
+    sum_k eps(g_k) phi(F)(x, iota(x))^k, which is 0, because phi Delta =
+    eta eps and phi(F)(x, iota(x)) = 0 defines iota. The right side is
+    phi(c) + g(x) + (Sg)(iota(x)), so iota = (Sg)^-1(-g - phi(c))."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(logarithm_laws())
+    def test_matches_the_logarithm(self, case):
+        F, c, g = case
+        iota = inverse_series(F)
+        want = inverse_by_logarithm(c, g, iota.order)
+        assert want.order >= iota.order
+        assert iota.same_through(want, iota.order)
+
+    def test_lemma_law(self, qt1):
+        """For c + X + Y (g = x) the inverse is -x - phi(c): here
+        phi(2(t (x) t)) = -2 t^2."""
+        c = two_t_t(qt1)
+        iota = inverse_series(lemma_law(qt1, c), order=5)
+        x = Series.variable(qt1, 1, 1, 0, INF, ("x",))
+        want = -x - Series.constant(folded_constant(c), 1, INF, ("x",))
+        assert folded_constant(c) == t_elem(qt1) * t_elem(qt1) * -2
+        assert iota.order == INF and (iota - want).is_zero()
+        assert (inverse_by_logarithm(c, x, 5) - want).is_zero()
 
 
 def recorded_calls(monkeypatch, owner, name):
@@ -1182,9 +1288,10 @@ def sparse_law(name, n=2000):
 
 
 class TestSparseLaws:
-    """On X + Y + X^n + Y^n (n = 2000) the work follows the requested
-    order, not n: the gate stops at the first zero power of F(X, Y), and
-    the constant part of the group inverse skips products of zero."""
+    """On X + Y + X^n + Y^n (n = 2000, or 200,000) the work follows the
+    requested order, not n: the gate stops at the first zero power of
+    F(X, Y), and the constant part of the group inverse skips products of
+    zero."""
 
     @pytest.mark.parametrize("name", ["trivial", "qt1"])
     def test_gate_stops_at_the_first_zero_power(self, name, monkeypatch):
@@ -1204,6 +1311,25 @@ class TestSparseLaws:
         iota = inverse_series(F, order=4)
         assert len(products) < 100
         assert (iota - want).is_zero() and iota.order == 4
+
+    @pytest.mark.parametrize("name", ["trivial", "qt1"])
+    def test_inverse_kernel_calls_follow_the_order(self, name, monkeypatch):
+        """At n = 200,000 the constant stage crosses the run of absent
+        coefficients of folded(0, y) with one power of theta: fewer than
+        2,000 kernel calls in all, where one product per exponent makes
+        about 400,000 over trivial and 800,000 over qt1."""
+        F = sparse_law(name, 200_000)
+        calls = []
+        kernel = _Packed.sum_of_products
+
+        def counted(pairs, keep, bound):
+            calls.append(keep)
+            return kernel(pairs, keep, bound)
+
+        monkeypatch.setattr(_Packed, "sum_of_products",
+                            staticmethod(counted))
+        iota = inverse_series(F, order=4)
+        assert len(calls) < 2000 and iota.order == 4
 
 
 def one_sided_law(side, n):
@@ -1271,9 +1397,13 @@ def reference_associativity_defect(F):
 def reference_check_axioms(F, order=None):
     """check_axioms with the two-composite associativity defect and no
     one-composite gate."""
+    def two_composites(F, sym, cert=None):
+        outer, assigns = _left(F)
+        return (fgl_module._right_composite(F, cert)
+                - outer.substitute(assigns, cert))
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fgl_module, "_one_composite",
-                      lambda F, symmetric: False)
+        patch.setattr(fgl_module, "_composites_defect", two_composites)
         return check_axioms(F, order=order)
 
 
@@ -1945,7 +2075,7 @@ class TestTheoremRoute:
         case = reconstruct_case(kind)
         calls = [recorded_calls(monkeypatch, fgl_module, name)
                  for name in ("check_axioms", "_gate_composite",
-                              "_right_composite", "_two_composites")]
+                              "_right_composite", "_composites_defect")]
         got = outcome(reconstruct, *case)
         if case[0].coassociative:
             assert [len(c) for c in calls] == [0, 0, 0, 0]

@@ -2,7 +2,13 @@
 
 import random
 
-from fglog import build_hopf_algebra, check_axioms, check_cocycle, lemma_law
+from fglog import (
+    build_hopf_algebra,
+    builtin_algebra,
+    check_axioms,
+    check_cocycle,
+    lemma_law,
+)
 from fglog.generate import (
     random_cocycle,
     random_logarithm,
@@ -51,6 +57,15 @@ class TestGenerators:
             assert is_cocycle == is_law
             seen[is_cocycle] += 1
         assert seen[True] and seen[False]
+
+    def test_no_positive_degree_gives_zero(self):
+        """Over the trivial algebra Q zero is the only cocycle and the only
+        candidate."""
+        trivial = builtin_algebra("trivial")
+        for seed in range(5):
+            for c in (random_cocycle(trivial, seed),
+                      random_symmetric_candidate(trivial, seed)):
+                assert c.is_zero() and c.arity == 2
 
     def test_logarithm_shape(self, qt1):
         import math

@@ -100,6 +100,16 @@ class TestOrderBookkeeping:
         assert g.order == 2
         assert g.max_degree() <= 2
 
+    def test_truncate_to_minus_infinity(self, qt1):
+        """A view (here a product) cut at -math.inf is what a series of
+        stored terms gives: no terms, order -inf."""
+        x = var(qt1)
+        view = (unit_series(qt1) + x) * (unit_series(qt1) + x)
+        stored = Series(qt1, 1, 1, view.terms)
+        for f in (view * x, stored):
+            cut = f.truncate(-INF)
+            assert cut.is_zero() and cut.order == -INF
+
     def test_derivative_and_integral_shift_order(self, qt1):
         # x certified to 6, so x^3 is certified to 8 by the valuation rule
         x = var(qt1, order=6)
@@ -261,7 +271,7 @@ class TestMulInverse:
         with pytest.raises(TruncationInsufficient):
             f.truncate(4).mul_inverse(order=INF)
 
-    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2"])
+    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2", -INF])
     def test_order_that_is_no_int_raises(self, qt1, order):
         with pytest.raises(TypeError, match="order must be an int"):
             (unit_series(qt1) - var(qt1)).mul_inverse(order=order)
@@ -319,10 +329,10 @@ class TestCompInverse:
         with pytest.raises(TruncationInsufficient):
             f.truncate(5).comp_inverse(order=INF)
 
-    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2"])
+    @pytest.mark.parametrize("order", [2.0, Fraction(2), "2", -INF])
     def test_order_that_is_no_int_raises(self, qt1, order):
-        """A finite order that is no int raises before any check, also on
-        a series that would fail one."""
+        """An order that is no int, math.inf aside, raises before any
+        check, also on a series that would fail one."""
         for f in (var(qt1) + var(qt1) ** 2, 2 * var(qt1)):
             with pytest.raises(TypeError, match="order must be an int"):
                 f.comp_inverse(order=order)
@@ -931,11 +941,13 @@ class TestSubstituteOrder:
         assert keeps == [10] * 8
 
     def test_order_is_read_as_the_inversions_read_it(self, qt1):
-        """A finite order must be an int; math.inf and None cut nothing."""
+        """A finite order must be an int, and -math.inf is none;
+        math.inf and None cut nothing."""
         f = powers_sum(qt1, 3, 6)
         x = Series.variable(qt1, 1, 1, 0)
-        with pytest.raises(TypeError, match="order must be an int"):
-            f.substitute([x], order=2.5)
+        for order in (2.5, -INF):
+            with pytest.raises(TypeError, match="order must be an int"):
+                f.substitute([x], order=order)
         _assert_same(f.substitute([x], order=INF), f.substitute([x]))
         _assert_same(f.substitute([x], order=None), f.substitute([x]))
         c = Series.constant(TensorElement.unit(qt1, 1), 0)
@@ -1164,7 +1176,7 @@ class TestNewtonReversion:
             (k,): data.draw(tensor_coefficients(alg, arity))
             for k in data.draw(st.sets(st.integers(0, 6), max_size=4))})
         slope_inv = slope.mul_inverse()
-        got = series_module._solved_terms(root, slope, slope_inv)
+        got = series_module._solved_terms(root.terms, slope, slope_inv)
         want = reference_solved_terms(root, slope, slope_inv)
         assert got == want
         assert {e: c.truncated for e, c in got.items()} == {
@@ -1351,9 +1363,9 @@ class TestLiftReversion:
 
 
 class TestSolvedTermsSkip:
-    """`_solved_terms` forms the flag product slope * root only when
-    slope's top Hopf degree plus a coefficient's exceeds the room that
-    slope^-1 leaves; either way it gives the two-product form."""
+    """`_solved_terms` forms a coefficient's flag product slope * c only
+    when slope's top Hopf degree plus c's exceeds the room that slope^-1
+    leaves; either way it gives the two-product form."""
 
     def solved(self, monkeypatch, root, slope):
         products = []
@@ -1365,7 +1377,7 @@ class TestSolvedTermsSkip:
 
         slope_inv = slope.mul_inverse()
         monkeypatch.setattr(series_module._Packed, "times", counted)
-        got = series_module._solved_terms(root, slope, slope_inv)
+        got = series_module._solved_terms(root.terms, slope, slope_inv)
         monkeypatch.undo()
         want = reference_solved_terms(root, slope, slope_inv)
         assert got == want
@@ -1384,14 +1396,14 @@ class TestSolvedTermsSkip:
 
     def test_nilpotent_slope_forms_the_product(self, monkeypatch):
         """slope = 1 + t at degree bound 3: slope^-1 reaches degree 3 and
-        leaves room 0, so the product is formed for any root, and the
-        coefficient t^3 is flagged."""
+        leaves room 0, so the product is formed for every coefficient, and
+        the coefficient t^3 is flagged."""
         alg = builtin_algebra("qt1", degree_bound=3)
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         slope = TensorElement.unit(alg, 1) + t
         got, products = self.solved(
             monkeypatch, Series(alg, 1, 1, {(1,): t ** 3, (2,): t}), slope)
-        assert products == 1
+        assert products == 2
         assert got[(1,)].truncated
         one = TensorElement.unit(alg, 1)
         got, products = self.solved(

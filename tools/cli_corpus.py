@@ -20,7 +20,11 @@ not cocommutative or not coassociative (OTHER_HOPF): Q[t, s, u] given as
 a --hopf file (QTSU), where symmetry is read by a reversal of the law,
 and three non-coassociative ones, where the axiom gate decides:
 hopf_bad_coassoc.json and the cocommutative TU_BAD with and without the
-non-cocommutative generators of TSUV_BAD. The sparse
+non-cocommutative generators of TSUV_BAD. Over QTSU and
+hopf_bad_coassoc.json, which are not cocommutative, Lemma laws that pass,
+fail symmetry or fail associativity (ROUTE_LAWS) run verify and inverse
+at orders 3 and 6 in both formats, so the two-composite defect is printed
+too. The sparse
 complete laws X + Y + X^N + Y^N over trivial and 2(t (x) t) + X + Y +
 X^N + Y^N over qt1 (N = SPARSE_N) run verify, inverse, log, cocycle and
 roundtrip at orders 4 and 8, where the work must follow the order, not
@@ -112,6 +116,19 @@ OTHER_HOPF = tuple(
         ("tsuv_bad.json", (("0", None), ("0", "log_u.json"),
                            ("t (x) s", None))))
     for cocycle, log in cases)
+# (--hopf file, [(kind, c)]) of Lemma laws c + X + Y over the two algebras
+# that are not cocommutative, where check_axioms takes both composites: a
+# law that passes, one that fails symmetry only (an asymmetric cocycle)
+# and one that fails associativity only (a symmetric non-cocycle)
+ROUTE_LAWS = (
+    ("qtsu.json", (("pass", [[["t"], ["s"], "1"], [["s"], ["t"], "1"]]),
+                   ("symmetry", [[["t"], ["s"], "1"]]),
+                   ("associativity", [[["t", "t"], ["t", "t"], "1"]]))),
+    ("hopf_bad_coassoc.json", (
+        ("pass", [[["t"], ["t"], "2"]]),
+        ("symmetry", [[["t"], ["u"], "-3"], [["u"], ["t"], "3"],
+                      [["t"], ["t", "t", "t"], "1"]]),
+        ("associativity", [[["t", "t"], ["t", "t"], "1"]]))))
 SEEDS = range(48)
 SPARSE_N = 2000
 
@@ -190,6 +207,20 @@ def _sparse_laws():
         yield f"sparse_{hopf}.json", {"hopf": hopf, "series": {
             "variables": ["X", "Y"], "arity": 2,
             "terms": [_term(e, c) for e, c in sorted(terms.items())]}}
+
+
+def _route_laws(workdir):
+    """(name, group JSON) of the ROUTE_LAWS, each algebra given inline as
+    its --hopf file in workdir reads."""
+    one = [["1"], ["1"], "1"]
+    for hopf, cases in ROUTE_LAWS:
+        algebra = json.loads((workdir / hopf).read_text())
+        for kind, constant in cases:
+            terms = [_term((0, 0), constant), _term((0, 1), [one]),
+                     _term((1, 0), [one])]
+            yield f"route_{Path(hopf).stem}_{kind}.json", {
+                "hopf": algebra, "series": {"variables": ["X", "Y"],
+                                            "arity": 2, "terms": terms}}
 
 
 def _witness_laws():
@@ -280,6 +311,13 @@ def invocations(workdir):
         indent=1))
     (workdir / "tu_bad.json").write_text(json.dumps(TU_BAD, indent=1))
     (workdir / "tsuv_bad.json").write_text(json.dumps(TSUV_BAD, indent=1))
+    for name, doc in _route_laws(workdir):
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        for cmd in ("verify", "inverse"):
+            for order in ("3", "6"):
+                for fmt in ("pretty", "json"):
+                    argvs.append([cmd, "--group", name, "--order", order,
+                                  "--format", fmt])
     for i, (hopf, cocycle, log) in enumerate(OTHER_HOPF):
         for order, hdeg in (("3", "6"), ("5", "4")):
             argvs.append(["reconstruct", "--hopf", hopf, "--cocycle", cocycle]
