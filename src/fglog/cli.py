@@ -99,25 +99,30 @@ def _group_arg(ref, hdeg):
 def _tensor_arg(ref, algebra, arity):
     """Tensor from a JSON file or an inline expression."""
     if os.path.isfile(ref) or ref.endswith(".json"):
-        tensor = jsonio.tensor_from_json(jsonio.read_json_file(ref), algebra)
-        if tensor.arity != arity:
-            raise ParseError(
-                f"{ref} holds an arity-{tensor.arity} tensor; expected "
-                f"arity {arity}")
-        return tensor
+        return _tensor_file(ref, algebra, arity, f"arity {arity}")
     return parse_tensor(ref, algebra, arity=arity)
 
 
 def _element_arg(ref, algebra):
     """Algebra element from a JSON file or an inline expression."""
     if os.path.isfile(ref) or ref.endswith(".json"):
-        tensor = jsonio.tensor_from_json(jsonio.read_json_file(ref), algebra)
-        if tensor.arity != 1:
-            raise ParseError(
-                f"{ref} holds an arity-{tensor.arity} tensor; expected a "
-                "plain algebra element")
-        return tensor
+        return _tensor_file(ref, algebra, 1, "a plain algebra element")
     return parse_element(ref, algebra)
+
+
+def _tensor_file(ref, algebra, arity, expected):
+    """Tensor of the given arity from a JSON file, refused, as an inline
+    term is, when a term reaches above the degree bound."""
+    tensor = jsonio.tensor_from_json(jsonio.read_json_file(ref), algebra)
+    if tensor.arity != arity:
+        raise ParseError(
+            f"{ref} holds an arity-{tensor.arity} tensor; expected "
+            f"{expected}")
+    if tensor.truncated:
+        raise ParseError(
+            f"{ref} holds a term that reaches above the degree bound "
+            f"{algebra.degree_bound}")
+    return tensor
 
 
 def _series_arg(path, algebra):

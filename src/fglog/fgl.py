@@ -43,16 +43,16 @@ verification and reconstruction routines work at an elevated internal order
 and certify the caller's order honestly, raising TruncationInsufficient
 when the stored data cannot support the request.
 
-Substitutions and the `truncated` flag: Horner (Series.substitute,
-`series._horner`) forms the flag of every step, keeping only the terms
-that reach the order its caller reads once the flag is settled, and
-serves only where a flag is output: reconstruct, check_log's invariance
-route and the associativity composites; they move to the evaluator once
-the flag is dropped. check_axioms forms its composites through the
-checked order, where its report cuts every defect. reconstruct reverts g
-over H, lifts it once (`_lifted_inverse`) and, over a coassociative H,
-where nothing reads F past `order`, substitutes through `order`. The
-twisted residual
+Substitutions and the `truncated` flag, one per series (a coefficient
+carries none): Horner (Series.substitute, `series._horner`) forms the
+flag of every step, keeping only the terms that reach the order its
+caller reads once the flag is settled, and serves only where a flag is
+output: reconstruct, check_log's invariance route and the associativity
+composites; they move to the evaluator once the flag is dropped.
+check_axioms forms its composites through the checked order, where its
+report cuts every defect. reconstruct reverts g over H, lifts it once
+(`_lifted_inverse`) and, over a coassociative H, where nothing reads F
+past `order`, substitutes through `order`. The twisted residual
 (Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so extract_cocycle and
 check_log's functional route sum it by the packed evaluator, expanded
 about F(0, 0) (`_packed_residual`), under the same order rule
@@ -102,7 +102,6 @@ from .series import (
     _requested_order,
     _series_mul,
     _slack,
-    _solved_terms,
     _substitution_order,
     _view,
 )
@@ -225,16 +224,13 @@ def _gate_composite(F, cert):
 
 
 def symmetry_defect(F):
-    """F(X, Y) - tau F(Y, X): the packed F minus its key-field reversal.
-    A view (a product or a substitution result) is reversed in its own
-    layout; any other F is packed once, flagged when F or a coefficient
-    is, as F - tau F is."""
-    if F._packed is not None:
-        return _minus_reversed(F)
-    codec = _Codec(F.algebra, F.arity, F.names, F.max_degree())
-    flag = F.truncated or any(c.truncated for c in F.terms.values())
-    return _view(codec, codec.minus_reversed(codec.pack(F.terms, F.order,
-                                                        flag)))
+    """F(X, Y) - tau F(Y, X): the packed F minus its key-field reversal,
+    with F's flag. A view (a product or a substitution result) is reversed
+    in its own layout; any other F is packed once."""
+    if F._packed is None:
+        F = _packed_view(_Codec(F.algebra, F.arity, F.names,
+                                F.max_degree()), F)
+    return _minus_reversed(F)
 
 
 def unit_defects(F):
@@ -598,21 +594,17 @@ def inverse_series(F, order=None):
     d_groups = {k - 1: c.scaled(k) for k, c in groups.items() if k}
 
     # constant part: solve folded(0, theta) = 0 by Newton iteration, on
-    # the C_k(0) with the flags of F's coefficients, which mu (id (x) S)
-    # keeps (it keeps the Hopf degree, so it drops nothing)
-    at_zero = {}
-    for k, c in groups.items():
-        low = codec.unpack(c.truncate(0)).get((0,))
-        if low:
-            at_zero[(k,)] = low._flagged(F.terms[(0, k)].truncated)
-    at_zero = Series(algebra, 1, 1, at_zero, INF, ("y",), _normalize=False)
+    # the C_k(0)
+    at_zero = Series(algebra, 1, 1, {
+        (k,): codec.unpack(c.truncate(0))[(0,)]
+        for k, c in groups.items() if c.val == 0}, INF, ("y",),
+        _normalize=False)
     d_at_zero = at_zero.derivative()
 
     def linearized(theta):
-        """d_Y folded(0, theta) and its inverse."""
-        slope = _eval_univariate(d_at_zero, theta)
+        """The inverse of d_Y folded(0, theta)."""
         try:
-            return slope, slope.mul_inverse()
+            return _eval_univariate(d_at_zero, theta).mul_inverse()
         except NonInvertibleConstantTerm as exc:
             raise NoInverse(
                 "linearized inverse equation is not invertible") from exc
@@ -623,8 +615,7 @@ def inverse_series(F, order=None):
     for _ in range(guard):
         if residue.is_zero():
             break
-        _, slope_inv = linearized(theta)
-        theta = theta - slope_inv * residue
+        theta = theta - linearized(theta) * residue
         residue = _eval_univariate(at_zero, theta)
     if not residue.is_zero():
         raise NoInverse("no nilpotent constant term solves the "
@@ -633,7 +624,7 @@ def inverse_series(F, order=None):
         raise NoInverse("inverse constant term escapes the "
                         "augmentation ideal")
 
-    slope, slope_inv = linearized(theta)
+    slope_inv = linearized(theta)
 
     # substituting iota costs the nilpotency slack of its constant term
     slack = theta.nilpotency_slack()
@@ -669,11 +660,9 @@ def inverse_series(F, order=None):
                                keep=p, plus=_view(codec, root))._packed[1]
             root = root.stamped(INF, False)
         q = p
-    terms = codec.unpack(root)
-    if not theta.is_zero():
-        terms[(0,)] = theta  # with its own `truncated` flag
-    iota = Series(algebra, 1, 1, _solved_terms(terms, slope, slope_inv),
-                  cert, ("x",), theta.truncated, _normalize=False)
+    # theta's flag becomes iota's, as theta becomes its constant term
+    iota = Series(algebra, 1, 1, {**codec.unpack(root), (0,): theta}, cert,
+                  ("x",))
 
     complete = F.order == INF
     residual = (_evaluate(groups, root, INF, bound) if complete else

@@ -9,7 +9,7 @@ and of the group inverse (series.py `_series_mul`, each step one call
 with the unit times its addend as a second pair), the powers and blocks
 of the Paterson-Stockmeyer evaluator (`series._evaluate`) that those
 Newton loops run on, the order-by-order recursion of `Series.mul_inverse`
-on the coefficients' own packed forms, the powers of F(X, Y) and the rows
+on packed rows, one per degree, the powers of F(X, Y) and the rows
 U^k G_k of the associativity gate (`fgl._gate_composite`), and the
 products and sums of tensors.
 A term's slot monomials, variable exponents and total variable degree are
@@ -46,7 +46,9 @@ high-degree element discarded slot by slot would have components with every
 leg inside the bound. A product of two terms leaves the quotient exactly
 when their Hopf degrees sum above the bound. The `truncated` flag of a
 product is set iff an operand is flagged or some pair of nonzero terms
-within the order cap leaves the quotient.
+within the order cap leaves the quotient. A _Packed that stands for a
+series carries that series' one flag, and a tensor's its own; unpacked
+coefficients carry none (`_Codec.unpack`).
 """
 
 import math

@@ -12,7 +12,7 @@ group laws, coboundary data). The bookkeeping rules:
   derivative         r - 1
   integrate          r + 1
   mul_inverse        r (coefficient k of 1/f depends only on f_0..f_k,
-                     solved order by order on packed coefficients)
+                     solved order by order on packed rows, one per degree)
   comp_inverse       r (each packed Newton step h - (f(h) - x) h', f(h)
                      summed by the Paterson-Stockmeyer evaluator, is
                      certified through the precision it doubles to; a
@@ -39,7 +39,10 @@ first (see the group-law reconstruction).
 
 Hopf-degree truncation (coefficients above the algebra's degree bound) is an
 exact quotient and never reduces the order; it only sets the `truncated`
-flag.
+flag, one per series. Its coefficients carry none: a tensor that stands
+alone keeps its own flag, and when it becomes a coefficient (construction,
+`Series.constant`, `map_coefficients`) that flag is or-ed into the
+series' and the stored coefficient is unflagged.
 """
 
 import math
@@ -111,9 +114,8 @@ class Series:
                 if coeff.algebra != algebra:
                     raise AlgebraMismatch(
                         "coefficient over a different algebra")
-                clean[exps] = coeff
-                if coeff.truncated:
-                    self.truncated = True
+                self.truncated = self.truncated or coeff.truncated
+                clean[exps] = _bare(coeff)
             self._terms = clean
         else:
             self._terms = terms
@@ -150,7 +152,7 @@ class Series:
     @classmethod
     def constant(cls, coeff, nvars, order=INF, names=None):
         """Constant series with the given TensorElement as its value."""
-        terms = {} if coeff.is_zero() else {(0,) * nvars: coeff}
+        terms = {} if coeff.is_zero() else {(0,) * nvars: _bare(coeff)}
         return cls(coeff.algebra, coeff.arity, nvars, terms, order, names,
                    coeff.truncated, _normalize=False)
 
@@ -203,11 +205,9 @@ class Series:
 
     def truncate(self, order):
         """Drop terms above the order; certification shrinks accordingly.
-        A view whose terms are not unpacked yet is cut on its packed form
-        (a view with terms keeps them: its constant coefficient may carry
-        a flag that the packed form does not)."""
+        A view is cut on its packed form."""
         new_order = min(self.order, order)
-        if self._terms is None:
+        if self._packed is not None:
             codec, packed = self._packed
             return _view(codec, packed.truncate(new_order))
         return self._rebuilt(
@@ -364,20 +364,19 @@ class Series:
         cap, codec, slacks = _substitution_order(self, assigns)
         out = min(cap, order)
         if not self.terms:
-            return _substituted(
-                codec, _Packed({}, 1, out, self.truncated, codec.shift),
-                False)
+            return _view(codec, _Packed({}, 1, out, self.truncated,
+                                        codec.shift))
+        # each group carries this series' flag, which the result ors in
+        # anyway: a flagged series settles the Horner cut at once
         zero = (0,) * codec.nvars
-        consts = {e: _view(codec, _constant(codec, c, c.truncated),
+        consts = {e: _view(codec, _constant(codec, c, self.truncated),
                            {zero: c})
                   for e, c in self.terms.items()}
         views = [None if s is None else _packed_view(codec, a)
                  for a, s in zip(assigns, slacks)]
         result = _horner(consts, views, cap, slacks, out)._packed[1]
-        const = self.terms.get((0,) * self.nvars)
-        return _substituted(
-            codec, result.stamped(out, result.flag or self.truncated),
-            const is not None and const.truncated)
+        return _view(codec, result.stamped(out,
+                                           result.flag or self.truncated))
 
     def comp_inverse(self, order=None):
         """Compositional inverse of a one-variable series with f(0) = 0 and
@@ -420,20 +419,24 @@ class Series:
         if base is not None:
             return _lifted_inverse(base, order)
         codec, root = _newton_root(f, b0_inv, order)
-        return self._rebuilt(_solved_terms(codec.unpack(root), b0, b0_inv),
-                             order)
+        return self._rebuilt(codec.unpack(root), order)
 
     # -- multiplicative inverse -------------------------------------------------------
 
     def mul_inverse(self, order=None):
         """Series g with f*g = 1. Needs a constant term of full counit 1;
-        the finite geometric expansion in its nilpotent part starts the
-        order-by-order recursion for the rest, one kernel call per
-        product on the coefficients' own packed forms.
+        the finite geometric expansion in its nilpotent part gives g_0,
+        and the order-by-order recursion g_m = -f_0^-1 sum_j f_j g_(m-j)
+        (Brent and Kung, JACM 1978) the rest, on one packed row per degree
+        (f_j the terms of f of degree j): one kernel call for the sum and
+        one for the product by -f_0^-1 per order m. Rows and products are
+        complete, so the flag counts every pair of Hopf-degree buckets
+        whose product leaves the quotient.
 
         For a complete polynomial whose positive-degree coefficients are all
         counit-zero the inverse is again a complete polynomial (degree
-        exhaustion) and is computed exactly; otherwise the inverse is an
+        exhaustion: it ends once as many rows in a row as f's top degree
+        are zero) and is computed exactly; otherwise the inverse is an
         infinite series and an explicit target order is required when this
         series has order inf (inf is no such order). A target order above
         the certified order raises TruncationInsufficient, for a constant
@@ -451,23 +454,17 @@ class Series:
                 f"that order (certified {self.order})",
                 certified=self.order, requested=order)
 
-        parts = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            if d:
-                parts.setdefault(d, []).append((e, c))
-        if not parts:
+        maxdeg = max(sum(e) for e in self.terms)
+        if not maxdeg:
             return Series.constant(f0_inv, self.nvars, self.order,
                                    self.names)
-        maxdeg = max(parts)
-
         exhaustive = False
         if order is None:
             if self.order != INF:
                 order = self.order
             else:
-                if any(c.full_counit() != 0
-                       for entries in parts.values() for _, c in entries):
+                if any(sum(e) and c.full_counit() != 0
+                       for e, c in self.terms.items()):
                     raise ValueError(
                         "series is a complete polynomial with a "
                         "non-nilpotent positive part; its inverse is "
@@ -478,43 +475,28 @@ class Series:
                 order = (self.arity * self.algebra.degree_bound * maxdeg
                          + maxdeg)
 
+        codec = _Codec(self.algebra, self.arity, self.names, order)
+        parts = {}
+        for e, c in self.terms.items():
+            if 0 < sum(e) <= order:
+                parts.setdefault(sum(e), {})[e] = c
+        rows = {d: codec.pack(terms) for d, terms in parts.items()}
         bound = self.algebra.degree_bound
-        # a coefficient's packed form is a 0-variable series of its own
-        parts = {d: [(e, c._packed) for e, c in entries]
-                 for d, entries in parts.items()}
-        minus_f0_inv = (-f0_inv)._packed
-        levels = {0: {(0,) * self.nvars: f0_inv._packed}}
-        acc_terms = {}
-        truncated = self.truncated
+        minus_f0_inv = _constant(codec, -f0_inv)
+        # the flags of f and f_0^-1 ride on row 0 into the sum of the rows
+        levels = [_constant(codec, f0_inv,
+                            self.truncated or f0_inv.truncated)]
         for m in range(1, order + 1):
-            raw = {}
-            for j in range(1, min(m, maxdeg) + 1):
-                prev = levels.get(m - j)
-                if not prev:
-                    continue
-                for e_f, c_f in parts.get(j, ()):
-                    for e_b, c_b in prev.items():
-                        prod = c_f.times(c_b, INF, bound)
-                        # a zero product flags the series, not the
-                        # coefficient
-                        truncated = truncated or prod.flag
-                        if prod.buckets:
-                            raw.setdefault(tuple(map(operator.add, e_f, e_b)),
-                                           []).append(prod)
-            level = levels[m] = {}
-            for e, prods in raw.items():
-                val = minus_f0_inv.times(_Packed.summed(prods), INF, bound)
-                if val.buckets:
-                    level[e] = acc_terms[e] = val
-            if exhaustive and all(
-                    not levels.get(m - i) for i in range(min(m, maxdeg))):
+            pairs = [(rows[j], levels[m - j])
+                     for j in range(1, min(m, maxdeg) + 1)
+                     if j in rows and levels[m - j].buckets]
+            levels.append(minus_f0_inv.times(
+                _Packed.sum_of_products(pairs, INF, bound), INF, bound))
+            if exhaustive and m >= maxdeg and not any(
+                    row.buckets for row in levels[-maxdeg:]):
                 break
-        terms = {(0,) * self.nvars: f0_inv}
-        for e, val in acc_terms.items():
-            terms[e] = TensorElement._of(self.algebra, self.arity, val)
-        result_order = INF if exhaustive else min(order, self.order)
-        return Series(self.algebra, self.arity, self.nvars, terms,
-                      result_order, self.names, truncated)
+        return _view(codec, _Packed.summed(levels).truncate(
+            INF if exhaustive else min(order, self.order)))
 
     # -- coefficient-wise structure maps -------------------------------------------
 
@@ -538,7 +520,7 @@ class Series:
                     "coefficient map produced mixed arities")
             truncated = truncated or out.truncated
             if not out.is_zero():
-                acc[e] = out
+                acc[e] = _bare(out)
         if out_arity is None:
             out_arity = fn(TensorElement.zero(self.algebra, self.arity)).arity
         return Series(self.algebra, out_arity, self.nvars, acc, self.order,
@@ -698,7 +680,7 @@ def _newton_root(f, b0_inv, order):
 
 def _coproduct_base(f):
     """The series g over H with Delta g_k = f_k for every coefficient f_k
-    of f, of arity 2, flags included, or None when f is no such lift or
+    of f, of arity 2, with f's flag, or None when f is no such lift or
     Delta lowers a degree (`_lifted_inverse`). H is connected, so g_k =
     (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
     read off the codes."""
@@ -710,7 +692,7 @@ def _coproduct_base(f):
         g = terms[e] = TensorElement._of(algebra, 1, _Packed.reduced(
             {hd: {code: n for code, n in bucket if not code >> bits}
              for hd, bucket in c._packed.buckets.items()},
-            c._packed.den, INF, c.truncated, bits))
+            c._packed.den, INF, False, bits))
         if g.apply_slot(0, "comul") != c:
             return None
     return Series(algebra, 1, 1, terms, f.order, f.names, f.truncated,
@@ -718,38 +700,18 @@ def _coproduct_base(f):
 
 
 def _lifted_inverse(g, order):
-    """(Delta g)^-1 through order as Delta(g^-1), flags kept: a degree-
-    keeping ring homomorphism commutes with truncation and reversion. A
-    table that lowers a degree is none: Delta g reverts in H (x) H."""
+    """(Delta g)^-1 through order as Delta(g^-1), with the flag of g^-1: a
+    degree-keeping ring homomorphism commutes with truncation and
+    reversion. A table that lowers a degree is none: Delta g reverts in
+    H (x) H."""
     if g.algebra.lowers_degree():
         return g.map_coefficients(
             lambda A: A.apply_slot(0, "comul")).comp_inverse(order=order)
     inverse = g.comp_inverse(order=order)
-    terms = {e: c.apply_slot(0, "comul") for e, c in inverse.terms.items()}
+    terms = {e: _bare(c.apply_slot(0, "comul"))
+             for e, c in inverse.terms.items()}
     return Series(g.algebra, 2, 1, terms, inverse.order, inverse.names,
                   inverse.truncated, _normalize=False)
-
-
-def _solved_terms(terms, slope, slope_inv):
-    """The terms {exps: coefficient} of a one-variable Newton root, each
-    non-constant coefficient c with the `truncated` flag that solving one
-    order at a time gives it, that of -(slope_inv * r) for its residue
-    r = -(slope * c) with a clear flag. That product is c in the quotient
-    ring, so only its flag counts: slope_inv's, or r holding a Hopf degree
-    above the room that slope_inv's top degree leaves. r is formed only
-    when the top Hopf degrees of slope and c sum above that room (never
-    for a unit slope). Substitutions fold the coefficient flags of the
-    outer series into their result."""
-    top = max(slope._packed.buckets)
-    room = slope.algebra.degree_bound - max(slope_inv._packed.buckets)
-    solved = {}
-    for e, c in terms.items():
-        if e != (0,):
-            c = c._flagged(slope_inv.truncated or (
-                top + max(c._packed.buckets) > room
-                and max((slope * c)._packed.buckets, default=0) > room))
-        solved[e] = c
-    return solved
 
 
 # -- series products on the packed kernel (packed.py) ------------------------
@@ -824,6 +786,11 @@ def _constant(codec, coeff, flag=False):
     return coeff._packed.stamped(INF, flag, codec.shift)
 
 
+def _bare(coeff):
+    """The tensor unflagged, as a series stores its coefficients."""
+    return coeff._flagged(False) if coeff.truncated else coeff
+
+
 def _view(codec, packed, terms=None):
     """Series standing for a _Packed of the codec's layout. Its terms are
     `terms` when given (they must equal the packed ones), else they are
@@ -834,30 +801,14 @@ def _view(codec, packed, terms=None):
     return series
 
 
-def _substituted(codec, packed, const_flag):
-    """The Series of a substitution's packed result. Unpacked coefficients
-    carry no flag; the constant coefficient is the only one that reaches
-    the result without passing through a product, so it keeps the flag of
-    the substituted series' constant coefficient (`const_flag`)."""
-    terms = None
-    if const_flag and packed.val == 0:
-        terms = codec.unpack(packed)
-        zero = (0,) * codec.nvars
-        terms[zero] = terms[zero]._flagged(True)
-    return _view(codec, packed, terms)
-
-
 def _minus_reversed(result):
     """A view (a product or a substitution's result) minus itself with the
     tensor slots and the variables in reverse order, formed on the packed
     form; only the nonzero terms of the difference are unpacked. The
-    reversal keeps every term's degrees, so the difference has the flags
-    that `result - reversed` gives: the series flag and the constant
-    coefficient's."""
+    reversal keeps every term's degrees, so the difference has the flag
+    that `result - reversed` gives, the series'."""
     codec, packed = result._packed
-    const = (result._terms or {}).get((0,) * result.nvars)
-    return _substituted(codec, codec.minus_reversed(packed),
-                        const is not None and const.truncated)
+    return _view(codec, codec.minus_reversed(packed))
 
 
 def _series_mul(f, g, *, keep, plus=None):
@@ -940,8 +891,8 @@ def _evaluate(coeffs, h, p, bound):
     least i m val(h), so it is kept only through p - i m val(h). A nonzero
     (nilpotent) constant kappa of h is expanded about first (Brent and
     Kung, JACM 1978): G_j = sum_i binom(j + i, i) coeffs[j + i] kappa^i,
-    one kernel call each on kappa's powers formed once while nonzero, are
-    summed in h - kappa, of valuation >= 1, so the cut applies. Terms are
+    over the present coeffs and kappa's powers formed once while nonzero,
+    one kernel call each, are summed in h - kappa, of valuation >= 1, so the cut applies. Terms are
     exact in the quotient ring and the order is p. No output reads the
     flag, which the expansion can change: extraction drops it, Newton
     steps stamp False, the CLI never prints check_log's functional defect."""
@@ -953,11 +904,13 @@ def _evaluate(coeffs, h, p, bound):
         powers = [_UNIT, kappa]
         while len(powers) <= kmax and powers[-1].buckets:
             powers.append(powers[-1].times(kappa, INF, bound))
-        shifted = {j: [(coeffs[j + i], power.scaled(math.comb(j + i, i)))
-                       for i, power in enumerate(powers) if j + i in coeffs]
-                   for j in range(kmax + 1)}
+        shifted = {}
+        for k in sorted(coeffs):
+            for i, power in enumerate(powers[:k + 1]):
+                shifted.setdefault(k - i, []).append(
+                    (coeffs[k], power.scaled(math.comb(k, i))))
         coeffs = {j: _Packed.sum_of_products(ps, p, bound)
-                  for j, ps in shifted.items() if ps}
+                  for j, ps in shifted.items()}
         # each bucket of h is sorted by degree: kappa's terms lead it
         rest = {hd: b[len(kappa.buckets.get(hd, ())):]
                 for hd, b in h.buckets.items()}

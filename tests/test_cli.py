@@ -618,6 +618,38 @@ class TestErrorHandling:
         assert repr(term) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, rows", [
+        ("check-cocycle", "--cocycle", [[["t"] * 9, ["t"], "1"]]),
+        ("check-cocycle", "--cocycle", [[["t"] * 3, ["t"] * 2, "1"],
+                                        [["t"], ["t"], "2"]]),
+        ("reconstruct", "--cocycle", [[["t"] * 9, ["t"], "1"],
+                                      [["t"], ["t"], "2"]]),
+        ("coboundary", "--element", [[["t"] * 3, "1"], [["t"] * 5, "-1"]]),
+    ])
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_tensor_file_above_degree_bound(self, capsys, tmp_path, command,
+                                            flag, rows, fmt):
+        """A tensor file is refused as the inline term is: no cut tensor
+        is checked or built from."""
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"terms": rows}))
+        argv = [command, "--hopf", "qt2", flag, str(path), "--format", fmt]
+        if command == "reconstruct":
+            argv += ["--order", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{path} holds a term that reaches above the degree bound 8" \
+            in err
+
+    def test_tensor_file_at_the_degree_bound(self, capsys, tmp_path):
+        """A term of degree exactly the bound is kept."""
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"terms": [[["t"] * 3, ["t"], "1"]]}))
+        code, out, err = run(capsys, "check-cocycle", "--hopf", "qt2",
+                             "--cocycle", str(path))
+        assert code == 1 and err == ""
+        assert "t^3⊗t" in out
+
     def test_missing_required_flag(self, capsys):
         code, out, err = run(capsys, "verify")
         assert code == 2

@@ -75,8 +75,11 @@ from test_series import (
     _assert_same,
     assert_same_outcome,
     engine_series,
+    lift_inputs,
+    mul_inverse_inputs,
     outcome,
     requested_orders,
+    reversion_inputs,
     tensor_coefficients,
 )
 
@@ -353,8 +356,8 @@ def definition_differential(F):
 
 class TestInvariantDifferential:
     """invariant_differential, read off F's coefficients of X^i Y, gives
-    what the definition's Series operations give: terms, coefficient
-    flags, certified order, `truncated` and names."""
+    what the definition's Series operations give: terms, certified order,
+    `truncated` and names."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -365,10 +368,9 @@ class TestInvariantDifferential:
         _assert_same(invariant_differential(F), definition_differential(F))
 
     def test_flagged_coefficients(self, qt1):
-        """A flagged X Y coefficient whose counit image is zero flags the
-        series only; a flagged X^2 Y coefficient flags its image too. The
-        law's own flag is clear (no normalization), so only the
-        coefficients can set the result's."""
+        """Flagged X Y and X^2 Y tensors fold their flags into the law's
+        as they become its coefficients: the differential is flagged by
+        both routes, and none of its coefficients is."""
         t, one = t_elem(qt1), HopfElement.one(qt1)
         flagged = TensorElement.from_slots(one, t)
         terms = dict(additive_law(qt1, order=4).terms)
@@ -376,11 +378,12 @@ class TestInvariantDifferential:
         terms[(2, 1)] = TensorElement(
             qt1, 2, TensorElement.from_slots(t * t, one).terms, True)
         terms[(3, 1)] = TensorElement.from_slots(t, one)
-        F = Series(qt1, 2, 2, terms, 4, XY, _normalize=False)
+        F = Series(qt1, 2, 2, terms, 4, XY)
+        assert F.truncated
         got = invariant_differential(F)
         _assert_same(got, definition_differential(F))
         assert got.truncated and got.order == 3
-        assert got.coeff((2,)).truncated
+        assert not any(c.truncated for c in got.terms.values())
         assert set(got.terms) == {(0,), (2,), (3,)}
 
     @pytest.mark.parametrize("nvars", [1, 3])
@@ -1086,8 +1089,8 @@ def inverse_inputs(draw):
 
 class TestNewtonInverse:
     """fgl.inverse_series by Newton doubling gives what the order-by-order
-    loop gives: terms, coefficient flags, certified order, `truncated` and
-    every exception."""
+    loop gives: terms, certified order, `truncated` and every
+    exception."""
 
     @settings(max_examples=300)
     @given(st.data())
@@ -1512,8 +1515,8 @@ def symmetric_laws(draw):
 class TestOneComposite:
     """For a law equal to its flip over a cocommutative H,
     associativity_defect computes only the right composite and gives what
-    the two composites give: terms, coefficient flags, certified order,
-    `truncated`, every exception, and the same check_axioms report."""
+    the two composites give: terms, certified order, `truncated`, every
+    exception, and the same check_axioms report."""
 
     @settings(max_examples=150)
     @given(symmetric_laws())
@@ -2116,3 +2119,62 @@ class TestSpecialize:
         unit = TensorElement.unit(qt1, 2)
         for _, coeff in S.sorted_terms():
             assert coeff == unit * coeff.full_counit()
+
+
+# -- one flag per series ---------------------------------------------------------
+
+FLAG_OPERATIONS = ("substitute", "comp_inverse", "lift", "mul_inverse",
+                   "logarithm", "inverse_series", "reconstruct",
+                   "series_from_json")
+
+
+@st.composite
+def flag_cases(draw):
+    """(operation, series it returned or None when it raised): inputs
+    whose tensors are often flagged before they become coefficients, and
+    whose products often leave a low degree bound."""
+    op = draw(st.sampled_from(FLAG_OPERATIONS))
+    if op == "substitute":
+        name, bound = draw(_ENGINE_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        arity = draw(st.integers(1, 3))
+        nvars = draw(st.integers(1, 3))
+        f = draw(engine_series(alg, arity, nvars, flags=st.booleans()))
+        assigns = [draw(engine_series(alg, arity, draw(st.integers(1, 3)),
+                                      nilpotent_constant=True))
+                   for _ in range(nvars)]
+        assigns = [a.embed_vars(3, range(a.nvars)) for a in assigns]
+        order = draw(st.one_of(st.none(), st.integers(0, 6)))
+        return op, outcome(f.substitute, assigns, order)[0]
+    if op in ("comp_inverse", "lift", "mul_inverse"):
+        f, order = draw({"comp_inverse": reversion_inputs(),
+                         "lift": lift_inputs(),
+                         "mul_inverse": mul_inverse_inputs()}[op])
+        call = f.mul_inverse if op == "mul_inverse" else f.comp_inverse
+        return op, outcome(call, order=order)[0]
+    if op in ("logarithm", "inverse_series"):
+        F, order = draw(inverse_inputs())
+        call = logarithm if op == "logarithm" else inverse_series
+        return op, outcome(call, F, order)[0]
+    if op == "reconstruct":
+        return op, draw(logarithm_laws())[0]
+    name, bound = draw(_ENGINE_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    f = draw(engine_series(alg, draw(st.integers(1, 3)),
+                           draw(st.integers(1, 3)), top=4))
+    low = builtin_algebra(name, degree_bound=draw(st.integers(3, bound)))
+    return op, jsonio.series_from_json(jsonio.series_to_json(f), low)
+
+
+class TestOneFlagPerSeries:
+    """A series carries one `truncated` flag: no coefficient of a series
+    returned by a substitution, a reversion (of a lift too), an inverse,
+    a logarithm, a group inverse, a reconstruction or a JSON read is
+    flagged, whatever its inputs' tensors carried."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flag_cases())
+    def test_no_coefficient_is_flagged(self, case):
+        _, result = case
+        if result is not None:
+            assert not any(c.truncated for c in result.terms.values())

@@ -595,8 +595,6 @@ def engine_series(draw, algebra, arity, nvars, nilpotent_constant=False,
 
 def _assert_same(got, want):
     assert got.terms == want.terms
-    assert {e: c.truncated for e, c in got.terms.items()} == {
-        e: c.truncated for e, c in want.terms.items()}
     assert (got.order, got.truncated, got.names) == (
         want.order, want.truncated, want.names)
 
@@ -997,24 +995,11 @@ def reference_comp_inverse(f, order=None):
     return h
 
 
-def reference_solved_terms(root, slope, slope_inv):
-    """The two-product form of `series._solved_terms`: each non-constant
-    coefficient c re-formed as -(slope_inv * r) from its residue
-    r = -(slope * c) with a clear `truncated` flag."""
-    terms = {}
-    for e, c in root.terms.items():
-        if e != (0,):
-            r = -(slope * c)
-            c = -(slope_inv * TensorElement(r.algebra, r.arity, r.terms))
-        terms[e] = c
-    return terms
-
-
 def series_newton_comp_inverse(f, order=None):
     """Newton reversion with Series operations: one substitution f(h) per
-    doubling step, h - (f(h) - x) h' formed by Series arithmetic and the
-    coefficients re-formed by reference_solved_terms. The reference for
-    the packed Newton loop of Series.comp_inverse, flags included."""
+    doubling step, h - (f(h) - x) h' formed by Series arithmetic. The
+    reference for the packed Newton loop of Series.comp_inverse, flag
+    included."""
     if f.nvars != 1:
         raise ShapeMismatch("compositional inverse needs one variable")
     if not f.constant_term().is_zero():
@@ -1050,8 +1035,7 @@ def series_newton_comp_inverse(f, order=None):
             h = poly.truncate(p)
         else:
             h = poly - err * poly.derivative()
-    return Series(f.algebra, f.arity, 1,
-                  reference_solved_terms(h, b0, b0_inv), order, f.names,
+    return Series(f.algebra, f.arity, 1, h.terms, order, f.names,
                   f.truncated, _normalize=False)
 
 
@@ -1064,8 +1048,8 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_same_outcome(got, want):
-    """Equal exceptions, or results equal in terms, coefficient flags,
-    certified order, `truncated` and names."""
+    """Equal exceptions, or results equal in terms, certified order,
+    `truncated` and names."""
     assert got[1] == want[1]
     if want[1] is None:
         _assert_same(got[0], want[0])
@@ -1115,9 +1099,8 @@ def reversion_inputs(draw):
     and a nilpotent part, orders 0-20; seldom a constant term or a linear
     coefficient of counit 2. Half the time the nilpotent part of b0 is one
     basis key: b0^-1 is then its geometric series up to the degree bound
-    with no term dropped, so a coefficient is flagged only where b0^-1
-    times its residue overflows the bound, the flag that `_solved_terms`
-    forms from the top Hopf degree of b0^-1."""
+    with no term dropped, so the order-by-order loop's products by b0^-1
+    overflow the bound, and flag its coefficients, only at some orders."""
     name, bound = draw(NEWTON_ALGEBRAS)
     alg = builtin_algebra(name, degree_bound=bound)
     arity = draw(st.integers(1, 2))
@@ -1143,8 +1126,8 @@ def reversion_inputs(draw):
 
 class TestNewtonReversion:
     """Series.comp_inverse by Newton doubling gives what the order-by-order
-    loop gives: terms, coefficient flags, certified order, `truncated` and
-    every exception."""
+    loop gives: terms, certified order, `truncated` and every
+    exception."""
 
     @settings(max_examples=200)
     @given(reversion_inputs())
@@ -1156,31 +1139,12 @@ class TestNewtonReversion:
     @settings(max_examples=200)
     @given(reversion_inputs())
     def test_matches_series_newton_loop(self, case):
-        """The packed loop gives the terms, every coefficient's flag, the
-        order and the series flag of the same loop on Series."""
+        """The packed loop gives the terms, the order and the series flag
+        of the same loop on Series."""
         f, order = case
         assert_same_outcome(
             outcome(f.comp_inverse, order=order),
             outcome(series_newton_comp_inverse, f, order=order))
-
-    @settings(max_examples=200)
-    @given(st.data())
-    def test_solved_terms_match_two_products(self, data):
-        """One product per coefficient gives the terms and flags of the
-        two-product form."""
-        name, bound = data.draw(NEWTON_ALGEBRAS)
-        alg = builtin_algebra(name, degree_bound=bound)
-        arity = data.draw(st.integers(1, 2))
-        slope = data.draw(tensor_coefficients(alg, arity, unit=1))
-        root = Series(alg, arity, 1, {
-            (k,): data.draw(tensor_coefficients(alg, arity))
-            for k in data.draw(st.sets(st.integers(0, 6), max_size=4))})
-        slope_inv = slope.mul_inverse()
-        got = series_module._solved_terms(root.terms, slope, slope_inv)
-        want = reference_solved_terms(root, slope, slope_inv)
-        assert got == want
-        assert {e: c.truncated for e, c in got.items()} == {
-            e: c.truncated for e, c in want.items()}
 
     def test_substitutes_nothing(self, qt1, monkeypatch):
         """Every Newton step evaluates f(h) on the packed kernel: no
@@ -1210,9 +1174,11 @@ class TestNewtonReversion:
         monkeypatch.undo()
         _assert_same(got, series_newton_comp_inverse(f))
 
-    def test_overflowing_coefficients_keep_their_flags(self):
-        """b0 with a nilpotent part at a low degree bound: the solve's
-        products drop terms to the bound, and the coefficients say so."""
+    def test_overflowing_products_flag_no_coefficient(self):
+        """b0 with a nilpotent part at a low degree bound: the order-by-
+        order solve's products drop terms to the bound, which flags its
+        coefficients but not its series; the Newton root's coefficients
+        and series carry no flag."""
         alg = builtin_algebra("qt1", degree_bound=3)
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         one = TensorElement.unit(alg, 1)
@@ -1220,8 +1186,10 @@ class TestNewtonReversion:
         f = (Series.constant(one + t * t, 1) * x
              + Series.constant(t, 1) * x ** 2 + x ** 5)
         got = f.comp_inverse(order=9)
-        _assert_same(got, reference_comp_inverse(f, order=9))
-        assert any(c.truncated for c in got.terms.values())
+        want = reference_comp_inverse(f, order=9)
+        _assert_same(got, want)
+        assert any(c.truncated for c in want.terms.values())
+        assert not any(c.truncated for c in got.terms.values())
         assert not got.truncated
 
 
@@ -1280,9 +1248,9 @@ def evaluated_arities(monkeypatch, f, order):
 
 class TestLiftReversion:
     """A coproduct lift Delta g reverts over H as Delta(g^-1): the terms,
-    the order, the series flag and every coefficient flag of the Newton
-    loop on Series over H (x) H, and every exception; a near-lift takes
-    the general route to the same result."""
+    the order and the series flag of the Newton loop on Series over
+    H (x) H, and every exception; a near-lift takes the general route to
+    the same result."""
 
     @settings(max_examples=100)
     @given(lift_inputs())
@@ -1301,10 +1269,10 @@ class TestLiftReversion:
             outcome(f.comp_inverse, order=order),
             outcome(series_newton_comp_inverse, f, order=order))
 
-    def test_flags_coefficients_at_a_low_bound(self):
-        """b0 = Delta(1 + t) at degree bound 3: the lift route forms the
-        flag product, and some coefficient is flagged as the Series loop
-        flags it."""
+    def test_low_bound_flags_no_coefficient(self):
+        """b0 = Delta(1 + t) at degree bound 3: the lift route gives the
+        terms, order and series flag of the Series loop, and no
+        coefficient is flagged."""
         alg = builtin_algebra("qt1", degree_bound=3)
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         g = (Series.constant(TensorElement.unit(alg, 1) + t, 1) * var(alg)
@@ -1313,7 +1281,7 @@ class TestLiftReversion:
         assert series_module._coproduct_base(f) is not None
         got = f.comp_inverse(order=7)
         _assert_same(got, series_newton_comp_inverse(f, order=7))
-        assert any(c.truncated for c in got.terms.values())
+        assert not any(c.truncated for c in got.terms.values())
 
     def test_route_pin(self, monkeypatch):
         """The reversion workload's qt2 item reverts over H: every
@@ -1360,55 +1328,6 @@ class TestLiftReversion:
         f = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
         assert series_module._coproduct_base(f) is None
         _assert_same(f.comp_inverse(), series_newton_comp_inverse(f))
-
-
-class TestSolvedTermsSkip:
-    """`_solved_terms` forms a coefficient's flag product slope * c only
-    when slope's top Hopf degree plus c's exceeds the room that slope^-1
-    leaves; either way it gives the two-product form."""
-
-    def solved(self, monkeypatch, root, slope):
-        products = []
-        times = series_module._Packed.times
-
-        def counted(a, b, keep, bound):
-            products.append(a)
-            return times(a, b, keep, bound)
-
-        slope_inv = slope.mul_inverse()
-        monkeypatch.setattr(series_module._Packed, "times", counted)
-        got = series_module._solved_terms(root.terms, slope, slope_inv)
-        monkeypatch.undo()
-        want = reference_solved_terms(root, slope, slope_inv)
-        assert got == want
-        assert {e: c.truncated for e, c in got.items()} == {
-            e: c.truncated for e, c in want.items()}
-        return got, len(products)
-
-    def test_unit_slope_forms_no_product(self, monkeypatch):
-        alg = builtin_algebra("qt1", degree_bound=3)
-        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
-        root = Series(alg, 1, 1, {(1,): t ** 3, (2,): t})
-        got, products = self.solved(monkeypatch, root,
-                                    TensorElement.unit(alg, 1))
-        assert products == 0
-        assert not any(c.truncated for c in got.values())
-
-    def test_nilpotent_slope_forms_the_product(self, monkeypatch):
-        """slope = 1 + t at degree bound 3: slope^-1 reaches degree 3 and
-        leaves room 0, so the product is formed for every coefficient, and
-        the coefficient t^3 is flagged."""
-        alg = builtin_algebra("qt1", degree_bound=3)
-        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
-        slope = TensorElement.unit(alg, 1) + t
-        got, products = self.solved(
-            monkeypatch, Series(alg, 1, 1, {(1,): t ** 3, (2,): t}), slope)
-        assert products == 2
-        assert got[(1,)].truncated
-        one = TensorElement.unit(alg, 1)
-        got, products = self.solved(
-            monkeypatch, Series(alg, 1, 1, {(1,): one}), slope)
-        assert products == 1
 
 
 # -- the packed Paterson-Stockmeyer evaluator against Series.substitute -------
@@ -1528,6 +1447,27 @@ class TestEvaluator:
             reference_evaluate(groups, point, 4, 6))
         assert codec.unpack(got)[(0,)] == one + t + t * t
 
+    @pytest.mark.parametrize("p", [3, 9, INF])
+    def test_sparse_coefficients_with_a_nilpotent_constant(self, p):
+        """2t + x y^3 + (2 + t x^2) y^40 at y = t + x over qt1 (D = 4),
+        expanded about kappa = t over the three present k only, gives the
+        unexpanded sum of C_k h^k, each power of h by plain products."""
+        alg = builtin_algebra("qt1", degree_bound=4)
+        t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
+        one = TensorElement.unit(alg, 1)
+        codec = series_module._Codec(alg, 1, ("x",), 64)
+        coeffs = {0: codec.pack({(0,): t * 2}), 3: codec.pack({(1,): one}),
+                  40: codec.pack({(0,): one * 2, (2,): t})}
+        point = codec.pack({(0,): t, (1,): one})
+        powers = [_UNIT]
+        while len(powers) <= 40:
+            powers.append(powers[-1].times(point, p, 4))
+        want = _Packed.sum_of_products(
+            [(c, powers[k]) for k, c in coeffs.items()], p, 4)
+        got = series_module._evaluate(coeffs, point, p, 4)
+        assert got.order == p
+        assert codec.unpack(got) == codec.unpack(want)
+
     @settings(max_examples=60)
     @given(evaluation_inputs())
     def test_y_coefficients_fold_the_law(self, case):
@@ -1607,8 +1547,8 @@ def reference_mul_inverse(f, order=None):
                 level[e] = val
                 acc_terms[e] = val
         levels[m] = level
-        if exhaustive and all(
-                not levels.get(m - i) for i in range(min(m, maxdeg))):
+        if exhaustive and m >= maxdeg and all(
+                not levels[m - i] for i in range(maxdeg)):
             break
     result_order = INF if exhaustive else min(order, f.order)
     return Series(f.algebra, f.arity, f.nvars, acc_terms, result_order,
@@ -1658,9 +1598,9 @@ def mul_inverse_inputs(draw):
 
 
 class TestPackedMulInverse:
-    """Series.mul_inverse on packed coefficients gives what the
-    TensorElement recursion gives: terms, coefficient flags, certified
-    order, `truncated` and every exception."""
+    """Series.mul_inverse on packed rows gives what the TensorElement
+    recursion gives: terms, certified order, `truncated` and every
+    exception."""
 
     @settings(max_examples=250)
     @given(mul_inverse_inputs())
@@ -1682,3 +1622,31 @@ class TestPackedMulInverse:
         _assert_same(got, reference_mul_inverse(f))
         assert got.truncated
         assert not got.coeff((2,)).truncated
+
+    @settings(max_examples=250)
+    @given(mul_inverse_inputs())
+    def test_product_is_one(self, case):
+        """f times its inverse is 1 through the inverse's certified order,
+        exactly for a complete inverse."""
+        f, order = case
+        g, raised = outcome(f.mul_inverse, order)
+        assume(raised is None)
+        product = f * g
+        assert product.order >= g.order
+        assert (product - 1).truncate(g.order).is_zero()
+
+    @pytest.mark.parametrize("scale", [1, -2])
+    def test_complete_inverse_without_a_linear_term(self, qt1, scale):
+        """1 + s t x^2 over qt1 (s = 1, -2) has no x term, so every odd
+        row of the recursion is zero, but the even ones are not: the
+        exhaustive stop waits for two zero rows in a row, and the inverse
+        is the complete sum of (-s t)^k x^(2k) up to t^8, flagged, since
+        row 18 leaves the degree bound."""
+        t = TensorElement.from_slots(HopfElement.generator(qt1, "t"))
+        f = Series(qt1, 1, 1, {(0,): TensorElement.unit(qt1, 1),
+                               (2,): t * scale})
+        got = f.mul_inverse()
+        want = Series(qt1, 1, 1, {(2 * k,): (t * -scale) ** k
+                                  for k in range(9)}, truncated=True)
+        _assert_same(got, want)
+        assert (f * got - 1).is_zero()

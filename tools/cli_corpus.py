@@ -31,7 +31,12 @@ roundtrip at orders 4 and 8, where the work must follow the order, not
 N. The qt1 law 2(t (x) t) + X + Y stored through orders 0, 1 and 2 runs
 verify, log, cocycle and roundtrip at orders 1 and 2, and stored through
 order 4 runs roundtrip and verify at order 3 with --hdeg 4: its unknown
-tail reaches down by the nilpotency slack of 2(t (x) t). The inputs are
+tail reaches down by the nilpotency slack of 2(t (x) t). The qt1 law
+X + Y + (t (x) 1) X^2 Y + (1 (x) t) X Y^2, complete and stored through
+order 9, whose invariant differential 1 + t x^2 has no degree-1 term,
+runs log and roundtrip at orders 4 and 8. Tensor files over qt2 within,
+at and above the degree bound (TENSOR_FILES) run check-cocycle,
+reconstruct --cocycle and coboundary, some with --hdeg 4. The inputs are
 written to a temporary directory that is the working directory during
 the run, so no output names an absolute path.
 `record` exits 1 if an invocation raised (its traceback is recorded in
@@ -129,6 +134,18 @@ ROUTE_LAWS = (
         ("symmetry", [[["t"], ["u"], "-3"], [["u"], ["t"], "3"],
                       [["t"], ["t", "t", "t"], "1"]]),
         ("associativity", [[["t", "t"], ["t", "t"], "1"]]))))
+# (name, arity, rows) of tensor files over qt2 (degree bound 8): terms
+# within the bound, one at it, and terms above it, which are refused as an
+# inline term is
+TENSOR_FILES = (
+    ("tensor_in.json", 2, [[["t"], ["t"], "2"]]),
+    ("tensor_at_bound.json", 2, [[["t"] * 3, ["t"], "1"],
+                                 [["t"], ["t"], "2"]]),
+    ("tensor_above.json", 2, [[["t"] * 9, ["t"], "1"]]),
+    ("tensor_above_mixed.json", 2, [[["t"], ["t"], "2"],
+                                    [["t"] * 4, ["t"], "1"]]),
+    ("element_in.json", 1, [[["t"] * 2, "1"], [["t"] * 4, "-1"]]),
+    ("element_above.json", 1, [[["t"] * 3, "1"], [["t"] * 5, "-1"]]))
 SEEDS = range(48)
 SPARSE_N = 2000
 
@@ -209,6 +226,19 @@ def _sparse_laws():
             "terms": [_term(e, c) for e, c in sorted(terms.items())]}}
 
 
+def _nilpotent_omega_laws():
+    """(name, group JSON) of X + Y + (t (x) 1) X^2 Y + (1 (x) t) X Y^2 over
+    qt1, complete and stored through order 9: its invariant differential
+    1 + t x^2 has a nilpotent positive part and no degree-1 term."""
+    one = [["1"], ["1"], "1"]
+    series = {"variables": ["X", "Y"], "arity": 2, "terms": [
+        _term((0, 1), [one]), _term((1, 0), [one]),
+        _term((1, 2), [[["1"], ["t"], "1"]]),
+        _term((2, 1), [[["t"], ["1"], "1"]])]}
+    yield "omega_complete.json", {"hopf": "qt1", "series": series}
+    yield "omega_stored.json", {"hopf": "qt1", "series": series, "order": 9}
+
+
 def _route_laws(workdir):
     """(name, group JSON) of the ROUTE_LAWS, each algebra given inline as
     its --hopf file in workdir reads."""
@@ -276,6 +306,11 @@ def invocations(workdir):
         for cmd in ("verify", "inverse", "log", "cocycle", "roundtrip"):
             for order in ("4", "8"):
                 argvs.append([cmd, "--group", name, "--order", order])
+    for name, doc in _nilpotent_omega_laws():
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        for cmd in ("log", "roundtrip"):
+            for order in ("4", "8"):
+                argvs.append([cmd, "--group", name, "--order", order])
     for stored, name, doc in _witness_laws():
         (workdir / name).write_text(json.dumps(doc, indent=1))
         if stored == 4:
@@ -324,6 +359,20 @@ def invocations(workdir):
                          + (["--log", log] if log else [])
                          + ["--order", order, "--hdeg", hdeg,
                             "--format", ("pretty", "json")[i % 2]])
+    for name, arity, rows in TENSOR_FILES:
+        (workdir / name).write_text(json.dumps({"arity": arity,
+                                                "terms": rows}, indent=1))
+        if arity == 1:
+            argvs += [["coboundary", "--hopf", "qt2", "--element", name]
+                      + hdeg for hdeg in ([], ["--hdeg", "4"])]
+            continue
+        for fmt in ("pretty", "json"):
+            argvs.append(["check-cocycle", "--hopf", "qt2", "--cocycle",
+                          name, "--format", fmt])
+        argvs += [["check-cocycle", "--hopf", "qt2", "--cocycle", name,
+                   "--hdeg", "4"],
+                  ["reconstruct", "--hopf", "qt2", "--cocycle", name,
+                   "--order", "3"]]
     argvs += [["verify", "--group", "missing.json"],
               ["verify", "--group", laws[0], "--order", "0"],
               ["check-hopf", "--hopf", "hopf_bad_coassoc.json"],
