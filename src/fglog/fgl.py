@@ -660,9 +660,9 @@ def inverse_series(F, order=None):
                                keep=p, plus=_view(codec, root))._packed[1]
             root = root.stamped(INF, False)
         q = p
-    # theta's flag becomes iota's, as theta becomes its constant term
+    # iota is formed from all of F: it carries F's flag, and theta's
     iota = Series(algebra, 1, 1, {**codec.unpack(root), (0,): theta}, cert,
-                  ("x",))
+                  ("x",), F.truncated)
 
     complete = F.order == INF
     residual = (_evaluate(groups, root, INF, bound) if complete else

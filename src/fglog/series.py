@@ -892,10 +892,11 @@ def _evaluate(coeffs, h, p, bound):
     (nilpotent) constant kappa of h is expanded about first (Brent and
     Kung, JACM 1978): G_j = sum_i binom(j + i, i) coeffs[j + i] kappa^i,
     over the present coeffs and kappa's powers formed once while nonzero,
-    one kernel call each, are summed in h - kappa, of valuation >= 1, so the cut applies. Terms are
-    exact in the quotient ring and the order is p. No output reads the
-    flag, which the expansion can change: extraction drops it, Newton
-    steps stamp False, the CLI never prints check_log's functional defect."""
+    one kernel call each, are summed in h - kappa, of valuation >= 1, so
+    the cut applies. Terms are exact in the quotient ring and the order is
+    p. No output reads the flag, which the expansion can change: extraction
+    drops it, Newton steps stamp False, the CLI never prints check_log's
+    functional defect."""
     if not coeffs:
         return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)

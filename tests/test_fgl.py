@@ -949,6 +949,21 @@ class TestInverseSeries:
         residual = folded.substitute([xv, iota])
         assert residual.truncate(iota.order).is_zero()
 
+    def test_flagged_law_flags_its_inverse(self):
+        """iota is formed from all of F, so it carries F's flag: X + Y
+        stored flagged, and 2(t (x) t) + t^2 (x) t^2 + X + Y at degree
+        bound 3, whose constant coefficient loses t^2 (x) t^2."""
+        alg = builtin_algebra("qt1", degree_bound=3)
+        flagged = additive_law(alg, order=6)
+        flagged.truncated = True
+        assert inverse_series(flagged, order=6).truncated
+        t = t_elem(alg)
+        cut = two_t_t(alg) + TensorElement.from_slots(t * t, t * t)
+        assert cut == two_t_t(alg) and cut.truncated
+        iota = inverse_series(lemma_law(alg, cut), order=3)
+        assert iota.truncated
+        assert iota.constant_term() == TensorElement.from_slots(t * t) * 2
+
     def test_order_beyond_law_raises(self, qt1):
         F = lemma_law(qt1, two_t_t(qt1)).truncate(3)
         with pytest.raises(TruncationInsufficient):
@@ -1032,7 +1047,8 @@ def reference_inverse_series(F, order=None):
             certified=cert, requested=order)
 
     x_var = Series.variable(algebra, 1, 1, 0, cert, ("x",))
-    iota = Series.constant(theta, 1, cert, ("x",))
+    # iota is formed from all of F, so it carries F's flag
+    iota = Series(algebra, 1, 1, {(0,): theta}, cert, ("x",), F.truncated)
     for k in range(1, cert + 1):
         r_k = folded.substitute([x_var, iota]).coeff((k,))
         if r_k.is_zero():

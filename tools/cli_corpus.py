@@ -34,7 +34,11 @@ order 4 runs roundtrip and verify at order 3 with --hdeg 4: its unknown
 tail reaches down by the nilpotency slack of 2(t (x) t). The qt1 law
 X + Y + (t (x) 1) X^2 Y + (1 (x) t) X Y^2, complete and stored through
 order 9, whose invariant differential 1 + t x^2 has no degree-1 term,
-runs log and roundtrip at orders 4 and 8. Tensor files over qt2 within,
+runs log and roundtrip at orders 4 and 8. The qt1 law 2(t (x) t) + X +
+Y with t^2 (x) t^2 added to its X^0 Y^0 or X^0 Y^1 coefficient runs
+inverse at order 3 with --hdeg 3, which cuts that term, and 4. The
+logarithm (1 + t) x + t x^2, whose reversion has a nilpotent slope,
+reconstructs as the generated ones do. Tensor files over qt2 within,
 at and above the degree bound (TENSOR_FILES) run check-cocycle,
 reconstruct --cocycle and coboundary, some with --hdeg 4. The inputs are
 written to a temporary directory that is the working directory during
@@ -239,6 +243,21 @@ def _nilpotent_omega_laws():
     yield "omega_stored.json", {"hopf": "qt1", "series": series, "order": 9}
 
 
+def _cut_constant_laws():
+    """(name, group JSON) of 2(t (x) t) + X + Y over qt1 with
+    t^2 (x) t^2 added to its X^0 Y^0 or X^0 Y^1 coefficient, which
+    --hdeg 3 cuts: the cut flags the law, and so its inverse."""
+    one = [["1"], ["1"], "1"]
+    big = [["t", "t"], ["t", "t"], "1"]
+    for k in (0, 1):
+        terms = {(0, 0): [[["t"], ["t"], "2"]], (0, 1): [one],
+                 (1, 0): [one]}
+        terms[(0, k)].append(big)
+        yield f"cut_y{k}.json", {"hopf": "qt1", "series": {
+            "variables": ["X", "Y"], "arity": 2,
+            "terms": [_term(e, c) for e, c in sorted(terms.items())]}}
+
+
 def _route_laws(workdir):
     """(name, group JSON) of the ROUTE_LAWS, each algebra given inline as
     its --hopf file in workdir reads."""
@@ -311,6 +330,11 @@ def invocations(workdir):
         for cmd in ("log", "roundtrip"):
             for order in ("4", "8"):
                 argvs.append([cmd, "--group", name, "--order", order])
+    for name, doc in _cut_constant_laws():
+        (workdir / name).write_text(json.dumps(doc, indent=1))
+        for hdeg in ("3", "4"):
+            argvs.append(["inverse", "--group", name, "--order", "3",
+                          "--hdeg", hdeg, "--format", "json"])
     for stored, name, doc in _witness_laws():
         (workdir / name).write_text(json.dumps(doc, indent=1))
         if stored == 4:
@@ -322,7 +346,11 @@ def invocations(workdir):
                 for fmt in ("pretty", "json"):
                     argvs.append([cmd, "--group", name, "--order", order,
                                   "--format", fmt])
-    for i, log in enumerate(logs):
+    (workdir / "log_nilpotent_slope.json").write_text(json.dumps({
+        "variables": ["x"], "arity": 1,
+        "terms": [_term((1,), [[["1"], "1"], [["t"], "1"]]),
+                  _term((2,), [[["t"], "1"]])]}, indent=1))
+    for i, log in enumerate(logs + ["log_nilpotent_slope.json"]):
         for cocycle in ("0", "2 t (x) t", "3 t (x) t^2 + 3 t^2 (x) t"):
             for order, hdeg in (("3", "4"), ("6", "8"), ("8", "3")):
                 argvs.append(["reconstruct", "--hopf", "qt1", "--cocycle",
