@@ -89,21 +89,20 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hopf import TensorElement
-from .packed import _MINUS_UNIT, _UNIT, _Codec, _Packed
+from .packed import _MINUS_UNIT, _UNIT, _Packed
 from .report import Report, Violation
 from .series import (
     Series,
     _constant,
     _doubling_orders,
     _evaluate,
+    _in,
     _lifted_inverse,
     _minus_reversed,
-    _packed_view,
     _requested_order,
     _series_mul,
     _slack,
     _substitution_order,
-    _view,
 )
 
 INF = math.inf
@@ -131,8 +130,7 @@ def lemma_law(algebra, cocycle, order=INF):
 def _lift_inner(F, slots):
     """F with coefficients embedded into three tensor slots and variables
     placed at the matching positions of (X, Y, Z)."""
-    return F.map_coefficients(
-        lambda A: A.embed(3, slots)).embed_vars(3, slots, XYZ)
+    return F.embed(3, slots).embed_vars(3, slots, XYZ)
 
 
 def associativity_defect(F):
@@ -167,16 +165,15 @@ def _left(F):
     """The substitution (outer series, assignments) of the left composite
     F(F(X, Y), Z): Horner over F(X, Y) outside, the bare Z inside."""
     z_var = Series.variable(F.algebra, 3, 3, 2, INF, XYZ)
-    return (F.map_coefficients(lambda A: A.apply_slot(0, "comul")),
-            [_lift_inner(F, (0, 1)), z_var])
+    return F.apply_slot(0, "comul"), [_lift_inner(F, (0, 1)), z_var]
 
 
 def _right_composite(F, order=None):
     """The right composite F(X, F(Y, Z)) through `order`: Horner over the
     bare X outside, F(Y, Z) inside."""
     x_var = Series.variable(F.algebra, 3, 3, 0, INF, XYZ)
-    outer = F.map_coefficients(lambda A: A.apply_slot(1, "comul"))
-    return outer.substitute([x_var, _lift_inner(F, (1, 2))], order)
+    return F.apply_slot(1, "comul").substitute(
+        [x_var, _lift_inner(F, (1, 2))], order)
 
 
 def _composite_order(F):
@@ -187,7 +184,8 @@ def _composite_order(F):
     named X when X occurs (left composite), else Y (right). A finite F's
     unknown tail holds X, so its slack is charged even when no variable
     occurs."""
-    charged = [v for v in range(2) if any(e[v] for e in F.terms)][:1]
+    exponents = F._exponents()
+    charged = [v for v in range(2) if any(e[v] for e in exponents)][:1]
     if F.order != INF:
         charged = charged or [0]
     return F.order - sum(_slack(F.names[v], F.constant_term())
@@ -195,52 +193,44 @@ def _composite_order(F):
 
 
 def _gate_composite(F, cert):
-    """F(F(X, Y), Z) through order cert, as a packed view: the sum over k
-    of U^k G_k(Z) with G_k(Z) = sum_j (Delta (x) id)F_kj Z^j, accumulated
-    in one kernel call (`_Packed.sum_of_products`). U = F(X, Y) is packed
-    once in the three-slot layout (third slot and Z zero) and each power
-    formed once, up to the first that is zero through cert: the rows past
-    it add nothing. Terms of U above cert cannot reach cert; those of F
-    can, through the powers of a nilpotent F(0, 0). It carries no
-    `truncated` flag of the Horner composite. Once the flag is gone, this
-    is the evaluator that replaces multivariate Horner (Brent and Kung,
-    JACM 1978; Paterson and Stockmeyer, 1973)."""
-    codec = _Codec(F.algebra, 3, XYZ,
-                   cert if cert != INF else F.max_degree() ** 2)
-    powers = [_view(codec, _UNIT), _packed_view(codec, F.truncate(cert))]
-    groups = {}
-    for (k, j), coeff in F.terms.items():
-        if j <= cert:
-            groups.setdefault(k, {})[(0, 0, j)] = coeff
+    """F(F(X, Y), Z) through order cert: the sum over k of U^k G_k(Z)
+    with G_k(Z) = sum_j (Delta (x) id)F_kj Z^j, split off the lifted F's
+    codes and accumulated in one kernel call (`_Packed.sum_of_products`).
+    U = F(X, Y) is re-laid once in the three-slot layout (third slot and
+    Z zero) and each power formed once, up to the first that is zero
+    through cert: the rows past it add nothing. Terms of U above cert
+    cannot reach cert; those of F can, through the powers of a nilpotent
+    F(0, 0). It carries no `truncated` flag of the Horner composite. Once
+    the flag is gone, this is the evaluator that replaces multivariate
+    Horner (Brent and Kung, JACM 1978; Paterson and Stockmeyer, 1973)."""
+    codec = F.algebra._codec(3, XYZ,
+                             cert if cert != INF else F.max_degree() ** 2)
+    powers = [Series._of(codec, _UNIT), _in(codec, F.truncate(cert))]
+    lifted = F.apply_slot(0, "comul")
+    groups = lifted._codec.split(
+        lifted._packed, codec,
+        lambda e: (e[0], (0, 0, e[1])) if e[1] <= cert else None)
     while (len(powers) <= max(groups, default=0)
-           and powers[-1]._packed[1].buckets):
+           and powers[-1]._packed.buckets):
         powers.append(_series_mul(powers[-1], powers[1], keep=cert))
-    rows = [(powers[k]._packed[1],
-             codec.pack({e: c.apply_slot(0, "comul")
-                         for e, c in terms.items()}))
-            for k, terms in groups.items() if k < len(powers)]
-    return _view(codec, _Packed.sum_of_products(rows, cert,
-                                                F.algebra.degree_bound))
+    rows = [(powers[k]._packed, G) for k, G in groups.items()
+            if k < len(powers)]
+    return Series._of(codec, _Packed.sum_of_products(
+        rows, cert, F.algebra.degree_bound))
 
 
 def symmetry_defect(F):
-    """F(X, Y) - tau F(Y, X): the packed F minus its key-field reversal,
-    with F's flag. A view (a product or a substitution result) is reversed
-    in its own layout; any other F is packed once."""
-    if F._packed is None:
-        F = _packed_view(_Codec(F.algebra, F.arity, F.names,
-                                F.max_degree()), F)
+    """F(X, Y) - tau F(Y, X): F minus its key-field reversal in its own
+    layout, with F's flag."""
     return _minus_reversed(F)
 
 
 def unit_defects(F):
     """(id (x) eps)F(X, 0) - X and (eps (x) id)F(0, Y) - Y."""
     algebra = F.algebra
-    left = (F.set_variable_zero(1)
-            .map_coefficients(lambda A: A.apply_slot(1, "counit"))
+    left = (F.set_variable_zero(1).apply_slot(1, "counit")
             - Series.variable(algebra, 1, 2, 0, F.order, F.names))
-    right = (F.set_variable_zero(0)
-             .map_coefficients(lambda A: A.apply_slot(0, "counit"))
+    right = (F.set_variable_zero(0).apply_slot(0, "counit")
              - Series.variable(algebra, 1, 2, 1, F.order, F.names))
     return left, right
 
@@ -264,7 +254,7 @@ def strict_grading_defect(series, weight):
     terms = {e: TensorElement(algebra, series.arity, part)
              for e, part in bad.items()}
     return base, Series(algebra, series.arity, series.nvars, terms,
-                        series.order, series.names, _normalize=False)
+                        series.order, series.names)
 
 
 def check_axioms(F, order=None, strict_grading_weight=None):
@@ -327,23 +317,12 @@ def _defect_report(named, cert, extra=()):
 def invariant_differential(F):
     """omega(x) = (id (x) eps) dF/dY (x, 0), a one-variable series over H
     with constant term 1 for any group law: the slot-1 counits of F's
-    coefficients of X^i Y, through F's order minus one; a view not yet
-    unpacked unpacks only those."""
+    coefficients of X^i Y, through F's order minus one, on F's codes."""
     if F.nvars != 2:
         raise ShapeMismatch("invariant differential needs a law in two "
                             f"variables, not {F.nvars}")
-    terms = F._terms
-    if terms is None:
-        codec, packed = F._packed
-        exps, bits = codec._code_exps, codec.hopf_bits
-        rows = {h: [t for t in bucket if exps(t[0] >> bits)[1] == 1]
-                for h, bucket in packed.buckets.items()}
-        terms = codec.unpack(_Packed({h: r for h, r in rows.items() if r},
-                                     packed.den, INF, False, packed.shift))
-    linear = Series(F.algebra, F.arity, 1,
-                    {(i,): c for (i, k), c in terms.items() if k == 1},
-                    F.order - 1, ("x",), F.truncated, _normalize=False)
-    return linear.map_coefficients(lambda A: A.apply_slot(1, "counit"))
+    linear = F._moved(lambda e: (e[0],) if e[1] == 1 else None, ("x",))
+    return linear.with_order(F.order - 1).apply_slot(1, "counit")
 
 
 def logarithm(F, order=None):
@@ -385,13 +364,12 @@ def check_log(F, g, order=None):
     differential invariance (Delta g')(F) * dF/dX = (g' (x) 1)(X) must
     hold on the nose."""
     residual = _packed_residual(F, g)
-    nonconstant = residual - Series.constant(
-        residual.constant_term(), 2, residual.order, residual.names)
+    nonconstant = residual._moved(lambda e: e if any(e) else None)
 
     g_prime = g.derivative()
-    lifted = g_prime.map_coefficients(lambda A: A.apply_slot(0, "comul"))
-    invariance = (lifted.substitute([F]) * F.derivative(0)
-                  - _slot_series(g_prime, 0).embed_vars(2, (0,), F.names))
+    invariance = (g_prime.apply_slot(0, "comul").substitute([F])
+                  * F.derivative(0)
+                  - g_prime.embed(2, (0,)).embed_vars(2, (0,), F.names))
 
     achievable = min(nonconstant.order, invariance.order)
     if order is not None and order > achievable:
@@ -402,12 +380,6 @@ def check_log(F, g, order=None):
     cert = achievable if order is None else min(order, achievable)
     return _defect_report([("log-functional", nonconstant),
                            ("log-invariance", invariance)], cert)
-
-
-def _slot_series(g, slot):
-    """One-variable series with coefficients pushed into the given slot of
-    H (x) H."""
-    return g.map_coefficients(lambda A: A.embed(2, (slot,)))
 
 
 # -- cocycles -----------------------------------------------------------------
@@ -478,11 +450,10 @@ def extract_cocycle(F, g=None, order=None):
     c = residual.constant_term()
     if order is not None:
         residual = residual.truncate(order)
-    for e, coeff in residual.sorted_terms():
-        if sum(e):
-            raise ResidualNonConstant(
-                f"logarithm residual has a nonconstant term at {e}: "
-                f"{coeff}")
+    if residual.max_degree():  # the first such term, unpacked to print
+        e, coeff = next(t for t in residual.sorted_terms() if sum(t[0]))
+        raise ResidualNonConstant(
+            f"logarithm residual has a nonconstant term at {e}: {coeff}")
     report = check_cocycle(c)
     if not report.passed:
         raise CocycleViolation(
@@ -495,17 +466,17 @@ def _packed_residual(F, g):
     """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y), its terms and
     order, not a flag: (Delta g)(F) by the packed evaluator on F's packed
     form, minus g (x) 1 and 1 (x) g in one kernel call."""
-    lifted = g.map_coefficients(lambda A: A.apply_slot(0, "comul"))
+    lifted = g.apply_slot(0, "comul")
     cap, codec, _ = _substitution_order(lifted, [F], g.max_degree())
     bound = F.algebra.degree_bound
-    composed = _evaluate({e[0]: _constant(codec, c)
-                          for e, c in lifted.terms.items()},
-                         _packed_view(codec, F.truncate(cap))._packed[1],
-                         cap, bound)
+    composed = _evaluate(
+        lifted._codec.split(lifted._packed, codec,
+                            lambda e: (e[0], (0, 0))),
+        _in(codec, F.truncate(cap))._packed, cap, bound)
     pairs = [(_UNIT, composed)] + [
-        (_MINUS_UNIT, codec.pack(_slot_series(g, s).embed_vars(
-            2, (s,), F.names).truncate(cap).terms)) for s in (0, 1)]
-    return _view(codec, _Packed.sum_of_products(pairs, cap, bound))
+        (_MINUS_UNIT, _in(codec, g.embed(2, (s,)).embed_vars(
+            2, (s,), F.names).truncate(cap))._packed) for s in (0, 1)]
+    return Series._of(codec, _Packed.sum_of_products(pairs, cap, bound))
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -535,8 +506,8 @@ def reconstruct(algebra, c, g, order):
 
     inverse = _lifted_inverse(g, work)
     rhs = (Series.constant(c, 2, INF, XY)
-           + _slot_series(g, 0).embed_vars(2, (0,), XY)
-           + _slot_series(g, 1).embed_vars(2, (1,), XY)).truncate(work)
+           + g.embed(2, (0,)).embed_vars(2, (0,), XY)
+           + g.embed(2, (1,)).embed_vars(2, (1,), XY)).truncate(work)
     F_elevated = inverse.substitute(
         [rhs], order if algebra.coassociative else None)
 
@@ -589,16 +560,15 @@ def inverse_series(F, order=None):
 
     # folded(x, y) = sum_k C_k(x) y^k, each C_k packed once, and
     # d_Y folded = sum_k (k + 1) C_(k+1)(x) y^k on the same numerators
-    codec = _Codec(algebra, 1, ("x",), max(target, F.max_degree()))
+    codec = algebra._codec(1, ("x",), max(target, F.max_degree()))
     groups = _y_coefficients(codec, F)
     d_groups = {k - 1: c.scaled(k) for k, c in groups.items() if k}
 
     # constant part: solve folded(0, theta) = 0 by Newton iteration, on
     # the C_k(0)
     at_zero = Series(algebra, 1, 1, {
-        (k,): codec.unpack(c.truncate(0))[(0,)]
-        for k, c in groups.items() if c.val == 0}, INF, ("y",),
-        _normalize=False)
+        (k,): Series._of(codec, c).constant_term()
+        for k, c in groups.items() if c.val == 0}, INF, ("y",))
     d_at_zero = at_zero.derivative()
 
     def linearized(theta):
@@ -655,14 +625,15 @@ def inverse_series(F, order=None):
         err = _evaluate(_cut(groups, p + slack), root, p, bound)
         if err.buckets:
             d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
-            u = (_view(codec, d) * s).mul_inverse(q) * s
-            root = _series_mul(_view(codec, err), _packed_view(codec, -u),
-                               keep=p, plus=_view(codec, root))._packed[1]
+            u = (Series._of(codec, d) * s).mul_inverse(q) * s
+            root = _series_mul(Series._of(codec, err), _in(codec, -u),
+                               keep=p, plus=Series._of(codec, root))._packed
             root = root.stamped(INF, False)
         q = p
-    # iota is formed from all of F: it carries F's flag, and theta's
-    iota = Series(algebra, 1, 1, {**codec.unpack(root), (0,): theta}, cert,
-                  ("x",), F.truncated)
+    # iota is formed from all of F: it carries F's flag, and theta's;
+    # the Newton steps keep its constant theta
+    iota = Series._of(codec, root.stamped(cert,
+                                          F.truncated or theta.truncated))
 
     complete = F.order == INF
     residual = (_evaluate(groups, root, INF, bound) if complete else
@@ -678,13 +649,10 @@ def inverse_series(F, order=None):
 def _y_coefficients(codec, F):
     """{k: C_k} for folded(x, y) = (mu . (id (x) S))F(x, y) = sum_k C_k(x)
     y^k, each nonzero C_k packed in the one-variable layout of codec as a
-    complete polynomial."""
-    groups = {}
-    for (i, k), coeff in F.terms.items():
-        groups.setdefault(k, {})[(i,)] = coeff.apply_slot(
-            1, "antipode").contract_mul((0, 1))
-    packs = {k: codec.pack(terms) for k, terms in groups.items()}
-    return {k: c for k, c in packs.items() if c.buckets}
+    complete polynomial, split off F's codes."""
+    folded = F.apply_slot(1, "antipode").contract_mul((0, 1))
+    return folded._codec.split(folded._packed, codec,
+                               lambda e: (e[1], (e[0],)))
 
 
 def _cut(groups, cap):

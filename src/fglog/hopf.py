@@ -229,11 +229,14 @@ class HopfAlgebra:
             self._kdeg_cache[key] = d
         return d
 
-    def _codec(self, arity):
-        """Packed layout of arity-`arity` tensors, as 0-variable terms."""
-        codec = self._codecs.get(arity)
+    def _codec(self, arity, names=(), vmax=0):
+        """Packed layout of arity-`arity` terms in the variables `names`
+        whose fields hold exponents up to vmax, one per layout, so series
+        share its caches; by default that of the tensors themselves."""
+        key = (arity, names, max(vmax, 1).bit_length()) if names else arity
+        codec = self._codecs.get(key)
         if codec is None:
-            codec = self._codecs[arity] = _Codec(self, arity, (), 0)
+            codec = self._codecs[key] = _Codec(self, arity, names, vmax)
         return codec
 
     def monomials(self):
@@ -666,8 +669,9 @@ class TensorElement:
         """The tensor that replaces the `span` monomials from `slot` on of
         every key by their `width` monomials' image under op, packed rows
         of the algebra (`HopfAlgebra._image_rows`), and keeps the other
-        slots. What leaves the degree bound is dropped and, when nonzero,
-        sets the flag."""
+        slots and, above them, the variable fields of a series, which move
+        with the slots. What leaves the degree bound is dropped and, when
+        nonzero, sets the flag."""
         alg = self.algebra
         packed = self._packed
         bits = alg._codec(1).hopf_bits
@@ -699,9 +703,9 @@ class TensorElement:
         flag = packed.flag
         for h in [h for h in acc if h > alg.degree_bound]:
             flag = any(acc.pop(h).values()) or flag
-        arity = self.arity + width - span
-        return TensorElement._of(alg, arity, _Packed.reduced(
-            acc, packed.den * den, INF, flag, alg._codec(arity).shift))
+        layout = self._layout(self.arity + width - span)
+        return self._laid(layout, _Packed.reduced(
+            acc, packed.den * den, packed.order, flag, layout.shift))
 
     def embed(self, arity, slots):
         """Place the slots of this tensor at the given strictly increasing
@@ -727,10 +731,12 @@ class TensorElement:
 
     def _placed(self, positions, arity):
         """The arity-`arity` tensor with slot s of every key at
-        positions[s], 1 elsewhere. Increasing positions keep the order of
-        the codes, so only a permutation sorts its buckets."""
+        positions[s], 1 elsewhere, and the variable fields of a series
+        above them. Increasing positions keep the order of the codes, so
+        only a permutation sorts its buckets."""
         bits = self.algebra._codec(1).hopf_bits
         mask = (1 << bits) - 1
+        top = arity * bits
         buckets = {}
         for h, bucket in self._packed.buckets.items():
             out = buckets[h] = []
@@ -739,13 +745,22 @@ class TensorElement:
                 for p in positions:
                     moved |= (code & mask) << (p * bits)
                     code >>= bits
-                out.append((moved, n))
+                out.append((moved | code << top, n))
             if list(positions) != sorted(positions):
                 out.sort(key=_code)
-        packed = self._packed
-        return TensorElement._of(self.algebra, arity, _Packed(
-            buckets, packed.den, INF, packed.flag,
-            self.algebra._codec(arity).shift))
+        packed, layout = self._packed, self._layout(arity)
+        return self._laid(layout, _Packed(
+            buckets, packed.den, packed.order, packed.flag, layout.shift))
+
+    def _layout(self, arity):
+        """The packed layout of this kind of object at another arity (a
+        series overrides it: the slot maps serve both)."""
+        return self.algebra._codec(arity)
+
+    @staticmethod
+    def _laid(codec, packed):
+        """The tensor of a _Packed of the codec's layout."""
+        return TensorElement._of(codec.algebra, codec.arity, packed)
 
     def full_counit(self):
         """Counit applied in every slot: the scalar part of the tensor."""

@@ -3,15 +3,11 @@
 Every product and sum of coefficient terms runs on one loop,
 `_Packed.sum_of_products`, which adds the products of several pairs into
 one accumulator over a common denominator (`_Packed.times` is one pair,
-`_Packed.summed` the unit times each addend): series products, the
-Horner steps of a substitution and the Newton steps of series reversion
-and of the group inverse (series.py `_series_mul`, each step one call
-with the unit times its addend as a second pair), the powers and blocks
-of the Paterson-Stockmeyer evaluator (`series._evaluate`) that those
-Newton loops run on, the order-by-order recursion of `Series.mul_inverse`
-on packed rows, one per degree, the powers of F(X, Y) and the rows
-U^k G_k of the associativity gate (`fgl._gate_composite`), and the
-products and sums of tensors.
+`_Packed.summed` the unit times each addend): sums and products of series
+and of tensors, the Horner and Newton steps (series.py `_series_mul`, a
+step's addend the unit times it as a second pair), the Paterson-Stockmeyer
+evaluator (`series._evaluate`), the packed rows of `Series.mul_inverse`
+and of the associativity gate (`fgl._gate_composite`).
 A term's slot monomials, variable exponents and total variable degree are
 packed into one graded int key, a field per exponent with the degree field
 on top in place of the last exponent's (which the degree and the others
@@ -30,13 +26,13 @@ the first and last keys of the two buckets, or by one bisection of the
 inner bucket per outer term (Monagan and Pearce, CASC 2007, on graded
 packed monomials; Johnson 1974 on sparse products).
 
-A tensor (hopf.py `TensorElement`) is itself a reduced _Packed of the
-layout without variables, and that layout is the low `hopf_bits` of every
-series layout of its algebra and arity. So a series packs by or-ing each
-coefficient's codes with its exponents' fields and unpacks by splitting
-them off again, a constant coefficient is its tensor's own _Packed
-re-stamped (`_Packed.stamped`), and Fractions are built only from input
-and for output (`TensorElement.terms`).
+A tensor (hopf.py `TensorElement`) and a series (series.py `Series`) are
+each one _Packed. A tensor's layout, without variables, is the low
+`hopf_bits` of every series layout of its algebra and arity: a
+coefficient's codes or-ed with its exponents' fields are the series'
+codes (`_Codec.pack`, `_Codec.split`), a constant is its tensor's own
+_Packed re-stamped (`_Packed.stamped`), and Fractions are built only from
+input and for output (`TensorElement.terms`, `Series.terms`).
 
 Tensor powers of H are truncated by total degree across the slots. That
 span is an ideal and, since every structure map preserves degree, also a
@@ -46,9 +42,8 @@ high-degree element discarded slot by slot would have components with every
 leg inside the bound. A product of two terms leaves the quotient exactly
 when their Hopf degrees sum above the bound. The `truncated` flag of a
 product is set iff an operand is flagged or some pair of nonzero terms
-within the order cap leaves the quotient. A _Packed that stands for a
-series carries that series' one flag, and a tensor's its own; unpacked
-coefficients carry none (`_Codec.unpack`).
+within the order cap leaves the quotient: it is the one flag of the
+series or tensor the _Packed stands for.
 """
 
 import math
@@ -144,6 +139,18 @@ class _Codec:
                 else (*head, (vcode >> (width * len(head))) - sum(head)))
         return exps
 
+    def like(self, arity=None, names=None, vmax=0):
+        """This layout with another arity or variable tuple when given,
+        whose variable fields also hold exponents up to `vmax`: this codec
+        itself when nothing changes (one variable has no such field)."""
+        arity = self.arity if arity is None else arity
+        names = self.names if names is None else names
+        if (arity, names) == (self.arity, self.names) and (
+                self.nvars < 2 or vmax >> self.width == 0):
+            return self
+        return self.algebra._codec(arity, names,
+                                   max(vmax, (1 << self.width) - 1))
+
     def pack(self, terms, order=INF, flag=False):
         """_Packed form of {exps: TensorElement}: each coefficient's codes
         or-ed with its exponents' fields, its numerators rescaled to the
@@ -163,53 +170,104 @@ class _Codec:
         return _Packed(buckets, den, order, flag, self.shift)
 
     def unpack(self, packed):
-        """{exps: TensorElement} of a _Packed, unflagged: every code split
-        into its exponents and its tensor code, each coefficient over its
-        own denominator, with one gcd per coefficient."""
+        """{exps: TensorElement} of a _Packed, unflagged (`split`)."""
         from .hopf import TensorElement
 
-        hopf_bits = self.hopf_bits
-        hopf_mask = (1 << hopf_bits) - 1
+        tensors = self.algebra._codec(self.arity)
+        return {exps: TensorElement._of(self.algebra, self.arity, p)
+                for exps, p in self.split(packed, tensors,
+                                          lambda e: (e, ())).items()}
+
+    def split(self, packed, codec, part):
+        """{key: _Packed} of packed's terms in the layout of `codec` (same
+        algebra, at least this arity): `part` maps each stored exponent
+        tuple to None, which drops its terms, or to (key, exponents), and
+        the terms go to the part of that key at those exponents (`part`
+        must be injective on the exponents of one key). Each part is a
+        complete, unflagged polynomial over its own denominator."""
+        bits = self.hopf_bits
+        mask = (1 << bits) - 1
+        moves = {}
+        for vcode in {code >> bits for bucket in packed.buckets.values()
+                      for code, _ in bucket}:
+            move = part(self._code_exps(vcode))
+            if move is not None:
+                moves[vcode] = (move[0], codec._exps_code(move[1]))
         parts = {}
         for h, bucket in packed.buckets.items():
             for code, num in bucket:
-                vcode = code >> hopf_bits
-                buckets = parts.get(vcode)
-                if buckets is None:
-                    buckets = parts[vcode] = {}
-                row = buckets.get(h)
-                if row is None:
-                    row = buckets[h] = []
-                row.append((code & hopf_mask, num))
-        den = packed.den
-        out = {}
-        for vcode, buckets in parts.items():
-            exps = self._exps.get(vcode)
-            if exps is None:
-                exps = self._code_exps(vcode)
-            out[exps] = TensorElement._of(
-                self.algebra, self.arity,
-                _Packed.divided(buckets, den, False, hopf_bits))
-        return out
+                move = moves.get(code >> bits)
+                if move is not None:
+                    buckets = parts.get(move[0])
+                    if buckets is None:
+                        buckets = parts[move[0]] = {}
+                    row = buckets.get(h)
+                    if row is None:
+                        row = buckets[h] = []
+                    row.append((move[1] | code & mask, num))
+        for buckets in parts.values():
+            for row in buckets.values():
+                row.sort(key=_code)
+        return {key: _Packed.divided(buckets, packed.den, False, codec.shift)
+                for key, buckets in parts.items()}
 
-    def relaid(self, packed, codec):
+    def relaid(self, packed, codec, move=None):
         """packed in the layout of `codec` (same algebra, at least this
-        arity), code by code: exponent fields re-written, tensor codes,
-        den, order and flag kept. Buckets keep their order unless the
-        variable count changes."""
+        arity), code by code: tensor codes, den, order and flag kept, and
+        each term's exponents e moved to move(e) when `move` is given, an
+        injective map (None drops the term)."""
         bits = self.hopf_bits
         mask = (1 << bits) - 1
-        vcodes = {code >> bits for bucket in packed.buckets.values()
-                  for code, _ in bucket}
-        bases = {v: codec._exps_code(self._code_exps(v)) for v in vcodes}
-        buckets = {h: [(bases[code >> bits] | code & mask, n)
-                       for code, n in bucket]
-                   for h, bucket in packed.buckets.items()}
-        if codec.nvars != self.nvars:
-            for bucket in buckets.values():
-                bucket.sort(key=_code)
+        bases = {}
+        for vcode in {code >> bits for bucket in packed.buckets.values()
+                      for code, _ in bucket}:
+            exps = self._code_exps(vcode)
+            target = exps if move is None else move(exps)
+            if target is not None:
+                bases[vcode] = codec._exps_code(target)
+        buckets = {}
+        for h, bucket in packed.buckets.items():
+            out = [(bases[code >> bits] | code & mask, n)
+                   for code, n in bucket if code >> bits in bases]
+            if out:
+                if move is not None or codec.nvars != self.nvars:
+                    out.sort(key=_code)
+                buckets[h] = out
         return _Packed(buckets, packed.den, packed.order, packed.flag,
                        codec.shift)
+
+    def stepped(self, packed, var, up=False):
+        """The derivative of packed in variable `var` (each term with
+        exponent k >= 1 of it one lower, its numerator times k) or, `up`,
+        the integral (each term one higher, its numerator over k + 1), its
+        order moved alike. Every code moves by one step, so the buckets
+        stay sorted; the layout must hold the raised exponents."""
+        bits, exps = self.hopf_bits, self._code_exps
+        step = 1 << self.shift
+        if var < self.nvars - 1:
+            step += 1 << bits + var * self.width
+        if up:
+            ks = {code >> bits: exps(code >> bits)[var] + 1
+                  for bucket in packed.buckets.values()
+                  for code, _ in bucket}
+            lcm = math.lcm(*ks.values())
+            return _Packed.divided(
+                {h: [(code + step, n * (lcm // ks[code >> bits]))
+                     for code, n in bucket]
+                 for h, bucket in packed.buckets.items()},
+                packed.den * lcm, packed.flag, packed.shift).stamped(
+                    packed.order + 1, packed.flag)
+        buckets = {}
+        for h, bucket in packed.buckets.items():
+            out = []
+            for code, n in bucket:
+                k = exps(code >> bits)[var]
+                if k:
+                    out.append((code - step, n * k))
+            if out:
+                buckets[h] = out
+        return _Packed(buckets, packed.den, packed.order - 1, packed.flag,
+                       packed.shift)
 
     def minus_reversed(self, packed):
         """packed minus its image under the key-field reversal, which puts

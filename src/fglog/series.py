@@ -1,11 +1,14 @@
 """Truncated multivariate power series with tensor coefficients.
 
-A Series holds finitely many terms exps -> TensorElement over a fixed
-algebra, arity and variable tuple, together with its certified order: every
-coefficient of total variable degree <= order equals that of the true
-mathematical object, and nothing above the order is stored. order == math.inf
-marks a complete polynomial, exact at every order (constant terms, Lemma-form
-group laws, coboundary data). The bookkeeping rules:
+A Series is one `_Packed` of its `_Codec` layout (packed.py), as a tensor
+is: terms exps -> TensorElement over the codec's algebra, arity and
+variables, packed into int codes, with the packed form's flag and its
+certified order: every coefficient of total variable degree <= order
+equals that of the true mathematical object, and nothing above the order
+is stored. order == math.inf marks a complete polynomial, exact at every
+order (constant terms, Lemma-form group laws, coboundary data). Every
+operation runs on the codes; `terms` is a presentation, unpacked on first
+read. The bookkeeping rules:
 
   add/sub            min of the orders
   mul                min(r_f + val(g), r_g + val(f), r_f + r_g + 1)
@@ -39,10 +42,9 @@ first (see the group-law reconstruction).
 
 Hopf-degree truncation (coefficients above the algebra's degree bound) is an
 exact quotient and never reduces the order; it only sets the `truncated`
-flag, one per series. Its coefficients carry none: a tensor that stands
-alone keeps its own flag, and when it becomes a coefficient (construction,
-`Series.constant`, `map_coefficients`) that flag is or-ed into the
-series' and the stored coefficient is unflagged.
+flag, the packed form's one flag. A tensor that becomes a coefficient
+(construction, `Series.constant`, `map_coefficients`) has its flag or-ed
+into it, and coefficients read from `terms` carry none.
 """
 
 import math
@@ -64,7 +66,7 @@ from .hopf import (
     _mono_join,
     _times_str,
 )
-from .packed import _UNIT, _Codec, _Packed
+from .packed import _MINUS_UNIT, _UNIT, _Packed
 from .scalars import rational
 
 INF = math.inf
@@ -79,93 +81,87 @@ DEFAULT_NAMES = {
 
 class Series:
     """Truncated power series in 0..3 variables with TensorElement
-    coefficients; immutable after construction."""
+    coefficients, one packed form (module docstring); immutable."""
 
-    __slots__ = ("algebra", "arity", "nvars", "names", "order", "_terms",
-                 "truncated", "_packed", "_log")
+    __slots__ = ("_codec", "_packed", "_terms", "_log")
 
     def __init__(self, algebra, arity, nvars, terms, order=INF, names=None,
-                 truncated=False, _normalize=True):
+                 truncated=False):
+        """Series from a dict {exps: TensorElement}: zero coefficients and
+        terms above the order are dropped, and the flags of the others
+        are or-ed into `truncated`."""
         if nvars not in (0, 1, 2, 3):
             raise ShapeMismatch(f"variable count {nvars} outside 0..3")
         names = tuple(names) if names is not None else DEFAULT_NAMES[nvars]
         if len(names) != nvars:
             raise ShapeMismatch("variable name count != variable count")
-        self.algebra = algebra
-        self.arity = arity
-        self.nvars = nvars
-        self.names = names
-        self.order = order
-        self.truncated = truncated
-        if _normalize:
-            clean = {}
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ShapeMismatch(
-                        f"exponent vector {exps} has wrong length")
-                if sum(exps) > order:
-                    continue
-                if coeff.is_zero():
-                    continue
-                if coeff.arity != arity:
-                    raise ArityMismatch(
-                        "coefficient arity differs from series arity")
-                if coeff.algebra != algebra:
-                    raise AlgebraMismatch(
-                        "coefficient over a different algebra")
-                self.truncated = self.truncated or coeff.truncated
-                clean[exps] = _bare(coeff)
-            self._terms = clean
-        else:
-            self._terms = terms
-        self._packed = None  # (codec, _Packed) of a view (`_view`)
-        self._log = None  # (order key, logarithm) of fgl.logarithm
+        clean = {}
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ShapeMismatch(
+                    f"exponent vector {exps} has wrong length")
+            if any(e < 0 for e in exps):
+                raise ShapeMismatch(f"negative exponent in {exps}")
+            if sum(exps) > order or coeff.is_zero():
+                continue
+            if coeff.arity != arity:
+                raise ArityMismatch(
+                    "coefficient arity differs from series arity")
+            if coeff.algebra != algebra:
+                raise AlgebraMismatch(
+                    "coefficient over a different algebra")
+            truncated = truncated or coeff.truncated
+            clean[exps] = coeff
+        codec = algebra._codec(arity, names, max(map(sum, clean), default=0))
+        self._codec, self._packed = codec, codec.pack(clean, order,
+                                                      truncated)
+        self._terms = self._log = None  # _log: fgl.logarithm's result
+
+    @classmethod
+    def _of(cls, codec, packed):
+        """Series standing for a _Packed of the codec's layout."""
+        self = object.__new__(cls)
+        self._codec, self._packed = codec, packed
+        self._terms = self._log = None
+        return self
+
+    algebra = property(lambda self: self._codec.algebra)
+    arity = property(lambda self: self._codec.arity)
+    nvars = property(lambda self: self._codec.nvars)
+    names = property(lambda self: self._codec.names)
+    order = property(lambda self: self._packed.order)
+    truncated = property(lambda self: self._packed.flag)
 
     @property
     def terms(self):
-        """{exps: TensorElement}; for a product, a substitution's result
-        and its intermediate steps it is unpacked from the packed form on
-        first use."""
+        """{exps: TensorElement}, unflagged, unpacked on first read."""
         if self._terms is None:
-            codec, packed = self._packed
-            self._terms = codec.unpack(packed)
+            self._terms = self._codec.unpack(self._packed)
         return self._terms
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, algebra, arity, nvars, order=INF, names=None):
-        return cls(algebra, arity, nvars, {}, order, names, _normalize=False)
+        return cls(algebra, arity, nvars, {}, order, names)
 
     @classmethod
     def variable(cls, algebra, arity, nvars, index, order=INF, names=None):
         if not 0 <= index < nvars:
             raise ShapeMismatch(f"variable index {index} outside 0..{nvars-1}")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        if order < 1:
-            return cls.zero(algebra, arity, nvars, order, names)
         return cls(algebra, arity, nvars,
-                   {exps: TensorElement.unit(algebra, arity)},
-                   order, names, _normalize=False)
+                   {exps: TensorElement.unit(algebra, arity)}, order, names)
 
     @classmethod
     def constant(cls, coeff, nvars, order=INF, names=None):
-        """Constant series with the given TensorElement as its value."""
-        terms = {} if coeff.is_zero() else {(0,) * nvars: _bare(coeff)}
-        return cls(coeff.algebra, coeff.arity, nvars, terms, order, names,
-                   coeff.truncated, _normalize=False)
+        """Constant series with the given TensorElement as its value, and
+        its flag."""
+        return cls(coeff.algebra, coeff.arity, nvars, {(0,) * nvars: coeff},
+                   order, names, coeff.truncated)
 
     # -- bookkeeping helpers ---------------------------------------------------
-
-    def _rebuilt(self, terms, order=None, names=None):
-        """Series of this algebra, arity and `truncated` flag from terms
-        that are nonzero and within the order: this series' order and
-        variable names unless given, as many variables as names."""
-        names = self.names if names is None else names
-        return Series(self.algebra, self.arity, len(names), terms,
-                      self.order if order is None else order, names,
-                      self.truncated, _normalize=False)
 
     def _check_shape(self, other):
         if self.algebra != other.algebra:
@@ -176,43 +172,45 @@ class Series:
                 f"series shapes differ: arity {self.arity} vs {other.arity},"
                 f" variables {self.names} vs {other.names}")
 
+    def _exponents(self):
+        """The exponent tuples of the stored terms, read off the codes."""
+        bits = self._codec.hopf_bits
+        return set(map(self._codec._code_exps, {
+            code >> bits for bucket in self._packed.buckets.values()
+            for code, _ in bucket}))
+
     def is_zero(self):
-        return not self.terms
+        return not self._packed.buckets
 
     def valuation(self):
         """Minimal total degree of a stored term; inf for the zero series."""
-        return min((sum(e) for e in self.terms), default=INF)
+        return self._packed.val
 
     def max_degree(self):
-        if self._terms is None:  # a view answers from its packed form
-            packed = self._packed[1]
-            return max([b[-1][0] for b in packed.buckets.values()],
-                       default=0) >> packed.shift
-        return max((sum(e) for e in self._terms), default=0)
+        packed = self._packed
+        return max([b[-1][0] for b in packed.buckets.values()],
+                   default=0) >> packed.shift
 
     def coeff(self, exps):
+        """The coefficient of one exponent tuple, split off the codes."""
         exps = tuple(exps)
-        return self.terms.get(exps,
-                              TensorElement.zero(self.algebra, self.arity))
+        part = self._codec.split(self._packed.truncate(sum(exps)),
+                                 self.algebra._codec(self.arity),
+                                 lambda e: (0, ()) if e == exps else None)
+        return (TensorElement._of(self.algebra, self.arity, part[0]) if part
+                else TensorElement.zero(self.algebra, self.arity))
 
     def constant_term(self):
-        zero = (0,) * self.nvars
-        if self._terms is None:
-            codec, packed = self._packed
-            return codec.unpack(packed.truncate(0)).get(
-                zero, TensorElement.zero(self.algebra, self.arity))
-        return self.coeff(zero)
+        """The coefficient of degree 0: the codes of degree 0 are its
+        tensor codes."""
+        packed = self._packed.truncate(0)
+        return TensorElement._of(self.algebra, self.arity, _Packed.divided(
+            packed.buckets, packed.den, False,
+            self.algebra._codec(self.arity).shift))
 
     def truncate(self, order):
-        """Drop terms above the order; certification shrinks accordingly.
-        A view is cut on its packed form."""
-        new_order = min(self.order, order)
-        if self._packed is not None:
-            codec, packed = self._packed
-            return _view(codec, packed.truncate(new_order))
-        return self._rebuilt(
-            {e: c for e, c in self.terms.items() if sum(e) <= new_order},
-            new_order)
+        """Drop terms above the order; certification shrinks accordingly."""
+        return Series._of(self._codec, self._packed.truncate(order))
 
     def with_order(self, order):
         """Re-stamp the certified order. Raising it asserts, on the caller's
@@ -221,7 +219,8 @@ class Series:
         lowering it behaves like truncate."""
         if order <= self.order:
             return self.truncate(order)
-        return self._rebuilt(dict(self.terms), order)
+        return Series._of(self._codec,
+                          self._packed.stamped(order, self.truncated))
 
     def with_names(self, names):
         """Same series under different display names for the variables."""
@@ -229,7 +228,7 @@ class Series:
         if len(names) != self.nvars:
             raise ShapeMismatch(
                 f"{len(names)} names for {self.nvars} variables")
-        return self._rebuilt(self.terms, names=names)
+        return Series._of(self._codec.like(names=names), self._packed)
 
     # -- linear structure -------------------------------------------------------
 
@@ -243,34 +242,27 @@ class Series:
         return None
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, _UNIT)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, _MINUS_UNIT)
 
-    def _combine(self, other, op):
-        """self + other or self - other, in one pass over other's terms:
-        minimal order, terms above it and zero coefficients dropped."""
+    def _combine(self, other, sign):
+        """self + other or self - other (sign _UNIT or _MINUS_UNIT), one
+        kernel call in a layout of both: minimal order, terms above it and
+        zero coefficients dropped, flags or-ed."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_shape(other)
-        order = min(self.order, other.order)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = acc.get(e)
-            if cur is not None:
-                acc[e] = op(cur, c)
-            else:
-                acc[e] = c if op is operator.add else -c
-        terms = {e: c for e, c in acc.items()
-                 if sum(e) <= order and not c.is_zero()}
-        return Series(self.algebra, self.arity, self.nvars, terms, order,
-                      self.names, self.truncated or other.truncated,
-                      _normalize=False)
+        # the wider layout holds both
+        codec = max(self._codec, other._codec, key=lambda c: c.width)
+        return Series._of(codec, _Packed.sum_of_products(
+            ((_UNIT, _in(codec, self)._packed),
+             (sign, _in(codec, other)._packed)), INF, INF))
 
     def __neg__(self):
-        return self._rebuilt({e: -c for e, c in self.terms.items()})
+        return Series._of(self._codec, self._packed.scaled(-1))
 
     __radd__ = __add__
 
@@ -285,19 +277,18 @@ class Series:
         if q == 0:
             return Series.zero(self.algebra, self.arity, self.nvars,
                                self.order, self.names)
-        return self._rebuilt({e: c * q for e, c in self.terms.items()})
+        return self * self._coerce(q)
 
     # -- multiplication ----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Series):
             self._check_shape(other)
-            codec = _Codec(self.algebra, self.arity, self.names,
-                           self.max_degree() + other.max_degree())
+            codec = self._codec.like(
+                vmax=self.max_degree() + other.max_degree())
             # the product of the two unknown tails starts above
             # r_f + r_g + 1, which decides when neither factor has a term
-            return _series_mul(_packed_view(codec, self),
-                               _packed_view(codec, other),
+            return _series_mul(_in(codec, self), _in(codec, other),
                                keep=self.order + other.order + 1)
         if _is_rational(other) or isinstance(other, int):
             return self.scale(other)
@@ -317,30 +308,21 @@ class Series:
     # -- calculus ------------------------------------------------------------------
 
     def derivative(self, var=0):
-        """Formal partial derivative; certified order drops by one."""
+        """Formal partial derivative; certified order drops by one. On the
+        codes (`_Codec.stepped`)."""
         if not 0 <= var < self.nvars:
             raise ShapeMismatch(f"variable index {var} outside series")
-        # exponent tuples map injectively: no two terms meet
-        acc = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                acc[e[:var] + (k - 1,) + e[var + 1:]] = (
-                    c if k == 1 else c * k)
-        order = self.order - 1
-        return self._rebuilt({e: c for e, c in acc.items()
-                              if sum(e) <= order and not c.is_zero()}, order)
+        return Series._of(self._codec,
+                          self._codec.stepped(self._packed, var))
 
     def integrate(self, var=0):
         """Term-wise antiderivative with integration constant 0; certified
-        order rises by one."""
+        order rises by one. On the codes, in a layout that holds them."""
         if not 0 <= var < self.nvars:
             raise ShapeMismatch(f"variable index {var} outside series")
-        acc = {}
-        for e, c in self.terms.items():
-            exps = e[:var] + (e[var] + 1,) + e[var + 1:]
-            acc[exps] = c._scaled(1, e[var] + 1)
-        return self._rebuilt(acc, self.order + 1)
+        codec = self._codec.like(vmax=self.max_degree() + 1)
+        return Series._of(codec, codec.stepped(_in(codec, self)._packed, var,
+                                               up=True))
 
     # -- composition ------------------------------------------------------------------
 
@@ -363,20 +345,20 @@ class Series:
             return self.truncate(order)
         cap, codec, slacks = _substitution_order(self, assigns)
         out = min(cap, order)
-        if not self.terms:
-            return _view(codec, _Packed({}, 1, out, self.truncated,
-                                        codec.shift))
+        if self.is_zero():
+            return Series._of(codec, _Packed({}, 1, out, self.truncated,
+                                             codec.shift))
         # each group carries this series' flag, which the result ors in
         # anyway: a flagged series settles the Horner cut at once
         zero = (0,) * codec.nvars
-        consts = {e: _view(codec, _constant(codec, c, self.truncated),
-                           {zero: c})
-                  for e, c in self.terms.items()}
-        views = [None if s is None else _packed_view(codec, a)
-                 for a, s in zip(assigns, slacks)]
-        result = _horner(consts, views, cap, slacks, out)._packed[1]
-        return _view(codec, result.stamped(out,
-                                           result.flag or self.truncated))
+        consts = {e: Series._of(codec, c.stamped(INF, self.truncated))
+                  for e, c in self._codec.split(
+                      self._packed, codec, lambda e: (e, zero)).items()}
+        laid = [None if s is None else _in(codec, a)
+                for a, s in zip(assigns, slacks)]
+        result = _horner(consts, laid, cap, slacks, out)._packed
+        return Series._of(codec, result.stamped(
+            out, result.flag or self.truncated))
 
     def comp_inverse(self, order=None):
         """Compositional inverse of a one-variable series with f(0) = 0 and
@@ -413,13 +395,13 @@ class Series:
                 certified=self.order, requested=order)
         b0_inv = b0.mul_inverse()
         if order < 1:
-            return self._rebuilt({}, order)
+            return self.truncate(order)
         f = self.truncate(order)
         base = _coproduct_base(f) if f.arity == 2 else None
         if base is not None:
             return _lifted_inverse(base, order)
         codec, root = _newton_root(f, b0_inv, order)
-        return self._rebuilt(codec.unpack(root), order)
+        return Series._of(codec, root.stamped(order, self.truncated))
 
     # -- multiplicative inverse -------------------------------------------------------
 
@@ -431,7 +413,7 @@ class Series:
         (f_j the terms of f of degree j): one kernel call for the sum and
         one for the product by -f_0^-1 per order m. Rows and products are
         complete, so the flag counts every pair of Hopf-degree buckets
-        whose product leaves the quotient.
+        whose product leaves the quotient, and f's own flag is or-ed in.
 
         For a complete polynomial whose positive-degree coefficients are all
         counit-zero the inverse is again a complete polynomial (degree
@@ -440,7 +422,7 @@ class Series:
         infinite series and an explicit target order is required when this
         series has order inf (inf is no such order). A target order above
         the certified order raises TruncationInsufficient, for a constant
-        series too."""
+        series too, whose inverse keeps its order."""
         order = _requested_order(order, self.order)
         f0 = self.constant_term()
         if f0.full_counit() != 1:
@@ -454,10 +436,11 @@ class Series:
                 f"that order (certified {self.order})",
                 certified=self.order, requested=order)
 
-        maxdeg = max(sum(e) for e in self.terms)
+        flag = self.truncated or f0_inv.truncated
+        maxdeg = self.max_degree()
         if not maxdeg:
-            return Series.constant(f0_inv, self.nvars, self.order,
-                                   self.names)
+            return Series._of(self._codec, f0_inv._packed.stamped(
+                self.order, flag, self._codec.shift))
         exhaustive = False
         if order is None:
             if self.order != INF:
@@ -475,17 +458,14 @@ class Series:
                 order = (self.arity * self.algebra.degree_bound * maxdeg
                          + maxdeg)
 
-        codec = _Codec(self.algebra, self.arity, self.names, order)
-        parts = {}
-        for e, c in self.terms.items():
-            if 0 < sum(e) <= order:
-                parts.setdefault(sum(e), {})[e] = c
-        rows = {d: codec.pack(terms) for d, terms in parts.items()}
+        codec = self._codec.like(vmax=order)
+        rows = self._codec.split(
+            self._packed, codec,
+            lambda e: (sum(e), e) if 0 < sum(e) <= order else None)
         bound = self.algebra.degree_bound
         minus_f0_inv = _constant(codec, -f0_inv)
         # the flags of f and f_0^-1 ride on row 0 into the sum of the rows
-        levels = [_constant(codec, f0_inv,
-                            self.truncated or f0_inv.truncated)]
+        levels = [_constant(codec, f0_inv, flag)]
         for m in range(1, order + 1):
             pairs = [(rows[j], levels[m - j])
                      for j in range(1, min(m, maxdeg) + 1)
@@ -495,14 +475,14 @@ class Series:
             if exhaustive and m >= maxdeg and not any(
                     row.buckets for row in levels[-maxdeg:]):
                 break
-        return _view(codec, _Packed.summed(levels).truncate(
+        return Series._of(codec, _Packed.summed(levels).truncate(
             INF if exhaustive else min(order, self.order)))
 
     # -- coefficient-wise structure maps -------------------------------------------
 
     def map_coefficients(self, fn):
         """Apply a TensorElement -> TensorElement map to every coefficient
-        (slot lifts like Delta x id, id x eps, slot embeddings). All outputs
+        (the structure maps run on the codes: `apply_slot`). All outputs
         must share one arity, the result's; for an empty series it is the
         arity of the map's image of the zero coefficient."""
         acc = {}
@@ -519,14 +499,34 @@ class Series:
                 raise ArityMismatch(
                     "coefficient map produced mixed arities")
             truncated = truncated or out.truncated
-            if not out.is_zero():
-                acc[e] = _bare(out)
+            acc[e] = out
         if out_arity is None:
             out_arity = fn(TensorElement.zero(self.algebra, self.arity)).arity
         return Series(self.algebra, out_arity, self.nvars, acc, self.order,
-                      self.names, truncated, _normalize=False)
+                      self.names, truncated)
+
+    # The tensors' slot maps (TensorElement.apply_slot, contract_mul,
+    # embed) map every coefficient at once on this series' codes, whose
+    # variable fields sit above the slots and move with them.
+    apply_slot = TensorElement.apply_slot
+    contract_mul = TensorElement.contract_mul
+    embed = TensorElement.embed
+    _map_slot = TensorElement._map_slot
+    _placed = TensorElement._placed
+
+    def _layout(self, arity):
+        return self._codec.like(arity=arity)
+
+    _laid = _of
 
     # -- variable plumbing -----------------------------------------------------------
+
+    def _moved(self, move, names=None):
+        """This series with each term's exponents e moved to move(e), or
+        dropped where that is None, under `names`: one `_Codec.relaid`."""
+        codec = self._codec.like(names=names, vmax=self.max_degree())
+        return Series._of(codec, self._codec.relaid(self._packed, codec,
+                                                    move))
 
     def embed_vars(self, nvars, positions, names=None):
         """Place this series' variables at the given positions of a larger
@@ -537,38 +537,36 @@ class Series:
         if list(positions) != sorted(set(positions)) or (
                 positions and positions[-1] >= nvars):
             raise ShapeMismatch(f"bad variable positions {positions}")
-        acc = {}
-        for e, c in self.terms.items():
+
+        def move(e):
             exps = [0] * nvars
             for pos, k in zip(positions, e):
                 exps[pos] = k
-            acc[tuple(exps)] = c
-        return self._rebuilt(
-            acc, names=names if names is not None else DEFAULT_NAMES[nvars])
+            return tuple(exps)
+
+        return self._moved(
+            move, names if names is not None else DEFAULT_NAMES[nvars])
 
     def set_variable_zero(self, var):
         """Substitute 0 for one variable, keeping the variable tuple."""
         if not 0 <= var < self.nvars:
             raise ShapeMismatch(f"variable index {var} outside series")
-        return self._rebuilt(
-            {e: c for e, c in self.terms.items() if e[var] == 0})
+        return self._moved(lambda e: None if e[var] else e)
 
     def drop_variable(self, var):
         """Remove a variable that occurs in no stored term."""
-        if any(e[var] for e in self.terms):
+        if any(e[var] for e in self._exponents()):
             raise ShapeMismatch(
                 f"variable {self.names[var]} still occurs; cannot drop")
-        return self._rebuilt(
-            {e[:var] + e[var + 1:]: c for e, c in self.terms.items()},
-            names=self.names[:var] + self.names[var + 1:])
+        return self._moved(lambda e: e[:var] + e[var + 1:],
+                           self.names[:var] + self.names[var + 1:])
 
     def permute_vars(self, perm):
         """Reorder variables: new variable i is old variable perm[i]."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.nvars)):
             raise ShapeMismatch(f"{perm} is not a permutation")
-        return self._rebuilt(
-            {tuple(e[p] for p in perm): c for e, c in self.terms.items()})
+        return self._moved(lambda e: tuple(e[p] for p in perm))
 
     # -- comparison --------------------------------------------------------------------
 
@@ -590,12 +588,7 @@ class Series:
         cap = min(self.order, other.order)
         if order is not None:
             cap = min(cap, order)
-        for e in set(self.terms) | set(other.terms):
-            if sum(e) > cap:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        return self.truncate(cap).terms == other.truncate(cap).terms
 
     # -- presentation --------------------------------------------------------------------
 
@@ -648,13 +641,12 @@ def _requested_order(order, stored):
 def _newton_root(f, b0_inv, order):
     """(codec, h): the root h of f(h) = x through the int order, packed in
     codec's layout, by Newton steps from b0_inv x for f(0) = 0."""
-    codec = _Codec(f.algebra, f.arity, f.names, order)
-    shift = codec.shift
+    codec = f._codec.like(vmax=order)
     x_code = codec._exps_code((1,))
     # -x as the coefficient of h^0: the evaluator sums f(h) - x
-    consts = {0: _Packed({0: [(x_code, -1)]}, 1, INF, False, shift)}
-    consts.update((e[0], _constant(codec, c)) for e, c in f.terms.items())
-    h = codec.pack({(1,): b0_inv})
+    consts = {0: _Packed({0: [(x_code, -1)]}, 1, INF, False, codec.shift)}
+    consts.update(f._codec.split(f._packed, codec, lambda e: (e[0], (0,))))
+    h = Series._of(codec, codec.pack({(1,): b0_inv}))
     bound = f.algebra.degree_bound
     for p in _doubling_orders(1, order):
         # h is the inverse through some q >= p/2, so e = f(h) - x
@@ -662,41 +654,25 @@ def _newton_root(f, b0_inv, order):
         # h - e h' is the inverse through 2q >= p. h is read as the
         # polynomial it stores, so f cut at p caps the step at p.
         err = _evaluate({k: c for k, c in consts.items() if k <= p},
-                        h, p, bound)
+                        h._packed, p, bound)
         if err.buckets:
-            # h(0) = 0: every term of h has degree d >= 1
-            minus_dh = _Packed(
-                {hd: [(code - x_code, -(code >> shift) * n)
-                      for code, n in bucket]
-                 for hd, bucket in h.buckets.items()},
-                h.den, INF, False, shift)
-            h = _series_mul(_view(codec, err), _view(codec, minus_dh),
-                            keep=p, plus=_view(codec, h))._packed[1]
+            h = _series_mul(Series._of(codec, err), -h.derivative(), keep=p,
+                            plus=h)
         else:
             h = h.truncate(p)
-        h = h.stamped(INF, False)
-    return codec, h
+        h = Series._of(codec, h._packed.stamped(INF, False))
+    return codec, h._packed
 
 
 def _coproduct_base(f):
-    """The series g over H with Delta g_k = f_k for every coefficient f_k
-    of f, of arity 2, with f's flag, or None when f is no such lift or
-    Delta lowers a degree (`_lifted_inverse`). H is connected, so g_k =
-    (id (x) eps) f_k is the part of f_k whose second-slot monomial is 1,
-    read off the codes."""
-    algebra, bits = f.algebra, f.algebra._codec(1).hopf_bits
-    if algebra.lowers_degree():
+    """The series g over H with Delta g = f, of arity 2, with f's flag, or
+    None when f is no such lift or Delta lowers a degree
+    (`_lifted_inverse`). H is connected, so g = (id (x) eps) f, checked
+    by lifting it again."""
+    if f.algebra.lowers_degree():
         return None
-    terms = {}
-    for e, c in f.terms.items():
-        g = terms[e] = TensorElement._of(algebra, 1, _Packed.reduced(
-            {hd: {code: n for code, n in bucket if not code >> bits}
-             for hd, bucket in c._packed.buckets.items()},
-            c._packed.den, INF, False, bits))
-        if g.apply_slot(0, "comul") != c:
-            return None
-    return Series(algebra, 1, 1, terms, f.order, f.names, f.truncated,
-                  _normalize=False)
+    g = f.apply_slot(1, "counit")
+    return g if (g.apply_slot(0, "comul") - f).is_zero() else None
 
 
 def _lifted_inverse(g, order):
@@ -705,23 +681,17 @@ def _lifted_inverse(g, order):
     reversion. A table that lowers a degree is none: Delta g reverts in
     H (x) H."""
     if g.algebra.lowers_degree():
-        return g.map_coefficients(
-            lambda A: A.apply_slot(0, "comul")).comp_inverse(order=order)
-    inverse = g.comp_inverse(order=order)
-    terms = {e: _bare(c.apply_slot(0, "comul"))
-             for e, c in inverse.terms.items()}
-    return Series(g.algebra, 2, 1, terms, inverse.order, inverse.names,
-                  inverse.truncated, _normalize=False)
+        return g.apply_slot(0, "comul").comp_inverse(order=order)
+    return g.comp_inverse(order=order).apply_slot(0, "comul")
 
 
 # -- series products on the packed kernel (packed.py) ------------------------
 #
-# Every series product is a `_series_mul` call on two Series views of one
-# layout, which carry the packed form and unpack their terms only when
-# these are read, and so is the product. `Series.__mul__` packs its two
-# operands into a layout sized for their product; a substitution packs its
-# inputs once, and its Horner steps (each a product plus an addend in one
-# call) and result are views of its layout.
+# Every series product is a `_series_mul` call on two series of one
+# layout, and so is the product. `Series.__mul__` re-lays its operands in
+# a layout sized for their product when theirs is too narrow; a
+# substitution lays its inputs out once, and its Horner steps (each a
+# product plus an addend in one call) and result share that layout.
 
 
 def _substitution_order(f, assigns, vmax=0):
@@ -741,7 +711,8 @@ def _substitution_order(f, assigns, vmax=0):
     if target.arity != f.arity:
         raise ArityMismatch(
             "assigned series arity differs from the substituted series")
-    occurring = [any(e[v] for e in f.terms) for v in range(f.nvars)]
+    exponents = f._exponents()
+    occurring = [any(e[v] for e in exponents) for v in range(f.nvars)]
     used = [a for v, a in enumerate(assigns) if occurring[v]]
     # f's unknown tail holds every variable: each nilpotent constant
     # reaches down into the result through it
@@ -751,7 +722,7 @@ def _substitution_order(f, assigns, vmax=0):
     cap = min([a.order for a in used] + [f.order - sum(slacks.values())])
     top = max((a.max_degree() for a in used), default=0)
     vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
-    return cap, _Codec(f.algebra, f.arity, target.names, vmax), [
+    return cap, target._codec.like(vmax=vmax), [
         slacks[v] if occurring[v] else None for v in range(f.nvars)]
 
 
@@ -767,16 +738,15 @@ def _slack(name, kappa):
     return kappa.nilpotency_slack()
 
 
-def _packed_view(codec, series):
-    """The series as a view of the codec's layout, with its own terms: a
-    view of another layout is re-laid code by code (`_Codec.relaid`),
-    any other series packed."""
-    if series._packed is not None:
-        source, packed = series._packed
-        return _view(codec, source.relaid(packed, codec), series._terms)
-    terms = series.terms
-    return _view(codec, codec.pack(terms, series.order, series.truncated),
-                 terms)
+def _in(codec, series):
+    """The series in the codec's layout: itself when its codes are those
+    of that layout (the same Hopf fields, variables and degree field),
+    else re-laid code by code (`_Codec.relaid`)."""
+    own = series._codec
+    if (own.hopf_bits, own.nvars, own.shift) == (codec.hopf_bits,
+                                                 codec.nvars, codec.shift):
+        return series
+    return Series._of(codec, own.relaid(series._packed, codec))
 
 
 def _constant(codec, coeff, flag=False):
@@ -786,52 +756,35 @@ def _constant(codec, coeff, flag=False):
     return coeff._packed.stamped(INF, flag, codec.shift)
 
 
-def _bare(coeff):
-    """The tensor unflagged, as a series stores its coefficients."""
-    return coeff._flagged(False) if coeff.truncated else coeff
-
-
-def _view(codec, packed, terms=None):
-    """Series standing for a _Packed of the codec's layout. Its terms are
-    `terms` when given (they must equal the packed ones), else they are
-    unpacked on first use."""
-    series = Series(codec.algebra, codec.arity, codec.nvars, terms,
-                    packed.order, codec.names, packed.flag, _normalize=False)
-    series._packed = (codec, packed)
-    return series
-
-
-def _minus_reversed(result):
-    """A view (a product or a substitution's result) minus itself with the
-    tensor slots and the variables in reverse order, formed on the packed
-    form; only the nonzero terms of the difference are unpacked. The
-    reversal keeps every term's degrees, so the difference has the flag
-    that `result - reversed` gives, the series'."""
-    codec, packed = result._packed
-    return _view(codec, codec.minus_reversed(packed))
+def _minus_reversed(series):
+    """The series minus itself with the tensor slots and the variables in
+    reverse order, formed in its own layout (`_Codec.minus_reversed`).
+    The reversal keeps every term's degrees, so the difference has the
+    flag that `series - reversed` gives, the series'."""
+    return Series._of(series._codec,
+                      series._codec.minus_reversed(series._packed))
 
 
 def _series_mul(f, g, *, keep, plus=None):
-    """f * g truncated at `keep`, for views of one layout, as a view of
+    """f * g truncated at `keep`, for series of one layout, as a series of
     that layout (f's). The `truncated` flag counts every pair of terms
     within the product's own order cap, as (f * g).truncate(keep) would.
-    A view `plus` is added as `Series.__add__` would add it, in the same
+    A series `plus` is added as `Series.__add__` would add it, in the same
     kernel call, as the pair (1, plus)."""
-    codec, packed = f._packed
-    pairs = [(packed, g._packed[1])]
+    pairs = [(f._packed, g._packed)]
     if plus is not None:
-        pairs.append((_UNIT, plus._packed[1]))
-    return _view(codec, _Packed.sum_of_products(pairs, keep,
-                                                f.algebra.degree_bound))
+        pairs.append((_UNIT, plus._packed))
+    return Series._of(f._codec, _Packed.sum_of_products(
+        pairs, keep, f.algebra.degree_bound))
 
 
 def _horner(consts, assigns, cap, slacks=None, order=INF):
     """Horner evaluation over the first variable, recursing on the rest.
 
     consts maps the exponent tuples of the substituted series to its
-    coefficients as constant views; assigns holds the view of every
-    variable's assignment (None where the variable does not occur), all of
-    one layout whose `vmax` covers every product formed here, and slacks
+    coefficients as constant series; assigns holds every variable's
+    assignment (None where the variable does not occur), all of one
+    layout whose `vmax` covers every product formed here, and slacks
     the slack of each one's constant (read for a finite order).
     Intermediates are truncated at cap, the result at `order` (at most
     cap); the certified order and the flag of each step follow the Series
@@ -846,14 +799,15 @@ def _horner(consts, assigns, cap, slacks=None, order=INF):
     of a's constant, v the least degree of a's other terms), keeps only
     the terms through order - (k - s)+ v, stamped with cap; when settled
     from the start, so does row k of the inner variables."""
-    settled = all(a is None or set(a._packed[1].buckets) <= {0}
+    settled = all(a is None or set(a._packed.buckets) <= {0}
                   for a in assigns)
     kmax = max(e[0] for e in consts)
     s = v = 0
     if kmax and order != INF:
-        s, (codec, packed) = slacks[0], assigns[0]._packed
-        v = min([code >> codec.shift for bucket in packed.buckets.values()
-                 for code, _ in bucket if code >> codec.shift]
+        s, packed = slacks[0], assigns[0]._packed
+        v = min([code >> packed.shift
+                 for bucket in packed.buckets.values()
+                 for code, _ in bucket if code >> packed.shift]
                 or [max(order, 0) + 1])
     if len(assigns) == 1:
         groups = {e[0]: c for e, c in consts.items()}
@@ -871,12 +825,12 @@ def _horner(consts, assigns, cap, slacks=None, order=INF):
         result = _series_mul(result, assigns[0], keep=keep,
                              plus=groups.get(k))
         if keep < cap:
-            result = _view(codec, result._packed[1].stamped(
+            result = Series._of(result._codec, result._packed.stamped(
                 cap, result.truncated))
     if order != INF:
-        codec, packed = result._packed
-        result = _view(codec, packed.truncate(order).stamped(cap,
-                                                             packed.flag))
+        packed = result._packed
+        result = Series._of(result._codec, packed.truncate(order).stamped(
+            cap, packed.flag))
     return result
 
 

@@ -38,7 +38,7 @@ from fglog import (
 from fglog import fgl as fgl_module
 from fglog import jsonio
 from fglog import series as series_module
-from fglog.packed import _Packed
+from fglog.packed import _Codec, _Packed
 from fglog.fgl import (
     XYZ,
     _eval_univariate,
@@ -241,29 +241,33 @@ class TestCheckAxioms:
         assert calls
 
     def test_asymmetric_check_forms_each_lift_once(self, monkeypatch):
-        """A failing check on the two-composite path maps the coefficients
+        """A failing check on the two-composite path maps the law's codes
         once per lift: the two counit lifts, and the coproduct and inner
-        lifts of each composite. The symmetry defect is a key reversal of
-        the packed law and maps no coefficient. The slack of F(0, 0) is
-        computed once for the order rule, and each substitution computes
-        that of its own assigned constant once."""
+        lifts of each composite (a slot map or a slot embedding of the
+        series each). The symmetry defect is a key reversal of the packed
+        law and maps no coefficient. The slack of F(0, 0) is computed once
+        for the order rule, and each substitution computes that of its own
+        assigned constant once."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = lemma_law(alg, two_t_t(alg), order=8) + Series(
             alg, 2, 2, {(2, 1): two_t_t(alg)}, 8, XY)
         lifts, slacks = [], []
-        map_coefficients = Series.map_coefficients
+        map_slot, embed = Series._map_slot, Series.embed
         nilpotency_slack = TensorElement.nilpotency_slack
 
-        def counted_map(series, fn):
-            out = map_coefficients(series, fn)
-            lifts.append(out)
-            return out
+        def counted(lift):
+            def run(series, *args):
+                out = lift(series, *args)
+                lifts.append(out)
+                return out
+            return run
 
         def counted_slack(element):
             slacks.append(element)
             return nilpotency_slack(element)
 
-        monkeypatch.setattr(Series, "map_coefficients", counted_map)
+        monkeypatch.setattr(Series, "_map_slot", counted(map_slot))
+        monkeypatch.setattr(Series, "embed", counted(embed))
         monkeypatch.setattr(TensorElement, "nilpotency_slack", counted_slack)
         report = check_axioms(F)
         assert not report.passed
@@ -700,17 +704,16 @@ class TestPackedExtraction:
 
     def test_trial_never_unpacks_the_law(self, monkeypatch):
         """reconstruct -> logarithm -> extract_cocycle, as in a criterion-6
-        trial: the reconstructed law is a view, and neither call unpacks
-        it."""
+        trial: neither call unpacks the reconstructed law."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = reconstruct(alg, two_t_t(alg),
                         random_logarithm(alg, random.Random(5), 6), 6)
         assert F._terms is None
-        unpacks = recorded_calls(monkeypatch, series_module._Codec, "unpack")
+        unpacks = recorded_calls(monkeypatch, _Codec, "unpack")
         logarithm(F, order=6)
         assert extract_cocycle(F) == two_t_t(alg)
         assert F._terms is None
-        assert all(call[1] is not F._packed[1] for call in unpacks)
+        assert all(call[1] is not F._packed for call in unpacks)
 
     def test_extraction_reuses_the_logarithm(self, qt1, monkeypatch):
         F = reconstruct(qt1, two_t_t(qt1), log_x_plus_tx2(qt1), 6)
@@ -954,8 +957,8 @@ class TestInverseSeries:
         stored flagged, and 2(t (x) t) + t^2 (x) t^2 + X + Y at degree
         bound 3, whose constant coefficient loses t^2 (x) t^2."""
         alg = builtin_algebra("qt1", degree_bound=3)
-        flagged = additive_law(alg, order=6)
-        flagged.truncated = True
+        flagged = Series(alg, 2, 2, additive_law(alg).terms, 6, XY,
+                         truncated=True)
         assert inverse_series(flagged, order=6).truncated
         t = t_elem(alg)
         cut = two_t_t(alg) + TensorElement.from_slots(t * t, t * t)
@@ -1054,8 +1057,8 @@ def reference_inverse_series(F, order=None):
         if r_k.is_zero():
             continue
         step = -(slope_inv * r_k)
-        iota = iota + Series(algebra, 1, 1, {(k,): step}, cert, ("x",),
-                             _normalize=False)
+        iota = iota + Series(algebra, 1, 1, {(k,): step._flagged(False)},
+                             cert, ("x",))
 
     residual = folded.substitute([x_var, iota])
     if not residual.truncate(cert).is_zero():
@@ -1649,7 +1652,7 @@ class TestOneComposite:
         P = Series(alg, 2, 2, {(2, 1): TensorElement.from_slots(u, u)}, 5,
                    XY)
         for law in (F, F + P + _flip(P)):
-            assert fgl_module._right_composite(law)._packed[1].den != 1
+            assert fgl_module._right_composite(law)._packed.den != 1
             assert composite_count(law, monkeypatch) == 1
             assert_same_outcome(outcome(associativity_defect, law),
                                 outcome(reference_associativity_defect, law))
@@ -1855,7 +1858,6 @@ class TestPackedSymmetry:
                           + Series(F.algebra, 2, 2, a.terms, a.order, XY,
                                    a.truncated)
                           for v, a in enumerate(shifts)])
-        assert G._packed is not None
         got, want = assert_same_symmetry_defect(G)
         assert {e: c.truncated for e, c in got.terms.items()} == {
             e: c.truncated for e, c in want.terms.items()}
@@ -1864,11 +1866,10 @@ class TestPackedSymmetry:
     @given(perturbed_laws(), st.data())
     def test_product_results(self, F, data):
         """F * G for a random G, and a product of two products: a product
-        is a view, reversed in its own layout, and the coefficient flags
-        agree too."""
+        is reversed in its own layout, and the coefficient flags agree
+        too."""
         G = data.draw(engine_series(F.algebra, 2, 2))
         for P in (F * G, (F * G) * (G * F)):
-            assert P._packed is not None
             got, want = assert_same_symmetry_defect(P)
             assert {e: c.truncated for e, c in got.terms.items()} == {
                 e: c.truncated for e, c in want.terms.items()}
@@ -1880,7 +1881,6 @@ class TestPackedSymmetry:
         c, g = coboundary(u * u), log_x_plus_tx2(alg)
         F = elevated_law(c, g, order=5)
         _assert_same(reconstruct(alg, c, g, order=5), F.truncate(5))
-        assert F._packed is not None
         assert_same_symmetry_defect(F)
         asymmetric = F + Series(alg, 2, 2, {
             (2, 1): TensorElement.from_slots(u, HopfElement.one(alg))}, 5,
@@ -1898,8 +1898,10 @@ def elevated_law(c, g, order):
     inverse = g.map_coefficients(
         lambda A: A.apply_slot(0, "comul")).comp_inverse(order=work)
     rhs = (Series.constant(c, 2, INF, XY)
-           + fgl_module._slot_series(g, 0).embed_vars(2, (0,), XY)
-           + fgl_module._slot_series(g, 1).embed_vars(2, (1,), XY))
+           + g.map_coefficients(lambda A: A.embed(2, (0,))).embed_vars(
+               2, (0,), XY)
+           + g.map_coefficients(lambda A: A.embed(2, (1,))).embed_vars(
+               2, (1,), XY))
     return inverse.substitute([rhs.truncate(work)])
 
 

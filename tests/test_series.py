@@ -22,7 +22,7 @@ from fglog import (
 )
 from fglog import series as series_module
 from fglog.fgl import _y_coefficients
-from fglog.packed import _UNIT, _Packed
+from fglog.packed import _UNIT, _Codec, _Packed
 from fglog.generate import random_logarithm
 from fglog.scalars import Q
 
@@ -492,8 +492,7 @@ def reference_mul(f, g):
         clean = {k: Q(q) for k, q in raw.items() if q}
         if clean:
             terms[e] = TensorElement(alg, f.arity, clean)
-    return Series(alg, f.arity, f.nvars, terms, cap, f.names, truncated,
-                  _normalize=False)
+    return Series(alg, f.arity, f.nvars, terms, cap, f.names, truncated)
 
 
 def reference_substitute(f, assigns):
@@ -543,7 +542,7 @@ def reference_substitute(f, assigns):
         truncated = truncated or result.truncated or any(
             a.truncated for v, a in enumerate(assigns) if occurring[v])
     return Series(f.algebra, f.arity, target.nvars, terms, cap, target.names,
-                  truncated, _normalize=False)
+                  truncated)
 
 
 def checked_steps(original, steps):
@@ -707,8 +706,7 @@ def reference_horner(consts, assigns, cap, slacks=None, order=INF):
         result = series_module._series_mul(result, assigns[0], keep=cap,
                                            plus=groups.get(k))
     if cap != INF:
-        codec, packed = result._packed
-        result = series_module._view(codec, packed.truncate(cap))
+        result = result.truncate(cap)
     return result
 
 
@@ -981,17 +979,18 @@ def reference_comp_inverse(f, order=None):
     b0_inv = b0.mul_inverse()
     if order < 1:
         return Series(f.algebra, f.arity, 1, {}, order, f.names,
-                      f.truncated, _normalize=False)
+                      f.truncated)
     g = f.truncate(order)
-    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv}, order, f.names,
-               f.truncated, _normalize=False)
+    # coefficient flags of the solved terms are not the series'
+    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv._flagged(False)},
+               order, f.names, f.truncated)
     for k in range(2, order + 1):
         residue = g.substitute([h]).coeff((k,))
         if residue.is_zero():
             continue
         correction = -(b0_inv * residue)
-        h = h + Series(f.algebra, f.arity, 1, {(k,): correction}, order,
-                       f.names, _normalize=False)
+        h = h + Series(f.algebra, f.arity, 1,
+                       {(k,): correction._flagged(False)}, order, f.names)
     return h
 
 
@@ -1023,11 +1022,11 @@ def series_newton_comp_inverse(f, order=None):
     b0_inv = b0.mul_inverse()
     if order < 1:
         return Series(f.algebra, f.arity, 1, {}, order, f.names,
-                      f.truncated, _normalize=False)
+                      f.truncated)
     g = f.truncate(order)
     x = Series.variable(f.algebra, f.arity, 1, 0, INF, f.names)
-    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv}, 1, f.names,
-               _normalize=False)
+    h = Series(f.algebra, f.arity, 1, {(1,): b0_inv._flagged(False)}, 1,
+               f.names)
     for p in series_module._doubling_orders(1, order):
         poly = h.with_order(INF)
         err = g.truncate(p).substitute([poly]) - x
@@ -1036,7 +1035,7 @@ def series_newton_comp_inverse(f, order=None):
         else:
             h = poly - err * poly.derivative()
     return Series(f.algebra, f.arity, 1, h.terms, order, f.names,
-                  f.truncated, _normalize=False)
+                  f.truncated)
 
 
 def outcome(fn, *args, **kwargs):
@@ -1175,10 +1174,10 @@ class TestNewtonReversion:
         _assert_same(got, series_newton_comp_inverse(f))
 
     def test_overflowing_products_flag_no_coefficient(self):
-        """b0 with a nilpotent part at a low degree bound: the order-by-
-        order solve's products drop terms to the bound, which flags its
-        coefficients but not its series; the Newton root's coefficients
-        and series carry no flag."""
+        """b0 with a nilpotent part at a low degree bound: the products
+        of the solve drop terms to the bound, which flags the tensors
+        (b0^-1 among them) but not the series; the Newton root's
+        coefficients and series carry no flag."""
         alg = builtin_algebra("qt1", degree_bound=3)
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         one = TensorElement.unit(alg, 1)
@@ -1188,7 +1187,7 @@ class TestNewtonReversion:
         got = f.comp_inverse(order=9)
         want = reference_comp_inverse(f, order=9)
         _assert_same(got, want)
-        assert any(c.truncated for c in want.terms.values())
+        assert ((one + t * t).mul_inverse() * t * t).truncated
         assert not any(c.truncated for c in got.terms.values())
         assert not got.truncated
 
@@ -1406,7 +1405,7 @@ class TestEvaluator:
         alg = F.algebra
         want = F.substitute([Series.variable(alg, F.arity, 1, 0),
                              h.truncate(p)]).truncate(p)
-        codec = series_module._Codec(
+        codec = _Codec(
             alg, F.arity, ("x",),
             max(p if p != INF else 0, F.max_degree(), h.max_degree()))
         got = series_module._evaluate(
@@ -1423,7 +1422,7 @@ class TestEvaluator:
         (`reference_evaluate`)."""
         F, h, p = case
         alg = F.algebra
-        codec = series_module._Codec(
+        codec = _Codec(
             alg, F.arity, ("x",),
             max(p if p != INF else 0, F.max_degree(), h.max_degree()))
         groups, point = y_groups(codec, F), codec.pack(h.terms)
@@ -1439,7 +1438,7 @@ class TestEvaluator:
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         one = TensorElement.unit(alg, 1)
         F = Series(alg, 1, 2, {(0, k): one for k in range(3)})
-        codec = series_module._Codec(alg, 1, ("x",), 6)
+        codec = _Codec(alg, 1, ("x",), 6)
         groups = y_groups(codec, F)
         point = codec.pack({(0,): t, (1,): one})
         got = series_module._evaluate(groups, point, 4, 6)
@@ -1455,7 +1454,7 @@ class TestEvaluator:
         alg = builtin_algebra("qt1", degree_bound=4)
         t = TensorElement.from_slots(HopfElement.generator(alg, "t"))
         one = TensorElement.unit(alg, 1)
-        codec = series_module._Codec(alg, 1, ("x",), 64)
+        codec = _Codec(alg, 1, ("x",), 64)
         coeffs = {0: codec.pack({(0,): t * 2}), 3: codec.pack({(1,): one}),
                   40: codec.pack({(0,): one * 2, (2,): t})}
         point = codec.pack({(0,): t, (1,): one})
@@ -1477,7 +1476,7 @@ class TestEvaluator:
         assume(F.arity == 2)
         folded = F.map_coefficients(
             lambda A: A.apply_slot(1, "antipode").contract_mul((0, 1)))
-        codec = series_module._Codec(F.algebra, 1, ("x",), F.max_degree())
+        codec = _Codec(F.algebra, 1, ("x",), F.max_degree())
         got = _y_coefficients(codec, F)
         want = y_groups(codec, folded)
         assert {k: codec.unpack(c) for k, c in got.items()} == {
@@ -1507,7 +1506,10 @@ def reference_mul_inverse(f, order=None):
         if d:
             parts.setdefault(d, []).append((e, c))
     if not parts:
-        return Series.constant(f0_inv, f.nvars, f.order, f.names)
+        # a constant series keeps its order and its own flag
+        return Series(f.algebra, f.arity, f.nvars,
+                      {(0,) * f.nvars: f0_inv}, f.order, f.names,
+                      f.truncated)
     maxdeg = max(parts)
     exhaustive = False
     if order is None:
@@ -1650,3 +1652,275 @@ class TestPackedMulInverse:
                                   for k in range(9)}, truncated=True)
         _assert_same(got, want)
         assert (f * got - 1).is_zero()
+
+
+# -- operations on the packed codes against dict-based references -------------
+#
+# A Series is one _Packed of its codec's layout. The bodies below are the
+# term-dict forms these operations had before they ran on the codes; each
+# builds its result with the public constructor, as those bodies built it
+# from the same terms, order, names and flag.
+
+def ref_series(f, terms, order=None, names=None, truncated=None):
+    names = f.names if names is None else tuple(names)
+    return Series(f.algebra, f.arity, len(names), terms,
+                  f.order if order is None else order, names,
+                  f.truncated if truncated is None else truncated)
+
+
+def ref_combine(f, g, sign):
+    order = min(f.order, g.order)
+    acc = dict(f.terms)
+    for e, c in g.terms.items():
+        cur = acc.get(e)
+        if cur is not None:
+            acc[e] = cur + c if sign > 0 else cur - c
+        else:
+            acc[e] = c if sign > 0 else -c
+    terms = {e: c for e, c in acc.items()
+             if sum(e) <= order and not c.is_zero()}
+    return ref_series(f, terms, order, truncated=f.truncated or g.truncated)
+
+
+def ref_neg(f):
+    return ref_series(f, {e: -c for e, c in f.terms.items()})
+
+
+def ref_scale(f, q):
+    if q == 0:
+        return Series.zero(f.algebra, f.arity, f.nvars, f.order, f.names)
+    return ref_series(f, {e: c * q for e, c in f.terms.items()})
+
+
+def ref_derivative(f, var):
+    acc = {}
+    for e, c in f.terms.items():
+        k = e[var]
+        if k:
+            acc[e[:var] + (k - 1,) + e[var + 1:]] = c if k == 1 else c * k
+    order = f.order - 1
+    return ref_series(f, {e: c for e, c in acc.items()
+                          if sum(e) <= order and not c.is_zero()}, order)
+
+
+def ref_integrate(f, var):
+    acc = {}
+    for e, c in f.terms.items():
+        acc[e[:var] + (e[var] + 1,) + e[var + 1:]] = c * Q(1, e[var] + 1)
+    return ref_series(f, acc, f.order + 1)
+
+
+def ref_embed_vars(f, nvars, positions):
+    acc = {}
+    for e, c in f.terms.items():
+        exps = [0] * nvars
+        for pos, k in zip(positions, e):
+            exps[pos] = k
+        acc[tuple(exps)] = c
+    return ref_series(f, acc, names=series_module.DEFAULT_NAMES[nvars])
+
+
+def ref_set_variable_zero(f, var):
+    return ref_series(f, {e: c for e, c in f.terms.items() if e[var] == 0})
+
+
+def ref_drop_variable(f, var):
+    if any(e[var] for e in f.terms):
+        raise ShapeMismatch(
+            f"variable {f.names[var]} still occurs; cannot drop")
+    return ref_series(f, {e[:var] + e[var + 1:]: c
+                          for e, c in f.terms.items()},
+                      names=f.names[:var] + f.names[var + 1:])
+
+
+def ref_permute_vars(f, perm):
+    return ref_series(f, {tuple(e[p] for p in perm): c
+                          for e, c in f.terms.items()})
+
+
+def ref_with_order(f, order):
+    if order <= f.order:
+        return ref_series(f, {e: c for e, c in f.terms.items()
+                              if sum(e) <= order}, order)
+    return ref_series(f, dict(f.terms), order)
+
+
+def assert_one_packed_form(s):
+    """The packed form is all of s: its terms are the codec's unpacking,
+    its order and flag the packed form's, its shape the codec's; every
+    bucket is nonempty, sorted and free of zeros, and every code decodes
+    to nonnegative exponents within the order and the width of its
+    fields, and to a tensor key of its bucket's Hopf degree."""
+    codec, packed = s._codec, s._packed
+    assert s.terms == codec.unpack(packed)
+    assert (s.order, s.truncated) == (packed.order, packed.flag)
+    assert (s.algebra, s.arity, s.nvars, s.names) == (
+        codec.algebra, codec.arity, codec.nvars, codec.names)
+    assert packed.shift == codec.shift and packed.den > 0
+    key = s.algebra._codec(s.arity).key
+    mask = (1 << codec.hopf_bits) - 1
+    for h, bucket in packed.buckets.items():
+        codes = [code for code, _ in bucket]
+        assert codes and codes == sorted(set(codes))
+        assert all(n for _, n in bucket)
+        assert h <= s.algebra.degree_bound
+        for code in codes:
+            exps = codec._code_exps(code >> codec.hopf_bits)
+            assert len(exps) == s.nvars and min(exps, default=0) >= 0
+            assert sum(exps) == code >> codec.shift <= s.order
+            assert codec._exps_code(exps) | code & mask == code
+            assert s.algebra.key_degree(key(code & mask)) == h
+
+
+@st.composite
+def code_op_inputs(draw, arities=(1, 2, 3), nvars=(1, 2, 3)):
+    """A series over qt1 or qtu at degree bounds 3-8, of arity and variable
+    count drawn from the given ones, flagged half the time, with
+    exponents up to 3, and a second one of the same shape."""
+    name, bound = draw(_ENGINE_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    arity = draw(st.sampled_from(arities))
+    n = draw(st.sampled_from(nvars))
+    f, g = (draw(engine_series(alg, arity, n, top=3, flags=st.booleans()))
+            for _ in range(2))
+    return f, g
+
+
+def _code_op_cases(data, op):
+    """(got, want) of one operation on drawn inputs: the operation as the
+    Series runs it, and its reference."""
+    if op in ("add", "sub", "neg", "scale", "with_order", "with_names"):
+        f, g = data.draw(code_op_inputs())
+        if op == "add":
+            return f + g, ref_combine(f, g, 1)
+        if op == "sub":
+            return f - g, ref_combine(f, g, -1)
+        if op == "neg":
+            return -f, ref_neg(f)
+        if op == "scale":
+            q = Q(data.draw(st.sampled_from([0, 1, -1, 2, -3])),
+                  data.draw(st.sampled_from([1, 2, 3])))
+            return f.scale(q), ref_scale(f, q)
+        if op == "with_order":
+            order = data.draw(st.one_of(st.just(INF), st.integers(-1, 10)))
+            return f.with_order(order), ref_with_order(f, order)
+        names = ("a", "b", "c")[:f.nvars]
+        return f.with_names(names), ref_series(f, f.terms, names=names)
+    f, _ = data.draw(code_op_inputs())
+    var = data.draw(st.integers(0, f.nvars - 1))
+    if op == "derivative":
+        return f.derivative(var), ref_derivative(f, var)
+    if op == "integrate":
+        return f.integrate(var), ref_integrate(f, var)
+    if op == "set_variable_zero":
+        return f.set_variable_zero(var), ref_set_variable_zero(f, var)
+    if op == "drop_variable":
+        if data.draw(st.booleans()):
+            f = f.set_variable_zero(var)
+        return (outcome(f.drop_variable, var),
+                outcome(ref_drop_variable, f, var))
+    if op == "permute_vars":
+        perm = tuple(data.draw(st.permutations(range(f.nvars))))
+        return f.permute_vars(perm), ref_permute_vars(f, perm)
+    nvars = data.draw(st.integers(f.nvars, 3))
+    positions = tuple(sorted(data.draw(st.sets(
+        st.integers(0, nvars - 1), min_size=f.nvars, max_size=f.nvars))))
+    return (f.embed_vars(nvars, positions),
+            ref_embed_vars(f, nvars, positions))
+
+
+@st.composite
+def slot_map_cases(draw):
+    """(got, want) of a structure map on a drawn series: comul, counit,
+    antipode or mu in a slot, or a slot embedding, as the Series runs it
+    on its codes and as map_coefficients runs it on each coefficient."""
+    f, _ = draw(code_op_inputs())
+    arity = f.arity
+    ops = [("antipode", 1)]
+    if arity < 3:
+        ops += [("comul", 2), ("embed", None)]
+    if arity > 1:
+        ops += [("counit", 0), ("mul", None)]
+    op, _ = draw(st.sampled_from(ops))
+    if op == "embed":
+        target = draw(st.integers(arity + 1, 3))
+        slots = tuple(sorted(draw(st.sets(st.integers(0, target - 1),
+                                          min_size=arity, max_size=arity))))
+        return (f.embed(target, slots),
+                f.map_coefficients(lambda A: A.embed(target, slots)))
+    if op == "mul":
+        i = draw(st.integers(0, arity - 2))
+        return (f.contract_mul((i, i + 1)),
+                f.map_coefficients(lambda A: A.contract_mul((i, i + 1))))
+    slot = draw(st.integers(0, arity - 1))
+    return (f.apply_slot(slot, op),
+            f.map_coefficients(lambda A: A.apply_slot(slot, op)))
+
+
+class TestCodeOps:
+    """Each operation that runs on a series' codes gives what the term-dict
+    form gives: terms, certified order, flag and names, and its result is
+    one consistent packed form."""
+
+    @pytest.mark.parametrize("op", [
+        "add", "sub", "neg", "scale", "derivative", "integrate",
+        "embed_vars", "set_variable_zero", "drop_variable", "permute_vars",
+        "with_order", "with_names"])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_the_term_dict_form(self, op, data):
+        got, want = _code_op_cases(data, op)
+        if isinstance(got, tuple):
+            assert_same_outcome(got, want)
+            got = got[0]
+        else:
+            _assert_same(got, want)
+        if got is not None:
+            assert_one_packed_form(got)
+
+    @settings(max_examples=300)
+    @given(slot_map_cases())
+    def test_structure_maps_match_map_coefficients(self, case):
+        got, want = case
+        _assert_same(got, want)
+        assert got.arity == want.arity
+        assert_one_packed_form(got)
+
+    @settings(max_examples=100)
+    @given(code_op_inputs(arities=(1, 2)), st.data())
+    def test_every_public_op_is_one_packed_form(self, case, data):
+        """The results of the constructors, the ring and calculus
+        operations, truncation, the structure maps, substitution and both
+        inverses, where they are defined."""
+        f, g = case
+        alg, arity, n = f.algebra, f.arity, f.nvars
+        one = Series.constant(TensorElement.unit(alg, arity), n, INF, f.names)
+        x = Series.variable(alg, arity, 1, 0, 6)
+        results = [f, g, one, x, Series.zero(alg, arity, n), f + g, f - g,
+                   -f, f * g, f ** 2, 3 * f, f.derivative(), f.integrate(),
+                   f.truncate(data.draw(st.integers(-1, 6))),
+                   f.with_order(9), f.embed_vars(3, range(n)),
+                   f.set_variable_zero(0), f.permute_vars(range(n)[::-1]),
+                   f.apply_slot(0, "antipode"),
+                   f.embed(arity + 1, range(arity)),
+                   f.map_coefficients(lambda A: A * 2),
+                   (f * x.embed_vars(n, (0,), f.names)).truncate(5)]
+        if arity == 2:
+            results += [f.apply_slot(1, "counit"), f.contract_mul()]
+        inverse = outcome((one + f.set_variable_zero(0)
+                           * Series.variable(alg, arity, n, 0, 6, f.names)
+                           ).mul_inverse, 5)
+        h = x + x * x
+        assigns = [h.with_names(("x",))] * n
+        results += [r for r in (
+            inverse[0], outcome(f.substitute, assigns, 4)[0],
+            outcome(h.comp_inverse, 5)[0]) if r is not None]
+        for r in results:
+            assert_one_packed_form(r)
+
+    def test_negative_exponent_rejected(self, qt1):
+        """The packed layout holds no negative exponent; the square of
+        X^-1 Y^2 would print as X^2 Y^-3."""
+        with pytest.raises(ShapeMismatch):
+            Series(qt1, 1, 2, {(-1, 2): TensorElement.unit(qt1, 1)},
+                   names=("X", "Y"))
