@@ -50,13 +50,18 @@ caller reads once the flag is settled, and serves only where a flag is
 output: reconstruct, check_log's invariance route and the associativity
 composites; they move to the evaluator once the flag is dropped.
 check_axioms forms its composites through the checked order, where its
-report cuts every defect. reconstruct reverts g over H, lifts it once
-(`_lifted_inverse`) and, over a coassociative H, where nothing reads F
-past `order`, substitutes through `order`. The twisted residual
-(Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so extract_cocycle and
-check_log's functional route sum it by the packed evaluator, expanded
-about F(0, 0) (`_packed_residual`), under the same order rule
-(`series._substitution_order`), with the logarithm kept on F.
+report cuts every defect. reconstruct reverts g over H, whose checks
+are the reversion's, lifts the coefficients of g^-1 straight into the
+substitution's constants (`series._lifted_parts`), places
+c + g (x) 1 + 1 (x) g in the substitution's layout in one pass over the
+codes of c and g (`_Codec.placed`), and runs Horner under the order
+rule with the slack of c, computed once; over a coassociative H, where
+nothing reads F past `order`, it substitutes through `order`. The
+twisted residual (Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so
+extract_cocycle and check_log's functional route sum it by the packed
+evaluator, expanded about F(0, 0) (`_packed_residual`), under the same
+order rule (`series._substitution_order`), with the logarithm kept on
+F.
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
 the axioms of F solved from (Delta g)(F) = c + (g (x) 1)(X) + (1 (x) g)(Y)
@@ -83,6 +88,7 @@ from .errors import (
     CocycleViolation,
     NoInverse,
     NonInvertibleConstantTerm,
+    NonZeroConstantTerm,
     NotAugmented,
     ResidualNonConstant,
     ShapeMismatch,
@@ -97,11 +103,12 @@ from .series import (
     _doubling_orders,
     _evaluate,
     _in,
-    _lifted_inverse,
+    _lifted_parts,
     _minus_reversed,
     _requested_order,
     _series_mul,
     _slack,
+    _substituted,
     _substitution_order,
 )
 
@@ -129,8 +136,10 @@ def lemma_law(algebra, cocycle, order=INF):
 
 def _lift_inner(F, slots):
     """F with coefficients embedded into three tensor slots and variables
-    placed at the matching positions of (X, Y, Z)."""
-    return F.embed(3, slots).embed_vars(3, slots, XYZ)
+    placed at the matching positions of (X, Y, Z), in one pass over its
+    codes (`_Codec.placed`)."""
+    codec = F._codec.like(3, XYZ, F.max_degree())
+    return Series._of(codec, codec.placed([(F, slots[0])]))
 
 
 def associativity_defect(F):
@@ -367,9 +376,10 @@ def check_log(F, g, order=None):
     nonconstant = residual._moved(lambda e: e if any(e) else None)
 
     g_prime = g.derivative()
+    codec = g_prime._codec.like(2, F.names, g_prime.max_degree())
     invariance = (g_prime.apply_slot(0, "comul").substitute([F])
                   * F.derivative(0)
-                  - g_prime.embed(2, (0,)).embed_vars(2, (0,), F.names))
+                  - Series._of(codec, codec.placed([(g_prime, 0)])))
 
     achievable = min(nonconstant.order, invariance.order)
     if order is not None and order > achievable:
@@ -465,7 +475,8 @@ def extract_cocycle(F, g=None, order=None):
 def _packed_residual(F, g):
     """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y), its terms and
     order, not a flag: (Delta g)(F) by the packed evaluator on F's packed
-    form, minus g (x) 1 and 1 (x) g in one kernel call."""
+    form, minus g (x) 1 + 1 (x) g, placed in its layout in one pass
+    (`_Codec.placed`), in one kernel call."""
     lifted = g.apply_slot(0, "comul")
     cap, codec, _ = _substitution_order(lifted, [F], g.max_degree())
     bound = F.algebra.degree_bound
@@ -473,10 +484,10 @@ def _packed_residual(F, g):
         lifted._codec.split(lifted._packed, codec,
                             lambda e: (e[0], (0, 0))),
         _in(codec, F.truncate(cap))._packed, cap, bound)
-    pairs = [(_UNIT, composed)] + [
-        (_MINUS_UNIT, _in(codec, g.embed(2, (s,)).embed_vars(
-            2, (s,), F.names).truncate(cap))._packed) for s in (0, 1)]
-    return Series._of(codec, _Packed.sum_of_products(pairs, cap, bound))
+    return Series._of(codec, _Packed.sum_of_products(
+        [(_UNIT, composed),
+         (_MINUS_UNIT, codec.placed([(g, 0), (g, 1)], cap))],
+        cap, bound))
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -501,15 +512,29 @@ def reconstruct(algebra, c, g, order):
             f"reconstruction at order {order} needs the logarithm through "
             f"order {work} (certified {g.order})",
             certified=g.order, requested=work)
-    if not g.constant_term().is_zero() or g.coeff((1,)).full_counit() != 1:
-        raise NoInverse("logarithm must be of the form x + O(x^2)")
+    # (Delta g)^-1 as Delta(g^-1), lifted straight into the constants of
+    # the substitution's layout; a table that lowers a degree is no ring
+    # homomorphism of the truncated algebras, and Delta g reverts in
+    # H (x) H
+    codec = algebra._codec(2, XY, work)
+    try:  # the reversion checks g
+        if algebra.lowers_degree():
+            inverse = g.apply_slot(0, "comul").comp_inverse(order=work)
+            consts = inverse._codec.split(inverse._packed, codec,
+                                          lambda e: (e, (0, 0)))
+            flag = inverse.truncated
+        else:
+            consts, flag = _lifted_parts(g.comp_inverse(order=work), codec)
+    except (ShapeMismatch, NonZeroConstantTerm,
+            NonInvertibleConstantTerm) as exc:
+        raise NoInverse("logarithm must be of the form x + O(x^2)") from exc
 
-    inverse = _lifted_inverse(g, work)
-    rhs = (Series.constant(c, 2, INF, XY)
-           + g.embed(2, (0,)).embed_vars(2, (0,), XY)
-           + g.embed(2, (1,)).embed_vars(2, (1,), XY)).truncate(work)
-    F_elevated = inverse.substitute(
-        [rhs], order if algebra.coassociative else None)
+    # c + (g (x) 1)(X) + (1 (x) g)(Y) through work, whose substitution's
+    # order rule charges the slack of c, its constant
+    rhs = Series._of(codec, codec.placed([(c, 0), (g, 0), (g, 1)], work))
+    cap = work - slack
+    F_elevated = _substituted(consts, flag, [rhs], codec, cap, [slack],
+                              order if algebra.coassociative else cap)
 
     if order < 0:
         raise TruncationInsufficient(

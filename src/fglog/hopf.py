@@ -482,7 +482,7 @@ class TensorElement:
         """{key tuple: Q}, unpacked from the packed form on first read."""
         if self._terms is None:
             packed = self._packed
-            key, den = self.algebra._codec(self.arity).key, packed.den
+            key, den = self._codec.key, packed.den
             self._terms = {key(code): Q(num, den)
                            for bucket in packed.buckets.values()
                            for code, num in bucket}
@@ -491,6 +491,9 @@ class TensorElement:
     @property
     def truncated(self):
         return self._packed.flag
+
+    # its layout, where a series has its own (`_Codec.placed` takes both)
+    _codec = property(lambda self: self.algebra._codec(self.arity))
 
     def _flagged(self, flag):
         """The same terms with the `truncated` flag `flag`."""

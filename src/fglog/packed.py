@@ -31,8 +31,10 @@ each one _Packed. A tensor's layout, without variables, is the low
 `hopf_bits` of every series layout of its algebra and arity: a
 coefficient's codes or-ed with its exponents' fields are the series'
 codes (`_Codec.pack`, `_Codec.split`), a constant is its tensor's own
-_Packed re-stamped (`_Packed.stamped`), and Fractions are built only from
-input and for output (`TensorElement.terms`, `Series.terms`).
+_Packed re-stamped (`_Packed.stamped`), the parts of a law (c, g (x) 1,
+1 (x) g, F among X, Y, Z) are placed at their slots and variables in one
+pass (`_Codec.placed`), and Fractions are built only from input and for
+output (`TensorElement.terms`, `Series.terms`).
 
 Tensor powers of H are truncated by total degree across the slots. That
 span is an ideal and, since every structure map preserves degree, also a
@@ -49,6 +51,8 @@ series or tensor the _Packed stands for.
 import math
 from bisect import bisect_left
 from operator import itemgetter
+
+from .errors import ArityMismatch
 
 INF = math.inf
 _code = itemgetter(0)  # sorting (code, numerator) terms by code alone
@@ -235,6 +239,41 @@ class _Codec:
                 buckets[h] = out
         return _Packed(buckets, packed.den, packed.order, packed.flag,
                        codec.shift)
+
+    def placed(self, parts, order=INF):
+        """The sum of the parts (x, s) through `order` in this layout, each
+        x a series or tensor of this algebra whose slots and variables
+        start at tensor slot and variable s, 1 and exponent 0 elsewhere:
+        (g, 0) is g (x) 1 at X, (g, 1) is 1 (x) g at Y, (c, 0) is c at the
+        zero exponents, (F, 1) is F in Y, Z among X, Y, Z. One pass over
+        each part's codes, summed over the common denominator; the least
+        order, the flags or-ed."""
+        bits = self.algebra._codec(1).hopf_bits
+        den = math.lcm(*[x._packed.den for x, _ in parts])
+        order = min(order, *[x._packed.order for x, _ in parts])
+        acc = {}
+        for x, s in parts:
+            codec, packed = x._codec, x._packed
+            if s + codec.arity > self.arity:
+                raise ArityMismatch("slot assignment outside target arity")
+            low, scale = codec.hopf_bits, den // packed.den
+            mask = (1 << low) - 1
+            bases = {}
+            for vcode in {code >> low for bucket in packed.buckets.values()
+                          for code, _ in bucket}:
+                exps = codec._code_exps(vcode)
+                if sum(exps) <= order:
+                    bases[vcode] = self._exps_code((0,) * s + exps)
+            for h, bucket in packed.buckets.items():
+                out = acc.setdefault(h, {})
+                for code, n in bucket:
+                    base = bases.get(code >> low)
+                    if base is not None:
+                        key = base | (code & mask) << s * bits
+                        out[key] = out.get(key, 0) + n * scale
+        return _Packed.reduced(acc, den, order,
+                               any(x._packed.flag for x, _ in parts),
+                               self.shift)
 
     def stepped(self, packed, var, up=False):
         """The derivative of packed in variable `var` (each term with

@@ -344,21 +344,12 @@ class Series:
         if self.nvars == 0 and not assigns:
             return self.truncate(order)
         cap, codec, slacks = _substitution_order(self, assigns)
-        out = min(cap, order)
-        if self.is_zero():
-            return Series._of(codec, _Packed({}, 1, out, self.truncated,
-                                             codec.shift))
-        # each group carries this series' flag, which the result ors in
-        # anyway: a flagged series settles the Horner cut at once
         zero = (0,) * codec.nvars
-        consts = {e: Series._of(codec, c.stamped(INF, self.truncated))
-                  for e, c in self._codec.split(
-                      self._packed, codec, lambda e: (e, zero)).items()}
-        laid = [None if s is None else _in(codec, a)
-                for a, s in zip(assigns, slacks)]
-        result = _horner(consts, laid, cap, slacks, out)._packed
-        return Series._of(codec, result.stamped(
-            out, result.flag or self.truncated))
+        return _substituted(
+            self._codec.split(self._packed, codec, lambda e: (e, zero)),
+            self.truncated, [None if s is None else _in(codec, a)
+                             for a, s in zip(assigns, slacks)],
+            codec, cap, slacks, min(cap, order))
 
     def comp_inverse(self, order=None):
         """Compositional inverse of a one-variable series with f(0) = 0 and
@@ -371,11 +362,11 @@ class Series:
         step, so order N takes about log2 N evaluations of f, each by the
         packed Paterson-Stockmeyer evaluator (`_evaluate`) in about
         2 sqrt(N) full products: the loop substitutes and unpacks
-        nothing. A lift Delta g reverts over H (`_lifted_inverse`)."""
+        nothing. A lift Delta g reverts over H, as Delta(g^-1)."""
         order = _requested_order(order, self.order)
         if self.nvars != 1:
             raise ShapeMismatch("compositional inverse needs one variable")
-        if not self.constant_term().is_zero():
+        if self.valuation() == 0:
             raise NonZeroConstantTerm(
                 "compositional inverse needs zero constant term")
         b0 = self.coeff((1,))
@@ -399,7 +390,10 @@ class Series:
         f = self.truncate(order)
         base = _coproduct_base(f) if f.arity == 2 else None
         if base is not None:
-            return _lifted_inverse(base, order)
+            # Delta keeps degrees and is a ring homomorphism: it commutes
+            # with truncation and reversion, and Delta(g^-1) has the flag
+            # of g^-1
+            return base.comp_inverse(order=order).apply_slot(0, "comul")
         codec, root = _newton_root(f, b0_inv, order)
         return Series._of(codec, root.stamped(order, self.truncated))
 
@@ -646,7 +640,7 @@ def _newton_root(f, b0_inv, order):
     # -x as the coefficient of h^0: the evaluator sums f(h) - x
     consts = {0: _Packed({0: [(x_code, -1)]}, 1, INF, False, codec.shift)}
     consts.update(f._codec.split(f._packed, codec, lambda e: (e[0], (0,))))
-    h = Series._of(codec, codec.pack({(1,): b0_inv}))
+    h = codec.pack({(1,): b0_inv})
     bound = f.algebra.degree_bound
     for p in _doubling_orders(1, order):
         # h is the inverse through some q >= p/2, so e = f(h) - x
@@ -654,35 +648,24 @@ def _newton_root(f, b0_inv, order):
         # h - e h' is the inverse through 2q >= p. h is read as the
         # polynomial it stores, so f cut at p caps the step at p.
         err = _evaluate({k: c for k, c in consts.items() if k <= p},
-                        h._packed, p, bound)
-        if err.buckets:
-            h = _series_mul(Series._of(codec, err), -h.derivative(), keep=p,
-                            plus=h)
-        else:
-            h = h.truncate(p)
-        h = Series._of(codec, h._packed.stamped(INF, False))
-    return codec, h._packed
+                        h, p, bound)
+        h = (_series_mul(  # a product, where the benchmark's tracer counts
+            Series._of(codec, err),
+            Series._of(codec, codec.stepped(h, 0).scaled(-1)), keep=p,
+            plus=Series._of(codec, h))._packed if err.buckets
+             else h.truncate(p)).stamped(INF, False)
+    return codec, h
 
 
 def _coproduct_base(f):
     """The series g over H with Delta g = f, of arity 2, with f's flag, or
-    None when f is no such lift or Delta lowers a degree
-    (`_lifted_inverse`). H is connected, so g = (id (x) eps) f, checked
-    by lifting it again."""
+    None when f is no such lift or Delta lowers a degree (then no ring
+    homomorphism of the truncated algebras, so f reverts in H (x) H). H
+    is connected, so g = (id (x) eps) f, checked by lifting it again."""
     if f.algebra.lowers_degree():
         return None
     g = f.apply_slot(1, "counit")
     return g if (g.apply_slot(0, "comul") - f).is_zero() else None
-
-
-def _lifted_inverse(g, order):
-    """(Delta g)^-1 through order as Delta(g^-1), with the flag of g^-1: a
-    degree-keeping ring homomorphism commutes with truncation and
-    reversion. A table that lowers a degree is none: Delta g reverts in
-    H (x) H."""
-    if g.algebra.lowers_degree():
-        return g.apply_slot(0, "comul").comp_inverse(order=order)
-    return g.comp_inverse(order=order).apply_slot(0, "comul")
 
 
 # -- series products on the packed kernel (packed.py) ------------------------
@@ -724,6 +707,50 @@ def _substitution_order(f, assigns, vmax=0):
     vmax = max(vmax, top, cap if cap != INF else f.max_degree() * top)
     return cap, target._codec.like(vmax=vmax), [
         slacks[v] if occurring[v] else None for v in range(f.nvars)]
+
+
+def _substituted(consts, flag, assigns, codec, cap, slacks, order):
+    """f(assigns) through `order`, at most cap, in the codec's layout, once
+    the checks and the order rule are settled (`_substitution_order`):
+    Horner on the constants {exps: _Packed} of f, whose flag is `flag`,
+    the assignments laid out in the codec (None where a variable does not
+    occur in f)."""
+    if not consts:
+        return Series._of(codec, _Packed({}, 1, order, flag, codec.shift))
+    # each group carries f's flag, which the result ors in anyway: a
+    # flagged series settles the Horner cut at once
+    result = _horner({e: Series._of(codec, c.stamped(INF, flag))
+                      for e, c in consts.items()},
+                     assigns, cap, slacks, order)._packed
+    return Series._of(codec, result.stamped(order, result.flag or flag))
+
+
+def _lifted_parts(h, codec):
+    """({(k,): Delta h_k}, flag): the coproduct lift of each coefficient
+    h_k of the one-variable series h over H, as a complete constant of
+    the codec's layout (arity 2), and the lift's flag: h.apply_slot(0,
+    "comul") split by exponent, in one pass over h's codes from the
+    algebra's packed image of each monomial (`HopfAlgebra._image_rows`)."""
+    alg, packed, bits = h.algebra, h._packed, h._codec.hopf_bits
+    mask = (1 << bits) - 1
+    images = {code: alg._image_rows("comul", code) for code in {
+        code & mask for bucket in packed.buckets.values()
+        for code, _ in bucket}}
+    den = math.lcm(*[d for _, d in images.values()])
+    parts, flag = {}, packed.flag
+    for hd, bucket in packed.buckets.items():
+        for code, n in bucket:
+            rows, d = images[code & mask]
+            acc = parts.setdefault((code >> bits,), {})
+            for c, dh, m in rows:
+                out = acc.setdefault(hd + dh, {})
+                out[c] = out.get(c, 0) + n * m * (den // d)
+    for acc in parts.values():  # what leaves the bound, when nonzero
+        for hd in [hd for hd in acc if hd > alg.degree_bound]:
+            flag = any(acc.pop(hd).values()) or flag
+    parts = {k: _Packed.reduced(acc, packed.den * den, INF, False,
+                                codec.shift) for k, acc in parts.items()}
+    return {k: p for k, p in parts.items() if p.buckets}, flag
 
 
 def _slack(name, kappa):
@@ -846,14 +873,17 @@ def _evaluate(coeffs, h, p, bound):
     (nilpotent) constant kappa of h is expanded about first (Brent and
     Kung, JACM 1978): G_j = sum_i binom(j + i, i) coeffs[j + i] kappa^i,
     over the present coeffs and kappa's powers formed once while nonzero,
-    one kernel call each, are summed in h - kappa, of valuation >= 1, so
-    the cut applies. Terms are exact in the quotient ring and the order is
-    p. No output reads the flag, which the expansion can change: extraction
-    drops it, Newton steps stamp False, the CLI never prints check_log's
-    functional defect."""
+    are summed in h - kappa, of valuation >= 1, so the cut applies; each
+    G_j takes one kernel call, except G_(im), whose pairs join block i's
+    own call, as it is times (h - kappa)^0 = 1 there. Terms are exact in
+    the quotient ring and the order is p. No output reads the flag, which
+    the expansion can change: extraction drops it, Newton steps stamp
+    False, the CLI never prints check_log's functional defect."""
     if not coeffs:
         return _Packed({}, 1, p, False, h.shift)
     kmax = max(coeffs)
+    m = max(1, math.isqrt(kmax))
+    heads = {}
     if h.val == 0:
         kappa = h.truncate(0).stamped(INF, False)
         powers = [_UNIT, kappa]
@@ -864,14 +894,16 @@ def _evaluate(coeffs, h, p, bound):
             for i, power in enumerate(powers[:k + 1]):
                 shifted.setdefault(k - i, []).append(
                     (coeffs[k], power.scaled(math.comb(k, i))))
+        # G_(im) is times (h - kappa)^0 = 1 in block i: its pairs join
+        # that block's kernel call; every other G_j is summed once
+        heads = {j: ps for j, ps in shifted.items() if not j % m}
         coeffs = {j: _Packed.sum_of_products(ps, p, bound)
-                  for j, ps in shifted.items()}
+                  for j, ps in shifted.items() if j % m}
         # each bucket of h is sorted by degree: kappa's terms lead it
         rest = {hd: b[len(kappa.buckets.get(hd, ())):]
                 for hd, b in h.buckets.items()}
         h = _Packed({hd: b for hd, b in rest.items() if b}, h.den, h.order,
                     h.flag, h.shift)
-    m = max(1, math.isqrt(kmax))
     # p + 1 for h = 0: no block past the first reaches order p; through
     # p = inf every block is kept whole
     v = 0 if p == INF else min(h.val, p + 1)
@@ -880,8 +912,9 @@ def _evaluate(coeffs, h, p, bound):
         powers.append(powers[-1].times(powers[1], p, bound))
     acc = None
     for i in range(kmax // m, -1, -1):
-        pairs = [(coeffs[i * m + j], powers[j]) for j in range(m)
-                 if i * m + j in coeffs]
+        pairs = heads.get(i * m, []) + [
+            (coeffs[i * m + j], powers[j]) for j in range(m)
+            if i * m + j in coeffs]
         if acc is not None:
             pairs.append((acc, powers[m]))
         acc = _Packed.sum_of_products(pairs, p - i * m * v, bound)

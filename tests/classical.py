@@ -6,7 +6,7 @@ bare dicts mapping exponent tuples to Fraction, and the logarithm is found
 by brute-force coefficient solving of g(F(x, y)) = g(x) + g(y) rather than
 by inverting the invariant differential. The tensor series engine and this
 module cross-check each other in the test suite; nothing here imports from
-the rest of the package.
+fglog.
 """
 
 from fractions import Fraction

@@ -41,7 +41,7 @@ from fglog import (
     symmetry_defect,
     verify_hopf_axioms,
 )
-from fglog.classical import additivity_defect, classical_logarithm
+from classical import additivity_defect, classical_logarithm
 from fglog.exprparse import parse_element, parse_tensor
 from fglog.generate import random_cocycle, random_logarithm, \
     random_symmetric_candidate

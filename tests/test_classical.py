@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fglog import Series, TensorElement, logarithm
-from fglog.classical import (
+from classical import (
     additivity_defect,
     classical_logarithm,
     poly_add,

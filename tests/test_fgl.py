@@ -38,13 +38,14 @@ from fglog import (
 from fglog import fgl as fgl_module
 from fglog import jsonio
 from fglog import series as series_module
-from fglog.packed import _Codec, _Packed
+from fglog.packed import _MINUS_UNIT, _UNIT, _Codec, _Packed
 from fglog.fgl import (
     XYZ,
     _eval_univariate,
     _gate_composite,
     _left,
     _lift_inner,
+    _packed_residual,
 )
 from fglog.scalars import Q
 from fglog.series import _minus_reversed
@@ -55,6 +56,7 @@ from fglog.generate import (
     random_symmetric_candidate,
 )
 from fglog.errors import (
+    ArityMismatch,
     AxiomViolation,
     CocycleViolation,
     NoInverse,
@@ -73,6 +75,7 @@ from test_series import (
     NEWTON_ALGEBRAS,
     SELDOM,
     _assert_same,
+    assert_one_packed_form,
     assert_same_outcome,
     engine_series,
     lift_inputs,
@@ -243,16 +246,17 @@ class TestCheckAxioms:
     def test_asymmetric_check_forms_each_lift_once(self, monkeypatch):
         """A failing check on the two-composite path maps the law's codes
         once per lift: the two counit lifts, and the coproduct and inner
-        lifts of each composite (a slot map or a slot embedding of the
-        series each). The symmetry defect is a key reversal of the packed
-        law and maps no coefficient. The slack of F(0, 0) is computed once
-        for the order rule, and each substitution computes that of its own
-        assigned constant once."""
+        lifts of each composite (a slot map of the series, or its
+        placement among X, Y, Z by `_Codec.placed`, each). The symmetry
+        defect is a key reversal of the packed law and maps no
+        coefficient. The slack of F(0, 0) is computed once for the order
+        rule, and each substitution computes that of its own assigned
+        constant once."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = lemma_law(alg, two_t_t(alg), order=8) + Series(
             alg, 2, 2, {(2, 1): two_t_t(alg)}, 8, XY)
         lifts, slacks = [], []
-        map_slot, embed = Series._map_slot, Series.embed
+        map_slot, placed = Series._map_slot, _Codec.placed
         nilpotency_slack = TensorElement.nilpotency_slack
 
         def counted(lift):
@@ -267,7 +271,7 @@ class TestCheckAxioms:
             return nilpotency_slack(element)
 
         monkeypatch.setattr(Series, "_map_slot", counted(map_slot))
-        monkeypatch.setattr(Series, "embed", counted(embed))
+        monkeypatch.setattr(_Codec, "placed", counted(placed))
         monkeypatch.setattr(TensorElement, "nilpotency_slack", counted_slack)
         report = check_axioms(F)
         assert not report.passed
@@ -2114,6 +2118,119 @@ class TestTheoremRoute:
             assert got[1] == (AxiomViolation, (
                 f"reconstructed series fails the {verdict} axiom; the "
                 "cocycle or logarithm is inconsistent"))
+
+
+# -- the parts of a law, placed in one pass -------------------------------------
+
+@st.composite
+def placement_cases(draw):
+    """(f, start, order) over trivial, qt1, qt2 or qtu at degree bounds
+    3-8: a series of arity 1 in one variable placed at slot and variable
+    0 or 1 of (X, Y), g (x) 1 or 1 (x) g, or one of arity 2 in two
+    variables at slots and variables (0, 1) or (1, 2) of (X, Y, Z), as
+    `_lift_inner` places a law, flagged half the time, through an order
+    or none."""
+    name, bound = draw(NEWTON_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    arity = draw(st.sampled_from([1, 2]))
+    f = draw(engine_series(alg, arity, arity, top=3, flags=st.booleans()))
+    return (f, draw(st.integers(0, 1)),
+            draw(st.one_of(st.just(INF), st.integers(-1, 8))))
+
+
+def reference_packed_residual(F, g):
+    """`fgl._packed_residual` with g (x) 1 and 1 (x) g formed by
+    embed(...).embed_vars(...) chains, each truncated and re-laid into
+    the evaluator's layout: the route before `_Codec.placed`."""
+    lifted = g.apply_slot(0, "comul")
+    cap, codec, _ = series_module._substitution_order(lifted, [F],
+                                                      g.max_degree())
+    bound = F.algebra.degree_bound
+    composed = series_module._evaluate(
+        lifted._codec.split(lifted._packed, codec,
+                            lambda e: (e[0], (0, 0))),
+        series_module._in(codec, F.truncate(cap))._packed, cap, bound)
+    pairs = [(_UNIT, composed)] + [
+        (_MINUS_UNIT, series_module._in(codec, g.embed(2, (s,)).embed_vars(
+            2, (s,), F.names).truncate(cap))._packed) for s in (0, 1)]
+    return Series._of(codec, _Packed.sum_of_products(pairs, cap, bound))
+
+
+class TestPlacement:
+    """`_Codec.placed` lays the parts of a law out in one pass: each
+    placement is the embed(...).embed_vars(...) chain it replaces, in
+    terms, certified order, flag and layout, and reconstruct's right-hand
+    side and the twisted residual are those of the chains."""
+
+    @settings(max_examples=250)
+    @given(placement_cases())
+    def test_matches_the_embed_chain(self, case):
+        f, start, order = case
+        arity = f.arity + 1
+        slots = tuple(range(start, start + f.arity))
+        want = f.embed(arity, slots).embed_vars(arity, slots,
+                                                (XY, XYZ)[f.arity - 1])
+        codec = want._codec
+        got = Series._of(codec, codec.placed([(f, start)], order))
+        _assert_same(got, want.truncate(order))
+        assert got._codec is codec
+        assert_one_packed_form(got)
+        if f.arity == 2:
+            lift = _lift_inner(f, slots)
+            _assert_same(lift, want)
+            assert lift._codec is codec
+
+    def test_part_beyond_the_arity_rejected(self, qt1):
+        g = Series.variable(qt1, 2, 1, 0)
+        with pytest.raises(ArityMismatch):
+            qt1._codec(2, XY, 3).placed([(g, 1)])
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_reconstruct_right_hand_side(self, data):
+        """The right-hand side that reconstruct substitutes into is
+        c + g (x) 1 + 1 (x) g through its working order, summed from
+        `Series.constant` and the embed chains; the law is the one the
+        chains give (`elevated_law`)."""
+        name, bound = data.draw(NEWTON_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        c = data.draw(tensor_coefficients(alg, 2, unit=0))
+        x = Series.variable(alg, 1, 1, 0, INF, ("x",))
+        g = x + data.draw(engine_series(
+            alg, 1, 1, top=3, flags=st.booleans())) * x * x
+        order = data.draw(st.integers(0, 4))
+        rhs = []
+        original = series_module._substituted
+
+        def recorded(consts, flag, assigns, *args):
+            rhs.append(assigns[0])
+            return original(consts, flag, assigns, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fgl_module, "_substituted", recorded)
+            got = outcome(reconstruct, alg, c, g, order)
+        if not rhs:
+            assert got[1] is not None
+            return
+        work = order + 2 * c.nilpotency_slack()
+        want = (Series.constant(c, 2, INF, XY)
+                + g.embed(2, (0,)).embed_vars(2, (0,), XY)
+                + g.embed(2, (1,)).embed_vars(2, (1,), XY)).truncate(work)
+        _assert_same(rhs[0], want)
+        assert_one_packed_form(rhs[0])
+        if got[1] is None:
+            _assert_same(got[0], elevated_law(c, g, order).truncate(order))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_packed_residual(self, data):
+        name, bound = data.draw(NEWTON_ALGEBRAS)
+        alg = builtin_algebra(name, degree_bound=bound)
+        F = data.draw(engine_series(alg, 2, 2, nilpotent_constant=True,
+                                    flags=st.booleans()))
+        g = data.draw(engine_series(alg, 1, 1, top=3, flags=st.booleans()))
+        assert_same_outcome(outcome(_packed_residual, F, g),
+                            outcome(reference_packed_residual, F, g))
 
 
 # -- classical specialization ----------------------------------------------------

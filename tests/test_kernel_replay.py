@@ -1,6 +1,7 @@
 """tools/kernel_replay.py: one repeat of a smoke pass prints the kernel
-calls, seconds and term pairs of every operation and their total, each
-followed by those of every fglog function that reached the kernel."""
+calls, seconds and term pairs of every operation and their total, with
+the operation's in-process wall time, each followed by those of every
+fglog function that reached the kernel."""
 
 import re
 import subprocess
@@ -8,7 +9,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ROW = re.compile(r"^(  )?(\S+): (\d+) calls, (\d+\.\d{6}) s, (\d+) pairs$")
+ROW = re.compile(r"^(  )?(\S+): (\d+) calls, (\d+\.\d{6}) s, (\d+) pairs"
+                 r"(, (\d+\.\d{6}) s wall)?$")
 
 
 def replay_blocks(workload):
@@ -23,6 +25,8 @@ def replay_blocks(workload):
     assert all(rows), proc.stdout
     blocks = []
     for row in rows:
+        # the wall time is an operation's and the total's, not a caller's
+        assert bool(row[1]) != bool(row[6]), row[0]
         if row[1]:
             blocks[-1][3][row[2]] = (int(row[3]), int(row[5]))
         else:

@@ -9,10 +9,14 @@ product, substitution step, evaluator block and tensor product reaches),
 then replays each operation's recorded calls N times (default 5) in the
 same process and prints the best time of each operation's calls and their
 total: the series product layer's seconds, with the rest of the operation
-taken away. --smoke uses the workload's small smoke inputs. Each row also
-gives the term pairs that its calls form: the pairs of terms whose Hopf
-degrees stay within the bound and whose variable degrees sum to at most
-the call's `keep`, capped by the operands' orders as the kernel caps it.
+taken away. Next to them it prints the best in-process wall time of each
+operation over N unrecorded runs, and their total: the wall time less
+the kernel seconds is the glue around the kernel (set-up, checks,
+re-layings, slot maps). --smoke uses the workload's small smoke inputs.
+Each row also gives the term pairs that its calls form: the pairs of
+terms whose Hopf degrees stay within the bound and whose variable degrees
+sum to at most the call's `keep`, capped by the operands' orders as the
+kernel caps it.
 They depend on the calls alone, so they repeat exactly from run to run.
 Under each operation and under the total, indented rows give the calls,
 seconds and pairs of each fglog function that reached the kernel, as
@@ -53,7 +57,7 @@ def caller(frame):
 
 
 def record(workload):
-    """[(item id, [(pairs, keep, bound, caller), ...])] of one in-process
+    """[(item, [(pairs, keep, bound, caller), ...])] of one in-process
     pass, in a fixed order, and the ids of the operations whose output
     missed its golden."""
     packed = workload.fg.packed._Packed
@@ -71,7 +75,7 @@ def record(workload):
         for item in workload.make_pass(random.Random(0), inprocess=True):
             calls = []
             outs.append((item, item.run()))
-            per_item.append((item.id, calls))
+            per_item.append((item, calls))
     finally:
         packed.sum_of_products = staticmethod(kernel)
     missed = [item.id for item, out in outs
@@ -112,8 +116,19 @@ def replay(kernel, calls, repeats):
     return best
 
 
-def line(calls, seconds, pairs):
-    return f"{calls} calls, {seconds:.6f} s, {pairs} pairs"
+def wall(item, repeats):
+    """Best in-process wall seconds of one unrecorded run of the item."""
+    best = INF
+    for _ in range(repeats):
+        start = perf_counter()
+        item.run()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def line(calls, seconds, pairs, wall_s=None):
+    text = f"{calls} calls, {seconds:.6f} s, {pairs} pairs"
+    return text if wall_s is None else f"{text}, {wall_s:.6f} s wall"
 
 
 def main(argv=None):
@@ -132,9 +147,9 @@ def main(argv=None):
     workload = workloads.setup(args.workload, root, smoke=args.smoke)
     per_item, missed = record(workload)
     kernel = workload.fg.packed._Packed.sum_of_products
-    total = [0, 0.0, 0]  # calls, seconds, pairs
+    total = [0, 0.0, 0, 0.0]  # calls, seconds, pairs, wall seconds
     totals = {}  # caller -> [calls, seconds, pairs]
-    for item_id, calls in sorted(per_item):
+    for item, calls in sorted(per_item, key=lambda row: row[0].id):
         groups = {}
         for call in calls:
             groups.setdefault(call[-1], []).append(call)
@@ -143,8 +158,8 @@ def main(argv=None):
             rows[name] = (len(group), replay(kernel, group, args.repeats),
                           sum(formed_pairs(*call[:3]) for call in group))
         row = (len(calls), replay(kernel, calls, args.repeats),
-               sum(r[2] for r in rows.values()))
-        print(f"{item_id}: " + line(*row))
+               sum(r[2] for r in rows.values()), wall(item, args.repeats))
+        print(f"{item.id}: " + line(*row))
         total = [x + y for x, y in zip(total, row)]
         for name, row in rows.items():
             totals[name] = [x + y for x, y in zip(
