@@ -52,15 +52,16 @@ composites; they move to the evaluator once the flag is dropped.
 check_axioms forms its composites through the checked order, where its
 report cuts every defect. reconstruct reverts g over H, whose checks
 are the reversion's, lifts the coefficients of g^-1 straight into the
-substitution's constants (`series._lifted_parts`), places
+substitution's constants (`series._mapped_parts`), places
 c + g (x) 1 + 1 (x) g in the substitution's layout in one pass over the
 codes of c and g (`_Codec.placed`), and runs Horner under the order
 rule with the slack of c, computed once; over a coassociative H, where
 nothing reads F past `order`, it substitutes through `order`. The
 twisted residual (Delta g)(F) - g (x) 1 - 1 (x) g prints no flag, so
 extract_cocycle and check_log's functional route sum it by the packed
-evaluator, expanded about F(0, 0) (`_packed_residual`), under the same
-order rule (`series._substitution_order`), with the logarithm kept on
+evaluator, expanded about F(0, 0) (`_packed_residual`), its constants
+lifted off g's codes in the same way, under the same order rule
+(`series._substitution_order`), read off g, with the logarithm kept on
 F.
 
 Reconstruction by the theorem: over a coassociative H, reconstruct reads
@@ -103,7 +104,7 @@ from .series import (
     _doubling_orders,
     _evaluate,
     _in,
-    _lifted_parts,
+    _mapped_parts,
     _minus_reversed,
     _requested_order,
     _series_mul,
@@ -475,14 +476,14 @@ def extract_cocycle(F, g=None, order=None):
 def _packed_residual(F, g):
     """(Delta g)(F(X, Y)) - (g (x) 1)(X) - (1 (x) g)(Y), its terms and
     order, not a flag: (Delta g)(F) by the packed evaluator on F's packed
-    form, minus g (x) 1 + 1 (x) g, placed in its layout in one pass
+    form, its constants lifted straight off g's codes
+    (`series._mapped_parts`) under the order rule read off g, minus
+    g (x) 1 + 1 (x) g, placed in its layout in one pass
     (`_Codec.placed`), in one kernel call."""
-    lifted = g.apply_slot(0, "comul")
-    cap, codec, _ = _substitution_order(lifted, [F], g.max_degree())
+    cap, codec, _ = _substitution_order(g, [F], g.max_degree(), g.arity + 1)
     bound = F.algebra.degree_bound
     composed = _evaluate(
-        lifted._codec.split(lifted._packed, codec,
-                            lambda e: (e[0], (0, 0))),
+        _mapped_parts(g, "comul", codec, lambda e: (e[0], (0, 0)))[0],
         _in(codec, F.truncate(cap))._packed, cap, bound)
     return Series._of(codec, _Packed.sum_of_products(
         [(_UNIT, composed),
@@ -524,7 +525,8 @@ def reconstruct(algebra, c, g, order):
                                           lambda e: (e, (0, 0)))
             flag = inverse.truncated
         else:
-            consts, flag = _lifted_parts(g.comp_inverse(order=work), codec)
+            consts, flag = _mapped_parts(g.comp_inverse(order=work), "comul",
+                                         codec, lambda e: (e, (0, 0)))
     except (ShapeMismatch, NonZeroConstantTerm,
             NonInvertibleConstantTerm) as exc:
         raise NoInverse("logarithm must be of the form x + O(x^2)") from exc
@@ -561,14 +563,21 @@ def reconstruct(algebra, c, g, order):
 
 def inverse_series(F, order=None):
     """Series iota with (mu . (id (x) S))F (x, iota(x)) = 0, the inverse of
-    the group law. The constant part is solved by Newton iteration in the
-    nilpotent ideal, the rest by Newton iteration in x, which doubles the
-    certified order at each step and runs on packed operands: folded(x, y)
-    and its y-derivative are evaluated at y = iota by the packed
+    the group law. folded(x, y) = (mu . (id (x) S))F is read off F's codes
+    in one pass, split by the exponent of y (`_y_coefficients`). The
+    constant part is solved by Newton iteration in the nilpotent ideal,
+    the rest by Newton iteration in x, which doubles the certified order
+    at each step and runs on packed operands: folded(x, y) and its
+    y-derivative are evaluated at y = iota by the packed
     Paterson-Stockmeyer evaluator (`series._evaluate`), as is the final
     residual check, exact for a complete law, where its zero makes iota
-    complete. NoInverse when the data is inconsistent or the
-    linearization is not invertible."""
+    complete. The loop stops once it has converged (Brent and Kung, JACM
+    1978): a step that finds no error leaves the root where it is, whose
+    residual through the certified order, evaluated once, either vanishes
+    and ends the loop or gives the later steps their errors; the final
+    check reuses the last such residual while the root has not moved
+    since. NoInverse when the data is inconsistent or the linearization
+    is not invertible."""
     algebra = F.algebra
     target = order = _requested_order(order, F.order)
     if target is None:
@@ -584,17 +593,20 @@ def inverse_series(F, order=None):
             certified=F.order, requested=target)
 
     # folded(x, y) = sum_k C_k(x) y^k, each C_k packed once, and
-    # d_Y folded = sum_k (k + 1) C_(k+1)(x) y^k on the same numerators
+    # d_Y folded = sum_k (k + 1) C_(k+1)(x) y^k on the same numerators,
+    # scaled from the C_k that a step keeps
     codec = algebra._codec(1, ("x",), max(target, F.max_degree()))
     groups = _y_coefficients(codec, F)
-    d_groups = {k - 1: c.scaled(k) for k, c in groups.items() if k}
 
     # constant part: solve folded(0, theta) = 0 by Newton iteration, on
-    # the C_k(0)
-    at_zero = Series(algebra, 1, 1, {
-        (k,): Series._of(codec, c).constant_term()
-        for k, c in groups.items() if c.val == 0}, INF, ("y",))
-    d_at_zero = at_zero.derivative()
+    # the C_k(0) and (k + 1) C_(k+1)(0) as tensors of H: the codes of
+    # degree 0 are tensor codes
+    at_zero = {k: c.truncate(0) for k, c in groups.items() if c.val == 0}
+    d_at_zero = {k - 1: c.scaled(k) for k, c in at_zero.items() if k}
+    at_zero, d_at_zero = [
+        {k: TensorElement._of(algebra, 1, _Packed.divided(
+            c.buckets, c.den, False, c.shift)) for k, c in part.items()}
+        for part in (at_zero, d_at_zero)]
 
     def linearized(theta):
         """The inverse of d_Y folded(0, theta)."""
@@ -640,20 +652,37 @@ def inverse_series(F, order=None):
     # y-derivative are summed as sum_k C_k(x) y^k by the packed evaluator
     # at y = iota, read as the polynomial it stores; terms x^i y^k with
     # i + k above p + slack cannot reach order p, because
-    # theta^(slack + 1) = 0
+    # theta^(slack + 1) = 0. A step whose error vanishes through p leaves
+    # the root exact through p (q = p); the first such step evaluates the
+    # residual through cert at once, not step by step. at_cert is the
+    # residual through cert of the root as it stands, once evaluated
     steps = _doubling_orders(0, cert, extra=1)
     bound = algebra.degree_bound
     s = Series.constant(slope_inv, 1, INF, ("x",))
     root = _constant(codec, theta)
-    q = 0
+    q, at_cert, jumped = 0, None, False
     for p in steps:
-        err = _evaluate(_cut(groups, p + slack), root, p, bound)
+        if at_cert is not None:
+            err = at_cert.truncate(p)
+        else:
+            err = _evaluate(_cut(groups, p + slack), root, p, bound)
+            if p == cert:
+                at_cert = err
+            elif not err.buckets and not jumped:
+                # converged through p: the residual through cert ends
+                # the loop, or, cut at each later step, is its error
+                jumped = True
+                at_cert = _evaluate(_cut(groups, cert + slack), root, cert,
+                                    bound)
+                if not at_cert.buckets:
+                    break
         if err.buckets:
-            d = _evaluate(_cut(d_groups, q + slack), root, q, bound)
+            d = _evaluate({k - 1: c.scaled(k) for k, c in _cut(
+                groups, q + slack + 1).items() if k}, root, q, bound)
             u = (Series._of(codec, d) * s).mul_inverse(q) * s
             root = _series_mul(Series._of(codec, err), _in(codec, -u),
                                keep=p, plus=Series._of(codec, root))._packed
-            root = root.stamped(INF, False)
+            root, at_cert = root.stamped(INF, False), None
         q = p
     # iota is formed from all of F: it carries F's flag, and theta's;
     # the Newton steps keep its constant theta
@@ -661,8 +690,11 @@ def inverse_series(F, order=None):
                                           F.truncated or theta.truncated))
 
     complete = F.order == INF
-    residual = (_evaluate(groups, root, INF, bound) if complete else
-                _evaluate(_cut(groups, cert + slack), root, cert, bound))
+    residual = at_cert
+    if complete:
+        residual = _evaluate(groups, root, INF, bound)
+    elif residual is None:  # the root moved since its last residual
+        residual = _evaluate(_cut(groups, cert + slack), root, cert, bound)
     if residual.truncate(cert).buckets:
         raise NoInverse("inverse equation has no series solution; "
                         "is F a group law?")
@@ -674,39 +706,40 @@ def inverse_series(F, order=None):
 def _y_coefficients(codec, F):
     """{k: C_k} for folded(x, y) = (mu . (id (x) S))F(x, y) = sum_k C_k(x)
     y^k, each nonzero C_k packed in the one-variable layout of codec as a
-    complete polynomial, split off F's codes."""
-    folded = F.apply_slot(1, "antipode").contract_mul((0, 1))
-    return folded._codec.split(folded._packed, codec,
-                               lambda e: (e[1], (e[0],)))
+    complete polynomial, read off F's codes in one pass: the antipode
+    image of slot 1 multiplied into slot 0, split by the exponent of y
+    (`series._mapped_parts`)."""
+    return _mapped_parts(F, "antipode", codec, lambda e: (e[1], e[:1]))[0]
 
 
 def _cut(groups, cap):
     """The C_k of `_y_coefficients` without their terms x^i of i + k above
-    cap, still complete polynomials."""
-    return {k: c.truncate(cap - k).stamped(INF, False)
-            for k, c in groups.items() if k <= cap}
+    cap, still complete polynomials, and only those that keep a term."""
+    cut = {k: c.truncate(cap - k) for k, c in groups.items() if k <= cap}
+    return {k: c.stamped(INF, False) for k, c in cut.items() if c.buckets}
 
 
-def _eval_univariate(series, point):
-    """Evaluate a one-variable series at a nilpotent TensorElement by
-    Horner's rule on tensor arithmetic, flags included; an empty series
-    gives zero. The accumulator R crosses a run of absent coefficients,
+def _eval_univariate(coeffs, point):
+    """Evaluate the polynomial sum_k coeffs[k] y^k, coefficients
+    TensorElements, at a nilpotent TensorElement of their arity by
+    Horner's rule on tensor arithmetic, flags included; no coefficients
+    give zero. The accumulator R crosses a run of absent coefficients,
     g steps, times the one power point**g, which stops at zero. In the
     graded polynomial ring H a top Hopf degree adds under products, so
     both forms overflow the bound, and set the flag, exactly when
     top(R) + g top(point) exceeds it; a zero R, whose flag the steps
     leave as it is, takes one step, and so does a gap of one."""
-    ks = sorted((e[0] for e in series.terms), reverse=True)
+    ks = sorted(coeffs, reverse=True)
     if not ks:
-        return TensorElement.zero(series.algebra, series.arity)
-    result = series.terms[(ks[0],)]
+        return TensorElement.zero(point.algebra, point.arity)
+    result = coeffs[ks[0]]
     for above, k in zip(ks, ks[1:] + [0]):
         if k < above:
             gap = above - k
             result = result * (point if gap == 1 or result.is_zero()
                                else point ** gap)
-            if (k,) in series.terms:
-                result = result + series.terms[(k,)]
+            if k in coeffs:
+                result = result + coeffs[k]
     return result
 
 

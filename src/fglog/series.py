@@ -677,12 +677,16 @@ def _coproduct_base(f):
 # product plus an addend in one call) and result share that layout.
 
 
-def _substitution_order(f, assigns, vmax=0):
+def _substitution_order(f, assigns, vmax=0, arity=None):
     """The checks and order rule of f(assigns), for Horner and the
     evaluator alike: (cap, codec, slacks), cap as in the module docstring,
     codec the assignments' layout for every product through cap and
     exponents up to `vmax`, slacks[v] the slack of the constant assigned
-    to variable v of f, None where v does not occur in f's terms."""
+    to variable v of f, None where v does not occur in f's terms. With an
+    `arity`, f stands for its lift to coefficients of that arity (Delta g
+    in the twisted residual, read off g): a degree-keeping lift maps no
+    nonzero coefficient to zero, so the lift has f's exponents, order
+    and top degree."""
     if len(assigns) != f.nvars:
         raise ShapeMismatch(
             "substitution needs an assignment for every variable")
@@ -691,7 +695,7 @@ def _substitution_order(f, assigns, vmax=0):
         target._check_shape(a)
     if target.algebra != f.algebra:
         raise AlgebraMismatch("assignment over a different algebra")
-    if target.arity != f.arity:
+    if target.arity != (arity or f.arity):
         raise ArityMismatch(
             "assigned series arity differs from the substituted series")
     exponents = f._exponents()
@@ -725,26 +729,37 @@ def _substituted(consts, flag, assigns, codec, cap, slacks, order):
     return Series._of(codec, result.stamped(order, result.flag or flag))
 
 
-def _lifted_parts(h, codec):
-    """({(k,): Delta h_k}, flag): the coproduct lift of each coefficient
-    h_k of the one-variable series h over H, as a complete constant of
-    the codec's layout (arity 2), and the lift's flag: h.apply_slot(0,
-    "comul") split by exponent, in one pass over h's codes from the
-    algebra's packed image of each monomial (`HopfAlgebra._image_rows`)."""
-    alg, packed, bits = h.algebra, h._packed, h._codec.hopf_bits
-    mask = (1 << bits) - 1
-    images = {code: alg._image_rows("comul", code) for code in {
-        code & mask for bucket in packed.buckets.values()
-        for code, _ in bucket}}
+def _mapped_parts(f, op, codec, part):
+    """({key: _Packed}, flag): the terms of f with the monomial of their
+    last tensor slot mapped by op, its image's codes added to those of
+    the slots before it (so multiplied into them), and their exponents e
+    moved to part(e) = (key, exponents) of the codec's layout, each part a
+    complete constant, and the image's flag, in one pass over f's codes
+    from the algebra's packed image of each monomial
+    (`HopfAlgebra._image_rows`): for a one-variable f over H and 'comul'
+    the coproduct lift Delta f_k of each coefficient, for a law over
+    H (x) H and 'antipode' its (mu . (id (x) S))-image."""
+    alg, packed, bits = f.algebra, f._packed, f._codec.hopf_bits
+    low = alg._codec(1).hopf_bits * (f.arity - 1)
+    mask, head = (1 << bits) - 1, (1 << low) - 1
+    codes = {code for bucket in packed.buckets.values() for code, _ in bucket}
+    images = {c: alg._image_rows(op, c)
+              for c in {(code & mask) >> low for code in codes}}
     den = math.lcm(*[d for _, d in images.values()])
+    moves = {}
+    for vcode in {code >> bits for code in codes}:
+        key, exps = part(f._codec._code_exps(vcode))
+        moves[vcode] = (key, codec._exps_code(exps))
     parts, flag = {}, packed.flag
     for hd, bucket in packed.buckets.items():
         for code, n in bucket:
-            rows, d = images[code & mask]
-            acc = parts.setdefault((code >> bits,), {})
+            rows, d = images[(code & mask) >> low]
+            key, base = moves[code >> bits]
+            acc, base = parts.setdefault(key, {}), base | code & head
+            n *= den // d
             for c, dh, m in rows:
                 out = acc.setdefault(hd + dh, {})
-                out[c] = out.get(c, 0) + n * m * (den // d)
+                out[base + c] = out.get(base + c, 0) + n * m
     for acc in parts.values():  # what leaves the bound, when nonzero
         for hd in [hd for hd in acc if hd > alg.degree_bound]:
             flag = any(acc.pop(hd).values()) or flag

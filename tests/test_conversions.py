@@ -9,7 +9,13 @@ with packed series and the right-hand side of reconstruct summed from
 `Series.embed` and `Series.embed_vars` chains it made 10, 0 and 19, and
 159 calls of the product kernel (`_Packed.sum_of_products`). The parts
 of a law are now placed in one pass each (`_Codec.placed`): the two
-re-layings left are those of `fgl.invariant_differential`."""
+re-layings left are those of `fgl.invariant_differential`.
+
+The group inverse of the reversion workload's tanh law at order 33,
+whose inverse is -x, stops its Newton loop once the root stops moving
+and reads folded(x, y) = (mu . (id (x) S))F off F's codes in one pass:
+17 kernel calls, where the loop that ran every step to the target made
+44, and no slot map of F or of its coefficients."""
 
 import json
 import subprocess
@@ -57,3 +63,44 @@ def test_smoke_roundtrip6_pass_converts_little():
     assert counts["pack"] and counts["relaid"]
     assert all(counts[name] <= bound for name, bound in BOUNDS.items()), (
         counts)
+
+
+TANH = """
+import json, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads
+workload = workloads.setup("reversion", root)
+fg = workload.fg
+(item,) = [i for i in workload.all_items() if "tanh" in i.id]
+packed = fg.packed._Packed
+counts = {"kernel": 0, "slot maps": 0}
+kernel = packed.sum_of_products
+
+def counted(pairs, keep, bound):
+    counts["kernel"] += 1
+    return kernel(pairs, keep, bound)
+
+def slot_map(method):
+    def run(self, *args):
+        counts["slot maps"] += self.arity == 2
+        return method(self, *args)
+    return run
+
+packed.sum_of_products = staticmethod(counted)
+for owner in (fg.TensorElement, fg.Series):
+    for name in ("apply_slot", "contract_mul"):
+        setattr(owner, name, slot_map(getattr(owner, name)))
+assert not item.check(item.run())
+print(json.dumps(counts))
+"""
+
+
+def test_tanh_inverse_stops_at_convergence():
+    proc = subprocess.run([sys.executable, "-c", TANH, str(ROOT)],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["kernel"] <= 17 and counts["slot maps"] == 0, counts

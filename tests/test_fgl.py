@@ -1133,7 +1133,8 @@ class TestNewtonInverse:
         if top and data.draw(SELDOM):
             terms[(top - 1,)] = -(terms[(top,)] * point)
         series = Series(alg, arity, 1, terms, INF, ("y",))
-        got = _eval_univariate(series, point)
+        got = _eval_univariate({k: c for (k,), c in series.terms.items()},
+                               point)
         want = reference_eval_univariate(series, point)
         assert got == want and got.truncated == want.truncated
 
@@ -1146,7 +1147,7 @@ class TestNewtonInverse:
         one = TensorElement.unit(alg, 1)
         series = Series(alg, 1, 1, {(5,): one, (4,): -t, (0,): one}, INF,
                         ("y",))
-        got = _eval_univariate(series, t)
+        got = _eval_univariate({5: one, 4: -t, 0: one}, t)
         assert got == one and not got.truncated
         assert not reference_eval_univariate(series, t).truncated
 
@@ -1243,6 +1244,215 @@ class TestInverseByLogarithm:
         assert folded_constant(c) == t_elem(qt1) * t_elem(qt1) * -2
         assert iota.order == INF and (iota - want).is_zero()
         assert (inverse_by_logarithm(c, x, 5) - want).is_zero()
+
+
+# -- the Newton loop's convergence exit against every step to the target -----
+
+def reference_newton_inverse(F, order=None):
+    """`fgl.inverse_series` as it ran every Newton step to the target:
+    folded(x, y) formed by the slot maps of F and split by the exponent of
+    y, the constant part on a Series in y, each step evaluated at its own
+    precision even where the root did not move, and the residual through
+    the certified order evaluated once more at the end."""
+    algebra = F.algebra
+    target = order = series_module._requested_order(order, F.order)
+    if target is None:
+        if F.order == INF:
+            raise ValueError(
+                "group law is a complete polynomial; its inverse series "
+                "is generally infinite, pass an explicit order")
+        target = F.order
+    elif target > F.order:
+        raise TruncationInsufficient(
+            f"inverse series requested through order {target} but the "
+            f"group law is certified only through {F.order}",
+            certified=F.order, requested=target)
+    codec = algebra._codec(1, ("x",), max(target, F.max_degree()))
+    folded = F.apply_slot(1, "antipode").contract_mul((0, 1))
+    groups = folded._codec.split(folded._packed, codec,
+                                 lambda e: (e[1], (e[0],)))
+    d_groups = {k - 1: c.scaled(k) for k, c in groups.items() if k}
+    at_zero = Series(algebra, 1, 1, {
+        (k,): Series._of(codec, c).constant_term()
+        for k, c in groups.items() if c.val == 0}, INF, ("y",))
+    d_at_zero = at_zero.derivative()
+
+    def linearized(theta):
+        try:
+            return reference_eval_univariate(d_at_zero, theta).mul_inverse()
+        except NonInvertibleConstantTerm as exc:
+            raise NoInverse(
+                "linearized inverse equation is not invertible") from exc
+
+    theta = TensorElement.zero(algebra, 1)
+    residue = reference_eval_univariate(at_zero, theta)
+    for _ in range(2 * algebra.degree_bound + 4):
+        if residue.is_zero():
+            break
+        theta = theta - linearized(theta) * residue
+        residue = reference_eval_univariate(at_zero, theta)
+    if not residue.is_zero():
+        raise NoInverse("no nilpotent constant term solves the "
+                        "inverse equation")
+    if not theta.is_zero() and theta.full_counit() != 0:
+        raise NoInverse("inverse constant term escapes the "
+                        "augmentation ideal")
+    slope_inv = linearized(theta)
+    slack = theta.nilpotency_slack()
+    cert = target if F.order == INF else min(target, F.order - slack)
+    if order is not None and order > cert:
+        raise TruncationInsufficient(
+            f"inverse series requested through order {order}; the constant "
+            f"term's nilpotency slack {slack} leaves only order {cert} "
+            "certified", certified=cert, requested=order)
+    if cert < 0:
+        raise TruncationInsufficient(
+            "stored data certifies no order of the inverse at all",
+            certified=cert, requested=order)
+
+    def cut(groups, cap):
+        return {k: c.truncate(cap - k).stamped(INF, False)
+                for k, c in groups.items() if k <= cap}
+
+    bound = algebra.degree_bound
+    s = Series.constant(slope_inv, 1, INF, ("x",))
+    root = series_module._constant(codec, theta)
+    q = 0
+    for p in series_module._doubling_orders(0, cert, extra=1):
+        err = series_module._evaluate(cut(groups, p + slack), root, p, bound)
+        if err.buckets:
+            d = series_module._evaluate(cut(d_groups, q + slack), root, q,
+                                        bound)
+            u = (Series._of(codec, d) * s).mul_inverse(q) * s
+            root = series_module._series_mul(
+                Series._of(codec, err), series_module._in(codec, -u), keep=p,
+                plus=Series._of(codec, root))._packed.stamped(INF, False)
+        q = p
+    iota = Series._of(codec, root.stamped(cert,
+                                          F.truncated or theta.truncated))
+    complete = F.order == INF
+    residual = (series_module._evaluate(groups, root, INF, bound) if complete
+                else series_module._evaluate(cut(groups, cert + slack), root,
+                                             cert, bound))
+    if residual.truncate(cert).buckets:
+        raise NoInverse("inverse equation has no series solution; "
+                        "is F a group law?")
+    if complete and not residual.buckets:
+        return iota.with_order(INF)
+    return iota
+
+
+def odd_symmetric_law(alg, pairs, order=INF):
+    """X + Y + sum of q (X^i Y^j + X^j Y^i) over the (i, j, q) of `pairs`,
+    i + j odd, scalar coefficients: F(x, -x) = 0, so its inverse is -x."""
+    one = TensorElement.unit(alg, 2)
+    terms = {(1, 0): one, (0, 1): one}
+    for i, j, q in pairs:
+        terms[(i, j)] = terms[(j, i)] = one * q
+    return Series(alg, 2, 2, terms, order, XY)
+
+
+EXIT_KINDS = ("odd", "odd", "resume", "resume", "lemma", "no-inverse",
+              "random")
+
+
+@st.composite
+def newton_exit_laws(draw):
+    """(F, requested order) over trivial, qt1, qt2 or qtu at degree bounds
+    3-8: an odd symmetric law, whose inverse -x ends the loop at its first
+    step that finds no error ("odd"); a law reconstructed from a zero or
+    random cocycle and g = x + a x^k, a a scalar or a tensor of H and
+    k 3-6, whose inverse moves off -x (past its constant) only at degree
+    k, so the loop resumes after the residual through the certified order
+    ("resume"); a Lemma law c + X + Y with a nilpotent c, so theta != 0
+    ("lemma"); c + X + n Y with a nilpotent n, whose linearization is not
+    invertible ("no-inverse"); or an input of `inverse_inputs`, most no
+    group laws ("random"). Stored through an order 0-16, or, for half
+    of the first, third and fourth kinds, complete with an explicit
+    request 0-16; flagged seldom."""
+    kind = draw(st.sampled_from(EXIT_KINDS))
+    if kind == "random":
+        return draw(inverse_inputs())
+    name, bound = draw(NEWTON_ALGEBRAS)
+    alg = builtin_algebra(name, degree_bound=bound)
+    if kind == "resume":
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        k = draw(st.integers(3, 6))
+        one = TensorElement.unit(alg, 1)
+        a = draw(st.one_of(tensor_coefficients(alg, 1), st.sampled_from(
+            [one, one * -2, one * Q(1, 3)])))
+        c = random_cocycle(alg, rng) if draw(SELDOM) else (
+            TensorElement.zero(alg, 2))
+        stored = draw(st.integers(k - 1, 12))
+        F = reconstruct(alg, c, Series(alg, 1, 1, {(1,): one, (k,): a}),
+                        stored)
+        F_order, order = stored, draw(st.one_of(
+            st.none(), st.sampled_from(range(stored + 2))))
+    else:
+        stored = draw(st.integers(0, 16))
+        F_order, order = ((INF, stored) if draw(st.booleans())
+                          else draw(requested_orders(stored)))
+        if kind == "odd":
+            pairs = [(i, j, draw(st.sampled_from([Q(1), Q(-1), Q(2, 3)])))
+                     for i, j in draw(st.lists(st.tuples(
+                         st.integers(0, 9), st.integers(1, 8)).filter(
+                             lambda t: sum(t) % 2 and sum(t) > 1),
+                         max_size=4))]
+            F = odd_symmetric_law(alg, pairs)
+        elif kind == "lemma":
+            F = lemma_law(alg, draw(tensor_coefficients(alg, 2, unit=0)))
+        else:
+            n = draw(tensor_coefficients(alg, 2, unit=0))
+            F = lemma_law(alg, draw(tensor_coefficients(alg, 2, unit=0)))
+            F = F + Series(alg, 2, 2, {(0, 1): n - TensorElement.unit(alg, 2)},
+                           INF, XY)
+    F = F.truncate(F_order)
+    if draw(SELDOM):
+        F = Series(alg, 2, 2, F.terms, F.order, XY, truncated=True)
+    return F, order
+
+
+class TestNewtonExit:
+    """inverse_series stops its Newton loop once a step finds no error:
+    the residual through the certified order either vanishes and is the
+    final check, or, cut at each later step, is that step's error. It
+    gives what running every step to the target gives: terms, certified
+    order, `truncated` and every exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(newton_exit_laws())
+    def test_matches_every_step_to_the_target(self, case):
+        F, order = case
+        assert_same_outcome(outcome(inverse_series, F, order=order),
+                            outcome(reference_newton_inverse, F, order=order))
+
+    def test_odd_law_exits_at_once(self, monkeypatch):
+        """tanh through order 33 as the reversion workload stores it: one
+        step moves theta = 0 to -x, the next finds no error through 2, and
+        the one residual through 33 ends the loop and is the final check."""
+        alg = builtin_algebra("trivial")
+        F = odd_symmetric_law(alg, [(k + 1, k, Q((-1) ** k))
+                                    for k in range(1, 17)], 33)
+        evaluate = recorded_calls(monkeypatch, fgl_module, "_evaluate")
+        iota = inverse_series(F)
+        assert [call[2] for call in evaluate] == [1, 0, 2, 33]
+        assert_same_outcome((iota, None), outcome(reference_newton_inverse,
+                                                  F))
+        assert (iota + Series.variable(alg, 1, 1, 0, 33, ("x",))).is_zero()
+
+    def test_resume_after_the_residual(self, qt1, monkeypatch):
+        """g = x + t x^5 over qt1 through order 12: the root -x has no
+        error through 3, its residual through 12 starts at x^5, so the
+        step to 6 takes its error from that residual, with no evaluation
+        of its own, and the root moves on from q = 3."""
+        g = Series(qt1, 1, 1, {(1,): TensorElement.unit(qt1, 1),
+                               (5,): TensorElement.from_slots(t_elem(qt1))})
+        F = reconstruct(qt1, TensorElement.zero(qt1, 2), g, 12)
+        evaluate = recorded_calls(monkeypatch, fgl_module, "_evaluate")
+        got = outcome(inverse_series, F)
+        assert [call[2] for call in evaluate] == [1, 0, 3, 12, 3, 12, 6, 12]
+        assert_same_outcome(got, outcome(reference_newton_inverse, F))
+        assert got[0].coeff((5,)) != TensorElement.zero(qt1, 1)
 
 
 def recorded_calls(monkeypatch, owner, name):

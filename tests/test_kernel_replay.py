@@ -1,7 +1,7 @@
 """tools/kernel_replay.py: one repeat of a smoke pass prints the kernel
 calls, seconds and term pairs of every operation and their total, with
 the operation's in-process wall time, each followed by those of every
-fglog function that reached the kernel."""
+fglog function that reached the kernel; --only keeps some operations."""
 
 import re
 import subprocess
@@ -13,12 +13,12 @@ ROW = re.compile(r"^(  )?(\S+): (\d+) calls, (\d+\.\d{6}) s, (\d+) pairs"
                  r"(, (\d+\.\d{6}) s wall)?$")
 
 
-def replay_blocks(workload):
+def replay_blocks(workload, *options):
     """[(id, calls, pairs, {caller: (calls, pairs)})] of a smoke pass, one
     per operation and the total last."""
     proc = subprocess.run(
         [sys.executable, "tools/kernel_replay.py", ".", "--workload",
-         workload, "--smoke", "--repeats", "1"],
+         workload, "--smoke", "--repeats", "1", *options],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [ROW.match(text) for text in proc.stdout.splitlines()]
@@ -58,6 +58,21 @@ def test_smoke_reversion_replay():
     assert len(ids) == 4 and all(i.startswith("reversion/") for i in ids[:-1])
     assert all(b[1] and b[2] for b in blocks)
     assert_rows_add_up(blocks)
+
+
+def test_only_replays_the_matching_operations():
+    """--only keeps the operations whose id contains the substring, each
+    with the calls and pairs of the full pass; none matching exits 2."""
+    full = {b[0]: b[1:] for b in replay_blocks("reversion")}
+    blocks = replay_blocks("reversion", "--only", "reversion/tanh")
+    assert [b[0] for b in blocks] == ["reversion/tanh-inverse-N9", "total"]
+    assert blocks[0][1:] == full["reversion/tanh-inverse-N9"]
+    assert_rows_add_up(blocks)
+    proc = subprocess.run(
+        [sys.executable, "tools/kernel_replay.py", ".", "--workload",
+         "reversion", "--smoke", "--only", "no-such-operation"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and "no-such-operation" in proc.stderr
 
 
 def test_smoke_roundtrip6_replay_by_caller():

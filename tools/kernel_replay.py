@@ -1,6 +1,7 @@
 """The product kernel's share of a benchmark workload, replayed alone.
 
     python3 tools/kernel_replay.py ROOT --workload W [--repeats N] [--smoke]
+        [--only SUBSTRING]
 
 Imports fglog from ROOT/src and the workload from ROOT/perfbench, runs
 one in-process pass of the workload's operations while recording every
@@ -13,6 +14,8 @@ taken away. Next to them it prints the best in-process wall time of each
 operation over N unrecorded runs, and their total: the wall time less
 the kernel seconds is the glue around the kernel (set-up, checks,
 re-layings, slot maps). --smoke uses the workload's small smoke inputs.
+--only SUBSTRING runs, records and replays only the operations whose id
+contains SUBSTRING (`--only reversion/tanh`), and exits 2 when none does.
 Each row also gives the term pairs that its calls form: the pairs of
 terms whose Hopf degrees stay within the bound and whose variable degrees
 sum to at most the call's `keep`, capped by the operands' orders as the
@@ -56,10 +59,10 @@ def caller(frame):
     return f"{Path(code.co_filename).stem}.{code.co_name}"
 
 
-def record(workload):
+def record(workload, only=""):
     """[(item, [(pairs, keep, bound, caller), ...])] of one in-process
-    pass, in a fixed order, and the ids of the operations whose output
-    missed its golden."""
+    pass over the operations whose id contains `only`, in a fixed order,
+    and the ids of those whose output missed its golden."""
     packed = workload.fg.packed._Packed
     kernel = packed.sum_of_products
     calls = []
@@ -73,6 +76,8 @@ def record(workload):
     packed.sum_of_products = staticmethod(recorded)
     try:
         for item in workload.make_pass(random.Random(0), inprocess=True):
+            if only not in item.id:
+                continue
             calls = []
             outs.append((item, item.run()))
             per_item.append((item, calls))
@@ -137,6 +142,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--only", default="", metavar="SUBSTRING")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -145,7 +151,10 @@ def main(argv=None):
     import workloads
 
     workload = workloads.setup(args.workload, root, smoke=args.smoke)
-    per_item, missed = record(workload)
+    per_item, missed = record(workload, args.only)
+    if not per_item:
+        parser.exit(2, f"kernel_replay: no {args.workload} operation id "
+                    f"contains {args.only!r}\n")
     kernel = workload.fg.packed._Packed.sum_of_products
     total = [0, 0.0, 0, 0.0]  # calls, seconds, pairs, wall seconds
     totals = {}  # caller -> [calls, seconds, pairs]
