@@ -14,16 +14,17 @@ Lemma-form law c + X + Y it coincides term by term with the cobar defect
 
     (id (x) Delta)c + 1 (x) c - (Delta (x) id)c - c (x) 1.
 
-Symmetry by reversal: the symmetry defect F - tau F(Y, X) is the packed F
-minus its key-field reversal, which swaps the variables and the tensor
-slots, on int numerators (`symmetry_defect`).
+Symmetry by reversal: the symmetry defect F - tau F(Y, X) is F minus its
+copy with the variables and the tensor slots in reverse order, moved on
+its codes by `Series.permute_vars` and the slot placement of the slot
+maps, in one subtraction (`symmetry_defect`).
 
 Associativity from one composite: when H is cocommutative and F equals its
 flip in all its stored terms, the left composite F(F(X, Y), Z) is the right
 one F(X, F(Y, Z)) with X and Z swapped and the tensor slots reversed, the
 classical step by which commutativity and one associativity composite
 suffice (Hazewinkel, Formal Groups and Applications, 1978). The defect is
-then one packed composite minus its reversal. The axiom gate of
+then one composite minus its reversal. The axiom gate of
 check_axioms decides on the left composite through the checked order,
 summed from the powers of F(X, Y) into one accumulator (`_gate_composite`),
 with no `truncated` flag. Both composites give the same terms and certified
@@ -105,7 +106,6 @@ from .series import (
     _evaluate,
     _in,
     _mapped_parts,
-    _minus_reversed,
     _requested_order,
     _series_mul,
     _slack,
@@ -165,10 +165,10 @@ def _composites_defect(F, sym, cert=None):
         left = outer.substitute(assigns, cert)
         return _right_composite(F, cert) - left
     if cert is not None:
-        gate = _minus_reversed(_gate_composite(F, cert))
+        gate = symmetry_defect(_gate_composite(F, cert))
         if gate.is_zero():
             return gate
-    return _minus_reversed(_right_composite(F, cert))
+    return symmetry_defect(_right_composite(F, cert))
 
 
 def _left(F):
@@ -230,9 +230,11 @@ def _gate_composite(F, cert):
 
 
 def symmetry_defect(F):
-    """F(X, Y) - tau F(Y, X): F minus its key-field reversal in its own
-    layout, with F's flag."""
-    return _minus_reversed(F)
+    """F(X, Y) - tau F(Y, X), for a series of any arity and variable
+    count: F minus its copy with the variables and the tensor slots in
+    reverse order, in one subtraction, which keeps F's order and flag."""
+    flipped = F.permute_vars(range(F.nvars)[::-1])
+    return F - flipped._placed(range(F.arity)[::-1], F.arity)
 
 
 def unit_defects(F):

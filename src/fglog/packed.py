@@ -16,9 +16,10 @@ sort by degree first and are no longer than one field per exponent. The
 Hopf fields have one width for every layout of an algebra, the variable
 fields one sized for the series at hand (`_Codec`).
 The symmetry defect of a law, and the associativity defect of a law equal
-to its flip, are a packed series minus its key-field reversal, which puts
-the tensor slots and the variables in reverse order
-(`_Codec.minus_reversed`).
+to its flip, are each a series minus its permuted copy, whose variables
+(`Series.permute_vars`) and tensor slots (the slot placement that tensors
+and series share) are in reverse order, in one subtraction (fgl.py
+`symmetry_defect`): the kernel has no reversal of its own.
 Coefficients are int numerators over one common denominator per operand.
 Terms are bucketed by Hopf degree alone, each bucket a list sorted by key:
 the degree bound is decided once per pair of buckets, and the order cap by
@@ -308,62 +309,16 @@ class _Codec:
         return _Packed(buckets, packed.den, packed.order - 1, packed.flag,
                        packed.shift)
 
-    def minus_reversed(self, packed):
-        """packed minus its image under the key-field reversal, which puts
-        the tensor slots and the variables in reverse order. The reversal
-        is a bijection of keys that keeps the Hopf degree and the degree
-        field, so the int numerators are subtracted bucket by bucket over
-        the common denominator, and only nonzero differences are stored."""
-        hopf_bits = self.hopf_bits
-        hopf_mask = (1 << hopf_bits) - 1
-        slot_bits = self.hwidth * len(self.algebra.names)
-        reversed_keys, reversed_exps = {}, {}
-        buckets = {}
-        for h, bucket in packed.buckets.items():
-            out = {}
-            get = dict(bucket).get
-            for code, num in bucket:
-                kcode = code & hopf_mask
-                rk = reversed_keys.get(kcode)
-                if rk is None:
-                    rk = reversed_keys[kcode] = _reversed_fields(
-                        kcode, self.arity, slot_bits)
-                vcode = code >> hopf_bits
-                rv = reversed_exps.get(vcode)
-                if rv is None:
-                    rv = reversed_exps[vcode] = self._exps_code(
-                        self._code_exps(vcode)[::-1])
-                image = rv | rk
-                mirror = get(image)
-                if mirror is None:
-                    out[code] = num
-                    out[image] = -num
-                elif mirror != num:
-                    out[code] = num - mirror
-            if out:
-                buckets[h] = sorted(out.items(), key=_code)
-        return _Packed(buckets, packed.den, packed.order, packed.flag,
-                       packed.shift)
-
-
-def _reversed_fields(code, count, bits):
-    """code with its `count` fields of `bits` bits in reverse order."""
-    mask = (1 << bits) - 1
-    out = 0
-    for _ in range(count):
-        out = (out << bits) | (code & mask)
-        code >>= bits
-    return out
-
 
 class _Packed:
     """Packed terms buckets[Hopf degree] = [(code, numerator), ...], each
     bucket nonempty and sorted by code, so by variable degree (the field
     at bit `shift` of its layout), over the common denominator `den`,
     with the certified order and the `truncated` flag of the series they
-    stand for."""
+    stand for. The buckets are not changed after construction, so the
+    valuation is computed once, when first read."""
 
-    __slots__ = ("buckets", "den", "order", "flag", "shift")
+    __slots__ = ("buckets", "den", "order", "flag", "shift", "_val")
 
     def __init__(self, buckets, den, order, flag, shift):
         self.buckets = buckets
@@ -371,14 +326,19 @@ class _Packed:
         self.order = order
         self.flag = flag
         self.shift = shift
+        self._val = None
 
     @property
     def val(self):
         """The valuation: the least variable degree of a stored term, which
         the least code has; inf when there is none."""
-        buckets = self.buckets
-        return (min([b[0][0] for b in buckets.values()]) >> self.shift
+        val = self._val
+        if val is None:
+            buckets = self.buckets
+            val = self._val = (
+                min([b[0][0] for b in buckets.values()]) >> self.shift
                 if buckets else INF)
+        return val
 
     @classmethod
     def reduced(cls, buckets, den, order, flag, shift):
@@ -443,8 +403,9 @@ class _Packed:
         within it whose Hopf degrees overflow the bound sets the flag: the
         lowest-degree terms of the two buckets decide. Terms of variable
         degree up to the least of keep and the caps are formed and
-        certified: all of a pair of buckets whose top terms stay within
-        keep, else each outer term's run of the inner bucket up to keep.
+        certified: each outer term's run of the inner bucket up to keep,
+        the whole bucket when its top term stays within keep (always when
+        keep is inf).
         The operands share one layout, apart from `_UNIT`, whose shift of
         0 is below every layout's, so the largest shift of a pair's
         operands is the layout's."""
@@ -478,15 +439,6 @@ class _Packed:
                         outer, inner = lb, la
                     else:
                         outer, inner = la, lb
-                    if keep == INF or (
-                            (la[-1][0] >> shift) + (lb[-1][0] >> shift)
-                            <= keep):
-                        for ko, no in outer:
-                            no *= scale
-                            for ki, ni in inner:
-                                k = ko + ki
-                                out[k] = get(k, 0) + no * ni
-                        continue
                     top = inner[-1][0] >> shift
                     for ko, no in outer:
                         room = keep - (ko >> shift)

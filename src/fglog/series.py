@@ -798,15 +798,6 @@ def _constant(codec, coeff, flag=False):
     return coeff._packed.stamped(INF, flag, codec.shift)
 
 
-def _minus_reversed(series):
-    """The series minus itself with the tensor slots and the variables in
-    reverse order, formed in its own layout (`_Codec.minus_reversed`).
-    The reversal keeps every term's degrees, so the difference has the
-    flag that `series - reversed` gives, the series'."""
-    return Series._of(series._codec,
-                      series._codec.minus_reversed(series._packed))
-
-
 def _series_mul(f, g, *, keep, plus=None):
     """f * g truncated at `keep`, for series of one layout, as a series of
     that layout (f's). The `truncated` flag counts every pair of terms

@@ -48,7 +48,6 @@ from fglog.fgl import (
     _packed_residual,
 )
 from fglog.scalars import Q
-from fglog.series import _minus_reversed
 from fglog.generate import (
     random_cocycle,
     random_logarithm,
@@ -248,10 +247,10 @@ class TestCheckAxioms:
         once per lift: the two counit lifts, and the coproduct and inner
         lifts of each composite (a slot map of the series, or its
         placement among X, Y, Z by `_Codec.placed`, each). The symmetry
-        defect is a key reversal of the packed law and maps no
-        coefficient. The slack of F(0, 0) is computed once for the order
-        rule, and each substitution computes that of its own assigned
-        constant once."""
+        defect moves the law's codes (its variables and slots reversed)
+        and maps no coefficient. The slack of F(0, 0) is computed once
+        for the order rule, and each substitution computes that of its
+        own assigned constant once."""
         alg = builtin_algebra("qt1", degree_bound=6)
         F = lemma_law(alg, two_t_t(alg), order=8) + Series(
             alg, 2, 2, {(2, 1): two_t_t(alg)}, 8, XY)
@@ -886,7 +885,9 @@ class TestReconstruct:
     def test_a_trial_checks_each_cocycle_once(self, monkeypatch):
         """A criterion-6 trial forms the cobar defect of c in the first
         reconstruct and of the extracted c in extract_cocycle; the second
-        reconstruct reads the report kept on that tensor."""
+        reconstruct reads the report kept on that tensor. Over the
+        cocommutative qt1 reconstruct reads symmetry off c = tau c, so
+        the trial forms no symmetry defect."""
         alg = builtin_algebra("qt1", degree_bound=6)
         tm = alg.generator_mono("t")
         rng = random.Random(20260817)
@@ -894,12 +895,15 @@ class TestReconstruct:
         g = random_logarithm(alg, rng, order=6, coeff_pool=pool)
         c = random_cocycle(alg, rng)
         defects = recorded_calls(monkeypatch, fgl_module, "cocycle_defect")
+        reversals = recorded_calls(monkeypatch, fgl_module,
+                                   "symmetry_defect")
         F = reconstruct(alg, c, g, order=6)
         c_rec = extract_cocycle(F)
         F2 = reconstruct(alg, c_rec, logarithm(F, order=6).with_order(INF),
                          order=6)
         assert F2 == F and c_rec == c
         assert [d for d, in defects] == [c, c_rec]
+        assert reversals == []
         assert check_cocycle(c_rec) is check_cocycle(c_rec)
 
 
@@ -1534,7 +1538,7 @@ class TestSparseLaws:
         F = sparse_law(name)
         cert, slack = 4, F.constant_term().nilpotency_slack()
         products = recorded_calls(monkeypatch, fgl_module, "_series_mul")
-        assert _minus_reversed(_gate_composite(F, cert)).is_zero()
+        assert symmetry_defect(_gate_composite(F, cert)).is_zero()
         assert len(products) <= cert + slack + 1
         assert check_axioms(F, order=cert).passed
 
@@ -1847,11 +1851,16 @@ class TestOneComposite:
         assert violation.defect.truncated
 
     def test_failing_check_forms_one_symmetry_defect(self, monkeypatch):
-        """A failing one-composite check reports the right composite
-        minus its reversal without deciding the route a second time."""
-        report, calls = calls_to(monkeypatch, "symmetry_defect",
-                                 check_axioms, qt2_flag_law(), order=5)
-        assert not report.passed and calls == 1
+        """A failing one-composite check forms the law's symmetry defect
+        once, without deciding the route a second time; its other two
+        reversals are of the gate and of the right composite, whose
+        defect it reports (three-variable series)."""
+        F = qt2_flag_law()
+        calls = recorded_calls(monkeypatch, fgl_module, "symmetry_defect")
+        report = check_axioms(F, order=5)
+        assert not report.passed
+        assert calls[0][0] is F
+        assert [S.nvars for S, in calls] == [2, 3, 3]
         assert_same_report(report,
                            reference_check_axioms(qt2_flag_law(), order=5))
 
@@ -2039,10 +2048,11 @@ def assert_same_symmetry_defect(F):
 
 
 class TestPackedSymmetry:
-    """symmetry_defect, the packed law minus its key-field reversal, gives
-    what F - tau F(Y, X) gives on Series: terms, certified order and
-    `truncated`, for stored laws, laws read from group JSON, products and
-    substitution results, over qt1, qt2, qtu and QTU_HALF."""
+    """symmetry_defect, the law minus its copy with the variables and the
+    tensor slots reversed, gives what F - tau F(Y, X) gives on Series:
+    terms, certified order and `truncated`, for stored laws, laws read
+    from group JSON, products and substitution results, over qt1, qt2,
+    qtu and QTU_HALF."""
 
     @settings(max_examples=150)
     @given(perturbed_laws())

@@ -57,7 +57,9 @@ def kernel_calls(draw):
     """(codec, [(a, b) as (terms, order, flag) or None for the unit], keep,
     bound): one to three pairs of one layout, over trivial, qt1, qt2 or qtu
     at degree bounds 3-6, a tensor layout (no variables) or one to three
-    variables, `keep` inf or anywhere from 0 to past every cap."""
+    variables, `keep` inf or anywhere from 0 to past every cap, often
+    2 * dmax, at or above the top degrees of any two operands summed,
+    where every outer term takes the whole inner bucket."""
     name, bound = draw(ALGEBRAS)
     algebra = builtin_algebra(name, degree_bound=bound)
     nvars = draw(st.integers(0, 3))
@@ -69,7 +71,8 @@ def kernel_calls(draw):
                         st.just(None))
     pairs = draw(st.lists(st.tuples(operand, operand), min_size=1,
                           max_size=3))
-    keep = draw(st.one_of(st.just(INF), st.integers(0, 2 * dmax + 1)))
+    keep = draw(st.one_of(st.just(INF), st.just(2 * dmax),
+                          st.integers(0, 2 * dmax + 1)))
     return codec, pairs, keep, bound
 
 

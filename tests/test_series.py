@@ -19,6 +19,7 @@ from fglog import (
     TensorElement,
     TruncationInsufficient,
     builtin_algebra,
+    symmetry_defect,
 )
 from fglog import series as series_module
 from fglog.fgl import _y_coefficients
@@ -1738,6 +1739,15 @@ def ref_permute_vars(f, perm):
                           for e, c in f.terms.items()})
 
 
+def ref_symmetry_defect(f):
+    """f minus its copy with the exponents and the tensor keys of every
+    term reversed."""
+    flipped = {e[::-1]: TensorElement(f.algebra, f.arity, {
+        key[::-1]: q for key, q in c.terms.items()})
+        for e, c in f.terms.items()}
+    return ref_combine(f, ref_series(f, flipped), -1)
+
+
 def ref_with_order(f, order):
     if order <= f.order:
         return ref_series(f, {e: c for e, c in f.terms.items()
@@ -1807,6 +1817,8 @@ def _code_op_cases(data, op):
         names = ("a", "b", "c")[:f.nvars]
         return f.with_names(names), ref_series(f, f.terms, names=names)
     f, _ = data.draw(code_op_inputs())
+    if op == "symmetry_defect":
+        return symmetry_defect(f), ref_symmetry_defect(f)
     var = data.draw(st.integers(0, f.nvars - 1))
     if op == "derivative":
         return f.derivative(var), ref_derivative(f, var)
@@ -1865,7 +1877,7 @@ class TestCodeOps:
     @pytest.mark.parametrize("op", [
         "add", "sub", "neg", "scale", "derivative", "integrate",
         "embed_vars", "set_variable_zero", "drop_variable", "permute_vars",
-        "with_order", "with_names"])
+        "with_order", "with_names", "symmetry_defect"])
     @settings(max_examples=300)
     @given(data=st.data())
     def test_matches_the_term_dict_form(self, op, data):
